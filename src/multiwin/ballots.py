@@ -27,6 +27,10 @@ class ProfileError(ValueError):
     """Raised for structurally invalid profiles or ballots."""
 
 
+class CoverageError(ValueError):
+    """Method/scenario combination outside the computable corpus."""
+
+
 class ProfileParseError(ProfileError):
     """Raised on malformed profile files; carries the 1-based line number."""
 

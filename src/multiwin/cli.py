@@ -36,8 +36,6 @@ from .sequences import alpha, build_alpha_lp, seq_a, seq_b, seq_c
 from .lp import format_lp
 from .thresholds import (CoverageError, MethodId, TABLE_NAMES, ThresholdValue,
                          criterion_check, table_grid, threshold, CRITERIA)
-from .unordered import phragmen_unordered
-from .ordered import phragmen_ordered
 from .verifier import (CATALOG, SearchSpec, Witness, audit_table,
                        construct_witness, party_seat_vectors, run_method,
                        search_lower_bound, verify_witness)
@@ -139,12 +137,9 @@ def _cmd_count(args) -> int:
     profile = parse_profile_file(args.profile)
     method = MethodId.parse(args.method)
     doc_data = {"method": method.label(), "seats": profile.seats}
-    if method.kind == "phragmen-u":
-        outcomes, states = phragmen_unordered(profile, args.branch_cap)
-        load = min(state.max_load for state in states.values())
-        doc_data["max_load"] = format_rational(load)
-    elif method.kind == "phragmen-o":
-        outcomes, states = phragmen_ordered(profile, args.branch_cap)
+    if method.spec.loads:
+        outcomes, states = method.spec.engine(method, profile,
+                                              args.branch_cap)
         load = min(state.max_load for state in states.values())
         doc_data["max_load"] = format_rational(load)
     else:
@@ -431,12 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json", "csv"),
                         default="human", help="output format")
-    common.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP,
-                        help="tie-branching budget")
     common.add_argument("--decimals", type=int, default=None,
                         help="append decimal approximations (human output)")
-    common.add_argument("--dump-lp", action="store_true",
-                        help="emit the LP constraint system (seq alpha)")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP,
+                        help="states kept per round of tie branching")
 
     parser = argparse.ArgumentParser(
         prog="multiwin",
@@ -444,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "proportionality guarantees")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[capped],
                        help="count a candidate-ballot profile")
     p.add_argument("--method", required=True)
     p.add_argument("profile")
@@ -457,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile")
     p.set_defaults(func=_cmd_apportion)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[capped],
                        help="test a scenario on a profile with !W markers")
     p.add_argument("--method", required=True)
     p.add_argument("--scenario", required=True,
@@ -489,9 +483,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    help="a | b | c | alpha[:scheme]")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--dump-lp", action="store_true",
+                   help="emit the LP constraint system (alpha only)")
     p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[capped],
                        help="build and verify a cataloged extremal profile")
     p.add_argument("--construction", required=True,
                    choices=sorted(CATALOG))
@@ -504,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="closeness for limit constructions, e.g. 1/20")
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[capped],
                        help="brute-force the best bad-outcome fraction")
     p.add_argument("--method", required=True)
     p.add_argument("--scenario", required=True,

@@ -6,19 +6,27 @@ for its highest-ranked unelected name), ordered sequential weights (the
 first unelected name at position k receives weight 1/k), and positional
 scoring with a configurable weight scheme.
 
-All engines branch ties and return tie-complete OutcomeSets.
+All engines branch ties and return tie-complete OutcomeSets.  Transfer
+counting, ordered load balancing and ordered sequential weights run on
+the breadth-first branching loop `unordered.branch`, which owns dedup,
+the per-round `branch_cap` and the `truncated` flag: a truncated result
+is a non-empty subset of the full answer whose committees all have S
+members.  Ordered load balancing reports LoadStates as the unordered one
+does: per committee, the least load vector with the history of the first
+path to it.  Positional scoring resolves its boundary tie with
+`unordered.boundary_committees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
-from .unordered import (InsufficientSupportError, boundary_committees,
-                        sequential_loads)
+from .unordered import (InsufficientSupportError, boundary_committees, branch,
+                        sequential_loads, sequential_max)
 
 
 @dataclass(frozen=True)
@@ -54,45 +62,26 @@ def _first_choice(ranking, excluded) -> Optional[str]:
 
 def stv_count(spec: StvSpec, profile: Profile,
               branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
-    """Fractional transfer counting; see _stv_states for the procedure."""
-    committees = set()
-    truncated = False
-    for state in _stv_states(spec, profile, branch_cap):
-        if state.final:
-            committees.add(state.elected)
-        if state.truncated:
-            truncated = True
-    return OutcomeSet(committees, truncated)
+    """Fractional transfer counting; see _stv_step for the procedure."""
+    finals, truncated = branch(*_stv_step(spec, profile), branch_cap)
+    return OutcomeSet((elected if len(elected) == profile.seats
+                       else profile.candidates - eliminated
+                       for elected, eliminated, _ in finals), truncated)
 
 
-@dataclass(frozen=True)
-class StvState:
-    """One node of the branching count: elected/eliminated sets and the
-    live ballot groups (ranking, remaining value)."""
+def _stv_step(spec: StvSpec, profile: Profile):
+    """The transfer count as a (start, step) pair for `branch`.
 
-    elected: frozenset
-    eliminated: frozenset
-    groups: tuple
-    final: bool = False
-    truncated: bool = False
-    early: bool = False          # filled by the stop-early rule
-
-    @property
-    def live_value(self) -> Fraction:
-        return sum((value for _, value in self.groups), Fraction(0))
-
-
-def _stv_states(spec: StvSpec, profile: Profile,
-                branch_cap: int = DEFAULT_BRANCH_CAP) -> Iterator[StvState]:
-    """Explore the count, yielding every intermediate and final state.
-
-    Each ballot counts for its first non-elected, non-eliminated name.
-    A candidate whose count reaches the quota Q is elected and every
-    ballot counting for it is rescaled by (v - Q) / v; otherwise a
-    minimum-count candidate is eliminated at full value.  Both choices
-    branch on ties.  When the remaining candidates only just fill the
-    remaining seats, all of them are elected.  The surplus of the last
-    elected candidate is not transferred.
+    A state is (elected, eliminated, groups), groups being the live
+    ballot groups (ranking, remaining value).  Each ballot counts for its
+    first non-elected, non-eliminated name.  A candidate whose count
+    reaches the quota Q is elected and every ballot counting for it is
+    rescaled by (v - Q) / v; otherwise a minimum-count candidate is
+    eliminated at full value.  Both choices branch on ties.  When the
+    remaining candidates only just fill the remaining seats, all of them
+    are elected: that state is final, and stv_count reads its committee
+    as every candidate not eliminated.  The surplus of the last elected
+    candidate is not transferred.
     """
     ballots = _list_ballots(profile)
     seats = profile.seats
@@ -108,21 +97,10 @@ def _stv_states(spec: StvSpec, profile: Profile,
                 merged[ranking] = merged.get(ranking, Fraction(0)) + value
         return tuple(sorted(merged.items()))
 
-    start = StvState(frozenset(), frozenset(),
-                     canonical([(r, w) for r, w in ballots]))
-    frontier = [start]
-    seen = {(start.elected, start.eliminated, start.groups)}
-    count = 0
-    while frontier:
-        state = frontier.pop()
-        yield state
-        if state.final:
-            continue
-        elected, eliminated, groups = state.elected, state.eliminated, state.groups
+    def step(state, _):
+        elected, eliminated, groups = state
         if len(elected) == seats:
-            yield StvState(elected, eliminated, groups, final=True,
-                           early=state.early)
-            continue
+            return None
         remaining = profile.candidates - elected - eliminated
         unfilled = seats - len(elected)
         if len(remaining) < unfilled:
@@ -130,44 +108,31 @@ def _stv_states(spec: StvSpec, profile: Profile,
                 "only %d candidates left for %d open seats"
                 % (len(remaining), unfilled))
         if len(remaining) == unfilled:
-            yield StvState(elected | remaining, eliminated, groups,
-                           final=True, early=True)
-            continue
+            return None
         votes = {c: Fraction(0) for c in remaining}
-        piles: dict = {}
         for ranking, value in groups:
             cand = _first_choice(ranking, elected | eliminated)
             if cand is not None:
                 votes[cand] += value
-                piles.setdefault(cand, []).append((ranking, value))
         reachers = sorted(c for c in remaining if votes[c] >= quota)
-        branches = []
-        if reachers:
-            for cand in reachers:
-                surplus_factor = (votes[cand] - quota) / votes[cand]
-                new_groups = []
-                for ranking, value in groups:
-                    head = _first_choice(ranking, elected | eliminated)
-                    if head == cand:
-                        value = value * surplus_factor
-                    new_groups.append((ranking, value))
-                branches.append(StvState(elected | {cand}, eliminated,
-                                         canonical(new_groups)))
-        else:
+        if not reachers:
             worst = min(votes.values())
-            for cand in sorted(c for c in remaining if votes[c] == worst):
-                branches.append(StvState(elected, eliminated | {cand}, groups))
-        for nxt in branches:
-            key = (nxt.elected, nxt.eliminated, nxt.groups)
-            if key in seen:
-                continue
-            seen.add(key)
-            count += 1
-            if count > branch_cap:
-                yield StvState(elected, eliminated, groups, final=True,
-                               truncated=True)
-                return
-            frontier.append(nxt)
+            return [((elected, eliminated | {cand}, groups), None) for cand
+                    in sorted([c for c, v in votes.items() if v == worst])]
+        successors = []
+        for cand in reachers:
+            surplus_factor = (votes[cand] - quota) / votes[cand]
+            new_groups = []
+            for ranking, value in groups:
+                if _first_choice(ranking, elected | eliminated) == cand:
+                    value = value * surplus_factor
+                new_groups.append((ranking, value))
+            successors.append(((elected | {cand}, eliminated,
+                                canonical(new_groups)), None))
+        return successors
+
+    start = (frozenset(), frozenset(), canonical(ballots))
+    return (start, None), step
 
 
 def phragmen_ordered(profile: Profile,
@@ -188,33 +153,18 @@ def thiele_ordered(profile: Profile,
     """Sequential max-score election where a ballot counts for its first
     unelected name with weight 1/k, k being that name's position."""
     ballots = _list_ballots(profile)
-    seats = profile.seats
-    states = {frozenset()}
-    truncated = False
-    for _ in range(seats):
-        next_states = set()
-        for elected in states:
-            scores: dict = {}
-            for ranking, weight in ballots:
-                for pos, name in enumerate(ranking):
-                    if name not in elected:
-                        scores[name] = (scores.get(name, Fraction(0))
-                                        + weight / (pos + 1))
-                        break
-            if not scores:
-                raise InsufficientSupportError(
-                    "no candidate receives any score for an open seat")
-            best = max(scores.values())
-            for cand, value in scores.items():
-                if value == best:
-                    next_states.add(elected | {cand})
-            if len(next_states) > branch_cap:
-                truncated = True
-                break
-        states = next_states
-        if truncated:
-            break
-    return OutcomeSet(states, truncated)
+
+    def scores_of(elected):
+        scores: dict = {}
+        for ranking, weight in ballots:
+            for pos, name in enumerate(ranking):
+                if name not in elected:
+                    scores[name] = (scores.get(name, Fraction(0))
+                                    + weight / (pos + 1))
+                    break
+        return scores
+
+    return sequential_max(scores_of, profile.seats, branch_cap)[0]
 
 
 def borda_count(weights: BordaWeights, profile: Profile,

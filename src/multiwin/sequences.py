@@ -13,7 +13,6 @@ program over variables x_sigma, one per non-empty subset of candidates.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +21,6 @@ from .lp import LinearProgram, LpOutcome, solve
 
 ALPHA_CAP = 7
 
-_lock = threading.Lock()
 _b_cache: list = [None, Fraction(1)]
 _alpha_cache: dict = {}
 
@@ -31,13 +29,12 @@ def seq_b(n: int) -> Fraction:
     """b_n by the defining recursion, exactly."""
     if n < 1:
         raise ValueError("seq_b requires n >= 1")
-    with _lock:
-        while len(_b_cache) <= n:
-            m = len(_b_cache)
-            total = sum((_b_cache[i] / (m + 1 - i) for i in range(1, m)),
-                        Fraction(0))
-            _b_cache.append(1 - total)
-        return _b_cache[n]
+    while len(_b_cache) <= n:
+        m = len(_b_cache)
+        total = sum((_b_cache[i] / (m + 1 - i) for i in range(1, m)),
+                    Fraction(0))
+        _b_cache.append(1 - total)
+    return _b_cache[n]
 
 
 def seq_a(n: int) -> Fraction:
@@ -45,8 +42,7 @@ def seq_a(n: int) -> Fraction:
     if n < 1:
         raise ValueError("seq_a requires n >= 1")
     seq_b(n)
-    with _lock:
-        return sum(_b_cache[1:n + 1], Fraction(0))
+    return sum(_b_cache[1:n + 1], Fraction(0))
 
 
 def seq_c(n: int) -> int:
@@ -108,14 +104,9 @@ def alpha(n: int, scheme: WeightScheme = None) -> Fraction:
     if scheme is None:
         scheme = WeightScheme.harmonic()
     key = (n, scheme.label())
-    with _lock:
-        if key in _alpha_cache:
-            return _alpha_cache[key]
-    outcome = solve_alpha(n, scheme)
-    value = outcome.value
-    with _lock:
-        _alpha_cache[key] = value
-    return value
+    if key not in _alpha_cache:
+        _alpha_cache[key] = solve_alpha(n, scheme).value
+    return _alpha_cache[key]
 
 
 def solve_alpha(n: int, scheme: WeightScheme) -> LpOutcome:

@@ -12,18 +12,29 @@ generic_bounds() lists the method-independent constraints, and
 criterion_check() evaluates classical representation criteria (JR, PJR,
 EJR, DPC, strong and weak PSC floors) as threshold inequalities.
 table_grid() regenerates the named reference grids.
+
+REGISTRY holds one MethodKind record per method kind: its ballot kind,
+parameter, weight-scheme flag, counting engine, threshold handler and
+ballot cap.  Adding a method means adding one registry entry; MethodId
+parsing, threshold(), the verifier's run_method, search and witness
+builders, and the CLI all read the record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .ballots import WeightScheme
-from .numerics import harmonic
+from .ballots import CoverageError, WeightScheme
+from .ordered import (BordaWeights, StvSpec, borda_count, phragmen_ordered,
+                      stv_count, thiele_ordered)
+from .party import DivisorSpec, QuotaSpec, divisor_apportion, quota_apportion
 from .scenarios import ScenarioId
 from .sequences import ALPHA_CAP, alpha, seq_a, seq_c
+from .unordered import (ApprovalFamilyRule, phragmen_unordered,
+                        score_family_count, thiele_addition,
+                        thiele_elimination, thiele_optimize)
 
 PI = "pi"
 PIHAT = "pihat"
@@ -39,18 +50,6 @@ INTERVAL = "interval"
 CONJECTURED = "conjectured"
 UNKNOWN = "unknown"
 
-METHOD_KINDS = ("div", "quota", "bv", "av", "sntv", "lv", "cv", "cvq",
-                "phragmen-u", "thiele-opt", "thiele-add", "thiele-elim",
-                "stv", "phragmen-o", "thiele-o", "borda")
-
-_PARAM_KINDS = {"div": "gamma", "quota": "delta", "stv": "delta", "lv": "limit"}
-_SCHEME_KINDS = ("thiele-opt", "thiele-add", "borda")
-
-
-class CoverageError(ValueError):
-    """Method/scenario combination outside the computable corpus."""
-
-
 @dataclass(frozen=True)
 class MethodId:
     """Identifier of an election method, with its parameter if any."""
@@ -60,12 +59,13 @@ class MethodId:
     scheme: Optional[WeightScheme] = None
 
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in REGISTRY:
             raise ValueError("unknown method kind %r" % self.kind)
-        if self.kind in _PARAM_KINDS:
+        spec = self.spec
+        if spec.param is not None:
             if self.param is None:
                 raise ValueError("%s requires a parameter" % self.kind)
-            if self.kind == "lv":
+            if spec.param == "limit":
                 if int(self.param) != self.param or self.param < 1:
                     raise ValueError("limited vote needs an integer limit >= 1")
                 object.__setattr__(self, "param", Fraction(int(self.param)))
@@ -75,11 +75,16 @@ class MethodId:
                     raise ValueError("parameter must lie in [0, 1]")
         elif self.param is not None:
             raise ValueError("%s takes no numeric parameter" % self.kind)
-        if self.kind in _SCHEME_KINDS:
+        if spec.scheme:
             if self.scheme is None:
                 object.__setattr__(self, "scheme", WeightScheme.harmonic())
         elif self.scheme is not None:
             raise ValueError("%s takes no weight scheme" % self.kind)
+
+    @property
+    def spec(self) -> "MethodKind":
+        """The registry record of this method's kind."""
+        return REGISTRY[self.kind]
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -148,11 +153,11 @@ class MethodId:
 
     # -- text form --------------------------------------------------------
     def label(self) -> str:
-        if self.kind in _PARAM_KINDS:
-            if self.kind == "lv":
-                return "lv:%d" % int(self.param)
+        if self.spec.param == "limit":
+            return "%s:%d" % (self.kind, int(self.param))
+        if self.spec.param is not None:
             return "%s:%s" % (self.kind, self.param)
-        if self.kind in _SCHEME_KINDS and self.scheme.kind != "harmonic":
+        if self.spec.scheme and self.scheme.kind != "harmonic":
             return "%s:%s" % (self.kind, self.scheme.label())
         return self.kind
 
@@ -160,15 +165,15 @@ class MethodId:
     def parse(text: str) -> "MethodId":
         kind, _, arg = text.partition(":")
         kind = kind.strip().lower()
-        if kind not in METHOD_KINDS:
+        if kind not in REGISTRY:
             raise ValueError("unknown method %r" % text)
-        if kind in _PARAM_KINDS:
+        if REGISTRY[kind].param is not None:
             if not arg:
                 if kind == "stv":
                     return MethodId.stv()
                 raise ValueError("%s requires a parameter, e.g. %s:1" % (kind, kind))
             return MethodId(kind, Fraction(arg))
-        if kind in _SCHEME_KINDS:
+        if REGISTRY[kind].scheme:
             if not arg or arg == "harmonic":
                 return MethodId(kind)
             if arg in ("weak", "constant"):
@@ -241,8 +246,7 @@ def threshold(method: MethodId, scenario, ell: int, seats: int) -> ThresholdValu
     """The proportionality threshold for (method, scenario, ell, seats)."""
     _check_args(ell, seats)
     scenario = ScenarioId(scenario)
-    handler = _DISPATCH[method.kind]
-    result = handler(method, scenario, ell, seats)
+    result = method.spec.threshold(method, scenario, ell, seats)
     if result is None:
         return _unknown(source="no-result",
                         note="no proved value for %s under %s"
@@ -315,9 +319,7 @@ def _lv_tactic_value(limit: int, ell: int, seats: int) -> Fraction:
 
 
 def _lv_threshold(method, scenario, ell, seats):
-    limit = int(method.param)
-    if limit > seats:
-        raise CoverageError("limited vote cap exceeds seat count")
+    limit = method.spec.cap(method, seats)   # refuses a limit above S
     if scenario is ScenarioId.TACTIC:
         value = _lv_tactic_value(limit, ell, seats)
         if ell <= limit:
@@ -600,23 +602,87 @@ def _borda_threshold(method, scenario, ell, seats):
     return None
 
 
-_DISPATCH = {
-    "div": _div_threshold,
-    "quota": _quota_threshold,
-    "bv": _bv_av_threshold,
-    "av": _bv_av_threshold,
-    "sntv": _sntv_threshold,
-    "lv": _lv_threshold,
-    "cv": _cv_threshold,
-    "cvq": _cvq_threshold,
-    "phragmen-u": _phragmen_u_threshold,
-    "thiele-opt": _thiele_opt_threshold,
-    "thiele-add": _thiele_add_threshold,
-    "thiele-elim": _thiele_elim_threshold,
-    "stv": _stv_threshold,
-    "phragmen-o": _phragmen_o_threshold,
-    "thiele-o": _thiele_o_threshold,
-    "borda": _borda_threshold,
+# ---------------------------------------------------------------------------
+# The method registry
+#
+# Engines are called through this module's names at call time (never
+# stored as function objects), so wrapping a module attribute, as a
+# profiler or tracer does, also sees the calls made through the registry.
+
+
+@dataclass(frozen=True)
+class MethodKind:
+    """Everything the package knows about one method kind.
+
+    For candidate ballots, engine(method, profile, branch_cap) returns the
+    OutcomeSet, or (OutcomeSet, {committee: LoadState}) when loads is set;
+    None means no engine (only thresholds are tabulated).  For party
+    ballots, engine(method, votes, seats) returns the reachable seat
+    vectors.  threshold(method, scenario, ell, seats) returns a
+    ThresholdValue or None; cap(method, seats) is the largest ballot the
+    method accepts, or None for no cap.
+    """
+
+    ballot: str                          # "party" | "set" | "list"
+    threshold: Callable
+    engine: Optional[Callable] = None
+    param: Optional[str] = None          # "gamma" | "delta" | "limit"
+    scheme: bool = False                 # takes a weight scheme
+    cap: Callable = lambda method, seats: None
+    loads: bool = False
+
+
+def _score_kind(rule, threshold_of, param=None) -> MethodKind:
+    """A score-family kind; rule(method) is its ApprovalFamilyRule, whose
+    cap is the kind's ballot cap everywhere."""
+    return MethodKind(
+        "set", threshold_of, param=param,
+        engine=lambda m, p, branch_cap: score_family_count(rule(m), p,
+                                                           branch_cap),
+        cap=lambda m, seats: rule(m).cap(seats))
+
+
+REGISTRY = {
+    "div": MethodKind(
+        "party", _div_threshold, param="gamma",
+        engine=lambda m, votes, seats: divisor_apportion(
+            DivisorSpec(m.param), votes, seats)),
+    "quota": MethodKind(
+        "party", _quota_threshold, param="delta",
+        engine=lambda m, votes, seats: quota_apportion(
+            QuotaSpec(m.param), votes, seats)),
+    "bv": _score_kind(lambda m: ApprovalFamilyRule.block(), _bv_av_threshold),
+    "av": _score_kind(lambda m: ApprovalFamilyRule.approval(),
+                      _bv_av_threshold),
+    "sntv": _score_kind(lambda m: ApprovalFamilyRule.sntv(), _sntv_threshold),
+    "lv": _score_kind(lambda m: ApprovalFamilyRule.limited(int(m.param)),
+                      _lv_threshold, param="limit"),
+    "cv": MethodKind("set", _cv_threshold),
+    "cvq": _score_kind(lambda m: ApprovalFamilyRule.cvq(), _cvq_threshold),
+    "phragmen-u": MethodKind(
+        "set", _phragmen_u_threshold, loads=True,
+        engine=lambda m, p, cap: phragmen_unordered(p, cap)),
+    "thiele-opt": MethodKind(
+        "set", _thiele_opt_threshold, scheme=True,
+        engine=lambda m, p, cap: thiele_optimize(m.scheme, p)),
+    "thiele-add": MethodKind(
+        "set", _thiele_add_threshold, scheme=True,
+        engine=lambda m, p, cap: thiele_addition(m.scheme, p, cap)),
+    "thiele-elim": MethodKind(
+        "set", _thiele_elim_threshold,
+        engine=lambda m, p, cap: thiele_elimination(p, cap)),
+    "stv": MethodKind(
+        "list", _stv_threshold, param="delta",
+        engine=lambda m, p, cap: stv_count(StvSpec(m.param), p, cap)),
+    "phragmen-o": MethodKind(
+        "list", _phragmen_o_threshold, loads=True,
+        engine=lambda m, p, cap: phragmen_ordered(p, cap)),
+    "thiele-o": MethodKind(
+        "list", _thiele_o_threshold,
+        engine=lambda m, p, cap: thiele_ordered(p, cap)),
+    "borda": MethodKind(
+        "list", _borda_threshold, scheme=True,
+        engine=lambda m, p, cap: borda_count(BordaWeights(m.scheme), p, cap)),
 }
 
 

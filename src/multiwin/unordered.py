@@ -9,18 +9,40 @@ Engines: the score family (block vote, approval, SNTV, limited vote,
 equal-and-even cumulative), sequential load-balancing (min-max load),
 and the sequential-weight family (global optimization, addition,
 elimination).
+
+The round-based engines here and in `ordered` share one breadth-first
+branching loop, `branch`.  An engine supplies only its scoring: a step that maps
+a state to its tied successors, in sorted candidate order, or marks the
+state final.  Every step grows the elected or eliminated set by one (or
+shrinks the remaining set by one), so a state never recurs in a later
+round and deduplicating within a round is global deduplication.  A state
+reached along several paths keeps the payload of the first path, in
+production order: the winning-score trail for sequential addition, the
+history of round-maximum loads for load balancing.
+
+`branch_cap` bounds the states kept per round: when a round produces
+more, the first `branch_cap` in production order go on, the rest are
+dropped, and the result is flagged `truncated`.  The kept states are
+counted to the end, so a truncated OutcomeSet is a non-empty subset of
+the full answer and each of its committees has exactly S members.
+
+Load balancing may reach one committee with different loads; its
+LoadState keeps the least load vector (compared ballot group by ballot
+group) and the history of the first path to those loads.  The score
+family resolves its single boundary tie in `boundary_committees`, where
+`branch_cap` bounds the committees listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
-                      SetBallot, WeightScheme)
+from .ballots import (DEFAULT_BRANCH_CAP, CoverageError, OutcomeSet, Profile,
+                      ProfileError, WeightScheme)
 
 
 class InsufficientSupportError(ProfileError):
@@ -68,7 +90,7 @@ class ApprovalFamilyRule:
             return 1
         if self.kind == "limited":
             if self.limit > seats:
-                raise ValueError("limited vote cap exceeds seat count")
+                raise CoverageError("limited vote cap exceeds seat count")
             return self.limit
         return None
 
@@ -139,6 +161,58 @@ def _waterfill(supporters: list) -> Fraction:
     raise AssertionError("water-fill failed")  # pragma: no cover
 
 
+def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
+    """Run a tie-branching count breadth-first from `start`.
+
+    start is a (state, payload) pair.  step(state, payload) returns None
+    when the state is final, else the list of its tied (state, payload)
+    successors.  A state produced twice in a round keeps its first
+    payload.  Returns ({final state: payload}, truncated); see the module
+    docstring for the contract.
+    """
+    if branch_cap < 1:
+        raise ValueError("branch_cap must be >= 1")
+    frontier = dict((start,))
+    finals: dict = {}
+    truncated = False
+    while frontier:
+        produced: dict = {}
+        for state, payload in frontier.items():
+            successors = step(state, payload)
+            if successors is None:
+                finals[state] = payload
+                continue
+            for successor, data in successors:
+                produced.setdefault(successor, data)
+        if len(produced) > branch_cap:
+            truncated = True
+            produced = dict(islice(produced.items(), branch_cap))
+        frontier = produced
+    return finals, truncated
+
+
+def sequential_max(scores_of: Callable, seats: int,
+                   branch_cap: int = DEFAULT_BRANCH_CAP):
+    """Sequential max-score election: each round elects a top scorer of
+    scores_of(elected).  Returns (OutcomeSet, {committee: trail}), the
+    trail being the winning score of each round."""
+
+    def step(elected, trail):
+        if len(elected) == seats:
+            return None
+        scores = scores_of(elected)
+        if not scores:
+            raise InsufficientSupportError(
+                "no candidate receives any score for an open seat")
+        best = max(scores.values())
+        trail += (best,)
+        return [(elected | {cand}, trail) for cand in
+                sorted([c for c, value in scores.items() if value == best])]
+
+    trails, truncated = branch((frozenset(), ()), step, branch_cap)
+    return OutcomeSet(trails, truncated), trails
+
+
 def sequential_loads(profile: Profile, supporters_of: Callable,
                      branch_cap: int = DEFAULT_BRANCH_CAP):
     """Shared min-max-load engine for unordered and ordered ballots.
@@ -148,57 +222,55 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
     minimizing the resulting maximum ballot load; the new unit of load
     is spread over that candidate's supporters so their maximum is as
     small as possible (ballots already above the waterline keep their
-    load).  Ties branch.
+    load).  Ties branch; a state is the elected set with its loads.
+    Returns (OutcomeSet, {committee: LoadState}).
     """
     ballots = [(b.content, b.weight) for b in profile.ballots]
     seats = profile.seats
+
+    def step(state, history):
+        elected, loads = state
+        if len(elected) == seats:
+            return None
+        supporters: dict = {}
+        for idx, (content, weight) in enumerate(ballots):
+            for cand in supporters_of(content, elected):
+                if cand not in elected:
+                    supporters.setdefault(cand, []).append(idx)
+        if not supporters:
+            raise InsufficientSupportError(
+                "no supported candidate left for an open seat")
+        global_max = max(loads)
+        best_key = None
+        options = []
+        for cand in sorted(supporters):
+            idxs = supporters[cand]
+            t = _waterfill([(ballots[i][1], loads[i]) for i in idxs])
+            key = max(t, global_max)
+            if best_key is None or key < best_key:
+                best_key = key
+                options = [(cand, t)]
+            elif key == best_key:
+                options.append((cand, t))
+        history += (best_key,)
+        successors = []
+        for cand, t in options:
+            new_loads = list(loads)
+            for i in supporters[cand]:
+                if new_loads[i] < t:
+                    new_loads[i] = t
+            new_loads = tuple(new_loads)
+            successors.append(((elected | {cand}, new_loads), history))
+        return successors
+
     zero = tuple(Fraction(0) for _ in ballots)
-    states = {(frozenset(), zero): ()}     # -> history of round maxima
-    truncated = False
-    for _ in range(seats):
-        next_states: dict = {}
-        for (elected, loads), history in sorted(
-                states.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
-            supporters: dict = {}
-            for idx, (content, weight) in enumerate(ballots):
-                for cand in supporters_of(content, elected):
-                    if cand not in elected:
-                        supporters.setdefault(cand, []).append(idx)
-            if not supporters:
-                raise InsufficientSupportError(
-                    "no supported candidate left for an open seat")
-            global_max = max(loads) if any(loads) else Fraction(0)
-            best_key = None
-            options = []
-            for cand in sorted(supporters):
-                idxs = supporters[cand]
-                t = _waterfill([(ballots[i][1], loads[i]) for i in idxs])
-                key = max(t, global_max)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    options = [(cand, t)]
-                elif key == best_key:
-                    options.append((cand, t))
-            for cand, t in options:
-                new_loads = list(loads)
-                for i in supporters[cand]:
-                    if new_loads[i] < t:
-                        new_loads[i] = t
-                state = (elected | {cand}, tuple(new_loads))
-                if state not in next_states:
-                    next_states[state] = history + (best_key,)
-            if len(next_states) > branch_cap:
-                truncated = True
-                break
-        states = next_states
-        if truncated:
-            break
+    finals, truncated = branch(((frozenset(), zero), ()), step, branch_cap)
     outcomes: dict = {}
-    for (elected, loads), history in sorted(
-            states.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
+    for (elected, loads), history in sorted(finals.items(),
+                                            key=lambda kv: kv[0][1]):
         if elected not in outcomes:
             outcomes[elected] = LoadState(loads, history)
-    return OutcomeSet(outcomes.keys(), truncated), outcomes
+    return OutcomeSet(outcomes, truncated), outcomes
 
 
 def phragmen_unordered(profile: Profile,
@@ -253,55 +325,16 @@ def addition_scores(scheme: WeightScheme, ballots: list, elected: frozenset):
 def thiele_addition(scheme: WeightScheme, profile: Profile,
                     branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
     """Greedy sequential max-score election with tie branching."""
-    ballots = _set_ballots(profile)
-    seats = profile.seats
-    states = {frozenset()}
-    truncated = False
-    for _ in range(seats):
-        next_states = set()
-        for elected in states:
-            scores = addition_scores(scheme, ballots, elected)
-            if not scores:
-                raise InsufficientSupportError(
-                    "no candidate receives any score for an open seat")
-            best = max(scores.values())
-            for cand, value in scores.items():
-                if value == best:
-                    next_states.add(elected | {cand})
-            if len(next_states) > branch_cap:
-                truncated = True
-                break
-        states = next_states
-        if truncated:
-            break
-    return OutcomeSet(states, truncated)
+    return thiele_addition_paths(scheme, profile, branch_cap)[0]
 
 
 def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
                           branch_cap: int = DEFAULT_BRANCH_CAP):
-    """Yield (committee, winning-score sequence) along every branch."""
+    """Sequential addition as (OutcomeSet, {committee: winning-score trail})."""
     ballots = _set_ballots(profile)
-    seats = profile.seats
-    paths = [(frozenset(), ())]
-    for _ in range(seats):
-        next_paths = []
-        seen = set()
-        for elected, trail in paths:
-            scores = addition_scores(scheme, ballots, elected)
-            if not scores:
-                raise InsufficientSupportError(
-                    "no candidate receives any score for an open seat")
-            best = max(scores.values())
-            for cand, value in scores.items():
-                if value == best:
-                    state = elected | {cand}
-                    if state not in seen:
-                        seen.add(state)
-                        next_paths.append((state, trail + (best,)))
-            if len(next_paths) > branch_cap:
-                break
-        paths = next_paths
-    return paths
+    return sequential_max(
+        lambda elected: addition_scores(scheme, ballots, elected),
+        profile.seats, branch_cap)
 
 
 def thiele_elimination(profile: Profile,
@@ -310,27 +343,20 @@ def thiele_elimination(profile: Profile,
     a ballot with k remaining names gives each of them weight/k)."""
     ballots = _set_ballots(profile)
     seats = profile.seats
-    states = {frozenset(profile.candidates)}
-    truncated = False
-    while states and len(next(iter(states))) > seats:
-        next_states = set()
-        for remaining in states:
-            scores = {c: Fraction(0) for c in remaining}
-            for members, weight in ballots:
-                live = members & remaining
-                if not live:
-                    continue
+
+    def step(remaining, _):
+        if len(remaining) == seats:
+            return None
+        scores = dict.fromkeys(remaining, Fraction(0))
+        for members, weight in ballots:
+            live = members & remaining
+            if live:
                 credit = weight / len(live)
                 for cand in live:
                     scores[cand] += credit
-            worst = min(scores.values())
-            for cand, value in scores.items():
-                if value == worst:
-                    next_states.add(remaining - {cand})
-            if len(next_states) > branch_cap:
-                truncated = True
-                break
-        states = next_states
-        if truncated:
-            break
-    return OutcomeSet(states, truncated)
+        worst = min(scores.values())
+        return [(remaining - {cand}, None) for cand in
+                sorted([c for c, value in scores.items() if value == worst])]
+
+    return OutcomeSet(*branch((frozenset(profile.candidates), None), step,
+                              branch_cap))

@@ -17,28 +17,16 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations, combinations_with_replacement, permutations
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet, PartyBallot,
                       Profile, ProfileError, SetBallot, WeightedBallot,
-                      WeightScheme, normalize)
-from .ordered import (BordaWeights, StvSpec, borda_count, phragmen_ordered,
-                      stv_count, thiele_ordered)
-from .party import (AdamsIllDefined, DivisorSpec, QuotaSpec, divisor_apportion,
-                    quota_apportion)
+                      normalize)
+from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
-                        is_bad_outcome_possible, is_good, is_instance)
+                        is_bad_outcome_possible, is_instance)
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
-from .thresholds import (CoverageError, EXACT, MethodId, PI, ThresholdValue,
-                         threshold)
-from .unordered import (ApprovalFamilyRule, phragmen_unordered,
-                        score_family_count, thiele_addition,
-                        thiele_elimination, thiele_optimize)
-
-_SET_METHODS = ("bv", "av", "sntv", "lv", "cvq", "phragmen-u",
-                "thiele-opt", "thiele-add", "thiele-elim")
-_LIST_METHODS = ("stv", "phragmen-o", "thiele-o", "borda")
-_PARTY_METHODS = ("div", "quota")
+from .thresholds import CoverageError, MethodId, PI, threshold
 
 
 # ---------------------------------------------------------------------------
@@ -73,67 +61,31 @@ class Witness:
 def run_method(method: MethodId, profile: Profile,
                branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
     """The tie-complete OutcomeSet of the method on the profile."""
-    kind = method.kind
-    if kind in _PARTY_METHODS:
+    spec = method.spec
+    if spec.ballot == "party":
         raise CoverageError(
-            "%s apportions seats to parties; use party_seat_vectors" % kind)
-    if kind == "cv":
-        raise CoverageError(
-            "free-split cumulative voting has no counting engine here; "
-            "only its limit threshold is tabulated")
-    if kind == "bv":
-        return score_family_count(ApprovalFamilyRule.block(), profile,
-                                  branch_cap)
-    if kind == "av":
-        return score_family_count(ApprovalFamilyRule.approval(), profile,
-                                  branch_cap)
-    if kind == "sntv":
-        return score_family_count(ApprovalFamilyRule.sntv(), profile,
-                                  branch_cap)
-    if kind == "lv":
-        return score_family_count(ApprovalFamilyRule.limited(int(method.param)),
-                                  profile, branch_cap)
-    if kind == "cvq":
-        return score_family_count(ApprovalFamilyRule.cvq(), profile,
-                                  branch_cap)
-    if kind == "phragmen-u":
-        return phragmen_unordered(profile, branch_cap)[0]
-    if kind == "thiele-opt":
-        return thiele_optimize(method.scheme, profile)
-    if kind == "thiele-add":
-        return thiele_addition(method.scheme, profile, branch_cap)
-    if kind == "thiele-elim":
-        return thiele_elimination(profile, branch_cap)
-    if kind == "stv":
-        return stv_count(StvSpec(method.param), profile, branch_cap)
-    if kind == "phragmen-o":
-        return phragmen_ordered(profile, branch_cap)[0]
-    if kind == "thiele-o":
-        return thiele_ordered(profile, branch_cap)
-    if kind == "borda":
-        return borda_count(BordaWeights(method.scheme), profile, branch_cap)
-    raise CoverageError("no engine for method %r" % kind)  # pragma: no cover
+            "%s apportions seats to parties; use party_seat_vectors"
+            % method.kind)
+    if spec.engine is None:
+        raise CoverageError("%s has no counting engine here; only its "
+                            "thresholds are tabulated" % method.kind)
+    result = spec.engine(method, profile, branch_cap)
+    return result[0] if spec.loads else result
 
 
 def party_seat_vectors(method: MethodId, profile: Profile):
     """(party names, reachable seat vectors) for an apportionment method."""
     if profile.kind != "party":
         raise ProfileError("apportionment needs party ballots")
+    if method.spec.ballot != "party":
+        raise CoverageError("%s is not an apportionment method" % method.kind)
     weights: dict = {}
     for b in profile.ballots:
         party = b.content.party
         weights[party] = weights.get(party, Fraction(0)) + b.weight
     names = tuple(sorted(weights))
     votes = [weights[name] for name in names]
-    if method.kind == "div":
-        vectors = divisor_apportion(DivisorSpec(method.param), votes,
-                                    profile.seats)
-    elif method.kind == "quota":
-        vectors = quota_apportion(QuotaSpec(method.param), votes,
-                                  profile.seats)
-    else:
-        raise CoverageError("%s is not an apportionment method" % method.kind)
-    return names, vectors
+    return names, method.spec.engine(method, votes, profile.seats)
 
 
 def verify_witness(witness: Witness, method: MethodId,
@@ -179,14 +131,6 @@ def _party_profile(groups, seats) -> Profile:
     return Profile(ballots, seats, pad)
 
 
-def _ballot_kind(method: MethodId) -> str:
-    if method.kind in _SET_METHODS:
-        return "set"
-    if method.kind in _LIST_METHODS:
-        return "list"
-    return "party"
-
-
 def _make_witness(profile, target, ell, scenario, claimed, source) -> Witness:
     inst = ScenarioInstance(profile, target, ell, scenario)
     return Witness(inst, Fraction(claimed), source)
@@ -211,11 +155,9 @@ def _symmetric_parties(method, scenario, ell, seats, eps):
              "needs (S+1)/ell integral for equal parties")
     blocks = (seats + 1) // ell
     _require(blocks >= 2, "needs at least two parties")
-    if method.kind == "sntv":
-        _require(ell == 1, "single-vote ballots hold one name")
-    if method.kind == "lv":
-        _require(ell <= int(method.param), "party list exceeds the ballot cap")
-    kind = _ballot_kind(method)
+    cap = method.spec.cap(method, seats)
+    _require(cap is None or ell <= cap, "party list exceeds the ballot cap")
+    kind = method.spec.ballot
     value = Fraction(ell, seats + 1)
     if kind == "party":
         groups = [(Fraction(1), "P%d" % (p + 1), p == 0)
@@ -245,7 +187,7 @@ def _common_list_tie(method, scenario, ell, seats, eps):
     _require(rest >= 1, "needs at least one outside candidate")
     groups = [(Fraction(ell), targets, True)]
     groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
-    kind = _ballot_kind(method)
+    kind = method.spec.ballot
     profile = (_set_profile(groups, seats) if kind == "set"
                else _list_profile(groups, seats))
     return _make_witness(profile, targets, ell, scenario,
@@ -301,8 +243,7 @@ def _equal_split(method, scenario, ell, seats, eps):
     scenario = ScenarioId(scenario)
     rest = seats + 1 - ell
     if method.kind == "lv":
-        limit = int(method.param)
-        _require(limit <= seats, "ballot cap exceeds the seat count")
+        limit = method.spec.cap(method, seats)
         u = min(limit, rest)
         v = min(limit, ell)
         targets = _names("A", ell)
@@ -335,7 +276,7 @@ def _equal_split(method, scenario, ell, seats, eps):
                  "even-split ties need harmonic weights")
     _require(scenario is ScenarioId.TACTIC or ell == 1,
              "single-name ballots support several seats only tactically")
-    kind = _ballot_kind(method)
+    kind = method.spec.ballot
     targets = _names("A", ell)
     groups = [(Fraction(1), [t], True) for t in targets]
     groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
@@ -366,13 +307,7 @@ def _ejr_window(method, scenario, ell, seats, eps):
     _require(method.kind in ("bv", "av", "lv"), "score-family methods only")
     _require(ScenarioId(scenario) is ScenarioId.EJR,
              "per-ballot representation witnesses")
-    if method.kind == "bv":
-        cap = seats
-    elif method.kind == "lv":
-        cap = int(method.param)
-        _require(cap <= seats, "ballot cap exceeds the seat count")
-    else:
-        cap = None
+    cap = method.spec.cap(method, seats)
     if cap is not None:
         _require(2 * ell - 1 <= cap,
                  "window ballots exceed the cap; no construction known")
@@ -763,24 +698,14 @@ def _fraction_ladder(grid: int):
     return seen
 
 
-def _method_cap(method: MethodId, seats: int) -> Optional[int]:
-    if method.kind == "bv":
-        return seats
-    if method.kind == "sntv":
-        return 1
-    if method.kind == "lv":
-        return int(method.param)
-    return None
-
-
 def _ballot_options(method: MethodId, pool: Sequence[str], spec: SearchSpec,
                     seats: int) -> list:
     """All ballots over `pool` the method accepts, in sorted order."""
-    cap = _method_cap(method, seats)
+    cap = method.spec.cap(method, seats)
     longest = spec.max_ballot_length if cap is None else min(
         spec.max_ballot_length, cap)
     options = []
-    if _ballot_kind(method) == "set":
+    if method.spec.ballot == "set":
         for size in range(1, longest + 1):
             options.extend(frozenset(combo)
                            for combo in combinations(sorted(pool), size))
@@ -793,12 +718,12 @@ def _ballot_options(method: MethodId, pool: Sequence[str], spec: SearchSpec,
 def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
                spec: SearchSpec, seats: int) -> list:
     """Ballots W members may cast under the scenario's restriction."""
-    cap = _method_cap(method, seats)
+    cap = method.spec.cap(method, seats)
     ell = len(targets)
     if scenario is ScenarioId.TACTIC:
         return _ballot_options(method, list(targets) + list(decoys), spec,
                                seats)
-    if _ballot_kind(method) == "set":
+    if method.spec.ballot == "set":
         if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
             if cap is not None and ell > cap:
                 return []
@@ -919,12 +844,12 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
         raise ValueError("need 1 <= ell <= seats")
     if spec is None:
         spec = SearchSpec()
-    if method.kind in _PARTY_METHODS:
+    if method.spec.ballot == "party":
         if scenario is not ScenarioId.PARTY:
             raise CoverageError("apportionment methods use the party scenario")
         return _party_search(method, ell, seats, spec)
-    if method.kind == "cv":
-        raise CoverageError("no counting engine for free-split cumulative")
+    if method.spec.engine is None:
+        raise CoverageError("no counting engine for %s" % method.kind)
 
     pool_size = max(spec.max_candidates, seats)
     targets = tuple(_names("A", ell))

@@ -156,6 +156,34 @@ def test_seq_dump_lp(capsys):
     assert "minimize" in out
 
 
+def test_flags_only_where_they_act(capsys, set_profile):
+    assert run_cli(capsys, "table", "optimal", "--dump-lp",
+                   "--branch-cap", "3")[0] == 2
+    assert run_cli(capsys, "table", "optimal", "--branch-cap", "3")[0] == 2
+    assert run_cli(capsys, "threshold", "--method", "bv", "--ell", "1",
+                   "--seats", "2", "--dump-lp")[0] == 2
+    assert run_cli(capsys, "seq", "--which", "b", "--n", "2",
+                   "--branch-cap", "3")[0] == 2
+    assert run_cli(capsys, "count", "--method", "av", "--dump-lp",
+                   set_profile)[0] == 2
+    code, out, _ = run_cli(capsys, "count", "--method", "thiele-add",
+                           "--branch-cap", "1", "--format", "json",
+                           set_profile)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["truncated"] is True
+    assert [len(c) for c in doc["committees"]] == [3]
+
+
+def test_limited_vote_cap_above_seats_is_refused(capsys):
+    common = ("--method", "lv:2", "--scenario", "same", "--ell", "1",
+              "--seats", "1")
+    for command in ("search", "threshold"):
+        code, _, err = run_cli(capsys, command, *common)
+        assert code == 2
+        assert "limited vote cap exceeds seat count" in err
+
+
 def test_witness_verifies(capsys):
     code, out, _ = run_cli(capsys, "witness", "--construction", "ejr-window",
                            "--method", "bv", "--scenario", "ejr",

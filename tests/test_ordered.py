@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from multiwin.ballots import WeightScheme, parse_profile
-from multiwin.ordered import (BordaWeights, StvSpec, _stv_states, borda_count,
+from multiwin.ordered import (BordaWeights, StvSpec, _stv_step, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
 from multiwin.unordered import InsufficientSupportError
 
@@ -57,10 +57,14 @@ def test_transfer_value_conservation():
     profile = prof("!seats 3\n9 : [A B C]\n5 : [B D]\n4 : [C D A]\n2 : [D]\n")
     total = profile.total_weight
     quota = total / (3 + 1)
-    for state in _stv_states(StvSpec(1), profile):
-        if state.early or state.truncated:
-            continue
-        assert state.live_value == total - quota * len(state.elected)
+    start, step = _stv_step(StvSpec(1), profile)
+    frontier = [start]
+    while frontier:
+        state, payload = frontier.pop()
+        elected, _, groups = state
+        live_value = sum((value for _, value in groups), Fraction(0))
+        assert live_value == total - quota * len(elected)
+        frontier.extend(step(state, payload) or ())
 
 
 def test_transfer_fills_trailing_seats():

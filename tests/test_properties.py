@@ -143,7 +143,7 @@ def test_addition_winning_scores_non_increasing(profile):
         paths = thiele_addition_paths(HARMONIC, profile)
     except InsufficientSupportError:
         assume(False)
-    for _, trail in paths:
+    for trail in paths[1].values():
         assert all(a >= b for a, b in zip(trail, trail[1:]))
 
 

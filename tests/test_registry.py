@@ -1,0 +1,211 @@
+"""The method registry, and golden outcomes recorded before the engines
+moved onto the shared branching loop.
+
+GOLDEN holds one sha256 per method over canonical JSON of its results on
+the bundled fixtures plus a seeded family of small profiles per ballot
+kind: sorted committees and the truncated flag (with each committee's
+max load for the load-balancing methods), reachable seat vectors for
+apportionment, or the error class when the engine refuses the profile.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+
+from multiwin.ballots import (DEFAULT_BRANCH_CAP, CoverageError, ListBallot,
+                              PartyBallot, Profile, ProfileError, SetBallot,
+                              WeightedBallot, parse_profile)
+from multiwin.numerics import format_rational
+from multiwin.scenarios import ScenarioId
+from multiwin.thresholds import REGISTRY, MethodId, UNKNOWN, threshold
+from multiwin.verifier import party_seat_vectors, run_method
+
+LABELS = {
+    "set": ("bv", "av", "sntv", "lv:1", "lv:2", "cvq", "phragmen-u",
+            "thiele-opt", "thiele-opt:weak", "thiele-add", "thiele-add:weak",
+            "thiele-add:explicit(1,1/3;tail=1/4)", "thiele-elim"),
+    "list": ("stv:1", "stv:0", "stv:1/2", "phragmen-o", "thiele-o", "borda",
+             "borda:weak"),
+    "party": ("div:1", "div:1/2", "div:0", "quota:0", "quota:1"),
+}
+FAMILY_SEEDS = {"set": 11, "list": 12, "party": 13}
+
+GOLDEN = {
+    "bv": "6cee5ab0796fa38a886aaa9e7fe65b869fe89eff11cae2c632d345afb2e230a3",
+    "av": "4f5169c4a532fd229e0b1efcfaf00f2de6fc9518c1b95c811c19cd0a4b23d627",
+    "sntv": "2b49348bd06450b73df11739cceffff7c990178b0ec4b49ae41940066ee4593f",
+    "lv:1": "2b49348bd06450b73df11739cceffff7c990178b0ec4b49ae41940066ee4593f",
+    "lv:2": "0ea10633314007c1f38846d3052bc58840b9cd0fcd71684e3f20f09d543281b7",
+    "cvq": "ac79c4ca7e0c40b946a927a2649e02a848e9373ddf3a8f020224f7b4651f06d5",
+    "phragmen-u":
+        "a54ce89a254766696bc0171f1db8854aca9e100d6499f15154685868e2ebb9b5",
+    "thiele-opt":
+        "e6f1c43928b38c6f4f1eb20f93e6d86b7230f6ae88b04240e245efd40a7835d4",
+    "thiele-opt:weak":
+        "f94994c9fc8d630a70d069e62b94ca6b8f537941865f17408e7b6ab36c6227d0",
+    "thiele-add":
+        "033d1c610296dbd1f6677d98457f7e4c3fb703bbece7e4095393bc57e7ef97e4",
+    "thiele-add:weak":
+        "268b71c9ef1b8cc6a690d198f03460cc792b9fc3ad34299562344509b52fbb7e",
+    "thiele-add:explicit(1,1/3;tail=1/4)":
+        "a50de0a9974aed36e7c2723270d0614f408e95b6ac00b76d2a8398180145206b",
+    "thiele-elim":
+        "786df5428cf2d2164653587a0bf897481e43930d72099bcc71274cbea151d9af",
+    "stv:1":
+        "4f10baa225b4d43392c52a2466a9d1c9d0710d7e40ff5479c16fb8b752890f1a",
+    "stv:0":
+        "00f92db02822003d90e805f553bd327350be9422d1424314820fb6ccb60bcdb6",
+    "stv:1/2":
+        "0eee63d1cb2b3b701f643662f7685d273c4c19098a8ce5ebde530ed726fd7a86",
+    "phragmen-o":
+        "e74f2f6f5115fc5068bf0e2d0e79219571303dc33a6e6158ff9af6a6bcddba1a",
+    "thiele-o":
+        "a7ef9371dba7a17c00ee1d96310f6c94019937ee91d044cb9573b7fcecbe94f5",
+    "borda":
+        "0dc2a9b08fb091d2a7d367dbbb026eecccda2bd250e215222daadac877ee448e",
+    "borda:weak":
+        "d7be5f54436bc6a7a5a3995e4365ada9ea843fae1b8a0b402c598acae98631a6",
+    "div:1":
+        "007cb32689498c8f4ef28a0b95ee88f6b52030896b28bf836f5500ef61fd0459",
+    "div:1/2":
+        "a05670752505957ee1cd8f8638f8373b6b0b6f08f2157f6bdefc9ed25ff7b543",
+    "div:0":
+        "e0203ec2786604f3500aae133b1aeb7fd5ea87ee50de34043ac423dc4e66ebb9",
+    "quota:0":
+        "6cc11d3e5ef5236782d7c7fedadd1f7ab2c001068b69efa84a9e868d8cd8badf",
+    "quota:1":
+        "e133e9b3cd52ba92ddfaa77c563439267533a3cee9b5bac5ff7819499081af57",
+}
+
+
+def _family(kind, seed, count=30):
+    rng = random.Random(seed)
+    profiles = []
+    for _ in range(count):
+        pool = ["C%d" % i for i in range(rng.randint(2, 6))]
+        seats = rng.randint(1, min(3, len(pool)))
+        ballots = []
+        for _ in range(rng.randint(1, 5)):
+            weight = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+            if kind == "party":
+                content = PartyBallot(rng.choice(pool))
+            else:
+                names = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+                content = (SetBallot(names) if kind == "set"
+                           else ListBallot(names))
+            ballots.append(WeightedBallot(content, weight))
+        profiles.append(Profile(ballots, seats, pool))
+    return profiles
+
+
+def _fixtures():
+    root = resources.files("multiwin") / "profiles"
+    return [parse_profile(path.read_text(encoding="utf-8"))
+            for path in sorted(root.iterdir(), key=lambda p: p.name)
+            if path.name.endswith(".profile")]
+
+
+def _record(method, profile):
+    try:
+        if method.spec.ballot == "party":
+            return {"vectors": sorted(party_seat_vectors(method, profile)[1])}
+        if method.spec.loads:
+            outcome, states = method.spec.engine(method, profile,
+                                                 DEFAULT_BRANCH_CAP)
+            loads = [format_rational(states[frozenset(c)].max_load)
+                     for c in outcome.sorted_committees()]
+        else:
+            outcome, loads = run_method(method, profile), None
+    except ProfileError:
+        return {"error": "profile"}
+    except ValueError:
+        return {"error": "value"}
+    data = {"committees": outcome.sorted_committees(),
+            "truncated": outcome.truncated}
+    if loads is not None:
+        data["max_load"] = loads
+    return data
+
+
+def test_golden_outcomes():
+    fixtures = _fixtures()
+    digests = {}
+    for kind, labels in LABELS.items():
+        profiles = ([p for p in fixtures if p.kind == kind]
+                    + _family(kind, FAMILY_SEEDS[kind]))
+        for label in labels:
+            method = MethodId.parse(label)
+            text = json.dumps([_record(method, p) for p in profiles],
+                              sort_keys=True, separators=(",", ":"))
+            digests[label] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# One record per kind
+
+
+PROFILES = {
+    "party": parse_profile("!seats 2\n3 : party P\n2 : party Q\n"),
+    "set": parse_profile("!seats 2\n3 : {A}\n2 : {B}\n1 : {C}\n"),
+    "list": parse_profile("!seats 2\n3 : [A B]\n2 : [C]\n"),
+}
+
+
+def _examples(kind):
+    spec = REGISTRY[kind]
+    if spec.param == "limit":
+        return [MethodId.parse(kind + ":2")]
+    if spec.param is not None:
+        return [MethodId.parse(kind + ":1/2"), MethodId.parse(kind + ":1")]
+    if spec.scheme:
+        return [MethodId.parse(kind),
+                MethodId.parse(kind + ":explicit(1,1/2;tail=1/3)")]
+    return [MethodId.parse(kind)]
+
+
+def _count(method, profile):
+    if method.spec.ballot == "party":
+        return party_seat_vectors(method, profile)[1]
+    return run_method(method, profile)
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_label_round_trip(kind):
+    for method in _examples(kind):
+        assert MethodId.parse(method.label()) == method
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_threshold_dispatches(kind):
+    for method in _examples(kind):
+        entries = [threshold(method, sc, 1, 3) for sc in ScenarioId]
+        assert any(entry.status != UNKNOWN for entry in entries)
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_engine_takes_only_its_ballot_kind(kind):
+    for method in _examples(kind):
+        for ballot, profile in PROFILES.items():
+            if ballot == method.spec.ballot and method.spec.engine:
+                assert _count(method, profile)
+            else:
+                with pytest.raises((ProfileError, CoverageError)):
+                    _count(method, profile)
+
+
+def test_ballot_cap_comes_from_the_record():
+    def cap(method, seats):
+        return method.spec.cap(method, seats)
+
+    assert cap(MethodId.bv(), 3) == 3
+    assert cap(MethodId.sntv(), 3) == 1
+    assert cap(MethodId.lv(2), 3) == 2
+    assert cap(MethodId.av(), 3) is None
+    assert cap(MethodId.stv(), 3) is None
+    with pytest.raises(CoverageError):
+        cap(MethodId.lv(2), 1)

@@ -180,8 +180,8 @@ def test_addition_greedy_frozen():
 
 def test_addition_paths_scores_non_increasing():
     profile = prof("!seats 3\n5 : {A B C}\n3 : {B D}\n2 : {C D}\n1 : {D}\n")
-    for committee, trail in thiele_addition_paths(WeightScheme.harmonic(),
-                                                  profile):
+    _, trails = thiele_addition_paths(WeightScheme.harmonic(), profile)
+    for committee, trail in trails.items():
         assert len(committee) == 3
         assert all(a >= b for a, b in zip(trail, trail[1:]))
 

@@ -40,6 +40,11 @@ def test_run_method_dispatch_and_refusals():
         run_method(MethodId.cv(), profile)
 
 
+def test_search_refuses_limit_above_seats():
+    with pytest.raises(CoverageError):
+        search_lower_bound(MethodId.lv(2), "same", 1, 1)
+
+
 def test_party_seat_vectors():
     profile = parse_profile("!seats 3\n5 : party P\n3 : party Q\n"
                             "1 : party R\n")
