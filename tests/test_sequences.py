@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from multiwin.ballots import WeightScheme
-from multiwin.lp import check_solution, solve
+from multiwin.lp import check_solution, dual_program, solve
 from multiwin.numerics import harmonic
 from multiwin.sequences import (ALPHA_CAP, alpha, build_alpha_lp, seq_a,
                                 seq_b, seq_c, solve_alpha, subsets)
@@ -104,7 +104,15 @@ def test_subsets_enumeration():
 
 
 ALPHA_GOLDEN = {1: Fraction(1), 2: Fraction(2), 3: Fraction(8, 3),
-                4: Fraction(24, 7)}
+                4: Fraction(24, 7), 5: Fraction(180, 43),
+                6: Fraction(3240, 661), 7: Fraction(16500, 2923)}
+
+# The weight schemes of the benchmark's alpha-lp workload.
+CERTIFIED_SCHEMES = (
+    WeightScheme.harmonic(),
+    WeightScheme.explicit([1, Fraction(1, 2), Fraction(1, 2)], Fraction(1, 3)),
+    WeightScheme.explicit([1, Fraction(1, 3)], Fraction(1, 5)),
+)
 
 
 @pytest.mark.parametrize("n, value", sorted(ALPHA_GOLDEN.items()))
@@ -113,12 +121,20 @@ def test_alpha_golden(n, value):
 
 
 def test_alpha_certificate_is_exact():
-    scheme = WeightScheme.harmonic()
-    for n in range(1, 5):
-        outcome = solve_alpha(n, scheme)
-        lp = build_alpha_lp(n, scheme)
-        assert check_solution(lp, outcome.point)
-        assert sum(outcome.point, Fraction(0)) == outcome.value
+    for scheme in CERTIFIED_SCHEMES:
+        for n in range(1, 8):
+            outcome = solve_alpha(n, scheme)
+            lp = build_alpha_lp(n, scheme)
+            assert check_solution(lp, outcome.point)
+            assert sum(outcome.point, Fraction(0)) == outcome.value
+
+
+@pytest.mark.parametrize("scheme", CERTIFIED_SCHEMES, ids=WeightScheme.label)
+def test_alpha_6_strong_duality(scheme):
+    dual_lp = dual_program(build_alpha_lp(6, scheme))
+    dual = solve(dual_lp)
+    assert check_solution(dual_lp, dual.point)
+    assert -dual.value == alpha(6, scheme)
 
 
 def test_alpha_3_vertex_structure():
