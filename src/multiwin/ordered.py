@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
@@ -82,6 +83,13 @@ def _stv_step(spec: StvSpec, profile: Profile):
     are elected: that state is final, and stv_count reads its committee
     as every candidate not eliminated.  The surplus of the last elected
     candidate is not transferred.
+
+    Eliminating a candidate whose count is 0 moves no vote, so when the
+    minimum count is 0 the other zero-count candidates stay at the
+    minimum and every order of eliminating them leads to the same state.
+    The step therefore eliminates all z of them at once, or, when only
+    `spare` of them may go before the remaining candidates just fill the
+    seats, returns the C(z, spare) choices of who goes, each of them final.
     """
     ballots = _list_ballots(profile)
     seats = profile.seats
@@ -117,8 +125,10 @@ def _stv_step(spec: StvSpec, profile: Profile):
         reachers = sorted(c for c in remaining if votes[c] >= quota)
         if not reachers:
             worst = min(votes.values())
-            return [((elected, eliminated | {cand}, groups), None) for cand
-                    in sorted([c for c, v in votes.items() if v == worst])]
+            tied = sorted([c for c, v in votes.items() if v == worst])
+            size = min(len(tied), len(remaining) - unfilled) if worst == 0 else 1
+            return [((elected, eliminated.union(gone), groups), None)
+                    for gone in combinations(tied, size)]
         successors = []
         for cand in reachers:
             surplus_factor = (votes[cand] - quota) / votes[cand]

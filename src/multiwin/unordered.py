@@ -13,18 +13,36 @@ elimination).
 The round-based engines here and in `ordered` share one breadth-first
 branching loop, `branch`.  An engine supplies only its scoring: a step that maps
 a state to its tied successors, in sorted candidate order, or marks the
-state final.  Every step grows the elected or eliminated set by one (or
-shrinks the remaining set by one), so a state never recurs in a later
-round and deduplicating within a round is global deduplication.  A state
-reached along several paths keeps the payload of the first path, in
-production order: the winning-score trail for sequential addition, the
-history of round-maximum loads for load balancing.
+state final.  A step grows the elected or eliminated set (or shrinks the
+remaining set), so every count ends.  Every step but STV's elimination
+of zero-vote ties (`ordered._stv_step`) grows it by exactly one, so a
+state never recurs in a later round and deduplicating within a round is
+global deduplication; an STV state reached again in a later round is
+counted again, to the same finals.  A state reached along several paths
+keeps the payload of the first path, in production order: the
+winning-score trail for sequential addition, the history of
+round-maximum loads for load balancing.
 
-`branch_cap` bounds the states kept per round: when a round produces
-more, the first `branch_cap` in production order go on, the rest are
-dropped, and the result is flagged `truncated`.  The kept states are
-counted to the end, so a truncated OutcomeSet is a non-empty subset of
-the full answer and each of its committees has exactly S members.
+Candidates approved by exactly the same ballot groups are clones
+(`Clones`), among them every candidate no ballot approves.  No set-ballot
+engine can tell clones apart, so the engines branch on clone classes,
+not on names: at a tie, each tied class contributes one successor, which
+takes its representative, the first member in sorted order not yet
+elected (or eliminated).  Each final state then expands into every
+committee with the same number of seats per class, all under the final
+state's payload; `thiele_optimize` likewise scores one split of the seats
+over the classes instead of every committee.  The expanded OutcomeSet is
+the one branching on every name would give.
+
+`branch_cap` bounds the states kept per round, so with clones it counts
+representative states: when a round produces more, the first
+`branch_cap` in production order go on, the rest are dropped, and the
+result is flagged `truncated`.  The kept states are counted to the end.
+`branch_cap` also bounds the committees the final states expand into:
+the expansion stops at `branch_cap` committees and flags `truncated` if
+there are more.  So a truncated OutcomeSet is a non-empty subset of the
+full answer, lists at most `branch_cap` committees, and each of its
+committees has exactly S members.
 
 Load balancing may reach one committee with different loads; its
 LoadState keeps the least load vector (compared ballot group by ballot
@@ -37,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, product
 from math import comb
 from typing import Callable, Optional
 
@@ -105,6 +123,68 @@ class LoadState:
     @property
     def max_load(self) -> Fraction:
         return max(self.loads)
+
+
+class Clones:
+    """Clone classes of a set-ballot profile.
+
+    Candidates approved by exactly the same ballot groups form one class;
+    `classes` lists each class in sorted name order.  Built from
+    (members, weight) ballot pairs and the candidate universe.
+    """
+
+    def __init__(self, ballots, candidates):
+        approvers = dict.fromkeys(candidates, 0)
+        for idx, (members, _) in enumerate(ballots):
+            bit = 1 << idx
+            for cand in members:
+                approvers[cand] |= bit
+        by_approvers: dict = {}
+        for cand in sorted(candidates):
+            by_approvers.setdefault(approvers[cand], []).append(cand)
+        self.classes = [tuple(members) for members in by_approvers.values()]
+        self._shared = [m for m in self.classes if len(m) > 1]
+        self._before = {m[i]: m[i - 1] for m in self._shared
+                        for i in range(1, len(m))}
+
+    def heads(self, names, taken) -> list:
+        """The names, in their order, that are the first member of their
+        class not in `taken`; `taken` holds a leading run of each class,
+        as every state of a compressed count does."""
+        before = self._before
+        return [c for c in names if c not in before or before[c] in taken]
+
+    def expand(self, committee: frozenset, limit: Optional[int] = None):
+        """Every committee with the same number of members per class, in
+        lexicographic order of the per-class choices, or its first
+        `limit`."""
+        if not self._shared:
+            return iter((committee,))
+        fixed = committee.difference(*self._shared)
+        # The first `limit` products use only the first `limit` choices of
+        # each class, so no class lists more than that.
+        picks = product(*(
+            islice(combinations(m, len(committee.intersection(m))), limit)
+            for m in self._shared))
+        return islice((fixed.union(*pick) for pick in picks), limit)
+
+    def expand_all(self, finals: dict, cap: int):
+        """Expand {final state: payload} into {committee: payload}, each
+        committee under the payload of the first state expanding to it.
+        Returns the first `cap` committees and whether more were left."""
+        outcomes: dict = {}
+        for state, payload in finals.items():
+            for committee in self.expand(state, cap + 1 - len(outcomes)):
+                if committee not in outcomes:
+                    if len(outcomes) == cap:
+                        return outcomes, True
+                    outcomes[committee] = payload
+        return outcomes, False
+
+
+# Every candidate its own class: the engines shared with ordered ballots
+# run uncompressed there.
+NO_CLONES = Clones((), ())
 
 
 def _set_ballots(profile: Profile) -> list:
@@ -192,10 +272,12 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
 
 
 def sequential_max(scores_of: Callable, seats: int,
-                   branch_cap: int = DEFAULT_BRANCH_CAP):
+                   branch_cap: int = DEFAULT_BRANCH_CAP,
+                   clones: Clones = NO_CLONES):
     """Sequential max-score election: each round elects a top scorer of
-    scores_of(elected).  Returns (OutcomeSet, {committee: trail}), the
-    trail being the winning score of each round."""
+    scores_of(elected), branching on one head per tied clone class.
+    Returns (OutcomeSet, {committee: trail}), the trail being the
+    winning score of each round."""
 
     def step(elected, trail):
         if len(elected) == seats:
@@ -206,15 +288,18 @@ def sequential_max(scores_of: Callable, seats: int,
                 "no candidate receives any score for an open seat")
         best = max(scores.values())
         trail += (best,)
-        return [(elected | {cand}, trail) for cand in
-                sorted([c for c, value in scores.items() if value == best])]
+        tied = sorted([c for c, value in scores.items() if value == best])
+        return [(elected | {cand}, trail)
+                for cand in clones.heads(tied, elected)]
 
-    trails, truncated = branch((frozenset(), ()), step, branch_cap)
-    return OutcomeSet(trails, truncated), trails
+    finals, truncated = branch((frozenset(), ()), step, branch_cap)
+    trails, cut = clones.expand_all(finals, branch_cap)
+    return OutcomeSet(trails, truncated or cut), trails
 
 
 def sequential_loads(profile: Profile, supporters_of: Callable,
-                     branch_cap: int = DEFAULT_BRANCH_CAP):
+                     branch_cap: int = DEFAULT_BRANCH_CAP,
+                     clones: Clones = NO_CLONES):
     """Shared min-max-load engine for unordered and ordered ballots.
 
     supporters_of(content, elected) must return the candidates the
@@ -222,8 +307,9 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
     minimizing the resulting maximum ballot load; the new unit of load
     is spread over that candidate's supporters so their maximum is as
     small as possible (ballots already above the waterline keep their
-    load).  Ties branch; a state is the elected set with its loads.
-    Returns (OutcomeSet, {committee: LoadState}).
+    load).  Ties branch, on one head per tied clone class; a state is the
+    elected set with its loads.  Returns (OutcomeSet, {committee:
+    LoadState}).
     """
     ballots = [(b.content, b.weight) for b in profile.ballots]
     seats = profile.seats
@@ -243,7 +329,7 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
         global_max = max(loads)
         best_key = None
         options = []
-        for cand in sorted(supporters):
+        for cand in clones.heads(sorted(supporters), elected):
             idxs = supporters[cand]
             t = _waterfill([(ballots[i][1], loads[i]) for i in idxs])
             key = max(t, global_max)
@@ -265,48 +351,94 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
 
     zero = tuple(Fraction(0) for _ in ballots)
     finals, truncated = branch(((frozenset(), zero), ()), step, branch_cap)
-    outcomes: dict = {}
+    least: dict = {}
     for (elected, loads), history in sorted(finals.items(),
                                             key=lambda kv: kv[0][1]):
-        if elected not in outcomes:
-            outcomes[elected] = LoadState(loads, history)
-    return OutcomeSet(outcomes, truncated), outcomes
+        least.setdefault(elected, LoadState(loads, history))
+    outcomes, cut = clones.expand_all(least, branch_cap)
+    return OutcomeSet(outcomes, truncated or cut), outcomes
 
 
 def phragmen_unordered(profile: Profile,
                        branch_cap: int = DEFAULT_BRANCH_CAP):
     """Min-max-load rule on unordered ballots; a ballot supports every
     unelected name on it (with one shared load account per ballot)."""
-    _set_ballots(profile)
+    clones = Clones(_set_ballots(profile), profile.candidates)
 
     def supporters_of(content, elected):
         return content.members - elected
 
-    return sequential_loads(profile, supporters_of, branch_cap)
+    return sequential_loads(profile, supporters_of, branch_cap, clones)
 
 
 def thiele_optimize(scheme: WeightScheme, profile: Profile,
                     budget: int = 500000) -> OutcomeSet:
-    """All committees maximizing total satisfaction, by full enumeration."""
+    """All committees maximizing total satisfaction.
+
+    Clones are interchangeable, so every split of the seats over the
+    clone classes is scored once and the best splits expand into their
+    committees.  The budget still bounds C(candidates, S), the number of
+    committees a split-free enumeration would score.
+    """
     ballots = _set_ballots(profile)
     seats = profile.seats
-    universe = sorted(profile.candidates)
-    if comb(len(universe), seats) > budget:
+    if comb(len(profile.candidates), seats) > budget:
         raise BudgetExceededError(
             "C(%d, %d) committees exceed the enumeration budget"
-            % (len(universe), seats))
+            % (len(profile.candidates), seats))
+    clones = Clones(ballots, profile.candidates)
+    classes = clones.classes
+    psi = [scheme.psi(n) for n in range(seats + 1)]
+    class_of = {c: k for k, members in enumerate(classes) for c in members}
+    # A class lies wholly on a ballot or off it; a ballot's satisfaction
+    # table is indexed by its number of elected names.
+    tables = [(tuple({class_of[c] for c in members}),
+               [weight * value for value in psi])
+              for members, weight in ballots]
     best = None
     winners: list = []
-    for committee in combinations(universe, seats):
-        members = frozenset(committee)
-        value = sum((weight * scheme.psi(len(ballot & members))
-                     for ballot, weight in ballots), Fraction(0))
+    for split in _splits([len(members) for members in classes], seats):
+        value = sum(table[sum(split[k] for k in on)] for on, table in tables)
         if best is None or value > best:
             best = value
-            winners = [members]
+            winners = [split]
         elif value == best:
-            winners.append(members)
-    return OutcomeSet(winners)
+            winners.append(split)
+    return OutcomeSet(
+        committee for split in winners for committee in clones.expand(
+            frozenset(chain.from_iterable(
+                members[:n] for members, n in zip(classes, split)))))
+
+
+def _splits(sizes: list, seats: int):
+    """Every tuple n with 0 <= n[k] <= sizes[k] and sum(n) == seats, in
+    lexicographic order."""
+    if seats > sum(sizes):
+        return
+    after = [0] * len(sizes)          # after[k] = sum(sizes[k + 1:])
+    for k in range(len(sizes) - 2, -1, -1):
+        after[k] = after[k + 1] + sizes[k + 1]
+    split = [0] * len(sizes)
+
+    def fill(start, left):
+        # The least suffix from `start` on that places `left` seats.
+        for k in range(start, len(sizes)):
+            split[k] = max(0, left - after[k])
+            left -= split[k]
+
+    fill(0, seats)
+    while True:
+        yield tuple(split)
+        # Move one seat from the suffix onto the last entry with room.
+        placed = 0
+        for k in range(len(sizes) - 1, -1, -1):
+            placed += split[k]
+            if placed > split[k] and split[k] < sizes[k]:
+                split[k] += 1
+                fill(k + 1, placed - split[k])
+                break
+        else:
+            return
 
 
 def addition_scores(scheme: WeightScheme, ballots: list, elected: frozenset):
@@ -334,15 +466,18 @@ def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
     ballots = _set_ballots(profile)
     return sequential_max(
         lambda elected: addition_scores(scheme, ballots, elected),
-        profile.seats, branch_cap)
+        profile.seats, branch_cap, Clones(ballots, profile.candidates))
 
 
 def thiele_elimination(profile: Profile,
                        branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
     """Repeated elimination of a minimum-score candidate (harmonic credit:
-    a ballot with k remaining names gives each of them weight/k)."""
+    a ballot with k remaining names gives each of them weight/k),
+    branching on one head per tied clone class."""
     ballots = _set_ballots(profile)
     seats = profile.seats
+    universe = profile.candidates
+    clones = Clones(ballots, universe)
 
     def step(remaining, _):
         if len(remaining) == seats:
@@ -355,8 +490,10 @@ def thiele_elimination(profile: Profile,
                 for cand in live:
                     scores[cand] += credit
         worst = min(scores.values())
-        return [(remaining - {cand}, None) for cand in
-                sorted([c for c, value in scores.items() if value == worst])]
+        tied = sorted([c for c, value in scores.items() if value == worst])
+        return [(remaining - {cand}, None)
+                for cand in clones.heads(tied, universe - remaining)]
 
-    return OutcomeSet(*branch((frozenset(profile.candidates), None), step,
-                              branch_cap))
+    finals, truncated = branch((universe, None), step, branch_cap)
+    outcomes, cut = clones.expand_all(finals, branch_cap)
+    return OutcomeSet(outcomes, truncated or cut)

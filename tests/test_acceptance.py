@@ -5,6 +5,7 @@ search rediscovery, and engine invariants at scale."""
 import random
 import time
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -158,6 +159,11 @@ def _seat_vectors(outcome, parties):
     return vectors
 
 
+def _tie_complete_size(vectors, seats):
+    """Committees listing every choice of names within each party list."""
+    return sum(prod(comb(seats, k) for k in vector) for vector in vectors)
+
+
 def test_party_list_reductions():
     rng = random.Random(20260824)
     cap = 10 ** 6
@@ -187,7 +193,9 @@ def test_party_list_reductions():
              for p, v in zip(parties, votes)], seats)
         dhondt = divisor_apportion(DivisorSpec(1), votes, seats)
         for engine in dhondt_set_engines:
-            assert _seat_vectors(engine(set_profile), parties) == dhondt
+            out = engine(set_profile)
+            assert _seat_vectors(out, parties) == dhondt
+            assert len(out) == _tie_complete_size(dhondt, seats)
         for engine in dhondt_list_engines:
             assert _seat_vectors(engine(list_profile), parties) == dhondt
         for delta in (F(0), F(1, 2), F(1)):

@@ -1,6 +1,6 @@
 """Randomized invariants shared by every counting engine: scale
-invariance, load conservation, monotone greedy scores, and neutrality
-under candidate relabelling."""
+invariance, load conservation, monotone greedy scores, neutrality
+under candidate relabelling, and symmetry under swapping clones."""
 
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
 from multiwin.unordered import (ApprovalFamilyRule, InsufficientSupportError,
                                 phragmen_unordered, score_family_count,
                                 thiele_addition, thiele_addition_paths,
-                                thiele_optimize)
+                                thiele_elimination, thiele_optimize)
 
 NAMES = ("A", "B", "C", "D", "E")
 
@@ -200,3 +200,52 @@ def test_list_engines_permutation_equivariant(profile, rng):
         expected = sorted(tuple(sorted(mapping[n] for n in committee))
                           for committee in before.sorted_committees())
         assert expected == after.sorted_committees()
+
+
+# ---------------------------------------------------------------------------
+# Clones: two candidates approved by exactly the same ballot groups are
+# interchangeable, so swapping them maps every outcome set onto itself.
+
+
+@st.composite
+def clone_profiles(draw):
+    """Ballots approve unions of groups of names; declared candidates on
+    no ballot, and groups no ballot picks, are clones of each other."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    groups = [["G%d_%d" % (g, j) for j in range(n)]
+              for g, n in enumerate(sizes)]
+    picks = draw(st.lists(
+        st.tuples(st.sets(st.integers(0, len(groups) - 1), min_size=1),
+                  weights),
+        min_size=1, max_size=4))
+    ballots = [WeightedBallot(SetBallot(n for g in sorted(chosen)
+                                        for n in groups[g]), w)
+               for chosen, w in picks]
+    pool = sum(groups, []) + ["Z%d" % j for j in range(draw(st.integers(0, 2)))]
+    seats = draw(st.integers(min_value=1, max_value=min(4, len(pool))))
+    return Profile(ballots, seats, pool)
+
+
+CLONE_ENGINES = SET_ENGINES + [thiele_elimination]
+
+
+@settings(max_examples=150, deadline=None)
+@given(clone_profiles(), st.data())
+def test_set_engines_symmetric_under_clone_swap(profile, data):
+    signature: dict = {}
+    for name in sorted(profile.candidates):
+        key = tuple(name in b.content.members for b in profile.ballots)
+        signature.setdefault(key, []).append(name)
+    pairs = [(a, b) for names in signature.values()
+             for i, a in enumerate(names) for b in names[i + 1:]]
+    assume(pairs)
+    a, b = data.draw(st.sampled_from(pairs))
+    swap = {a: b, b: a}
+    for engine in CLONE_ENGINES:
+        try:
+            outcome = outcome_of(engine, profile)
+        except InsufficientSupportError:
+            continue
+        swapped = {frozenset(swap.get(n, n) for n in committee)
+                   for committee in outcome.committees}
+        assert swapped == outcome.committees

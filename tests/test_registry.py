@@ -6,6 +6,13 @@ the bundled fixtures plus a seeded family of small profiles per ballot
 kind: sorted committees and the truncated flag (with each committee's
 max load for the load-balancing methods), reachable seat vectors for
 apportionment, or the error class when the engine refuses the profile.
+
+CLONE_GOLDEN pins the same kind of record, recorded before the engines
+branched on clone classes, on a family full of interchangeable names:
+party lists, overlapping approval groups and declared candidates no
+ballot approves.  There the load-balancing record carries every
+committee's full LoadState and sequential addition its winning-score
+trail.
 """
 
 import hashlib
@@ -22,6 +29,7 @@ from multiwin.ballots import (DEFAULT_BRANCH_CAP, CoverageError, ListBallot,
 from multiwin.numerics import format_rational
 from multiwin.scenarios import ScenarioId
 from multiwin.thresholds import REGISTRY, MethodId, UNKNOWN, threshold
+from multiwin.unordered import thiele_addition_paths
 from multiwin.verifier import party_seat_vectors, run_method
 
 LABELS = {
@@ -209,3 +217,93 @@ def test_ballot_cap_comes_from_the_record():
     assert cap(MethodId.stv(), 3) is None
     with pytest.raises(CoverageError):
         cap(MethodId.lv(2), 1)
+
+
+# ---------------------------------------------------------------------------
+# Clone-heavy family
+
+
+CLONE_LABELS = {
+    "set": ("phragmen-u", "thiele-add", "thiele-elim", "thiele-opt",
+            "thiele-opt:weak", "thiele-opt:explicit(1,1/2,1/2;tail=1/3)"),
+    "list": ("stv:0", "stv:1/2", "stv:1"),
+}
+
+CLONE_GOLDEN = {
+    "phragmen-u":
+        "2bdd14606ab144ac7c9257175a7c4aaeadc877a927f2a88ccfff3f507b9d5bdc",
+    "thiele-add":
+        "43ef48af0c9fa5c5215571c7ed2d06449a9ce64e32a56c8de23e916277af87e0",
+    "thiele-elim":
+        "d7c310c514c7c8755404085980651656d6ccdae2393917eb0a21752542ba7fbc",
+    "thiele-opt":
+        "d7c310c514c7c8755404085980651656d6ccdae2393917eb0a21752542ba7fbc",
+    "thiele-opt:weak":
+        "4a5861b85011d24f9323cf1c3d51042da9b3fe341262826c7da40dc0788b06e6",
+    "thiele-opt:explicit(1,1/2,1/2;tail=1/3)":
+        "ba123b57cb358a7c55b8d0419c6d0b27777c5c59bb0a5619373161e6163d1af3",
+    "stv:0":
+        "01c70d05179c97d2cca2a43c3fcc551e0499258faf5cebcf37f238e68b968d88",
+    "stv:1/2":
+        "d7390f2a280a1b38086302582376aeb15b45969be7c3246a58227ed167266343",
+    "stv:1":
+        "210a99a701b8c796925efa4364adcae5fc1bd2a5a1aae8898ed0913b1753c8b9",
+}
+
+
+def _clone_family(kind, seed, count=100):
+    """Profiles whose ballots approve (or rank) whole groups of names: one
+    party list or the union of two, so that ballots overlap, plus groups
+    no ballot picks and 0-2 declared candidates on no ballot."""
+    rng = random.Random(seed)
+    profiles = []
+    for _ in range(count):
+        groups = [["G%d_%d" % (g, j) for j in range(rng.randint(1, 4))]
+                  for g in range(rng.randint(1, 4))]
+        silent = ["Z%d" % j for j in range(rng.randint(0, 2))]
+        ballots = []
+        for _ in range(rng.randint(1, 4)):
+            chosen = rng.sample(groups, rng.randint(1, min(2, len(groups))))
+            names = [name for group in chosen for name in group]
+            content = SetBallot(names) if kind == "set" else ListBallot(names)
+            ballots.append(WeightedBallot(content, Fraction(rng.randint(1, 9))))
+        pool = sum(groups, []) + silent
+        seats = rng.randint(1, min(5, len(pool)))
+        profiles.append(Profile(ballots, seats, pool))
+    return profiles
+
+
+def _clone_record(method, profile):
+    engine = method.spec.engine
+    try:
+        if method.spec.loads:
+            outcome, states = engine(method, profile, DEFAULT_BRANCH_CAP)
+            payloads = {c: [[format_rational(x) for x in state.loads],
+                            [format_rational(x) for x in state.history]]
+                        for c, state in states.items()}
+        elif method.kind == "thiele-add":
+            outcome, trails = thiele_addition_paths(method.scheme, profile)
+            payloads = {c: [format_rational(x) for x in trail]
+                        for c, trail in trails.items()}
+        else:
+            outcome, payloads = run_method(method, profile), None
+    except ProfileError:
+        return {"error": "profile"}
+    committees = outcome.sorted_committees()
+    data = {"committees": committees, "truncated": outcome.truncated}
+    if payloads is not None:
+        assert set(payloads) == outcome.committees
+        data["payloads"] = [payloads[frozenset(c)] for c in committees]
+    return data
+
+
+def test_golden_clone_outcomes():
+    digests = {}
+    for kind, labels in CLONE_LABELS.items():
+        profiles = _clone_family(kind, FAMILY_SEEDS[kind])
+        for label in labels:
+            method = MethodId.parse(label)
+            text = json.dumps([_clone_record(method, p) for p in profiles],
+                              sort_keys=True, separators=(",", ":"))
+            digests[label] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == CLONE_GOLDEN
