@@ -36,6 +36,7 @@ from .sequences import alpha, build_alpha_lp, seq_a, seq_b, seq_c
 from .lp import format_lp
 from .thresholds import (CoverageError, MethodId, TABLE_NAMES, ThresholdValue,
                          criterion_check, table_grid, threshold, CRITERIA)
+from .unordered import BudgetExceededError
 from .verifier import (CATALOG, SearchSpec, Witness, audit_table,
                        construct_witness, party_seat_vectors, run_method,
                        search_lower_bound, verify_witness)
@@ -157,6 +158,7 @@ def _cmd_count(args) -> int:
     if outcomes.truncated:
         lines.append("warning: tie branching hit the cap; list incomplete")
     rows = [["committee"]] + [[" ".join(c)] for c in committees]
+    rows.append(["truncated", "true" if outcomes.truncated else "false"])
     Document(doc_data, lines, rows).emit(args.format)
     return 0
 
@@ -533,10 +535,8 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (_CliError, ProfileError, ScenarioTypeError, CoverageError,
-            ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except IndeterminateOutcome as exc:
+            ValueError, OSError, IndeterminateOutcome,
+            BudgetExceededError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

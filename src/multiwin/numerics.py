@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (sign on the numerator only) into a Fraction."""

@@ -81,9 +81,9 @@ def is_instance(inst: ScenarioInstance) -> bool:
     """Does the profile satisfy the scenario's ballot restriction?"""
     profile = inst.profile
     scenario = inst.scenario
-    w_ballots = profile.w_ballots()
     if scenario is ScenarioId.TACTIC:
         return True
+    w_ballots = profile.w_ballots()
     if not w_ballots:
         return False
     kind = profile.kind

@@ -620,7 +620,8 @@ class MethodKind:
     ballots, engine(method, votes, seats) returns the reachable seat
     vectors.  threshold(method, scenario, ell, seats) returns a
     ThresholdValue or None; cap(method, seats) is the largest ballot the
-    method accepts, or None for no cap.
+    method accepts, or None for no cap.  audited lists the parameters the
+    default audit scope runs the kind at.
     """
 
     ballot: str                          # "party" | "set" | "list"
@@ -630,25 +631,27 @@ class MethodKind:
     scheme: bool = False                 # takes a weight scheme
     cap: Callable = lambda method, seats: None
     loads: bool = False
+    audited: tuple = (None,)
 
 
-def _score_kind(rule, threshold_of, param=None) -> MethodKind:
+def _score_kind(rule, threshold_of, **fields) -> MethodKind:
     """A score-family kind; rule(method) is its ApprovalFamilyRule, whose
     cap is the kind's ballot cap everywhere."""
     return MethodKind(
-        "set", threshold_of, param=param,
+        "set", threshold_of,
         engine=lambda m, p, branch_cap: score_family_count(rule(m), p,
                                                            branch_cap),
-        cap=lambda m, seats: rule(m).cap(seats))
+        cap=lambda m, seats: rule(m).cap(seats), **fields)
 
 
 REGISTRY = {
     "div": MethodKind(
         "party", _div_threshold, param="gamma",
+        audited=(Fraction(1), Fraction(1, 2)),
         engine=lambda m, votes, seats: divisor_apportion(
             DivisorSpec(m.param), votes, seats)),
     "quota": MethodKind(
-        "party", _quota_threshold, param="delta",
+        "party", _quota_threshold, param="delta", audited=(0, 1),
         engine=lambda m, votes, seats: quota_apportion(
             QuotaSpec(m.param), votes, seats)),
     "bv": _score_kind(lambda m: ApprovalFamilyRule.block(), _bv_av_threshold),
@@ -656,7 +659,7 @@ REGISTRY = {
                       _bv_av_threshold),
     "sntv": _score_kind(lambda m: ApprovalFamilyRule.sntv(), _sntv_threshold),
     "lv": _score_kind(lambda m: ApprovalFamilyRule.limited(int(m.param)),
-                      _lv_threshold, param="limit"),
+                      _lv_threshold, param="limit", audited=(2,)),
     "cv": MethodKind("set", _cv_threshold),
     "cvq": _score_kind(lambda m: ApprovalFamilyRule.cvq(), _cvq_threshold),
     "phragmen-u": MethodKind(
@@ -664,7 +667,7 @@ REGISTRY = {
         engine=lambda m, p, cap: phragmen_unordered(p, cap)),
     "thiele-opt": MethodKind(
         "set", _thiele_opt_threshold, scheme=True,
-        engine=lambda m, p, cap: thiele_optimize(m.scheme, p)),
+        engine=lambda m, p, cap: thiele_optimize(m.scheme, p, cap)),
     "thiele-add": MethodKind(
         "set", _thiele_add_threshold, scheme=True,
         engine=lambda m, p, cap: thiele_addition(m.scheme, p, cap)),
@@ -672,7 +675,7 @@ REGISTRY = {
         "set", _thiele_elim_threshold,
         engine=lambda m, p, cap: thiele_elimination(p, cap)),
     "stv": MethodKind(
-        "list", _stv_threshold, param="delta",
+        "list", _stv_threshold, param="delta", audited=(1, 0),
         engine=lambda m, p, cap: stv_count(StvSpec(m.param), p, cap)),
     "phragmen-o": MethodKind(
         "list", _phragmen_o_threshold, loads=True,
@@ -795,10 +798,6 @@ def criterion_check(method: MethodId, criterion: str, seats: int):
 # Reference grids
 
 
-TABLE_NAMES = ("optimal", "stl", "lr", "bv-ejr", "av-ejr", "tha-same",
-               "tho-tactic", "tho-same", "tho-wpsc", "borda-tactic",
-               "borda-same", "sequences")
-
 _TABLE_SPECS = {
     "optimal": (MethodId.div(1), ScenarioId.PARTY,
                 "threshold ell/(S+1), shared by many methods"),
@@ -823,6 +822,8 @@ _TABLE_SPECS = {
     "borda-same": (MethodId.borda(), ScenarioId.SAME,
                    "harmonic positional scoring, common list"),
 }
+
+TABLE_NAMES = tuple(_TABLE_SPECS) + ("sequences",)
 
 
 @dataclass(frozen=True)

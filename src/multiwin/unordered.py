@@ -38,10 +38,11 @@ the one branching on every name would give.
 representative states: when a round produces more, the first
 `branch_cap` in production order go on, the rest are dropped, and the
 result is flagged `truncated`.  The kept states are counted to the end.
-`branch_cap` also bounds the committees the final states expand into:
-the expansion stops at `branch_cap` committees and flags `truncated` if
-there are more.  So a truncated OutcomeSet is a non-empty subset of the
-full answer, lists at most `branch_cap` committees, and each of its
+`branch_cap` also bounds the committees the final states (for
+`thiele_optimize`, the best seat splits) expand into: the expansion
+stops at `branch_cap` committees and flags `truncated` if there are
+more.  So a truncated OutcomeSet is a non-empty subset of the full
+answer, lists at most `branch_cap` committees, and each of its
 committees has exactly S members.
 
 Load balancing may reach one committee with different loads; its
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product
 from math import comb
 from typing import Callable, Optional
 
@@ -372,22 +373,24 @@ def phragmen_unordered(profile: Profile,
 
 
 def thiele_optimize(scheme: WeightScheme, profile: Profile,
+                    branch_cap: int = DEFAULT_BRANCH_CAP,
                     budget: int = 500000) -> OutcomeSet:
     """All committees maximizing total satisfaction.
 
     Clones are interchangeable, so every split of the seats over the
     clone classes is scored once and the best splits expand into their
-    committees.  The budget still bounds C(candidates, S), the number of
-    committees a split-free enumeration would score.
+    committees, at most `branch_cap` of them.  `budget` bounds the splits
+    scored; a profile with more is refused before any is scored.
     """
     ballots = _set_ballots(profile)
     seats = profile.seats
-    if comb(len(profile.candidates), seats) > budget:
-        raise BudgetExceededError(
-            "C(%d, %d) committees exceed the enumeration budget"
-            % (len(profile.candidates), seats))
     clones = Clones(ballots, profile.candidates)
     classes = clones.classes
+    sizes = [len(members) for members in classes]
+    if _split_count(sizes, seats) > budget:
+        raise BudgetExceededError(
+            "%d seats over %d clone classes: more splits than the budget "
+            "of %d" % (seats, len(classes), budget))
     psi = [scheme.psi(n) for n in range(seats + 1)]
     class_of = {c: k for k, members in enumerate(classes) for c in members}
     # A class lies wholly on a ballot or off it; a ballot's satisfaction
@@ -397,17 +400,28 @@ def thiele_optimize(scheme: WeightScheme, profile: Profile,
               for members, weight in ballots]
     best = None
     winners: list = []
-    for split in _splits([len(members) for members in classes], seats):
+    for split in _splits(sizes, seats):
         value = sum(table[sum(split[k] for k in on)] for on, table in tables)
         if best is None or value > best:
             best = value
             winners = [split]
         elif value == best:
             winners.append(split)
-    return OutcomeSet(
-        committee for split in winners for committee in clones.expand(
-            frozenset(chain.from_iterable(
-                members[:n] for members, n in zip(classes, split)))))
+    outcomes, cut = clones.expand_all(
+        {frozenset(chain.from_iterable(
+            members[:n] for members, n in zip(classes, split))): None
+         for split in winners}, branch_cap)
+    return OutcomeSet(outcomes, cut)
+
+
+def _split_count(sizes: list, seats: int) -> int:
+    """The number of splits _splits(sizes, seats) yields."""
+    ways = [1] + [0] * seats          # ways[s]: splits of s seats so far
+    for size in sizes:
+        below = list(accumulate(ways, initial=0))     # sums of ways[:i]
+        ways = [below[s + 1] - below[max(0, s - size)]
+                for s in range(seats + 1)]
+    return ways[seats]
 
 
 def _splits(sizes: list, seats: int):

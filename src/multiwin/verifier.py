@@ -7,7 +7,8 @@ named constructions; verify_witness() re-runs the election method and
 confirms a bad committee is reachable; search_lower_bound() looks for
 bad instances by bounded brute force over unit-ballot profiles (and, for
 the tactic scenario, over W's strategies); audit_table() machine-checks
-the inequality families the threshold corpus must satisfy.
+the inequality families the threshold corpus must satisfy.  The replay
+and the search decide badness with one test, _is_bad().
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from typing import Optional, Sequence
 from .ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet, PartyBallot,
                       Profile, ProfileError, SetBallot, WeightedBallot,
                       normalize)
-from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
                         is_bad_outcome_possible, is_instance)
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
-from .thresholds import CoverageError, MethodId, PI, threshold
+from .thresholds import REGISTRY, CoverageError, MethodId, PI, threshold
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +88,26 @@ def party_seat_vectors(method: MethodId, profile: Profile):
     return names, method.spec.engine(method, votes, profile.seats)
 
 
+def _is_bad(method: MethodId, inst: ScenarioInstance,
+            branch_cap: int) -> bool:
+    """Can the method produce an outcome that is bad for W on the instance?
+
+    On party ballots, bad means W's party can get fewer than ell seats.
+    """
+    profile = inst.profile
+    if profile.kind == "party":
+        names, vectors = party_seat_vectors(method, profile)
+        (party,) = inst.target
+        idx = names.index(party)
+        return any(vec[idx] < inst.ell for vec in vectors)
+    return is_bad_outcome_possible(inst,
+                                   run_method(method, profile, branch_cap))
+
+
 def verify_witness(witness: Witness, method: MethodId,
                    branch_cap: int = DEFAULT_BRANCH_CAP) -> bool:
     """True iff the method can produce a bad outcome on the witness."""
-    inst = witness.instance
-    if inst.profile.kind == "party":
-        names, vectors = party_seat_vectors(method, inst.profile)
-        (party,) = tuple(inst.target)
-        idx = names.index(party)
-        return any(vec[idx] < inst.ell for vec in vectors)
-    outcomes = run_method(method, inst.profile, branch_cap)
-    return is_bad_outcome_possible(inst, outcomes)
+    return _is_bad(method, witness.instance, branch_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -109,31 +118,21 @@ def _names(prefix: str, count: int) -> list:
     return ["%s%d" % (prefix, i + 1) for i in range(count)]
 
 
-def _set_profile(groups, seats, extra=()) -> Profile:
-    ballots = [WeightedBallot(SetBallot(names), weight, in_w)
+_CONTENT = {"set": SetBallot, "list": ListBallot, "party": PartyBallot}
+
+
+def _profile(kind: str, groups, seats: int, extra=()) -> Profile:
+    """A profile of `kind` ballots from (weight, names, in_w) groups, the
+    names a party name for party ballots; zero-weight groups are dropped."""
+    content = _CONTENT[kind]
+    ballots = [WeightedBallot(content(names), weight, in_w)
                for weight, names, in_w in groups if weight > 0]
+    if kind == "party":
+        # Pad with silent party names so few-party electorates still
+        # satisfy the universe >= seats profile invariant; they receive no
+        # votes and never win seats.
+        extra = _names("Z", max(0, seats - len(ballots)))
     return Profile(ballots, seats, extra)
-
-
-def _list_profile(groups, seats, extra=()) -> Profile:
-    ballots = [WeightedBallot(ListBallot(names), weight, in_w)
-               for weight, names, in_w in groups if weight > 0]
-    return Profile(ballots, seats, extra)
-
-
-def _party_profile(groups, seats) -> Profile:
-    ballots = [WeightedBallot(PartyBallot(name), weight, in_w)
-               for weight, name, in_w in groups if weight > 0]
-    # Pad with silent party names so few-party electorates still satisfy
-    # the universe >= seats profile invariant; they receive no votes and
-    # never win seats.
-    pad = _names("Z", max(0, seats - len(ballots)))
-    return Profile(ballots, seats, pad)
-
-
-def _make_witness(profile, target, ell, scenario, claimed, source) -> Witness:
-    inst = ScenarioInstance(profile, target, ell, scenario)
-    return Witness(inst, Fraction(claimed), source)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -158,20 +157,15 @@ def _symmetric_parties(method, scenario, ell, seats, eps):
     cap = method.spec.cap(method, seats)
     _require(cap is None or ell <= cap, "party list exceeds the ballot cap")
     kind = method.spec.ballot
-    value = Fraction(ell, seats + 1)
     if kind == "party":
-        groups = [(Fraction(1), "P%d" % (p + 1), p == 0)
-                  for p in range(blocks)]
-        profile = _party_profile(groups, seats)
-        return _make_witness(profile, {"P1"}, ell, scenario, value,
-                             "symmetric-parties")
-    lists = [["P%d_%d" % (p + 1, i + 1) for i in range(ell)]
-             for p in range(blocks)]
+        lists = ["P%d" % (p + 1) for p in range(blocks)]
+        target = lists[:1]
+    else:
+        lists = [["P%d_%d" % (p + 1, i + 1) for i in range(ell)]
+                 for p in range(blocks)]
+        target = lists[0]
     groups = [(Fraction(1), lists[p], p == 0) for p in range(blocks)]
-    profile = (_set_profile(groups, seats) if kind == "set"
-               else _list_profile(groups, seats))
-    return _make_witness(profile, lists[0], ell, scenario, value,
-                         "symmetric-parties")
+    return _profile(kind, groups, seats), target, Fraction(ell, seats + 1)
 
 
 def _common_list_tie(method, scenario, ell, seats, eps):
@@ -187,27 +181,23 @@ def _common_list_tie(method, scenario, ell, seats, eps):
     _require(rest >= 1, "needs at least one outside candidate")
     groups = [(Fraction(ell), targets, True)]
     groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
-    kind = method.spec.ballot
-    profile = (_set_profile(groups, seats) if kind == "set"
-               else _list_profile(groups, seats))
-    return _make_witness(profile, targets, ell, scenario,
-                         Fraction(ell, seats + 1), "common-list-tie")
+    profile = _profile(method.spec.ballot, groups, seats)
+    return profile, targets, Fraction(ell, seats + 1)
 
 
 def _divisor_extremes(method, scenario, ell, seats, eps):
     """W at ell-1+gamma against S+1-ell parties of gamma votes each."""
     _require(method.kind == "div", "divisor construction")
-    _require(ScenarioId(scenario) is ScenarioId.PARTY,
+    _require(scenario is ScenarioId.PARTY,
              "apportionment witnesses live in the party scenario")
     gamma = method.param
     _require(gamma > 0, "zero first divisor gives every party a free seat")
     rest = seats + 1 - ell
     groups = [(ell - 1 + gamma, "W", True)]
     groups += [(gamma, "P%d" % (j + 1), False) for j in range(rest)]
-    profile = _party_profile(groups, seats)
+    profile = _profile("party", groups, seats)
     value = (ell - 1 + gamma) / (ell - 1 + gamma * (seats + 2 - ell))
-    return _make_witness(profile, {"W"}, ell, scenario, value,
-                         "divisor-extremes")
+    return profile, {"W"}, value
 
 
 def _quota_boundary(method, scenario, ell, seats, eps):
@@ -220,27 +210,24 @@ def _quota_boundary(method, scenario, ell, seats, eps):
         / ((seats + delta) * (seats + 2 - ell))
     rest = seats + 1 - ell
     if method.kind == "quota":
-        _require(ScenarioId(scenario) is ScenarioId.PARTY,
+        _require(scenario is ScenarioId.PARTY,
                  "apportionment witnesses live in the party scenario")
         groups = [(ell - 1 + t, "W", True)]
         groups += [(t, "P%d" % (j + 1), False) for j in range(rest)]
-        profile = _party_profile(groups, seats)
-        return _make_witness(profile, {"W"}, ell, scenario, value,
-                             "quota-boundary")
-    _require(ScenarioId(scenario) in (ScenarioId.PARTY, ScenarioId.SAME,
-                                      ScenarioId.PSC, ScenarioId.WPSC),
+        profile = _profile("party", groups, seats)
+        return profile, {"W"}, value
+    _require(scenario in (ScenarioId.PARTY, ScenarioId.SAME,
+                          ScenarioId.PSC, ScenarioId.WPSC),
              "transfer witnesses cover the list scenarios")
     targets = _names("A", ell)
     groups = [(ell - 1 + t, targets, True)]
     groups += [(t, ["B%d" % (j + 1)], False) for j in range(rest)]
-    profile = _list_profile(groups, seats)
-    return _make_witness(profile, targets, ell, scenario, value,
-                         "quota-boundary")
+    profile = _profile("list", groups, seats)
+    return profile, targets, value
 
 
 def _equal_split(method, scenario, ell, seats, eps):
     """W splits evenly over its targets; everyone ties at the boundary."""
-    scenario = ScenarioId(scenario)
     rest = seats + 1 - ell
     if method.kind == "lv":
         limit = method.spec.cap(method, seats)
@@ -255,9 +242,8 @@ def _equal_split(method, scenario, ell, seats, eps):
                                       for j in range(u)], False)
                        for i in range(rest)]
             value = Fraction(ell * u, ell * u + rest * v)
-            profile = normalize(_set_profile(groups, seats))
-            return _make_witness(profile, targets, ell, scenario, value,
-                                 "equal-split")
+            profile = normalize(_profile("set", groups, seats))
+            return profile, targets, value
         _require(scenario in (ScenarioId.SAME, ScenarioId.PJR,
                               ScenarioId.EJR), "set-ballot scenarios only")
         _require(ell <= limit, "common list exceeds the ballot cap")
@@ -265,9 +251,8 @@ def _equal_split(method, scenario, ell, seats, eps):
         groups += [(Fraction(1), [decoys[(i + j) % rest] for j in range(u)],
                     False) for i in range(rest)]
         value = Fraction(u, u + rest)
-        profile = normalize(_set_profile(groups, seats))
-        return _make_witness(profile, targets, ell, scenario, value,
-                             "equal-split")
+        profile = normalize(_profile("set", groups, seats))
+        return profile, targets, value
     _require(method.kind in ("sntv", "cvq", "stv", "phragmen-u",
                              "phragmen-o", "thiele-opt", "thiele-elim"),
              "even-split ties apply to the score, load and credit methods")
@@ -276,36 +261,32 @@ def _equal_split(method, scenario, ell, seats, eps):
                  "even-split ties need harmonic weights")
     _require(scenario is ScenarioId.TACTIC or ell == 1,
              "single-name ballots support several seats only tactically")
-    kind = method.spec.ballot
     targets = _names("A", ell)
     groups = [(Fraction(1), [t], True) for t in targets]
     groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
-    profile = (_set_profile(groups, seats) if kind == "set"
-               else _list_profile(groups, seats))
-    return _make_witness(profile, targets, ell, scenario,
-                         Fraction(ell, seats + 1), "equal-split")
+    profile = _profile(method.spec.ballot, groups, seats)
+    return profile, targets, Fraction(ell, seats + 1)
 
 
 def _majority_tie(method, scenario, ell, seats, eps):
     """Two blocks of equal weight on disjoint lists; the larger list can
     sweep every seat."""
     _require(method.kind in ("bv", "av"), "unlimited-score methods only")
-    _require(ScenarioId(scenario) in (ScenarioId.PARTY, ScenarioId.SAME,
-                                      ScenarioId.TACTIC, ScenarioId.PJR),
+    _require(scenario in (ScenarioId.PARTY, ScenarioId.SAME,
+                          ScenarioId.TACTIC, ScenarioId.PJR),
              "the half threshold covers the list scenarios")
     targets = _names("A", ell)
     groups = [(Fraction(1), targets, True),
               (Fraction(1), _names("B", seats), False)]
-    profile = _set_profile(groups, seats)
-    return _make_witness(profile, targets, ell, scenario, Fraction(1, 2),
-                         "majority-tie")
+    profile = _profile("set", groups, seats)
+    return profile, targets, Fraction(1, 2)
 
 
 def _ejr_window(method, scenario, ell, seats, eps):
     """W ballots add rotating decoy windows to the common target set; the
     decoys tie everywhere and can fill all seats."""
     _require(method.kind in ("bv", "av", "lv"), "score-family methods only")
-    _require(ScenarioId(scenario) is ScenarioId.EJR,
+    _require(scenario is ScenarioId.EJR,
              "per-ballot representation witnesses")
     cap = method.spec.cap(method, seats)
     if cap is not None:
@@ -321,16 +302,15 @@ def _ejr_window(method, scenario, ell, seats, eps):
     for i in range(seats):
         ballot = [decoys[(i + j) % seats] for j in range(window)]
         groups.append((Fraction(seats + 1 - ell), ballot, False))
-    profile = normalize(_set_profile(groups, seats))
+    profile = normalize(_profile("set", groups, seats))
     value = Fraction(window, window + seats + 1 - ell)
-    return _make_witness(profile, targets, ell, scenario, value, "ejr-window")
+    return profile, targets, value
 
 
 def _self_voting(method, scenario, ell, seats, eps):
     """A huge block spreads one split vote per member over its own list
     while each opponent keeps a whole vote; approaches fraction 1."""
     _require(method.kind == "cvq", "vote-splitting dilution construction")
-    scenario = ScenarioId(scenario)
     _require(scenario in (ScenarioId.PARTY, ScenarioId.SAME,
                           ScenarioId.PJR, ScenarioId.EJR),
              "dilution covers the list scenarios")
@@ -343,18 +323,16 @@ def _self_voting(method, scenario, ell, seats, eps):
     block = _names("A", w + 1)
     groups = [(Fraction(w), block, True)]
     groups += [(Fraction(1), ["B%d" % (k + 1)], False) for k in range(seats)]
-    profile = _set_profile(groups, seats)
+    profile = _profile("set", groups, seats)
     target = (block if scenario in (ScenarioId.PARTY, ScenarioId.SAME)
               else block[:ell])
-    return _make_witness(profile, target, ell, scenario,
-                         Fraction(w, w + seats), "self-voting")
+    return profile, target, Fraction(w, w + seats)
 
 
 def _addition_lp_vertex(method, scenario, ell, seats, eps):
     """W holds 1/w_ell votes on its list; the adversary plays a vertex of
     the minimum-mass election program for the other S+1-ell seats."""
     _require(method.kind == "thiele-add", "sequential addition construction")
-    scenario = ScenarioId(scenario)
     if scenario in (ScenarioId.TACTIC, ScenarioId.EJR):
         _require(ell == 1, "only the one-seat value is known here")
     else:
@@ -373,10 +351,9 @@ def _addition_lp_vertex(method, scenario, ell, seats, eps):
     for sigma, x in zip(subsets(n), outcome.point):
         if x > 0:
             groups.append((x, [decoys[i] for i in sigma], False))
-    profile = _set_profile(groups, seats)
+    profile = _profile("set", groups, seats)
     value = (1 / wl) / (1 / wl + outcome.value)
-    return _make_witness(profile, targets, ell, scenario, value,
-                         "addition-lp-vertex")
+    return profile, targets, value
 
 
 def _cyclic_window_opt(method, scenario, ell, seats, eps):
@@ -384,8 +361,8 @@ def _cyclic_window_opt(method, scenario, ell, seats, eps):
     best satisfaction-per-name ratio."""
     _require(method.kind == "thiele-opt", "optimization construction")
     _require(ell == 1, "single-seat construction")
-    _require(ScenarioId(scenario) in (ScenarioId.SAME, ScenarioId.PJR,
-                                      ScenarioId.EJR),
+    _require(scenario in (ScenarioId.SAME, ScenarioId.PJR,
+                          ScenarioId.EJR),
              "covered scenarios: same, pjr, ejr")
     scheme = method.scheme
     best = max(k * scheme.w(k) for k in range(1, seats + 1))
@@ -395,17 +372,16 @@ def _cyclic_window_opt(method, scenario, ell, seats, eps):
     groups = [(best, ["A1"], True)]
     groups += [(Fraction(1), [decoys[(i + j) % seats] for j in range(star)],
                 False) for i in range(seats)]
-    profile = normalize(_set_profile(groups, seats))
-    return _make_witness(profile, ["A1"], 1, scenario, best / (best + seats),
-                         "cyclic-window-opt")
+    profile = normalize(_profile("set", groups, seats))
+    return profile, ["A1"], best / (best + seats)
 
 
 def _weight_floor(method, scenario, ell, seats, eps):
     """W holds 1/w_ell votes on its list against unit singletons; trading
     the last list seat for an extra singleton is satisfaction-neutral."""
     _require(method.kind == "thiele-opt", "optimization construction")
-    _require(ScenarioId(scenario) in (ScenarioId.SAME, ScenarioId.PJR,
-                                      ScenarioId.EJR),
+    _require(scenario in (ScenarioId.SAME, ScenarioId.PJR,
+                          ScenarioId.EJR),
              "covered scenarios: same, pjr, ejr")
     scheme = method.scheme
     wl = scheme.w(ell)
@@ -416,24 +392,22 @@ def _weight_floor(method, scenario, ell, seats, eps):
         # saturated threshold 1 is attained with silent spare candidates.
         _require(ell >= 2, "the first weight is always positive")
         spares = _names("B", seats - 1)
-        profile = _set_profile([(Fraction(1), targets, True)], seats,
-                               extra=spares)
-        return _make_witness(profile, targets, ell, scenario, Fraction(1),
-                             "weight-floor")
+        profile = _profile("set", [(Fraction(1), targets, True)], seats,
+                           extra=spares)
+        return profile, targets, Fraction(1)
     rest = seats + 1 - ell
     groups = [(1 / wl, targets, True)]
     groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
-    profile = _set_profile(groups, seats)
+    profile = _profile("set", groups, seats)
     value = 1 / (wl * rest + 1)
-    return _make_witness(profile, targets, ell, scenario, value,
-                         "weight-floor")
+    return profile, targets, value
 
 
 def _elimination_trap(method, scenario, ell, seats, eps):
     """Decoy clusters keep W's candidate at minimum score until it is
     eliminated, after which the clusters collapse one name at a time."""
     _require(method.kind == "thiele-elim", "elimination construction")
-    _require(ScenarioId(scenario) in (ScenarioId.PJR, ScenarioId.EJR),
+    _require(scenario in (ScenarioId.PJR, ScenarioId.EJR),
              "covered scenarios: pjr, ejr")
     _require(ell == 1, "single-seat construction")
     m = max(1, isqrt(seats))
@@ -456,16 +430,14 @@ def _elimination_trap(method, scenario, ell, seats, eps):
             groups += [(Fraction(m - 1), [name], False) for name in cluster]
     groups += [(Fraction(m + n), ["B%d" % (k + 1)], False)
                for k in range(seats)]
-    profile = _set_profile(groups, seats)
-    return _make_witness(profile, ["A"], 1, scenario, fraction_for(n),
-                         "elimination-trap")
+    profile = _profile("set", groups, seats)
+    return profile, ["A"], fraction_for(n)
 
 
 def _suffix_chain(method, scenario, ell, seats, eps):
     """Nested suffix lists weighted by the extremal mass sequence keep
     every next candidate at score exactly one."""
     _require(method.kind == "thiele-o", "ordered sequential construction")
-    scenario = ScenarioId(scenario)
     _require(scenario in (ScenarioId.SAME, ScenarioId.TACTIC),
              "covered scenarios: same, tactic")
     n = seats + 1 - ell
@@ -480,16 +452,15 @@ def _suffix_chain(method, scenario, ell, seats, eps):
         groups += [(seq_b(i), targets[i - 1:], True)
                    for i in range(1, ell + 1)]
     groups += [(seq_b(i), decoys[i - 1:], False) for i in range(1, n + 1)]
-    profile = _list_profile(groups, seats)
-    return _make_witness(profile, targets, ell, scenario,
-                         w_weight / (w_weight + seq_a(n)), "suffix-chain")
+    profile = _profile("list", groups, seats)
+    return profile, targets, w_weight / (w_weight + seq_a(n))
 
 
 def _rotated_start(method, scenario, ell, seats, eps):
     """Every W ballot opens with a fixed prefix and rotates the next name,
     so the late list positions split W's weight as finely as possible."""
     _require(method.kind == "thiele-o", "ordered sequential construction")
-    _require(ScenarioId(scenario) is ScenarioId.WPSC,
+    _require(scenario is ScenarioId.WPSC,
              "covered scenario: wpsc")
     n = seats + 1 - ell
     k = (ell - 1) // 2
@@ -502,9 +473,8 @@ def _rotated_start(method, scenario, ell, seats, eps):
         groups.append((c / (ell - k), ballot, True))
     decoys = _names("B", n)
     groups += [(seq_b(i), decoys[i - 1:], False) for i in range(1, n + 1)]
-    profile = _list_profile(groups, seats)
-    return _make_witness(profile, targets, ell, scenario, c / (c + seq_a(n)),
-                         "rotated-start")
+    profile = _profile("list", groups, seats)
+    return profile, targets, c / (c + seq_a(n))
 
 
 def _self_first_psc(method, scenario, ell, seats, eps):
@@ -512,7 +482,7 @@ def _self_first_psc(method, scenario, ell, seats, eps):
     top-position support; unit opponents with doubled weight sweep."""
     _require(method.kind in ("phragmen-o", "thiele-o"),
              "ordered methods whose top-set guarantee fails")
-    _require(ScenarioId(scenario) is ScenarioId.PSC, "covered scenario: psc")
+    _require(scenario is ScenarioId.PSC, "covered scenario: psc")
     eps = _default_eps(eps)
     _require(0 < eps < 1, "eps must lie in (0, 1)")
     q = max(ell, int(-(-2 * seats * (1 - eps) // eps)))
@@ -520,9 +490,50 @@ def _self_first_psc(method, scenario, ell, seats, eps):
     groups = [(Fraction(1), targets[i:] + targets[:i], True)
               for i in range(q)]
     groups += [(Fraction(2), ["B%d" % (k + 1)], False) for k in range(seats)]
-    profile = _list_profile(groups, seats)
-    return _make_witness(profile, targets, ell, scenario,
-                         Fraction(q, q + 2 * seats), "self-first-psc")
+    profile = _profile("list", groups, seats)
+    return profile, targets, Fraction(q, q + 2 * seats)
+
+
+def _positional_split(method, scenario, ell, seats, eps):
+    """Both sides rotate their lists so every candidate earns the average
+    positional weight; all S+1 candidates tie."""
+    _require(method.kind == "borda", "positional construction")
+    _require(scenario is ScenarioId.TACTIC,
+             "covered scenario: tactic")
+    scheme = method.scheme
+    n = seats + 1 - ell
+    mean_l = scheme.psi(ell) / ell
+    mean_n = scheme.psi(n) / n
+    targets = _names("A", ell)
+    decoys = _names("B", n)
+    groups = [(mean_n / ell, targets[i:] + targets[:i], True)
+              for i in range(ell)]
+    groups += [(mean_l / n, decoys[i:] + decoys[:i], False)
+               for i in range(n)]
+    profile = normalize(_profile("list", groups, seats))
+    return profile, targets, mean_n / (mean_n + mean_l)
+
+
+def _positional_list(method, scenario, ell, seats, eps):
+    """W keeps one common list, so its last name earns only w_ell per
+    vote, while the adversary rotates for the average weight."""
+    _require(method.kind == "borda", "positional construction")
+    _require(scenario in (ScenarioId.SAME, ScenarioId.WPSC),
+             "covered scenarios: same, wpsc")
+    scheme = method.scheme
+    n = seats + 1 - ell
+    wl = scheme.w(ell)
+    mean_n = scheme.psi(n) / n
+    targets = _names("A", ell)
+    decoys = _names("B", n)
+    groups = [(mean_n, targets, True)]
+    if wl > 0:
+        groups += [(wl / n, decoys[i:] + decoys[:i], False)
+                   for i in range(n)]
+        profile = normalize(_profile("list", groups, seats))
+    else:
+        profile = _profile("list", groups, seats, extra=decoys)
+    return profile, targets, mean_n / (mean_n + wl)
 
 
 def _load_fixture(name: str) -> Profile:
@@ -555,17 +566,19 @@ def _fixture_witness(token):
 
     def build(method, scenario, ell, seats, eps):
         _require(method.kind == label, "fixture is for method %s" % label)
-        _require(ScenarioId(scenario) is fix_scenario,
+        _require(scenario is fix_scenario,
                  "fixture scenario is %s" % fix_scenario.value)
         _require((ell, seats) == (fix_ell, fix_seats),
                  "fixture parameters are ell=%d, S=%d"
                  % (fix_ell, fix_seats))
-        profile = _load_fixture(file_name)
-        return _make_witness(profile, target, ell, scenario, frac, token)
+        return _load_fixture(file_name), target, frac
 
     return build
 
 
+# token -> builder(method, scenario, ell, seats, eps), which returns
+# (profile, target, fraction) or raises CoverageError where the
+# construction does not apply; construct_witness() makes the Witness.
 CATALOG: dict = {
     "divisor-extremes": _divisor_extremes,
     "quota-boundary": _quota_boundary,
@@ -579,62 +592,13 @@ CATALOG: dict = {
     "weight-floor": _weight_floor,
     "suffix-chain": _suffix_chain,
     "rotated-start": _rotated_start,
-    "positional-split": None,       # filled in below
-    "positional-list": None,
+    "positional-split": _positional_split,
+    "positional-list": _positional_list,
     "self-voting": _self_voting,
     "elimination-trap": _elimination_trap,
     "self-first-psc": _self_first_psc,
+    **{token: _fixture_witness(token) for token in _FIXTURE_WITNESSES},
 }
-for _token in _FIXTURE_WITNESSES:
-    CATALOG[_token] = _fixture_witness(_token)
-
-
-def _positional_split(method, scenario, ell, seats, eps):
-    """Both sides rotate their lists so every candidate earns the average
-    positional weight; all S+1 candidates tie."""
-    _require(method.kind == "borda", "positional construction")
-    _require(ScenarioId(scenario) is ScenarioId.TACTIC,
-             "covered scenario: tactic")
-    scheme = method.scheme
-    n = seats + 1 - ell
-    mean_l = scheme.psi(ell) / ell
-    mean_n = scheme.psi(n) / n
-    targets = _names("A", ell)
-    decoys = _names("B", n)
-    groups = [(mean_n / ell, targets[i:] + targets[:i], True)
-              for i in range(ell)]
-    groups += [(mean_l / n, decoys[i:] + decoys[:i], False)
-               for i in range(n)]
-    profile = normalize(_list_profile(groups, seats))
-    return _make_witness(profile, targets, ell, scenario,
-                         mean_n / (mean_n + mean_l), "positional-split")
-
-
-def _positional_list(method, scenario, ell, seats, eps):
-    """W keeps one common list, so its last name earns only w_ell per
-    vote, while the adversary rotates for the average weight."""
-    _require(method.kind == "borda", "positional construction")
-    _require(ScenarioId(scenario) in (ScenarioId.SAME, ScenarioId.WPSC),
-             "covered scenarios: same, wpsc")
-    scheme = method.scheme
-    n = seats + 1 - ell
-    wl = scheme.w(ell)
-    mean_n = scheme.psi(n) / n
-    targets = _names("A", ell)
-    decoys = _names("B", n)
-    groups = [(mean_n, targets, True)]
-    if wl > 0:
-        groups += [(wl / n, decoys[i:] + decoys[:i], False)
-                   for i in range(n)]
-        profile = normalize(_list_profile(groups, seats))
-    else:
-        profile = _list_profile(groups, seats, extra=decoys)
-    return _make_witness(profile, targets, ell, scenario,
-                         mean_n / (mean_n + wl), "positional-list")
-
-
-CATALOG["positional-split"] = _positional_split
-CATALOG["positional-list"] = _positional_list
 
 
 def construct_witness(token: str, method: MethodId, scenario, ell: int,
@@ -645,7 +609,11 @@ def construct_witness(token: str, method: MethodId, scenario, ell: int,
                          % (token, ", ".join(sorted(CATALOG))))
     if not 1 <= ell <= seats:
         raise ValueError("need 1 <= ell <= seats")
-    return CATALOG[token](method, scenario, ell, seats, eps)
+    scenario = ScenarioId(scenario)
+    profile, target, claimed = CATALOG[token](method, scenario, ell, seats,
+                                              eps)
+    return Witness(ScenarioInstance(profile, target, ell, scenario), claimed,
+                   token)
 
 
 def covering_token(method: MethodId, scenario, ell: int,
@@ -657,9 +625,9 @@ def covering_token(method: MethodId, scenario, ell: int,
         return None
     if not (entry.is_exact and entry.kind == PI):
         return None
-    for token, builder in CATALOG.items():
+    for token in CATALOG:
         try:
-            witness = builder(method, scenario, ell, seats, None)
+            witness = construct_witness(token, method, scenario, ell, seats)
         except (CoverageError, ValueError, ProfileError):
             continue
         if witness.claimed_fraction == entry.value:
@@ -747,19 +715,6 @@ def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
     return []
 
 
-def _profile_from_counts(method, counts_w, counts_adv, seats, universe):
-    groups = []
-    for ballot, count in counts_w:
-        content = (SetBallot(ballot) if isinstance(ballot, frozenset)
-                   else ListBallot(ballot))
-        groups.append(WeightedBallot(content, Fraction(count), True))
-    for ballot, count in counts_adv:
-        content = (SetBallot(ballot) if isinstance(ballot, frozenset)
-                   else ListBallot(ballot))
-        groups.append(WeightedBallot(content, Fraction(count), False))
-    return Profile(groups, seats, universe)
-
-
 def _multisets(options, size):
     """Sorted multisets as ((ballot, count), ...) tuples."""
     for combo in combinations_with_replacement(range(len(options)), size):
@@ -772,38 +727,9 @@ def _multisets(options, size):
         yield tuple((options[idx], count) for idx, count in counts)
 
 
-def _party_search(method, ell, seats, spec):
-    best = (Fraction(0), None)
-    for fraction, total, w_votes in _fraction_ladder(spec.weight_grid):
-        rest = total - w_votes
-        max_parties = spec.max_candidates - 1
-        seen = set()
-        for parts in _partitions(rest, max_parties):
-            if parts in seen:
-                continue
-            seen.add(parts)
-            names = ["P%d" % (j + 1) for j in range(len(parts))]
-            groups = [(Fraction(w_votes), "W", True)]
-            groups += [(Fraction(v), names[j], False)
-                       for j, v in enumerate(parts)]
-            try:
-                profile = _party_profile(groups, seats)
-                pnames, vectors = party_seat_vectors(method, profile)
-            except (AdamsIllDefined, ProfileError, ValueError):
-                continue
-            idx = pnames.index("W")
-            if any(vec[idx] < ell for vec in vectors):
-                inst = ScenarioInstance(profile, {"W"}, ell, ScenarioId.PARTY)
-                return fraction, Witness(inst, fraction, "search")
-    return best
-
-
 def _partitions(total: int, max_parts: int):
     """Partitions of `total` into at most max_parts positive parts,
     largest part first (canonical, order-free)."""
-    if total == 0:
-        yield ()
-        return
 
     def rec(remaining, parts_left, largest):
         if remaining == 0:
@@ -818,14 +744,65 @@ def _partitions(total: int, max_parts: int):
     yield from rec(total, max_parts, total)
 
 
-def _bad_profile(method, scenario, inst, spec):
+def _party_strategies(ell, seats, spec):
+    """W's one strategy, a party of its own, and the adversary's answers:
+    every partition of the other votes into at most max_candidates - 1
+    parties."""
+
+    def answers(total, w_votes):
+        for parts in _partitions(total - w_votes, spec.max_candidates - 1):
+            groups = [(w_votes, "W", True)]
+            groups += [(v, "P%d" % (j + 1), False)
+                       for j, v in enumerate(parts)]
+            yield ScenarioInstance(_profile("party", groups, seats), {"W"},
+                                   ell, ScenarioId.PARTY)
+
+    return lambda total, w_votes: [answers(total, w_votes)]
+
+
+def _ballot_strategies(method, scenario, ell, seats, spec):
+    """W's strategies, each a multiset of the ballots the scenario lets W
+    cast, and per strategy the adversary's answers: every multiset of
+    ballots over the decoys that keeps the profile a scenario instance."""
+    pool_size = max(spec.max_candidates, seats)
+    targets = tuple(_names("A", ell))
+    decoys = tuple(_names("B", pool_size - ell))
+    universe = targets + decoys
+    kind = method.spec.ballot
+    adv_options = _ballot_options(method, decoys, spec, seats)
+    w_options = _w_options(method, scenario, targets, decoys, spec, seats)
+
+    def answers(counts_w, adv_votes):
+        # Integer weights keep _profile's zero-weight filter cheap per
+        # candidate; WeightedBallot makes them Fractions.
+        w_groups = [(count, ballot, True) for ballot, count in counts_w]
+        for counts_adv in _multisets(adv_options, adv_votes):
+            if len(counts_w) + len(counts_adv) > spec.max_ballot_groups:
+                continue
+            groups = w_groups + [(count, ballot, False)
+                                 for ballot, count in counts_adv]
+            try:
+                profile = _profile(kind, groups, seats, universe)
+            except ProfileError:
+                continue
+            inst = ScenarioInstance(profile, targets, ell, scenario)
+            if is_instance(inst):
+                yield inst
+
+    return lambda total, w_votes: (
+        answers(counts_w, total - w_votes)
+        for counts_w in _multisets(w_options, w_votes))
+
+
+def _search_bad(method, inst, spec) -> bool:
+    """The badness test as the search counts it.  An instance the engine
+    refuses (a ValueError such as InsufficientSupportError or
+    AdamsIllDefined) or whose outcome set the branch cap truncated
+    (IndeterminateOutcome) counts as not bad; this is the one place the
+    search does so."""
     try:
-        outcomes = run_method(method, inst.profile, spec.branch_cap)
-    except (ProfileError, ValueError):
-        return False
-    try:
-        return is_bad_outcome_possible(inst, outcomes)
-    except IndeterminateOutcome:
+        return _is_bad(method, inst, spec.branch_cap)
+    except (ValueError, IndeterminateOutcome):
         return False
 
 
@@ -834,10 +811,12 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     """Best (largest) W-fraction with a reachable bad outcome in the grid.
 
     Returns (fraction, witness); (0, None) if no bad instance was found.
-    For the tactic scenario a fraction counts as bad only when every
-    enumerated W strategy admits some adversary profile with a bad
-    outcome; the enumeration bounds make the result a lower bound on the
-    true threshold in every scenario.
+    Fractions are tried largest first.  For the tactic scenario a fraction
+    counts as bad only when every enumerated W strategy admits some
+    adversary profile with a bad outcome, and the witness answers the
+    first strategy; elsewhere the first bad instance is the witness.  The
+    enumeration bounds make the result a lower bound on the true
+    threshold in every scenario.
     """
     scenario = ScenarioId(scenario)
     if not 1 <= ell <= seats:
@@ -847,64 +826,28 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     if method.spec.ballot == "party":
         if scenario is not ScenarioId.PARTY:
             raise CoverageError("apportionment methods use the party scenario")
-        return _party_search(method, ell, seats, spec)
-    if method.spec.engine is None:
+        strategies = _party_strategies(ell, seats, spec)
+    elif method.spec.engine is None:
         raise CoverageError("no counting engine for %s" % method.kind)
-
-    pool_size = max(spec.max_candidates, seats)
-    targets = tuple(_names("A", ell))
-    decoys = tuple(_names("B", pool_size - ell))
-    universe = targets + decoys
-    adv_options = _ballot_options(method, decoys, spec, seats)
-    w_options = _w_options(method, scenario, targets, decoys, spec, seats)
-    if not w_options or not adv_options:
-        return Fraction(0), None
-
-    def instances(fraction, total, w_votes):
-        for counts_w in _multisets(w_options, w_votes):
-            for counts_adv in _multisets(adv_options, total - w_votes):
-                if len(counts_w) + len(counts_adv) > spec.max_ballot_groups:
-                    continue
-                try:
-                    profile = _profile_from_counts(
-                        method, counts_w, counts_adv, seats, universe)
-                except ProfileError:
-                    continue
-                inst = ScenarioInstance(profile, targets, ell, scenario)
-                if not is_instance(inst):
-                    continue
-                yield counts_w, inst
-
+    else:
+        strategies = _ballot_strategies(method, scenario, ell, seats, spec)
+    tactic = scenario is ScenarioId.TACTIC
     for fraction, total, w_votes in _fraction_ladder(spec.weight_grid):
-        if scenario is ScenarioId.TACTIC:
-            all_bad = True
-            first_bad = None
-            for counts_w in _multisets(w_options, w_votes):
-                strategy_bad = None
-                for counts_adv in _multisets(adv_options, total - w_votes):
-                    if (len(counts_w) + len(counts_adv)
-                            > spec.max_ballot_groups):
-                        continue
-                    try:
-                        profile = _profile_from_counts(
-                            method, counts_w, counts_adv, seats, universe)
-                    except ProfileError:
-                        continue
-                    inst = ScenarioInstance(profile, targets, ell, scenario)
-                    if _bad_profile(method, scenario, inst, spec):
-                        strategy_bad = inst
-                        break
-                if strategy_bad is None:
-                    all_bad = False
+        first = None
+        for answers in strategies(total, w_votes):
+            bad = next((inst for inst in answers
+                        if _search_bad(method, inst, spec)), None)
+            if bad is None:
+                if tactic:          # a strategy no answer beats
+                    first = None
                     break
-                if first_bad is None:
-                    first_bad = strategy_bad
-            if all_bad and first_bad is not None:
-                return fraction, Witness(first_bad, fraction, "search")
-        else:
-            for _, inst in instances(fraction, total, w_votes):
-                if _bad_profile(method, scenario, inst, spec):
-                    return fraction, Witness(inst, fraction, "search")
+            elif not tactic:
+                first = bad
+                break
+            elif first is None:
+                first = bad
+        if first is not None:
+            return fraction, Witness(first, fraction, "search")
     return Fraction(0), None
 
 
@@ -933,14 +876,10 @@ class AuditReport:
 
 
 def default_scope() -> list:
-    """The method/scenario pairs the audit covers by default."""
-    methods = [MethodId.div(1), MethodId.div(Fraction(1, 2)),
-               MethodId.quota(0), MethodId.quota(1),
-               MethodId.bv(), MethodId.av(), MethodId.sntv(), MethodId.lv(2),
-               MethodId.cv(), MethodId.cvq(), MethodId.phragmen_u(),
-               MethodId.thiele_opt(), MethodId.thiele_add(),
-               MethodId.thiele_elim(), MethodId.stv(1), MethodId.stv(0),
-               MethodId.phragmen_o(), MethodId.thiele_o(), MethodId.borda()]
+    """The method/scenario pairs the audit covers by default: every
+    registry kind, at each parameter its record is audited at."""
+    methods = [MethodId(kind, param) for kind, spec in REGISTRY.items()
+               for param in spec.audited]
     return [(m, sc) for m in methods for sc in ScenarioId]
 
 
@@ -989,12 +928,12 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
 
     for method in methods:
         for seats in range(1, smax + 1):
-            for ell in range(1, seats + 1):
+            # row[ell][sc]: the in-scope entries of this (method, S) row
+            row = {ell: {sc: _entry_or_none(method, sc, ell, seats)
+                         for sc in ScenarioId if in_scope(method, sc)}
+                   for ell in range(1, seats + 1)}
+            for ell, entries in row.items():
                 subject = "%s ell=%d S=%d" % (method.label(), ell, seats)
-                entries = {}
-                for sc in ScenarioId:
-                    if in_scope(method, sc):
-                        entries[sc] = _entry_or_none(method, sc, ell, seats)
                 # chain inequalities, decidable violations only
                 for low_sc, high_sc in _CHAINS:
                     low = entries.get(low_sc)
@@ -1013,8 +952,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
                         continue
                     if entry.kind != PI:
                         continue
-                    partner = _entry_or_none(method, sc, seats + 1 - ell,
-                                             seats)
+                    partner = row[seats + 1 - ell][sc]
                     if partner is None or not partner.is_exact \
                             or partner.kind != PI:
                         continue
@@ -1033,9 +971,8 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
             # tactic subadditivity over exact tactic values
             if in_scope(method, ScenarioId.TACTIC):
                 values = {}
-                for ell in range(1, seats + 1):
-                    entry = _entry_or_none(method, ScenarioId.TACTIC, ell,
-                                           seats)
+                for ell, entries in row.items():
+                    entry = entries[ScenarioId.TACTIC]
                     if entry is not None and entry.is_exact:
                         values[ell] = entry.value
                 for ell_a in values:
@@ -1073,7 +1010,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
                         "" if ok else "%s > %s" % (found, entry.value)))
                     token = covering_token(method, sc, ell, seats)
                     if token is not None and _witness_in_grid(
-                            CATALOG[token](method, sc, ell, seats, None),
+                            construct_witness(token, method, sc, ell, seats),
                             spec):
                         ok = found == entry.value
                         checks.append(AuditCheck(

@@ -27,6 +27,7 @@ ENGINES = {
     "thiele-add-paths": lambda cap: thiele_addition_paths(
         HARMONIC, SET_PROFILE, cap),
     "thiele-elim": lambda cap: thiele_elimination(SET_PROFILE, cap),
+    "thiele-opt": lambda cap: thiele_optimize(HARMONIC, SET_PROFILE, cap),
     "phragmen-u": lambda cap: phragmen_unordered(SET_PROFILE, cap),
     "stv:1": lambda cap: stv_count(StvSpec(1), LIST_PROFILE, cap),
     "stv:0": lambda cap: stv_count(StvSpec(0), LIST_PROFILE, cap),
@@ -91,7 +92,8 @@ def test_stv_eliminates_zero_vote_ties_in_one_step():
     lambda p, cap: thiele_addition(HARMONIC, p, cap),
     lambda p, cap: thiele_elimination(p, cap),
     lambda p, cap: phragmen_unordered(p, cap)[0],
-], ids=["thiele-add", "thiele-elim", "phragmen-u"])
+    lambda p, cap: thiele_optimize(HARMONIC, p, cap),
+], ids=["thiele-add", "thiele-elim", "phragmen-u", "thiele-opt"])
 def test_expansion_stops_at_the_cap(engine):
     # One list of 30 names, S = 15: one representative state, which
     # expands into C(30, 15) = 155,117,520 committees.  The expansion lists

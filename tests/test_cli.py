@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from importlib import resources
 
 import pytest
 
@@ -61,6 +62,46 @@ def test_count_csv(capsys, set_profile):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["committee"]
     assert len(rows) >= 2
+
+
+@pytest.fixture
+def overlap_profile():
+    return str(resources.files("multiwin") / "profiles"
+               / "overlap_approvals_2409.profile")
+
+
+@pytest.mark.parametrize("cap,flag", [("1", "true"), ("1000", "false")])
+def test_count_csv_carries_the_truncated_flag(capsys, overlap_profile, cap,
+                                              flag):
+    code, out, _ = run_cli(capsys, "count", "--method", "thiele-elim",
+                           "--format", "csv", "--branch-cap", cap,
+                           overlap_profile)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["committee"]
+    assert rows[-1] == ["truncated", flag]
+    if flag == "true":
+        assert len(rows) == 3
+
+
+def test_thiele_opt_honours_the_branch_cap(capsys, overlap_profile):
+    code, out, _ = run_cli(capsys, "count", "--method", "thiele-opt",
+                           "--format", "json", "--branch-cap", "1",
+                           overlap_profile)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["committees"]) == 1 and doc["truncated"] is True
+
+
+def test_budget_refusal_exits_two(capsys, tmp_path):
+    # 34 singleton ballots and 17 seats: C(34, 17) seat splits.
+    path = tmp_path / "wide.profile"
+    path.write_text("!seats 17\n" + "".join("1 : {C%d}\n" % i
+                                            for i in range(34)))
+    code, out, err = run_cli(capsys, "count", "--method", "thiele-opt",
+                             str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err
 
 
 def test_apportion(capsys, party_profile):

@@ -160,10 +160,26 @@ def test_optimize_matches_direct_satisfaction_scan():
 
 
 def test_optimize_budget_guard():
-    names = " ".join("C%d" % i for i in range(34))
-    profile = prof("!seats 17\n!candidates %s\n1 : {C0}\n" % names)
+    # 34 singleton ballots: 34 clone classes, so C(34, 17) splits, far
+    # over the budget; the refusal comes before any split is scored.
+    profile = prof("!seats 17\n" + "".join("1 : {C%d}\n" % i
+                                            for i in range(34)))
     with pytest.raises(BudgetExceededError):
         thiele_optimize(WeightScheme.harmonic(), profile)
+
+
+def test_optimize_budget_counts_splits_not_committees():
+    # Four party lists of 8 names, S = 8: C(32, 8) = 10,518,300 committees
+    # but only 165 seat splits, well within the budget.  PAV gives the
+    # D'Hondt split (6, 2, 0, 0): C(8, 6) * C(8, 2) = 784 committees.
+    profile = prof("!seats 8\n" + "".join(
+        "%d : {%s}\n" % (votes, " ".join("P%d_%d" % (p, j) for j in range(8)))
+        for p, votes in enumerate([31, 10, 1, 1])))
+    out = thiele_optimize(WeightScheme.harmonic(), profile)
+    assert len(out) == 784 and not out.truncated
+    assert {tuple(sum(c.startswith("P%d_" % p) for c in committee)
+                  for p in range(4)) for committee in out.committees} \
+        == {(6, 2, 0, 0)}
 
 
 # ---------------------------------------------------------------------------
