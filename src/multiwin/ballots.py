@@ -149,9 +149,6 @@ class Profile:
         return tuple(b for b in self.ballots if b.in_w)
 
 
-Committee = frozenset
-
-
 @dataclass(frozen=True)
 class OutcomeSet:
     committees: frozenset[frozenset[str]]
@@ -233,6 +230,19 @@ class WeightScheme:
             parts = ",".join(format_rational(x) for x in self.prefix)
             return "explicit(%s;tail=%s)" % (parts, format_rational(self.tail))
         return self.kind
+
+    @staticmethod
+    def parse(text: str) -> "WeightScheme":
+        """The scheme a label() text names; empty text means harmonic."""
+        if not text or text == "harmonic":
+            return WeightScheme.harmonic()
+        if text in ("weak", "constant"):
+            return WeightScheme(text)
+        if text.startswith("explicit(") and text.endswith(")"):
+            head, _, tail = text[len("explicit("):-1].partition(";tail=")
+            prefix = [Fraction(x) for x in head.split(",") if x]
+            return WeightScheme.explicit(prefix, Fraction(tail or 0))
+        raise ValueError("unknown weight scheme %r" % text)
 
 
 def normalize(profile: Profile) -> Profile:

@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .ballots import (DEFAULT_BRANCH_CAP, ProfileError, WeightScheme,
@@ -37,7 +38,7 @@ from .lp import format_lp
 from .thresholds import (CoverageError, MethodId, TABLE_NAMES, ThresholdValue,
                          criterion_check, table_grid, threshold, CRITERIA)
 from .unordered import BudgetExceededError
-from .verifier import (CATALOG, SearchSpec, Witness, audit_table,
+from .verifier import (AUDIT_SPEC, CATALOG, SearchSpec, Witness, audit_table,
                        construct_witness, party_seat_vectors, run_method,
                        search_lower_bound, verify_witness)
 
@@ -51,11 +52,6 @@ def _frac(value, decimals):
     if decimals is not None:
         text += " (%s)" % to_decimal_str(value, decimals)
     return text
-
-
-def _parse_scheme(text: str) -> WeightScheme:
-    method = MethodId.parse("thiele-opt:%s" % text if text else "thiele-opt")
-    return method.scheme
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,7 @@ def _cmd_seq(args) -> int:
     elif which == "c":
         value = Fraction(seq_c(n))
     elif which == "alpha":
-        scheme = _parse_scheme(scheme_arg)
+        scheme = WeightScheme.parse(scheme_arg)
         if args.dump_lp:
             print(format_lp(build_alpha_lp(n, scheme)))
         value = alpha(n, scheme)
@@ -403,7 +399,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    spec = SearchSpec(max_candidates=4, weight_grid=args.grid)
+    spec = replace(AUDIT_SPEC, weight_grid=args.grid)
     report = audit_table(smax=args.smax, spec=spec,
                          with_search=args.with_search)
     failures = report.failures()
@@ -509,18 +505,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in ScenarioId])
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--seats", type=int, required=True)
-    p.add_argument("--grid", type=int, default=5,
+    p.add_argument("--grid", type=int, default=SearchSpec.weight_grid,
                    help="weight denominator bound")
-    p.add_argument("--max-candidates", type=int, default=5)
-    p.add_argument("--max-groups", type=int, default=8)
-    p.add_argument("--max-length", type=int, default=3)
+    p.add_argument("--max-candidates", type=int,
+                   default=SearchSpec.max_candidates)
+    p.add_argument("--max-groups", type=int,
+                   default=SearchSpec.max_ballot_groups)
+    p.add_argument("--max-length", type=int,
+                   default=SearchSpec.max_ballot_length)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("audit", parents=[common],
                        help="cross-check the threshold corpus")
     p.add_argument("--smax", type=int, default=5)
     p.add_argument("--with-search", action="store_true")
-    p.add_argument("--grid", type=int, default=4)
+    p.add_argument("--grid", type=int, default=AUDIT_SPEC.weight_grid)
     p.set_defaults(func=_cmd_audit)
 
     return parser

@@ -15,9 +15,12 @@ table_grid() regenerates the named reference grids.
 
 REGISTRY holds one MethodKind record per method kind: its ballot kind,
 parameter, weight-scheme flag, counting engine, threshold handler and
-ballot cap.  Adding a method means adding one registry entry; MethodId
-parsing, threshold(), the verifier's run_method, search and witness
-builders, and the CLI all read the record.
+ballot cap.  The five score rules share one engine, and each entry
+supplies the rule's ballot cap and, for cvq, its split credit.  Adding a
+method means adding one registry entry; MethodId (built as
+MethodId(kind, param, scheme=...) or parsed from its label), threshold(),
+the verifier's run_method, search and witness builders, and the CLI all
+read the record.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from .ordered import (BordaWeights, StvSpec, borda_count, phragmen_ordered,
 from .party import DivisorSpec, QuotaSpec, divisor_apportion, quota_apportion
 from .scenarios import ScenarioId
 from .sequences import ALPHA_CAP, alpha, seq_a, seq_c
-from .unordered import (ApprovalFamilyRule, phragmen_unordered,
-                        score_family_count, thiele_addition,
-                        thiele_elimination, thiele_optimize)
+from .unordered import (phragmen_unordered, score_family_count,
+                        thiele_addition, thiele_elimination, thiele_optimize)
 
 PI = "pi"
 PIHAT = "pihat"
@@ -86,71 +88,6 @@ class MethodId:
         """The registry record of this method's kind."""
         return REGISTRY[self.kind]
 
-    # -- constructors ----------------------------------------------------
-    @staticmethod
-    def div(gamma) -> "MethodId":
-        return MethodId("div", Fraction(gamma))
-
-    @staticmethod
-    def quota(delta) -> "MethodId":
-        return MethodId("quota", Fraction(delta))
-
-    @staticmethod
-    def bv() -> "MethodId":
-        return MethodId("bv")
-
-    @staticmethod
-    def av() -> "MethodId":
-        return MethodId("av")
-
-    @staticmethod
-    def sntv() -> "MethodId":
-        return MethodId("sntv")
-
-    @staticmethod
-    def lv(limit: int) -> "MethodId":
-        return MethodId("lv", Fraction(limit))
-
-    @staticmethod
-    def cv() -> "MethodId":
-        return MethodId("cv")
-
-    @staticmethod
-    def cvq() -> "MethodId":
-        return MethodId("cvq")
-
-    @staticmethod
-    def phragmen_u() -> "MethodId":
-        return MethodId("phragmen-u")
-
-    @staticmethod
-    def thiele_opt(scheme: Optional[WeightScheme] = None) -> "MethodId":
-        return MethodId("thiele-opt", scheme=scheme)
-
-    @staticmethod
-    def thiele_add(scheme: Optional[WeightScheme] = None) -> "MethodId":
-        return MethodId("thiele-add", scheme=scheme)
-
-    @staticmethod
-    def thiele_elim() -> "MethodId":
-        return MethodId("thiele-elim")
-
-    @staticmethod
-    def stv(delta=Fraction(1)) -> "MethodId":
-        return MethodId("stv", Fraction(delta))
-
-    @staticmethod
-    def phragmen_o() -> "MethodId":
-        return MethodId("phragmen-o")
-
-    @staticmethod
-    def thiele_o() -> "MethodId":
-        return MethodId("thiele-o")
-
-    @staticmethod
-    def borda(scheme: Optional[WeightScheme] = None) -> "MethodId":
-        return MethodId("borda", scheme=scheme)
-
     # -- text form --------------------------------------------------------
     def label(self) -> str:
         if self.spec.param == "limit":
@@ -163,6 +100,7 @@ class MethodId:
 
     @staticmethod
     def parse(text: str) -> "MethodId":
+        """The method a label names; "stv" alone means stv:1."""
         kind, _, arg = text.partition(":")
         kind = kind.strip().lower()
         if kind not in REGISTRY:
@@ -170,21 +108,11 @@ class MethodId:
         if REGISTRY[kind].param is not None:
             if not arg:
                 if kind == "stv":
-                    return MethodId.stv()
+                    return MethodId(kind, 1)
                 raise ValueError("%s requires a parameter, e.g. %s:1" % (kind, kind))
             return MethodId(kind, Fraction(arg))
         if REGISTRY[kind].scheme:
-            if not arg or arg == "harmonic":
-                return MethodId(kind)
-            if arg in ("weak", "constant"):
-                return MethodId(kind, scheme=WeightScheme(arg))
-            if arg.startswith("explicit(") and arg.endswith(")"):
-                body = arg[len("explicit("):-1]
-                head, _, tail = body.partition(";tail=")
-                prefix = [Fraction(x) for x in head.split(",") if x]
-                tail = Fraction(tail) if tail else Fraction(0)
-                return MethodId(kind, scheme=WeightScheme.explicit(prefix, tail))
-            raise ValueError("unknown weight scheme %r" % arg)
+            return MethodId(kind, scheme=WeightScheme.parse(arg))
         return MethodId(kind)
 
 
@@ -281,13 +209,19 @@ def _div_threshold(method, scenario, ell, seats):
     return _exact(value, source="divisor-party-extremes", side=side)
 
 
+def _quota_extremes(delta, ell, seats) -> Fraction:
+    """W's vote share in the quota-family extreme profile: W holds ell-1+t
+    votes against S+1-ell rivals of t each, t on the rounding boundary of
+    the quota total/(S+delta)."""
+    return Fraction(ell * (seats + 2 - ell) - 1 + delta) \
+        / ((seats + delta) * (seats + 2 - ell))
+
+
 def _quota_threshold(method, scenario, ell, seats):
-    delta = method.param
     if scenario is not ScenarioId.PARTY:
         return None
-    value = Fraction(ell * (seats + 2 - ell) - 1 + delta) \
-        / ((seats + delta) * (seats + 2 - ell))
-    return _exact(value, source="quota-party-extremes")
+    return _exact(_quota_extremes(method.param, ell, seats),
+                  source="quota-party-extremes")
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +470,15 @@ def _stv_threshold(method, scenario, ell, seats):
     delta = method.param
     if scenario in (ScenarioId.PARTY, ScenarioId.SAME,
                     ScenarioId.WPSC, ScenarioId.PSC):
-        value = Fraction(ell * (seats + 2 - ell) - 1 + delta) \
-            / ((seats + delta) * (seats + 2 - ell))
-        return _exact(value, source="quota-transfer-extremes")
+        return _exact(_quota_extremes(delta, ell, seats),
+                      source="quota-transfer-extremes")
     if scenario is ScenarioId.TACTIC:
         opt = Fraction(ell, seats + 1)
         if delta == 1 or ell == 1:
             return _exact(opt, source="equal-split-strategy")
-        same = Fraction(ell * (seats + 2 - ell) - 1 + delta) \
-            / ((seats + delta) * (seats + 2 - ell))
         return ThresholdValue(None, PI, UNSPECIFIED, INTERVAL,
-                              "equal-split-strategy", lo=opt, hi=same,
+                              "equal-split-strategy", lo=opt,
+                              hi=_quota_extremes(delta, ell, seats),
                               note="limit form is exactly ell/(S+1)")
     return None
 
@@ -634,14 +566,24 @@ class MethodKind:
     audited: tuple = (None,)
 
 
-def _score_kind(rule, threshold_of, **fields) -> MethodKind:
-    """A score-family kind; rule(method) is its ApprovalFamilyRule, whose
-    cap is the kind's ballot cap everywhere."""
-    return MethodKind(
-        "set", threshold_of,
-        engine=lambda m, p, branch_cap: score_family_count(rule(m), p,
-                                                           branch_cap),
-        cap=lambda m, seats: rule(m).cap(seats), **fields)
+def _score_kind(threshold_of, cap=lambda m, seats: None, split=False,
+                **fields) -> MethodKind:
+    """A score-family kind.  Its ballots name at most cap(method, seats)
+    candidates, in counts and searches alike, and give each name the
+    ballot's weight, or with split an equal share of it."""
+    def engine(method, profile, branch_cap):
+        # The engine refuses a profile of the wrong ballot kind before
+        # cap() can refuse the seat count.
+        limit = cap(method, profile.seats) if profile.kind == "set" else None
+        return score_family_count(profile, limit, split, branch_cap)
+
+    return MethodKind("set", threshold_of, engine=engine, cap=cap, **fields)
+
+
+def _lv_cap(method, seats):
+    if method.param > seats:
+        raise CoverageError("limited vote cap exceeds seat count")
+    return int(method.param)
 
 
 REGISTRY = {
@@ -654,14 +596,13 @@ REGISTRY = {
         "party", _quota_threshold, param="delta", audited=(0, 1),
         engine=lambda m, votes, seats: quota_apportion(
             QuotaSpec(m.param), votes, seats)),
-    "bv": _score_kind(lambda m: ApprovalFamilyRule.block(), _bv_av_threshold),
-    "av": _score_kind(lambda m: ApprovalFamilyRule.approval(),
-                      _bv_av_threshold),
-    "sntv": _score_kind(lambda m: ApprovalFamilyRule.sntv(), _sntv_threshold),
-    "lv": _score_kind(lambda m: ApprovalFamilyRule.limited(int(m.param)),
-                      _lv_threshold, param="limit", audited=(2,)),
+    "bv": _score_kind(_bv_av_threshold, cap=lambda m, seats: seats),
+    "av": _score_kind(_bv_av_threshold),
+    "sntv": _score_kind(_sntv_threshold, cap=lambda m, seats: 1),
+    "lv": _score_kind(_lv_threshold, cap=_lv_cap, param="limit",
+                      audited=(2,)),
     "cv": MethodKind("set", _cv_threshold),
-    "cvq": _score_kind(lambda m: ApprovalFamilyRule.cvq(), _cvq_threshold),
+    "cvq": _score_kind(_cvq_threshold, split=True),
     "phragmen-u": MethodKind(
         "set", _phragmen_u_threshold, loads=True,
         engine=lambda m, p, cap: phragmen_unordered(p, cap)),
@@ -799,27 +740,27 @@ def criterion_check(method: MethodId, criterion: str, seats: int):
 
 
 _TABLE_SPECS = {
-    "optimal": (MethodId.div(1), ScenarioId.PARTY,
+    "optimal": (MethodId("div", 1), ScenarioId.PARTY,
                 "threshold ell/(S+1), shared by many methods"),
-    "stl": (MethodId.div(Fraction(1, 2)), ScenarioId.PARTY,
+    "stl": (MethodId("div", Fraction(1, 2)), ScenarioId.PARTY,
             "party threshold of the odd-divisor method"),
-    "lr": (MethodId.quota(0), ScenarioId.PARTY,
+    "lr": (MethodId("quota", 0), ScenarioId.PARTY,
            "party threshold of largest remainder with the full quota"),
-    "bv-ejr": (MethodId.bv(), ScenarioId.EJR,
+    "bv-ejr": (MethodId("bv"), ScenarioId.EJR,
                "block vote, per-ballot representation"),
-    "av-ejr": (MethodId.av(), ScenarioId.EJR,
+    "av-ejr": (MethodId("av"), ScenarioId.EJR,
                "approval vote, per-ballot representation"),
-    "tha-same": (MethodId.thiele_add(), ScenarioId.SAME,
+    "tha-same": (MethodId("thiele-add"), ScenarioId.SAME,
                  "sequential harmonic addition, common list"),
-    "tho-tactic": (MethodId.thiele_o(), ScenarioId.TACTIC,
+    "tho-tactic": (MethodId("thiele-o"), ScenarioId.TACTIC,
                    "ordered sequential weights, optimal strategy (limit)"),
-    "tho-same": (MethodId.thiele_o(), ScenarioId.SAME,
+    "tho-same": (MethodId("thiele-o"), ScenarioId.SAME,
                  "ordered sequential weights, common list"),
-    "tho-wpsc": (MethodId.thiele_o(), ScenarioId.WPSC,
+    "tho-wpsc": (MethodId("thiele-o"), ScenarioId.WPSC,
                  "ordered sequential weights, common top set"),
-    "borda-tactic": (MethodId.borda(), ScenarioId.TACTIC,
+    "borda-tactic": (MethodId("borda"), ScenarioId.TACTIC,
                      "harmonic positional scoring, optimal strategy (limit)"),
-    "borda-same": (MethodId.borda(), ScenarioId.SAME,
+    "borda-same": (MethodId("borda"), ScenarioId.SAME,
                    "harmonic positional scoring, common list"),
 }
 

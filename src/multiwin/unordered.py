@@ -8,7 +8,9 @@ returned as an OutcomeSet.
 Engines: the score family (block vote, approval, SNTV, limited vote,
 equal-and-even cumulative), sequential load-balancing (min-max load),
 and the sequential-weight family (global optimization, addition,
-elimination).
+elimination).  The score family is one engine, `score_family_count`;
+each rule's ballot cap and split credit are plain arguments, which the
+rule's entry in `thresholds.REGISTRY` supplies.
 
 The round-based engines here and in `ordered` share one breadth-first
 branching loop, `branch`.  An engine supplies only its scoring: a step that maps
@@ -43,7 +45,8 @@ result is flagged `truncated`.  The kept states are counted to the end.
 stops at `branch_cap` committees and flags `truncated` if there are
 more.  So a truncated OutcomeSet is a non-empty subset of the full
 answer, lists at most `branch_cap` committees, and each of its
-committees has exactly S members.
+committees has exactly S members.  Every engine refuses a `branch_cap`
+below 1 with the same ValueError.
 
 Load balancing may reach one committee with different loads; its
 LoadState keeps the least load vector (compared ballot group by ballot
@@ -60,8 +63,11 @@ from itertools import accumulate, chain, combinations, islice, product
 from math import comb
 from typing import Callable, Optional
 
-from .ballots import (DEFAULT_BRANCH_CAP, CoverageError, OutcomeSet, Profile,
-                      ProfileError, WeightScheme)
+from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
+                      WeightScheme)
+
+# The most seat splits thiele_optimize scores before it refuses a profile.
+OPTIMIZE_BUDGET = 500000
 
 
 class InsufficientSupportError(ProfileError):
@@ -70,48 +76,6 @@ class InsufficientSupportError(ProfileError):
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive enumeration would exceed its configured budget."""
-
-
-@dataclass(frozen=True)
-class ApprovalFamilyRule:
-    """Score rules differing only in ballot cap and per-name credit."""
-
-    kind: str                 # "block" | "approval" | "sntv" | "limited" | "cvq"
-    limit: Optional[int] = None
-
-    @staticmethod
-    def block() -> "ApprovalFamilyRule":
-        return ApprovalFamilyRule("block")
-
-    @staticmethod
-    def approval() -> "ApprovalFamilyRule":
-        return ApprovalFamilyRule("approval")
-
-    @staticmethod
-    def sntv() -> "ApprovalFamilyRule":
-        return ApprovalFamilyRule("sntv")
-
-    @staticmethod
-    def limited(limit: int) -> "ApprovalFamilyRule":
-        if limit < 1:
-            raise ValueError("limited vote needs limit >= 1")
-        return ApprovalFamilyRule("limited", limit)
-
-    @staticmethod
-    def cvq() -> "ApprovalFamilyRule":
-        return ApprovalFamilyRule("cvq")
-
-    def cap(self, seats: int) -> Optional[int]:
-        """Maximum ballot size, or None for no cap."""
-        if self.kind == "block":
-            return seats
-        if self.kind == "sntv":
-            return 1
-        if self.kind == "limited":
-            if self.limit > seats:
-                raise CoverageError("limited vote cap exceeds seat count")
-            return self.limit
-        return None
 
 
 @dataclass(frozen=True)
@@ -194,26 +158,27 @@ def _set_ballots(profile: Profile) -> list:
     return [(b.content.members, b.weight) for b in profile.ballots]
 
 
-def score_family_count(rule: ApprovalFamilyRule, profile: Profile,
+def score_family_count(profile: Profile, cap: Optional[int], split: bool,
                        branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
-    """Top-S by total score, with the cap and credit of the given rule."""
+    """Top-S by total score.  A ballot names at most `cap` candidates (no
+    cap when None) and gives each its weight, or when `split` an equal
+    share of it."""
     ballots = _set_ballots(profile)
-    seats = profile.seats
-    cap = rule.cap(seats)
     scores = {c: Fraction(0) for c in profile.candidates}
     for members, weight in ballots:
         if cap is not None and len(members) > cap:
             raise ProfileError(
                 "ballot %s exceeds the %d-name cap" % (sorted(members), cap))
-        credit = weight / len(members) if rule.kind == "cvq" else weight
+        credit = weight / len(members) if split else weight
         for name in members:
             scores[name] += credit
-    return boundary_committees(scores, seats, branch_cap)
+    return boundary_committees(scores, profile.seats, branch_cap)
 
 
 def boundary_committees(scores: dict, seats: int,
                         branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
     """All top-`seats` sets obtainable by resolving ties at the boundary."""
+    _check_cap(branch_cap)
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     pivot = scores[ranked[seats - 1]]
     fixed = [c for c in ranked if scores[c] > pivot]
@@ -242,6 +207,11 @@ def _waterfill(supporters: list) -> Fraction:
     raise AssertionError("water-fill failed")  # pragma: no cover
 
 
+def _check_cap(branch_cap: int) -> None:
+    if branch_cap < 1:
+        raise ValueError("branch_cap must be >= 1")
+
+
 def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
     """Run a tie-branching count breadth-first from `start`.
 
@@ -251,8 +221,7 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
     payload.  Returns ({final state: payload}, truncated); see the module
     docstring for the contract.
     """
-    if branch_cap < 1:
-        raise ValueError("branch_cap must be >= 1")
+    _check_cap(branch_cap)
     frontier = dict((start,))
     finals: dict = {}
     truncated = False
@@ -373,24 +342,24 @@ def phragmen_unordered(profile: Profile,
 
 
 def thiele_optimize(scheme: WeightScheme, profile: Profile,
-                    branch_cap: int = DEFAULT_BRANCH_CAP,
-                    budget: int = 500000) -> OutcomeSet:
+                    branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
     """All committees maximizing total satisfaction.
 
     Clones are interchangeable, so every split of the seats over the
     clone classes is scored once and the best splits expand into their
-    committees, at most `branch_cap` of them.  `budget` bounds the splits
-    scored; a profile with more is refused before any is scored.
+    committees, at most `branch_cap` of them.  A profile with more than
+    OPTIMIZE_BUDGET splits is refused before any is scored.
     """
+    _check_cap(branch_cap)
     ballots = _set_ballots(profile)
     seats = profile.seats
     clones = Clones(ballots, profile.candidates)
     classes = clones.classes
     sizes = [len(members) for members in classes]
-    if _split_count(sizes, seats) > budget:
+    if _split_count(sizes, seats) > OPTIMIZE_BUDGET:
         raise BudgetExceededError(
             "%d seats over %d clone classes: more splits than the budget "
-            "of %d" % (seats, len(classes), budget))
+            "of %d" % (seats, len(classes), OPTIMIZE_BUDGET))
     psi = [scheme.psi(n) for n in range(seats + 1)]
     class_of = {c: k for k, members in enumerate(classes) for c in members}
     # A class lies wholly on a ballot or off it; a ballot's satisfaction

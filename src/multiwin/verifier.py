@@ -66,11 +66,15 @@ def run_method(method: MethodId, profile: Profile,
         raise CoverageError(
             "%s apportions seats to parties; use party_seat_vectors"
             % method.kind)
-    if spec.engine is None:
-        raise CoverageError("%s has no counting engine here; only its "
-                            "thresholds are tabulated" % method.kind)
+    _require_engine(method)
     result = spec.engine(method, profile, branch_cap)
     return result[0] if spec.loads else result
+
+
+def _require_engine(method: MethodId) -> None:
+    if method.spec.engine is None:
+        raise CoverageError("%s has no counting engine here; only its "
+                            "thresholds are tabulated" % method.kind)
 
 
 def party_seat_vectors(method: MethodId, profile: Profile):
@@ -656,6 +660,11 @@ class SearchSpec:
                 raise ValueError("%s must be positive" % name)
 
 
+# The audit's search spec: smaller than the defaults, so that the search
+# over every pi-exact cell at S <= 3 stays affordable.
+AUDIT_SPEC = SearchSpec(max_candidates=4, weight_grid=4)
+
+
 def _fraction_ladder(grid: int):
     """(fraction, total, w_count) triples, largest fraction first."""
     seen = []
@@ -827,9 +836,8 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
         if scenario is not ScenarioId.PARTY:
             raise CoverageError("apportionment methods use the party scenario")
         strategies = _party_strategies(ell, seats, spec)
-    elif method.spec.engine is None:
-        raise CoverageError("no counting engine for %s" % method.kind)
     else:
+        _require_engine(method)     # before _search_bad can swallow it
         strategies = _ballot_strategies(method, scenario, ell, seats, spec)
     tactic = scenario is ScenarioId.TACTIC
     for fraction, total, w_votes in _fraction_ladder(spec.weight_grid):
@@ -915,7 +923,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
     if scope is None:
         scope = default_scope()
     if spec is None:
-        spec = SearchSpec(max_candidates=4, weight_grid=4)
+        spec = AUDIT_SPEC
     checks: list = []
     methods = []
     for method, _ in scope:

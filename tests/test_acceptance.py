@@ -20,12 +20,11 @@ from multiwin.scenarios import ScenarioId
 from multiwin.sequences import alpha, seq_a, seq_b, seq_c
 from multiwin.thresholds import (CoverageError, MethodId, table_grid,
                                  threshold)
-from multiwin.unordered import (ApprovalFamilyRule, phragmen_unordered,
-                                score_family_count, thiele_addition,
+from multiwin.unordered import (phragmen_unordered, thiele_addition,
                                 thiele_addition_paths, thiele_elimination,
                                 thiele_optimize)
 from multiwin.verifier import (SearchSpec, _load_fixture, audit_table,
-                               search_lower_bound, verify_witness)
+                               run_method, search_lower_bound, verify_witness)
 
 from test_thresholds import GRIDS
 
@@ -221,11 +220,11 @@ def test_audit_corpus_to_eight_seats():
 def test_search_rediscovers_known_values():
     start = time.monotonic()
     cases = [
-        (MethodId.bv(), "ejr", 2, 3, F(3, 5),
+        (MethodId("bv"), "ejr", 2, 3, F(3, 5),
          SearchSpec(max_candidates=5, weight_grid=5)),
-        (MethodId.div(1), "party", 1, 2, F(1, 3),
+        (MethodId("div", 1), "party", 1, 2, F(1, 3),
          SearchSpec(weight_grid=5)),
-        (MethodId.sntv(), "tactic", 2, 3, F(3, 5),
+        (MethodId("sntv"), "tactic", 2, 3, F(3, 5),
          SearchSpec(max_candidates=5, weight_grid=5)),
     ]
     for method, scenario, ell, seats, value, spec in cases:
@@ -300,7 +299,7 @@ def _skip_unsupported(fn):
 def test_invariant_scale_homogeneity_500():
     rng = random.Random(1)
     engines = [
-        lambda p: score_family_count(ApprovalFamilyRule.approval(), p),
+        lambda p: run_method(MethodId("av"), p),
         lambda p: phragmen_unordered(p)[0],
         lambda p: thiele_addition(HARMONIC, p),
     ]
@@ -352,7 +351,7 @@ def test_invariant_addition_scores_non_increasing_500():
 def test_invariant_permutation_equivariance_500():
     rng = random.Random(5)
     engines = [
-        lambda p: score_family_count(ApprovalFamilyRule.approval(), p),
+        lambda p: run_method(MethodId("av"), p),
         lambda p: phragmen_unordered(p)[0],
         lambda p: thiele_addition(HARMONIC, p),
     ]

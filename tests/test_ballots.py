@@ -150,8 +150,15 @@ def test_explicit_scheme_must_not_increase():
 
 def test_scheme_labels_round_trip_identity():
     for scheme in (WeightScheme.harmonic(), WeightScheme.weak(),
-                   WeightScheme.constant()):
-        assert scheme.label()
+                   WeightScheme.constant(),
+                   WeightScheme.explicit([1, Fraction(1, 3)], Fraction(1, 9)),
+                   WeightScheme.explicit([1, Fraction(1, 3)], Fraction(1, 5)),
+                   WeightScheme.explicit([1, Fraction(1, 2), Fraction(1, 2)],
+                                         Fraction(1, 3))):
+        assert WeightScheme.parse(scheme.label()) == scheme
+    assert WeightScheme.parse("") == WeightScheme.harmonic()
+    with pytest.raises(ValueError, match="unknown weight scheme 'bogus'"):
+        WeightScheme.parse("bogus")
 
 
 def test_ballot_names():

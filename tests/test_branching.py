@@ -6,11 +6,13 @@ import pytest
 
 from multiwin.ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet,
                               Profile, SetBallot, WeightScheme, WeightedBallot)
-from multiwin.ordered import (StvSpec, phragmen_ordered, stv_count,
-                              thiele_ordered)
+from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
+                              phragmen_ordered, stv_count, thiele_ordered)
+from multiwin.thresholds import MethodId
 from multiwin.unordered import (phragmen_unordered, thiele_addition,
                                 thiele_addition_paths, thiele_elimination,
                                 thiele_optimize)
+from multiwin.verifier import run_method
 
 HARMONIC = WeightScheme.harmonic()
 NAMES = ["C%d" % i for i in range(6)]
@@ -23,6 +25,7 @@ LIST_PROFILE = Profile([WeightedBallot(ListBallot([n]), Fraction(1))
                         for n in NAMES], SEATS)
 
 ENGINES = {
+    "av": lambda cap: run_method(MethodId("av"), SET_PROFILE, cap),
     "thiele-add": lambda cap: thiele_addition(HARMONIC, SET_PROFILE, cap),
     "thiele-add-paths": lambda cap: thiele_addition_paths(
         HARMONIC, SET_PROFILE, cap),
@@ -33,6 +36,8 @@ ENGINES = {
     "stv:0": lambda cap: stv_count(StvSpec(0), LIST_PROFILE, cap),
     "phragmen-o": lambda cap: phragmen_ordered(LIST_PROFILE, cap),
     "thiele-o": lambda cap: thiele_ordered(LIST_PROFILE, cap),
+    "borda": lambda cap: borda_count(BordaWeights(HARMONIC), LIST_PROFILE,
+                                     cap),
 }
 
 
@@ -59,6 +64,12 @@ def test_truncated_outcomes_are_full_sized_subsets(name):
         assert out.truncated == (out.committees != full.committees), cap
         if payloads is not None:
             assert set(payloads) == out.committees
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_zero_cap_is_refused(name):
+    with pytest.raises(ValueError, match="branch_cap must be >= 1"):
+        ENGINES[name](0)
 
 
 def _party_lists(votes, seats, ballot):

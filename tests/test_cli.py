@@ -267,3 +267,15 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 def test_missing_file_exit_two(capsys):
     assert run_cli(capsys, "count", "--method", "av", "/no/such/file")[0] == 2
+
+
+def test_no_engine_refusal_is_the_same_for_search_and_check(capsys,
+                                                            set_profile):
+    search = run_cli(capsys, "search", "--method", "cv", "--scenario", "same",
+                     "--ell", "1", "--seats", "1")
+    check = run_cli(capsys, "check", "--method", "cv", "--scenario", "same",
+                    "--ell", "1", set_profile)
+    assert search[0] == check[0] == 2
+    assert search[1] == check[1] == ""
+    assert search[2] == check[2] == ("error: cv has no counting engine here; "
+                                     "only its thresholds are tabulated\n")

@@ -10,10 +10,11 @@ from multiwin.ballots import (ListBallot, Profile, SetBallot, WeightScheme,
                               WeightedBallot, scale)
 from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
-from multiwin.unordered import (ApprovalFamilyRule, InsufficientSupportError,
-                                phragmen_unordered, score_family_count,
+from multiwin.thresholds import MethodId
+from multiwin.unordered import (InsufficientSupportError, phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
+from multiwin.verifier import run_method
 
 NAMES = ("A", "B", "C", "D", "E")
 
@@ -48,8 +49,8 @@ def list_profiles(draw):
 HARMONIC = WeightScheme.harmonic()
 
 SET_ENGINES = [
-    lambda p: score_family_count(ApprovalFamilyRule.approval(), p),
-    lambda p: score_family_count(ApprovalFamilyRule.cvq(), p),
+    lambda p: run_method(MethodId("av"), p),
+    lambda p: run_method(MethodId("cvq"), p),
     phragmen_unordered,
     lambda p: thiele_addition(HARMONIC, p),
     lambda p: thiele_optimize(HARMONIC, p),

@@ -210,13 +210,13 @@ def test_ballot_cap_comes_from_the_record():
     def cap(method, seats):
         return method.spec.cap(method, seats)
 
-    assert cap(MethodId.bv(), 3) == 3
-    assert cap(MethodId.sntv(), 3) == 1
-    assert cap(MethodId.lv(2), 3) == 2
-    assert cap(MethodId.av(), 3) is None
-    assert cap(MethodId.stv(), 3) is None
+    assert cap(MethodId("bv"), 3) == 3
+    assert cap(MethodId("sntv"), 3) == 1
+    assert cap(MethodId("lv", 2), 3) == 2
+    assert cap(MethodId("av"), 3) is None
+    assert cap(MethodId("stv", 1), 3) is None
     with pytest.raises(CoverageError):
-        cap(MethodId.lv(2), 1)
+        cap(MethodId("lv", 2), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -41,18 +41,19 @@ def test_method_parse_errors():
 
 
 def test_method_constructors_match_parse():
-    assert MethodId.bv() == MethodId.parse("bv")
-    assert MethodId.stv(F(1, 2)) == MethodId.parse("stv:1/2")
-    assert MethodId.div(1) == MethodId.parse("div:1")
-    assert MethodId.thiele_opt(WeightScheme.weak()) == \
+    assert MethodId("bv") == MethodId.parse("bv")
+    assert MethodId("stv", F(1, 2)) == MethodId.parse("stv:1/2")
+    assert MethodId("div", 1) == MethodId.parse("div:1")
+    assert MethodId("stv", 1) == MethodId.parse("stv")
+    assert MethodId("thiele-opt", scheme=WeightScheme.weak()) == \
         MethodId.parse("thiele-opt:weak")
 
 
 def test_threshold_argument_validation():
     with pytest.raises(ValueError):
-        threshold(MethodId.bv(), ScenarioId.SAME, 3, 2)
+        threshold(MethodId("bv"), ScenarioId.SAME, 3, 2)
     with pytest.raises(ValueError):
-        threshold(MethodId.bv(), ScenarioId.SAME, 0, 2)
+        threshold(MethodId("bv"), ScenarioId.SAME, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +228,32 @@ def test_not_attained_suprema_are_marked():
 
 
 def test_large_electorate_limits_use_their_own_kind():
-    entry = threshold(MethodId.sntv(), ScenarioId.TACTIC, 2, 3)
+    entry = threshold(MethodId("sntv"), ScenarioId.TACTIC, 2, 3)
     assert entry.kind == "pihat"
     assert entry.value == F(1, 2)
-    entry = threshold(MethodId.bv(), ScenarioId.TACTIC, 2, 3)
+    entry = threshold(MethodId("bv"), ScenarioId.TACTIC, 2, 3)
     assert entry.kind == "pi"
 
 
 def test_open_problems_carry_bounds():
-    entry = threshold(MethodId.phragmen_u(), ScenarioId.EJR, 2, 12)
+    entry = threshold(MethodId("phragmen-u"), ScenarioId.EJR, 2, 12)
     assert entry.status == "unknown"
     assert entry.lo == F(409, 2409)
-    entry = threshold(MethodId.thiele_elim(), ScenarioId.PJR, 1, 4)
+    entry = threshold(MethodId("thiele-elim"), ScenarioId.PJR, 1, 4)
     assert entry.status == "unknown"
     assert entry.lo == F(1, 4)
 
 
 def test_uncovered_pairs_report_unknown():
-    entry = threshold(MethodId.cv(), ScenarioId.SAME, 2, 3)
+    entry = threshold(MethodId("cv"), ScenarioId.SAME, 2, 3)
     assert entry.status == "unknown"
     assert entry.lo is None and entry.hi is None
-    entry = threshold(MethodId.div(1), ScenarioId.EJR, 1, 2)
+    entry = threshold(MethodId("div", 1), ScenarioId.EJR, 1, 2)
     assert entry.status == "unknown"
 
 
 def test_per_ballot_grid_is_non_monotone_in_ell():
-    row = [threshold(MethodId.bv(), ScenarioId.EJR, ell, 3).value
+    row = [threshold(MethodId("bv"), ScenarioId.EJR, ell, 3).value
            for ell in (1, 2, 3)]
     assert row == [F(1, 2), F(3, 5), F(1, 2)]
 
@@ -260,7 +261,7 @@ def test_per_ballot_grid_is_non_monotone_in_ell():
 def test_per_ballot_grid_peaks_at_middle_ell():
     # S = 2 is flat at 1/2; from S = 3 the peak sits at the middle.
     for seats in range(3, 13):
-        values = [threshold(MethodId.bv(), ScenarioId.EJR, ell, seats).value
+        values = [threshold(MethodId("bv"), ScenarioId.EJR, ell, seats).value
                   for ell in range(1, seats + 1)]
         peak = max(range(seats), key=lambda i: (values[i], -i))
         assert peak + 1 == (seats + 1 + 1) // 2
@@ -317,10 +318,10 @@ def test_criterion_verdicts(label, criterion, seats, verdict):
 
 def test_criterion_validation():
     with pytest.raises(ValueError):
-        criterion_check(MethodId.bv(), "XYZ", 3)
+        criterion_check(MethodId("bv"), "XYZ", 3)
     with pytest.raises(ValueError):
-        criterion_check(MethodId.bv(), "JR", 0)
+        criterion_check(MethodId("bv"), "JR", 0)
 
 
 def test_single_seat_criteria_trivially_hold():
-    assert criterion_check(MethodId.bv(), "JR", 1) is True
+    assert criterion_check(MethodId("bv"), "JR", 1) is True

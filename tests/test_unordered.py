@@ -7,11 +7,12 @@ from itertools import combinations
 import pytest
 
 from multiwin.ballots import (OutcomeSet, WeightScheme, parse_profile)
-from multiwin.unordered import (ApprovalFamilyRule, BudgetExceededError,
-                                InsufficientSupportError, boundary_committees,
-                                phragmen_unordered, score_family_count,
+from multiwin.thresholds import MethodId
+from multiwin.unordered import (BudgetExceededError, InsufficientSupportError,
+                                boundary_committees, phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
+from multiwin.verifier import run_method
 
 
 def prof(text):
@@ -24,7 +25,7 @@ def prof(text):
 
 def test_block_vote_counts_full_weight_per_name():
     profile = prof("!seats 2\n3 : {A B}\n2 : {B C}\n1 : {C}\n")
-    out = score_family_count(ApprovalFamilyRule.block(), profile)
+    out = run_method(MethodId("bv"), profile)
     # scores: A=3 B=5 C=3 -> boundary tie between A and C
     assert out.sorted_committees() == [("A", "B"), ("B", "C")]
 
@@ -32,36 +33,35 @@ def test_block_vote_counts_full_weight_per_name():
 def test_block_vote_rejects_oversized_ballot():
     profile = prof("!seats 2\n1 : {A B C}\n")
     with pytest.raises(Exception):
-        score_family_count(ApprovalFamilyRule.block(), profile)
+        run_method(MethodId("bv"), profile)
 
 
 def test_approval_allows_any_ballot_size():
     profile = prof("!seats 1\n1 : {A B C}\n2 : {B}\n")
-    out = score_family_count(ApprovalFamilyRule.approval(), profile)
+    out = run_method(MethodId("av"), profile)
     assert out.sorted_committees() == [("B",)]
 
 
 def test_sntv_single_name_only():
     profile = prof("!seats 2\n5 : {A}\n4 : {B}\n3 : {C}\n")
-    out = score_family_count(ApprovalFamilyRule.sntv(), profile)
+    out = run_method(MethodId("sntv"), profile)
     assert out.sorted_committees() == [("A", "B")]
     with pytest.raises(Exception):
-        score_family_count(ApprovalFamilyRule.sntv(),
-                           prof("!seats 2\n1 : {A B}\n"))
+        run_method(MethodId("sntv"), prof("!seats 2\n1 : {A B}\n"))
 
 
 def test_limited_vote_cap():
     profile = prof("!seats 3\n5 : {A B}\n4 : {C}\n4 : {D}\n")
-    out = score_family_count(ApprovalFamilyRule.limited(2), profile)
+    out = run_method(MethodId("lv", 2), profile)
     assert out.sorted_committees() == [("A", "B", "C"), ("A", "B", "D")]
     with pytest.raises(ValueError):
-        score_family_count(ApprovalFamilyRule.limited(3),
-                           prof("!seats 2\n1 : {A}\n!candidates B\n"))
+        run_method(MethodId("lv", 3),
+                   prof("!seats 2\n1 : {A}\n!candidates B\n"))
 
 
 def test_cumulative_splits_credit_evenly():
     profile = prof("!seats 1\n3 : {A B C}\n2 : {D}\n!candidates E\n")
-    out = score_family_count(ApprovalFamilyRule.cvq(), profile)
+    out = run_method(MethodId("cvq"), profile)
     # A, B, C each get 1 < 2; D wins.
     assert out.sorted_committees() == [("D",)]
 

@@ -32,27 +32,27 @@ def test_witness_validates_instance_and_fraction():
 
 def test_run_method_dispatch_and_refusals():
     profile = parse_profile("!seats 1\n2 : {A}\n1 : {B}\n")
-    out = run_method(MethodId.av(), profile)
+    out = run_method(MethodId("av"), profile)
     assert out.sorted_committees() == [("A",)]
     with pytest.raises(CoverageError):
-        run_method(MethodId.div(1), profile)
+        run_method(MethodId("div", 1), profile)
     with pytest.raises(CoverageError):
-        run_method(MethodId.cv(), profile)
+        run_method(MethodId("cv"), profile)
 
 
 def test_search_refuses_limit_above_seats():
     with pytest.raises(CoverageError):
-        search_lower_bound(MethodId.lv(2), "same", 1, 1)
+        search_lower_bound(MethodId("lv", 2), "same", 1, 1)
 
 
 def test_party_seat_vectors():
     profile = parse_profile("!seats 3\n5 : party P\n3 : party Q\n"
                             "1 : party R\n")
-    names, vectors = party_seat_vectors(MethodId.div(1), profile)
+    names, vectors = party_seat_vectors(MethodId("div", 1), profile)
     assert names == ("P", "Q", "R")
     assert vectors == {(2, 1, 0)}
     with pytest.raises(CoverageError):
-        party_seat_vectors(MethodId.bv(), profile)
+        party_seat_vectors(MethodId("bv"), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_catalog_matches_exact_thresholds(token, label, scenario, ell, seats,
 def test_limit_witnesses_approach_from_below():
     # Suprema that are not attained: the witness must sit strictly below
     # the threshold but within the requested closeness.
-    method = MethodId.cvq()
+    method = MethodId("cvq")
     witness = construct_witness("self-voting", method, "same", 1, 3,
                                 eps=F(1, 100))
     assert 1 - F(1, 100) <= witness.claimed_fraction < 1
@@ -132,7 +132,7 @@ def test_limit_witnesses_approach_from_below():
 
 
 def test_self_first_burial_witness():
-    method = MethodId.phragmen_o()
+    method = MethodId("phragmen-o")
     witness = construct_witness("self-first-psc", method, "psc", 2, 3,
                                 eps=F(1, 10))
     assert witness.claimed_fraction >= 1 - F(1, 10)
@@ -155,20 +155,20 @@ def test_fixture_witnesses():
 
 def test_unknown_token_rejected():
     with pytest.raises(Exception):
-        construct_witness("no-such-token", MethodId.bv(), "same", 1, 1)
+        construct_witness("no-such-token", MethodId("bv"), "same", 1, 1)
 
 
 def test_hypothesis_guards_fire():
     with pytest.raises(Exception):
-        construct_witness("ejr-window", MethodId.lv(2), "ejr", 2, 3)
+        construct_witness("ejr-window", MethodId("lv", 2), "ejr", 2, 3)
     with pytest.raises(Exception):
-        construct_witness("symmetric-parties", MethodId.quota(1), "party",
+        construct_witness("symmetric-parties", MethodId("quota", 1), "party",
                           2, 4)
 
 
 def test_covering_token_finds_catalog_entries():
-    assert covering_token(MethodId.bv(), ScenarioId.EJR, 2, 3) is not None
-    assert covering_token(MethodId.div(1), ScenarioId.PARTY, 1, 2) is not None
+    assert covering_token(MethodId("bv"), ScenarioId.EJR, 2, 3) is not None
+    assert covering_token(MethodId("div", 1), ScenarioId.PARTY, 1, 2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +178,29 @@ def test_covering_token_finds_catalog_entries():
 def test_search_rediscovers_per_ballot_peak():
     # The equality witness needs two shared names plus three window
     # decoys, so the candidate budget must be at least five.
-    best, witness = search_lower_bound(MethodId.bv(), "ejr", 2, 3,
+    best, witness = search_lower_bound(MethodId("bv"), "ejr", 2, 3,
                                        SearchSpec(max_candidates=5,
                                                   weight_grid=5))
     assert best == F(3, 5)
     assert witness is not None
-    assert verify_witness(witness, MethodId.bv())
+    assert verify_witness(witness, MethodId("bv"))
 
 
 def test_search_rediscovers_party_floor():
-    best, _ = search_lower_bound(MethodId.div(1), "party", 1, 2,
+    best, _ = search_lower_bound(MethodId("div", 1), "party", 1, 2,
                                  SearchSpec(weight_grid=5))
     assert best == F(1, 3)
 
 
 def test_search_rediscovers_strategy_split():
-    best, _ = search_lower_bound(MethodId.sntv(), "tactic", 2, 3,
+    best, _ = search_lower_bound(MethodId("sntv"), "tactic", 2, 3,
                                  SearchSpec(max_candidates=5, weight_grid=5))
     assert best == F(3, 5)
 
 
 def test_search_returns_zero_when_nothing_found():
     # A single seat with a lone W voter: no bad outcome at any fraction.
-    best, witness = search_lower_bound(MethodId.bv(), "same", 1, 1,
+    best, witness = search_lower_bound(MethodId("bv"), "same", 1, 1,
                                        SearchSpec(max_candidates=1,
                                                   weight_grid=2))
     assert (best, witness) == (0, None)
@@ -243,9 +243,9 @@ def test_audit_default_scope_clean():
 
 
 def test_audit_with_search_on_restricted_scope():
-    scope = [(MethodId.bv(), ScenarioId.EJR),
-             (MethodId.div(1), ScenarioId.PARTY),
-             (MethodId.sntv(), ScenarioId.SAME)]
+    scope = [(MethodId("bv"), ScenarioId.EJR),
+             (MethodId("div", 1), ScenarioId.PARTY),
+             (MethodId("sntv"), ScenarioId.SAME)]
     report = audit_table(scope=scope, smax=3,
                          spec=SearchSpec(max_candidates=4, weight_grid=4),
                          with_search=True)
