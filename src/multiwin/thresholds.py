@@ -113,6 +113,8 @@ class MethodId:
             return MethodId(kind, Fraction(arg))
         if REGISTRY[kind].scheme:
             return MethodId(kind, scheme=WeightScheme.parse(arg))
+        if arg:
+            raise ValueError("%s takes no parameter" % kind)
         return MethodId(kind)
 
 

@@ -8,7 +8,11 @@ confirms a bad committee is reachable; search_lower_bound() looks for
 bad instances by bounded brute force over unit-ballot profiles (and, for
 the tactic scenario, over W's strategies); audit_table() machine-checks
 the inequality families the threshold corpus must satisfy.  The replay
-and the search decide badness with one test, _is_bad().
+and the search decide badness with one test, _is_bad().  The search
+decides each instance once up to renaming the targets among themselves
+and the decoys among themselves; that is sound because the engines are
+tie-complete, so a renaming renames the outcome set, and the branch cap's
+truncation depends only on how many states each round produces.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (chain, combinations, combinations_with_replacement,
+                       groupby, permutations, product)
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -769,27 +774,76 @@ def _party_strategies(ell, seats, spec):
     return lambda total, w_votes: [answers(total, w_votes)]
 
 
+def _canonical_form(groups, targets: frozenset, ordered: bool) -> str:
+    """A key for (count, ballot, in_w) groups that two group lists share
+    iff a renaming of the targets among themselves and of the other names
+    among themselves carries one onto the other.
+
+    Each name is labelled by its place in the order of (side, incidence
+    signature), targets below len(targets) and the rest above; the key is
+    the least relabelled group list over the orders of names whose
+    signatures tie.  A renaming carries signatures along, so it leaves the
+    set of relabellings, and with it the key, unchanged.  Permuting only
+    tied names keeps large pools cheap, where the renamings number
+    ell! (n - ell)!.
+    """
+    marks: dict = {}
+    for count, ballot, in_w in groups:
+        size = len(ballot)
+        for pos, name in enumerate(ballot):
+            marks.setdefault(name, []).append(
+                (in_w, count, size, pos if ordered else 0))
+    signature = {name: (name not in targets, sorted(found))
+                 for name, found in marks.items()}
+    cells = [tuple(run) for _, run in
+             groupby(sorted(signature, key=signature.get), signature.get)]
+    shift = len(targets) - sum(name in targets for name in signature)
+    best = None
+    for choice in product(*(permutations(cell) for cell in cells)):
+        label = {name: i if name in targets else i + shift
+                 for i, name in enumerate(chain.from_iterable(choice))}
+        image = sorted(
+            (count, tuple(label[name] for name in ballot) if ordered
+             else tuple(sorted(label[name] for name in ballot)), in_w)
+            for count, ballot, in_w in groups)
+        if best is None or image < best:
+            best = image
+    return repr(best)       # as text, a met key takes a quarter of the memory
+
+
 def _ballot_strategies(method, scenario, ell, seats, spec):
     """W's strategies, each a multiset of the ballots the scenario lets W
     cast, and per strategy the adversary's answers: every multiset of
-    ballots over the decoys that keeps the profile a scenario instance."""
+    ballots over the decoys that keeps the profile a scenario instance.
+
+    Of each orbit under renaming the targets among themselves and the
+    decoys among themselves, only the first strategy at a fraction and the
+    first answer to a strategy are yielded; search_lower_bound says why
+    that decides the rest.
+    """
     pool_size = max(spec.max_candidates, seats)
     targets = tuple(_names("A", ell))
     decoys = tuple(_names("B", pool_size - ell))
     universe = targets + decoys
+    target_set = frozenset(targets)
     kind = method.spec.ballot
+    ordered = kind == "list"
     adv_options = _ballot_options(method, decoys, spec, seats)
     w_options = _w_options(method, scenario, targets, decoys, spec, seats)
 
-    def answers(counts_w, adv_votes):
-        # Integer weights keep _profile's zero-weight filter cheap per
-        # candidate; WeightedBallot makes them Fractions.
-        w_groups = [(count, ballot, True) for ballot, count in counts_w]
+    def answers(w_groups, adv_votes):
+        met: set = set()        # orbits of this strategy's answers
         for counts_adv in _multisets(adv_options, adv_votes):
-            if len(counts_w) + len(counts_adv) > spec.max_ballot_groups:
+            if len(w_groups) + len(counts_adv) > spec.max_ballot_groups:
                 continue
+            # Integer weights keep _profile's zero-weight filter cheap per
+            # candidate; WeightedBallot makes them Fractions.
             groups = w_groups + [(count, ballot, False)
                                  for ballot, count in counts_adv]
+            key = _canonical_form(groups, target_set, ordered)
+            if key in met:
+                continue
+            met.add(key)
             try:
                 profile = _profile(kind, groups, seats, universe)
             except ProfileError:
@@ -798,9 +852,16 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
             if is_instance(inst):
                 yield inst
 
-    return lambda total, w_votes: (
-        answers(counts_w, total - w_votes)
-        for counts_w in _multisets(w_options, w_votes))
+    def strategies(total, w_votes):
+        met: set = set()        # orbits of the strategies at this fraction
+        for counts_w in _multisets(w_options, w_votes):
+            w_groups = [(count, ballot, True) for ballot, count in counts_w]
+            key = _canonical_form(w_groups, target_set, ordered)
+            if key not in met:
+                met.add(key)
+                yield answers(w_groups, total - w_votes)
+
+    return strategies
 
 
 def _search_bad(method, inst, spec) -> bool:
@@ -808,7 +869,10 @@ def _search_bad(method, inst, spec) -> bool:
     refuses (a ValueError such as InsufficientSupportError or
     AdamsIllDefined) or whose outcome set the branch cap truncated
     (IndeterminateOutcome) counts as not bad; this is the one place the
-    search does so."""
+    search does so.  Both verdicts carry over to every renaming of the
+    instance that fixes the target set: the engines are tie-complete, so
+    renaming candidates renames the outcome set, and whether the cap
+    truncates depends only on how many states each round produces."""
     try:
         return _is_bad(method, inst, spec.branch_cap)
     except (ValueError, IndeterminateOutcome):
@@ -826,6 +890,17 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     first strategy; elsewhere the first bad instance is the witness.  The
     enumeration bounds make the result a lower bound on the true
     threshold in every scenario.
+
+    Each instance is decided once up to renaming the targets among
+    themselves and the decoys among themselves: such a renaming keeps the
+    target set, and _search_bad gives every instance of one orbit the same
+    verdict.  A later member of a decided orbit is skipped, and so is a W
+    strategy whose orbit was met before at this fraction.  Either is
+    already known not to change the result: an answer met again was not
+    bad, or the loop would have left the strategy; a strategy met again
+    had a bad answer in the tactic case and none elsewhere.  The first bad
+    instance in the search order is the first of its orbit, so the
+    fraction and the witness are those of the exhaustive loop.
     """
     scenario = ScenarioId(scenario)
     if not 1 <= ell <= seats:

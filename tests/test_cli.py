@@ -265,6 +265,14 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("label", ["bv:junk", "phragmen-u:weak"])
+def test_stray_method_argument_exits_two(capsys, label):
+    code, out, err = run_cli(capsys, "threshold", "--method", label,
+                             "--scenario", "ejr", "--ell", "2", "--seats", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: %s takes no parameter\n" % label.partition(":")[0]
+
+
 def test_missing_file_exit_two(capsys):
     assert run_cli(capsys, "count", "--method", "av", "/no/such/file")[0] == 2
 

@@ -6,15 +6,15 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from multiwin.ballots import (ListBallot, Profile, SetBallot, WeightScheme,
-                              WeightedBallot, scale)
+from multiwin.ballots import (DEFAULT_BRANCH_CAP, ListBallot, Profile,
+                              SetBallot, WeightScheme, WeightedBallot, scale)
 from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
 from multiwin.thresholds import MethodId
 from multiwin.unordered import (InsufficientSupportError, phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
-from multiwin.verifier import run_method
+from multiwin.verifier import default_scope, run_method
 
 NAMES = ("A", "B", "C", "D", "E")
 
@@ -250,3 +250,56 @@ def test_set_engines_symmetric_under_clone_swap(profile, data):
         swapped = {frozenset(swap.get(n, n) for n in committee)
                    for committee in outcome.committees}
         assert swapped == outcome.committees
+
+
+# ---------------------------------------------------------------------------
+# Renaming: every registry engine is tie-complete, so permuting the
+# candidates permutes its OutcomeSet, and whether the branch cap truncates
+# depends only on how many states each round produces.  The search decides
+# one instance per orbit of renamings on this ground.
+
+
+def _registry_engines(ballot):
+    methods = []
+    for method, _ in default_scope():
+        if (method.spec.ballot == ballot and method.spec.engine is not None
+                and method not in methods):
+            methods.append(method)
+    return methods
+
+
+def _attempt(method, profile, branch_cap):
+    try:
+        return run_method(method, profile, branch_cap)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _assert_renaming_renames_outcomes(ballot, profile, data):
+    pool = sorted(profile.candidates)
+    mapping = dict(zip(pool, data.draw(st.permutations(pool))))
+    renamed = relabelled(profile, mapping)
+    for method in _registry_engines(ballot):
+        for cap in (1, 2, DEFAULT_BRANCH_CAP):
+            before = _attempt(method, profile, cap)
+            after = _attempt(method, renamed, cap)
+            if isinstance(before, type):
+                assert before is after, (method, cap)
+                continue
+            assert before.truncated == after.truncated, (method, cap)
+            if not before.truncated:
+                assert after.committees == {
+                    frozenset(mapping[n] for n in committee)
+                    for committee in before.committees}, (method, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_profiles(), st.data())
+def test_set_registry_engines_equivariant_under_renaming(profile, data):
+    _assert_renaming_renames_outcomes("set", profile, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(list_profiles(), st.data())
+def test_list_registry_engines_equivariant_under_renaming(profile, data):
+    _assert_renaming_renames_outcomes("list", profile, data)

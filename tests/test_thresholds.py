@@ -40,6 +40,20 @@ def test_method_parse_errors():
             MethodId.parse(bad)
 
 
+@pytest.mark.parametrize("label", [
+    "bv:junk", "phragmen-u:weak", "cv:1", "thiele-elim:harmonic"])
+def test_method_parse_refuses_an_argument_the_kind_does_not_take(label):
+    kind = label.partition(":")[0]
+    with pytest.raises(ValueError, match="^%s takes no parameter$" % kind):
+        MethodId.parse(label)
+
+
+def test_method_parse_round_trips_the_default_scope():
+    from multiwin.verifier import default_scope
+    for method, _ in default_scope():
+        assert MethodId.parse(method.label()) == method
+
+
 def test_method_constructors_match_parse():
     assert MethodId("bv") == MethodId.parse("bv")
     assert MethodId("stv", F(1, 2)) == MethodId.parse("stv:1/2")

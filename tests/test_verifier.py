@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from multiwin import verifier
 from multiwin.ballots import parse_profile
 from multiwin.scenarios import ScenarioId, ScenarioInstance
 from multiwin.thresholds import CoverageError, MethodId, threshold
@@ -204,6 +205,23 @@ def test_search_returns_zero_when_nothing_found():
                                        SearchSpec(max_candidates=1,
                                                   weight_grid=2))
     assert (best, witness) == (0, None)
+
+
+def test_search_decides_each_orbit_once(monkeypatch):
+    # stv:1 tactic ell=3 S=3 holds 11,480 engine calls in the exhaustive
+    # loop but only 1,964 instances distinct up to renaming the targets
+    # among themselves and the decoys among themselves.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_method(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "run_method", counting)
+    best, _ = search_lower_bound(MethodId("stv", 1), "tactic", 3, 3,
+                                 verifier.AUDIT_SPEC)
+    assert best == F(3, 4)
+    assert 0 < len(calls) <= 1964
 
 
 def test_search_soundness_small_grid():

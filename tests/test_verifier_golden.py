@@ -6,7 +6,11 @@ every default-scope pair at ell <= S <= 2 under SEARCH_SPEC: the best
 fraction, the witness profile in file format and its sorted target, or
 the error class when the search refuses the cell.  CATALOG_GOLDEN pins
 construct_witness for every catalog token over the default-scope methods,
-every scenario and ell <= S <= 3 in the same way.
+every scenario and ell <= S <= 3 in the same way.  AUDIT_GOLDEN,
+recorded before the search decided instances up to renaming, pins
+search_lower_bound under the audit's own spec on every pi-exact
+default-scope cell at S = 3, apart from the phragmen-u/-o tactic cells
+at ell = 2, 3, whose search results the engines' support defect decides.
 """
 
 import hashlib
@@ -15,8 +19,10 @@ import json
 from multiwin.ballots import format_profile
 from multiwin.numerics import format_rational
 from multiwin.scenarios import ScenarioId
-from multiwin.verifier import (CATALOG, SearchSpec, construct_witness,
-                               default_scope, search_lower_bound)
+from multiwin.thresholds import PI, threshold
+from multiwin.verifier import (AUDIT_SPEC, CATALOG, SearchSpec,
+                               construct_witness, default_scope,
+                               search_lower_bound)
 
 SEARCH_SPEC = SearchSpec(max_candidates=4, weight_grid=3)
 
@@ -24,6 +30,13 @@ SEARCH_GOLDEN = (
     "613d4d03d39cc734ca344947ae7a69865fd08c04ab97097f4939169487e3b28f")
 CATALOG_GOLDEN = (
     "063f21ac73b07a06a56a7d4ad6246f94f23732dc56abf49b816f1316137a7ea1")
+AUDIT_GOLDEN = (
+    "6002a6daab1234044ad2fca2d78ee95613a1a9f5d69f72ccf893aca3f3e986ba")
+
+# The search audit's known failures: the engines refuse unsupported seats.
+SUPPORT_DEFECTS = frozenset(
+    (method, "tactic", ell, 3) for method in ("phragmen-u", "phragmen-o")
+    for ell in (2, 3))
 
 
 def _witness_record(witness) -> list:
@@ -45,19 +58,34 @@ def _digest(records) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _search_record(method, scenario, ell, seats, spec) -> list:
+    key = [method.label(), scenario.value, ell, seats]
+    try:
+        found, witness = search_lower_bound(method, scenario, ell, seats, spec)
+    except (ValueError, TypeError) as exc:
+        return key + [type(exc).__name__]
+    return key + [format_rational(found)] + (
+        _witness_record(witness) if witness is not None else [])
+
+
 def search_records() -> list:
-    records = []
-    for method, scenario, ell, seats in _cells(2):
-        key = [method.label(), scenario.value, ell, seats]
-        try:
-            found, witness = search_lower_bound(method, scenario, ell, seats,
-                                                SEARCH_SPEC)
-        except (ValueError, TypeError) as exc:
-            records.append(key + [type(exc).__name__])
-            continue
-        records.append(key + [format_rational(found)] + (
-            _witness_record(witness) if witness is not None else []))
-    return records
+    return [_search_record(*cell, SEARCH_SPEC) for cell in _cells(2)]
+
+
+def _pi_exact(method, scenario, ell, seats) -> bool:
+    try:
+        entry = threshold(method, scenario, ell, seats)
+    except ValueError:
+        return False
+    return entry.is_exact and entry.kind == PI
+
+
+def audit_search_records() -> list:
+    return [_search_record(method, scenario, ell, seats, AUDIT_SPEC)
+            for method, scenario, ell, seats in _cells(3)
+            if seats == 3 and _pi_exact(method, scenario, ell, seats)
+            and (method.label(), scenario.value, ell, seats)
+            not in SUPPORT_DEFECTS]
 
 
 def catalog_records() -> list:
@@ -77,6 +105,10 @@ def catalog_records() -> list:
 
 def test_golden_search():
     assert _digest(search_records()) == SEARCH_GOLDEN
+
+
+def test_golden_audit_search():
+    assert _digest(audit_search_records()) == AUDIT_GOLDEN
 
 
 def test_golden_catalog():
