@@ -2,6 +2,8 @@
 
 A profile is a multiset of weighted ballot groups, all of one kind:
 party ballots, unordered candidate sets, or ordered candidate lists.
+Each ballot class names its `kind` and keeps the set of its names as
+`members`, so no other module asks which class a ballot is.
 Weights are positive rationals; a "set of voters W" is represented by
 flagging ballot groups as part of the designated voter set.
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .numerics import format_rational, parse_rational
 
@@ -47,7 +49,12 @@ def _check_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class PartyBallot:
+    kind: ClassVar[str] = "party"
     party: str
+    members: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", frozenset((self.party,)))
 
     def names(self) -> tuple[str, ...]:
         return (self.party,)
@@ -55,6 +62,7 @@ class PartyBallot:
 
 @dataclass(frozen=True)
 class SetBallot:
+    kind: ClassVar[str] = "set"
     members: frozenset[str]
 
     def __init__(self, members: Iterable[str]):
@@ -68,15 +76,19 @@ class SetBallot:
 
 @dataclass(frozen=True)
 class ListBallot:
+    kind: ClassVar[str] = "list"
     ranking: tuple[str, ...]
+    members: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __init__(self, ranking: Sequence[str]):
         ranking = tuple(ranking)
         if not ranking:
             raise ProfileError("ordered ballot must be non-empty")
-        if len(set(ranking)) != len(ranking):
+        members = frozenset(ranking)
+        if len(members) != len(ranking):
             raise ProfileError("ordered ballot has duplicate names: %r" % (ranking,))
         object.__setattr__(self, "ranking", ranking)
+        object.__setattr__(self, "members", members)
 
     def names(self) -> tuple[str, ...]:
         return self.ranking
@@ -97,14 +109,6 @@ class WeightedBallot:
             raise ProfileError("ballot weight must be positive")
 
 
-def _content_kind(content: BallotContent) -> str:
-    if isinstance(content, PartyBallot):
-        return "party"
-    if isinstance(content, SetBallot):
-        return "set"
-    return "list"
-
-
 @dataclass(frozen=True)
 class Profile:
     ballots: tuple[WeightedBallot, ...]
@@ -116,7 +120,7 @@ class Profile:
         ballots = tuple(ballots)
         if not ballots:
             raise ProfileError("profile needs at least one ballot group")
-        kinds = {_content_kind(b.content) for b in ballots}
+        kinds = {b.content.kind for b in ballots}
         if len(kinds) != 1:
             raise ProfileError("profile mixes ballot kinds: %s" % sorted(kinds))
         universe = set(candidates)
@@ -134,7 +138,7 @@ class Profile:
 
     @property
     def kind(self) -> str:
-        return _content_kind(self.ballots[0].content)
+        return self.ballots[0].content.kind
 
     @property
     def total_weight(self) -> Fraction:
@@ -345,6 +349,9 @@ def parse_profile_file(path) -> Profile:
         return parse_profile(handle.read())
 
 
+_TEXT_FORM = {"party": "party %s", "set": "{%s}", "list": "[%s]"}
+
+
 def format_profile(profile: Profile) -> str:
     """Render a profile in the same text format parse_profile accepts."""
     lines = ["!seats %d" % profile.seats]
@@ -355,12 +362,7 @@ def format_profile(profile: Profile) -> str:
     if silent:
         lines.append("!candidates %s" % " ".join(silent))
     for b in profile.ballots:
-        if isinstance(b.content, PartyBallot):
-            ballot = "party %s" % b.content.party
-        elif isinstance(b.content, SetBallot):
-            ballot = "{%s}" % " ".join(sorted(b.content.members))
-        else:
-            ballot = "[%s]" % " ".join(b.content.ranking)
+        ballot = _TEXT_FORM[b.content.kind] % " ".join(b.content.names())
         prefix = "!W " if b.in_w else ""
         lines.append("%s%s : %s" % (prefix, format_rational(b.weight), ballot))
     return "\n".join(lines) + "\n"

@@ -119,8 +119,6 @@ def _entry_cell(entry: ThresholdValue) -> str:
         return format_rational(entry.value) + "?"
     if entry.status == "lower_bound":
         return ">=" + format_rational(entry.lo)
-    if entry.status == "upper_bound":
-        return "<=" + format_rational(entry.hi)
     lo = format_rational(entry.lo) if entry.lo is not None else "0"
     hi = format_rational(entry.hi) if entry.hi is not None else "1"
     return "[%s,%s]" % (lo, hi)
@@ -186,22 +184,16 @@ def _default_target(profile, scenario: ScenarioId, ell: int) -> frozenset:
     w_ballots = profile.w_ballots()
     if not w_ballots:
         raise _CliError("profile has no !W ballot groups; pass --target")
-    def names(ballot):
-        content = ballot.content
-        if hasattr(content, "members"):
-            return frozenset(content.members)
-        if hasattr(content, "ranking"):
-            return frozenset(content.ranking)
-        return frozenset((content.party,))
     if scenario in (ScenarioId.PJR, ScenarioId.EJR):
-        common = frozenset.intersection(*(names(b) for b in w_ballots))
+        common = frozenset.intersection(*(b.content.members
+                                          for b in w_ballots))
         if not common:
             raise _CliError("W ballots share no candidate; pass --target")
         return common
     first = w_ballots[0].content
-    if hasattr(first, "ranking"):          # prefix of the first W list
+    if first.kind == "list":                # prefix of the first W list
         return frozenset(first.ranking[:ell])
-    return names(w_ballots[0])
+    return first.members
 
 
 def _cmd_check(args) -> int:

@@ -247,13 +247,12 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     return LinearProgram(m, objective, constraints)
 
 
-def format_lp(lp: LinearProgram, names: Optional[Sequence[str]] = None) -> str:
-    """Plain-text dump: objective line then one constraint per line."""
-    if names is None:
-        names = ["x%d" % (j + 1) for j in range(lp.num_vars)]
+def format_lp(lp: LinearProgram) -> str:
+    """Plain-text dump: objective line then one constraint per line, the
+    variables named x1, x2, ..."""
 
     def term_list(coeffs):
-        terms = ["%s %s" % (format_rational(c), names[j])
+        terms = ["%s x%d" % (format_rational(c), j + 1)
                  for j, c in enumerate(coeffs) if c != 0]
         return " + ".join(terms) if terms else "0"
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .ballots import (ListBallot, OutcomeSet, PartyBallot, Profile,
-                      SetBallot)
+from .ballots import OutcomeSet, Profile
 
 
 class ScenarioId(Enum):
@@ -43,16 +42,8 @@ class ScenarioTypeError(TypeError):
 
 
 class IndeterminateOutcome(RuntimeError):
-    """A truncated OutcomeSet cannot answer a possibility question."""
-
-
-def _ballot_names(ballot) -> frozenset:
-    content = ballot.content
-    if isinstance(content, PartyBallot):
-        return frozenset((content.party,))
-    if isinstance(content, SetBallot):
-        return content.members
-    return frozenset(content.ranking)
+    """A truncated OutcomeSet whose listed committees are all good cannot
+    answer a possibility question."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,7 @@ def is_instance(inst: ScenarioInstance) -> bool:
     if scenario is ScenarioId.PARTY:
         lists = {}
         for b in profile.ballots:
-            names = _ballot_names(b)
+            names = b.content.members
             for prior in lists:
                 if prior != names and prior & names:
                     return False
@@ -100,7 +91,7 @@ def is_instance(inst: ScenarioInstance) -> bool:
             # the same support set.
             if lists.setdefault(names, b.content) != b.content:
                 return False
-        w_lists = {_ballot_names(b) for b in w_ballots}
+        w_lists = {b.content.members for b in w_ballots}
         if len(w_lists) != 1:
             return False
         w_list = next(iter(w_lists))
@@ -116,7 +107,7 @@ def is_instance(inst: ScenarioInstance) -> bool:
         contents = {b.content for b in w_ballots}
         if len(contents) != 1:
             return False
-        names = _ballot_names(w_ballots[0])
+        names = w_ballots[0].content.members
         return len(names) >= inst.ell and inst.target == names
 
     if scenario in (ScenarioId.PJR, ScenarioId.EJR):
@@ -153,7 +144,7 @@ def is_good(inst: ScenarioInstance, committee) -> bool:
         # Good means ell members of W's own list are elected; the list may
         # be a superset of the declared target set.
         w_list = frozenset().union(
-            *(_ballot_names(b) for b in inst.profile.w_ballots()))
+            *(b.content.members for b in inst.profile.w_ballots()))
         return len(w_list & committee) >= inst.ell
     if scenario in (ScenarioId.TACTIC, ScenarioId.PSC):
         return len(inst.target & committee) >= inst.ell
@@ -161,19 +152,25 @@ def is_good(inst: ScenarioInstance, committee) -> bool:
         return inst.target <= committee
     if scenario is ScenarioId.PJR:
         union = frozenset().union(
-            *(_ballot_names(b) for b in inst.profile.w_ballots()))
+            *(b.content.members for b in inst.profile.w_ballots()))
         return len(union & committee) >= inst.ell
     if scenario is ScenarioId.EJR:
-        return any(len(_ballot_names(b) & committee) >= inst.ell
+        return any(len(b.content.members & committee) >= inst.ell
                    for b in inst.profile.w_ballots())
     raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
 
 
 def is_bad_outcome_possible(inst: ScenarioInstance,
                             outcomes: OutcomeSet) -> bool:
-    """Is some reachable committee bad for W?"""
+    """Is some reachable committee bad for W?
+
+    A truncated outcome set lists only some of the reachable committees
+    (never one that is not reachable), so a bad committee on it answers
+    yes; only when every listed committee is good is the answer unknown.
+    """
+    if any(not is_good(inst, committee) for committee in outcomes.committees):
+        return True
     if outcomes.truncated:
         raise IndeterminateOutcome(
             "outcome set truncated by the branch cap; badness undecidable")
-    return any(not is_good(inst, committee)
-               for committee in outcomes.committees)
+    return False

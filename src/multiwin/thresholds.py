@@ -47,7 +47,6 @@ UNSPECIFIED = "unspecified"
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
-UPPER_BOUND = "upper_bound"
 INTERVAL = "interval"
 CONJECTURED = "conjectured"
 UNKNOWN = "unknown"
@@ -123,7 +122,7 @@ class ThresholdValue:
     """A threshold with its precision and provenance metadata.
 
     For status exact/conjectured, value is the (claimed) threshold.  For
-    lower_bound/upper_bound, value is the bound itself.  For interval and
+    lower_bound, value is the bound itself.  For interval and
     unknown, value is None and lo/hi carry whatever is proved.  lo and hi
     always bracket the true threshold.
     """
@@ -147,8 +146,6 @@ class ThresholdValue:
             object.__setattr__(self, "hi", self.value)
         elif self.status == LOWER_BOUND and self.lo is None:
             object.__setattr__(self, "lo", self.value)
-        elif self.status == UPPER_BOUND and self.hi is None:
-            object.__setattr__(self, "hi", self.value)
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueError("lower bound exceeds upper bound")
 

@@ -28,10 +28,12 @@ from typing import Optional, Sequence
 from .ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet, PartyBallot,
                       Profile, ProfileError, SetBallot, WeightedBallot,
                       normalize)
+from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
                         is_bad_outcome_possible, is_instance)
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
 from .thresholds import REGISTRY, CoverageError, MethodId, PI, threshold
+from .unordered import InsufficientSupportError
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def _names(prefix: str, count: int) -> list:
     return ["%s%d" % (prefix, i + 1) for i in range(count)]
 
 
-_CONTENT = {"set": SetBallot, "list": ListBallot, "party": PartyBallot}
+_CONTENT = {cls.kind: cls for cls in (SetBallot, ListBallot, PartyBallot)}
 
 
 def _profile(kind: str, groups, seats: int, extra=()) -> Profile:
@@ -706,9 +708,9 @@ def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
         return _ballot_options(method, list(targets) + list(decoys), spec,
                                seats)
     if method.spec.ballot == "set":
+        if cap is not None and ell > cap:
+            return []               # no W ballot can hold the targets
         if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
-            if cap is not None and ell > cap:
-                return []
             return [frozenset(targets)]
         if scenario in (ScenarioId.PJR, ScenarioId.EJR):
             base = frozenset(targets)
@@ -865,17 +867,19 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
 
 
 def _search_bad(method, inst, spec) -> bool:
-    """The badness test as the search counts it.  An instance the engine
-    refuses (a ValueError such as InsufficientSupportError or
-    AdamsIllDefined) or whose outcome set the branch cap truncated
-    (IndeterminateOutcome) counts as not bad; this is the one place the
-    search does so.  Both verdicts carry over to every renaming of the
-    instance that fixes the target set: the engines are tie-complete, so
-    renaming candidates renames the outcome set, and whether the cap
-    truncates depends only on how many states each round produces."""
+    """The badness test as the search counts it: an engine refusal
+    (InsufficientSupportError, AdamsIllDefined) or a truncated count that
+    lists no bad committee (IndeterminateOutcome) counts as not bad, here
+    only; any other error propagates.  A bad verdict, and every verdict on
+    an untruncated count, carries over to every renaming of the instance
+    that fixes the target set: the engines are tie-complete, so renaming
+    candidates renames the outcome set, and whether the cap truncates
+    depends only on how many states each round produces.  A renaming may
+    list other committees of a truncated set, which can only weaken the
+    bound."""
     try:
         return _is_bad(method, inst, spec.branch_cap)
-    except (ValueError, IndeterminateOutcome):
+    except (InsufficientSupportError, AdamsIllDefined, IndeterminateOutcome):
         return False
 
 
@@ -889,7 +893,9 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     adversary profile with a bad outcome, and the witness answers the
     first strategy; elsewhere the first bad instance is the witness.  The
     enumeration bounds make the result a lower bound on the true
-    threshold in every scenario.
+    threshold in every scenario, with a witness that replays.  A count the
+    branch cap truncates is bad when it lists a bad committee and not bad
+    when it does not (see _search_bad).
 
     Each instance is decided once up to renaming the targets among
     themselves and the decoys among themselves: such a renaming keeps the
@@ -899,8 +905,9 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     already known not to change the result: an answer met again was not
     bad, or the loop would have left the strategy; a strategy met again
     had a bad answer in the tactic case and none elsewhere.  The first bad
-    instance in the search order is the first of its orbit, so the
-    fraction and the witness are those of the exhaustive loop.
+    instance in the search order is the first of its orbit, so whenever
+    no count is truncated the fraction and the witness are those of the
+    exhaustive loop.
     """
     scenario = ScenarioId(scenario)
     if not 1 <= ell <= seats:

@@ -287,3 +287,62 @@ def test_no_engine_refusal_is_the_same_for_search_and_check(capsys,
     assert search[1] == check[1] == ""
     assert search[2] == check[2] == ("error: cv has no counting engine here; "
                                      "only its thresholds are tabulated\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("threshold", "--method", "bv", "--scenario", "same", "--ell", "1",
+      "--seats", "3"),
+     [["ell", "1"], ["hi", "1/2"], ["kind", "pi"], ["lo", "1/2"],
+      ["method", "bv"], ["scenario", "same"], ["seats", "3"],
+      ["side", "unspecified"], ["source", "majority-blocking"],
+      ["status", "exact"], ["value", "1/2"]]),
+    # A tie of W's two names with one rival name seats the rival at 1/2.
+    (("search", "--method", "bv", "--scenario", "same", "--ell", "2",
+      "--seats", "2", "--grid", "2", "--max-candidates", "3"),
+     [["best_fraction", "1/2"], ["ell", "2"], ["method", "bv"],
+      ["scenario", "same"], ["seats", "2"], ["witness.ell", "2"],
+      ["witness.fraction", "1/2"],
+      ["witness.profile", "!seats 2\n!W 1 : {A1 A2}\n1 : {B1}\n"],
+      ["witness.scenario", "same"], ["witness.source", "search"],
+      ["witness.target", "A1;A2"]]),
+])
+def test_csv_of_a_document_without_rows_lists_its_keys(capsys, argv,
+                                                       expected):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == expected
+
+
+@pytest.mark.parametrize("scenario, ell, target, bad", [
+    ("psc", 1, ["C"], False),           # 39 votes clear the Droop quota
+    ("wpsc", 2, ["C", "D"], True),      # D gets only C's surplus
+])
+def test_check_defaults_to_a_prefix_of_the_first_w_list(
+        capsys, list_profile, scenario, ell, target, bad):
+    code, out, _ = run_cli(capsys, "check", "--method", "stv",
+                           "--scenario", scenario, "--ell", str(ell),
+                           "--format", "json", list_profile)
+    doc = json.loads(out)
+    assert (doc["target"], doc["bad_outcome_possible"]) == (target, bad)
+    assert code == (1 if bad else 0)
+
+
+def test_check_pjr_defaults_to_the_names_all_w_ballots_share(capsys,
+                                                             tmp_path):
+    path = tmp_path / "pjr.profile"
+    path.write_text("!seats 3\n!W 3 : {A B C}\n!W 2 : {A B D}\n"
+                    "4 : {X}\n4 : {Y}\n4 : {Z}\n")
+    # AV seats A and B (5 votes each) and one 4-vote rival; sequential
+    # PAV halves B's value after A and seats two rivals instead.
+    for method, bad in (("av", False), ("thiele-add", True)):
+        code, out, _ = run_cli(capsys, "check", "--method", method,
+                               "--scenario", "pjr", "--ell", "2",
+                               "--format", "json", str(path))
+        doc = json.loads(out)
+        assert (doc["target"], doc["bad_outcome_possible"]) == (["A", "B"],
+                                                                bad)
+        assert code == (1 if bad else 0)
+    path.write_text("!seats 2\n!W 3 : {A C}\n!W 2 : {B D}\n4 : {X}\n")
+    code, _, err = run_cli(capsys, "check", "--method", "av", "--scenario",
+                           "pjr", "--ell", "1", str(path))
+    assert code == 2 and "share no candidate" in err

@@ -148,3 +148,12 @@ def test_truncated_outcomes_are_indeterminate():
     truncated = OutcomeSet([frozenset("AB")], truncated=True)
     with pytest.raises(IndeterminateOutcome):
         is_bad_outcome_possible(i, truncated)
+
+
+def test_truncated_outcomes_listing_a_bad_committee_are_bad():
+    # A truncated set lists only reachable committees, so one bad
+    # committee on it decides the question.
+    i = inst("!seats 2\n!W 3 : {A B}\n1 : {C}\n1 : {D}\n", "AB", 1, "same")
+    truncated = OutcomeSet([frozenset("AB"), frozenset("CD")],
+                           truncated=True)
+    assert is_bad_outcome_possible(i, truncated)

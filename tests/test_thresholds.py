@@ -11,10 +11,12 @@ from fractions import Fraction
 import pytest
 
 from multiwin.ballots import WeightScheme
+from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import ScenarioId
 from multiwin.thresholds import (CoverageError, MethodId, TABLE_NAMES,
                                  criterion_check, generic_bounds, table_grid,
                                  threshold)
+from multiwin.verifier import construct_witness, verify_witness
 
 F = Fraction
 
@@ -280,6 +282,85 @@ def test_per_ballot_grid_peaks_at_middle_ell():
         peak = max(range(seats), key=lambda i: (values[i], -i))
         assert peak + 1 == (seats + 1 + 1) // 2
         assert values[0] == values[-1] == F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms on branches the grids and spot values do not reach.  Each
+# expected value is the handler's cited closed form; where a catalog
+# witness attains it, the witness is replayed too.
+
+
+def _replays(token, label, scenario, ell, seats, value):
+    method = MethodId.parse(label)
+    witness = construct_witness(token, method, scenario, ell, seats)
+    return witness.claimed_fraction == value and verify_witness(witness,
+                                                                method)
+
+
+@pytest.mark.parametrize("seats", range(1, 6))
+def test_divisor_zero_first_seat_guarantee(seats):
+    method = MethodId("div", 0)
+    one = threshold(method, ScenarioId.PARTY, 1, seats)
+    assert (one.status, one.lo, one.hi) == ("unknown", F(1, seats + 1), 1)
+    for ell in range(2, seats + 1):
+        entry = threshold(method, ScenarioId.PARTY, ell, seats)
+        assert entry.is_exact and entry.value == 1
+    # S + 1 equal parties outnumber the seats, and divisor 0 refuses to
+    # apportion them: why the one-seat value stays open.
+    witness = construct_witness("symmetric-parties", method,
+                                ScenarioId.PARTY, 1, seats)
+    with pytest.raises(AdamsIllDefined):
+        verify_witness(witness, method)
+
+
+@pytest.mark.parametrize("seats", range(1, 6))
+def test_weak_sequential_addition(seats):
+    label = "thiele-add:weak"
+    method = MethodId.parse(label)
+    for ell in range(1, seats + 1):
+        tactic = threshold(method, ScenarioId.TACTIC, ell, seats)
+        assert tactic.is_exact and tactic.kind == "pihat"
+        assert tactic.value == F(ell, seats + 1)
+        for scenario in ("same", "pjr", "ejr"):
+            entry = threshold(method, ScenarioId(scenario), ell, seats)
+            value = F(1, seats + 1) if ell == 1 else F(1)
+            assert entry.is_exact and entry.kind == "pi"
+            assert entry.value == value
+            if ell == 1:
+                assert _replays("symmetric-parties", label, scenario, ell,
+                                seats, value)
+
+
+@pytest.mark.parametrize("label, ell, seats, status, value", [
+    ("thiele-opt:weak", 2, 3, "exact", F(1)),
+    ("thiele-opt:weak", 4, 4, "exact", F(1)),
+    # w_3 = 0: a third list seat is worth nothing, so W is saturated.
+    ("thiele-opt:explicit(1,1/2;tail=0)", 3, 4, "exact", F(1)),
+    # w_ell > 0: only the floor 1/(w_ell (S + 1 - ell) + 1) is proved.
+    ("thiele-opt:explicit(1,1/2;tail=0)", 2, 3, "lower_bound", F(1, 2)),
+    ("thiele-opt:explicit(1,1/2;tail=1/4)", 3, 3, "lower_bound", F(4, 5)),
+    ("thiele-opt:explicit(1,1/2;tail=1/4)", 3, 4, "lower_bound", F(2, 3)),
+])
+def test_non_harmonic_optimization(label, ell, seats, status, value):
+    method = MethodId.parse(label)
+    for scenario in ("same", "pjr", "ejr"):
+        entry = threshold(method, ScenarioId(scenario), ell, seats)
+        assert (entry.status, entry.value) == (status, value)
+        if status == "lower_bound":
+            assert (entry.lo, entry.hi) == (value, 1)
+        assert _replays("weight-floor", label, scenario, ell, seats, value)
+
+
+@pytest.mark.parametrize("seats", range(1, 6))
+def test_single_vote_limit_party(seats):
+    method = MethodId("lv", 1)
+    entry = threshold(method, ScenarioId.PARTY, 1, seats)
+    assert entry.is_exact and entry.value == F(1, seats + 1)
+    assert _replays("symmetric-parties", "lv:1", "party", 1, seats,
+                    F(1, seats + 1))
+    for ell in range(2, seats + 1):
+        entry = threshold(method, ScenarioId.PARTY, ell, seats)
+        assert (entry.status, entry.source) == ("unknown", "no-result")
 
 
 # ---------------------------------------------------------------------------

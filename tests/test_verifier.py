@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from multiwin import verifier
-from multiwin.ballots import parse_profile
-from multiwin.scenarios import ScenarioId, ScenarioInstance
+from multiwin.ballots import DEFAULT_BRANCH_CAP, parse_profile
+from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
+                                ScenarioInstance)
 from multiwin.thresholds import CoverageError, MethodId, threshold
+from multiwin.unordered import InsufficientSupportError
 from multiwin.verifier import (CATALOG, SearchSpec, Witness, audit_table,
                                construct_witness, covering_token,
                                default_scope, party_seat_vectors, run_method,
@@ -222,6 +224,48 @@ def test_search_decides_each_orbit_once(monkeypatch):
                                  verifier.AUDIT_SPEC)
     assert best == F(3, 4)
     assert 0 < len(calls) <= 1964
+
+
+@pytest.mark.parametrize("error, refused", [
+    (InsufficientSupportError("no supported candidate left"), True),
+    (ValueError("an engine fault"), False),
+])
+def test_search_counts_only_engine_refusals_as_not_bad(monkeypatch, error,
+                                                        refused):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(verifier, "run_method", failing)
+    spec = SearchSpec(max_candidates=2, weight_grid=2)
+    if refused:
+        assert search_lower_bound(MethodId("bv"), "same", 1, 1,
+                                  spec) == (0, None)
+    else:
+        with pytest.raises(ValueError, match="an engine fault"):
+            search_lower_bound(MethodId("bv"), "same", 1, 1, spec)
+
+
+# Two tied 8-name lists give C(16, 8) = 12,870 committees, over the
+# default cap.  A truncated count lists only reachable committees, so the
+# majority-tie witnesses, whose listed committees include a bad one, are
+# decided; the ejr-window count lists only good ones and stays open.
+S8_WITNESSES = [("majority-tie", label, scenario, True)
+                for label in ("bv", "av")
+                for scenario in ("party", "same", "tactic", "pjr")]
+S8_WITNESSES.append(("ejr-window", "av", "ejr", False))
+
+
+@pytest.mark.parametrize("token, label, scenario, decided", S8_WITNESSES)
+def test_s8_witnesses_at_the_default_cap(token, label, scenario, decided):
+    method = MethodId.parse(label)
+    witness = construct_witness(token, method, scenario, 8, 8)
+    outcomes = run_method(method, witness.instance.profile)
+    assert outcomes.truncated and len(outcomes) == DEFAULT_BRANCH_CAP
+    if decided:
+        assert verify_witness(witness, method) is True
+    else:
+        with pytest.raises(IndeterminateOutcome):
+            verify_witness(witness, method)
 
 
 def test_search_soundness_small_grid():
