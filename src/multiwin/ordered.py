@@ -74,8 +74,9 @@ def _stv_step(spec: StvSpec, profile: Profile):
     """The transfer count as a (start, step) pair for `branch`.
 
     A state is (elected, eliminated, groups), groups being the live
-    ballot groups (ranking, remaining value).  Each ballot counts for its
-    first non-elected, non-eliminated name.  A candidate whose count
+    ballot groups (ranking, remaining value), one per ranking, in ranking
+    order and of positive value.  Each ballot counts for its first
+    non-elected, non-eliminated name.  A candidate whose count
     reaches the quota Q is elected and every ballot counting for it is
     rescaled by (v - Q) / v; otherwise a minimum-count candidate is
     eliminated at full value.  Both choices branch on ties.  When the
@@ -102,14 +103,16 @@ def _stv_step(spec: StvSpec, profile: Profile):
         merged: dict = {}
         for ranking, value in groups:
             if value > 0:
-                merged[ranking] = merged.get(ranking, Fraction(0)) + value
+                merged[ranking] = (merged[ranking] + value
+                                   if ranking in merged else value)
         return tuple(sorted(merged.items()))
 
     def step(state, _):
         elected, eliminated, groups = state
         if len(elected) == seats:
             return None
-        remaining = profile.candidates - elected - eliminated
+        out = elected | eliminated
+        remaining = profile.candidates - out
         unfilled = seats - len(elected)
         if len(remaining) < unfilled:
             raise InsufficientSupportError(
@@ -117,28 +120,36 @@ def _stv_step(spec: StvSpec, profile: Profile):
                 % (len(remaining), unfilled))
         if len(remaining) == unfilled:
             return None
-        votes = {c: Fraction(0) for c in remaining}
-        for ranking, value in groups:
-            cand = _first_choice(ranking, elected | eliminated)
-            if cand is not None:
-                votes[cand] += value
-        reachers = sorted(c for c in remaining if votes[c] >= quota)
+        # Every group holds a positive value, so a count is positive and
+        # the candidates missing from `votes` are exactly those at 0.
+        heads = [_first_choice(ranking, out) for ranking, _ in groups]
+        votes: dict = {}
+        for (_, value), head in zip(groups, heads):
+            if head is not None:
+                votes[head] = votes[head] + value if head in votes else value
+        reachers = sorted(c for c, v in votes.items() if v >= quota)
         if not reachers:
-            worst = min(votes.values())
-            tied = sorted([c for c, v in votes.items() if v == worst])
-            size = min(len(tied), len(remaining) - unfilled) if worst == 0 else 1
+            unvoted = remaining.difference(votes)
+            if unvoted:
+                tied = sorted(unvoted)
+                size = min(len(tied), len(remaining) - unfilled)
+            else:
+                worst = min(votes.values())
+                tied = sorted(c for c, v in votes.items() if v == worst)
+                size = 1
             return [((elected, eliminated.union(gone), groups), None)
                     for gone in combinations(tied, size)]
         successors = []
         for cand in reachers:
-            surplus_factor = (votes[cand] - quota) / votes[cand]
-            new_groups = []
-            for ranking, value in groups:
-                if _first_choice(ranking, elected | eliminated) == cand:
-                    value = value * surplus_factor
-                new_groups.append((ranking, value))
-            successors.append(((elected | {cand}, eliminated,
-                                canonical(new_groups)), None))
+            # Rescaling keeps the groups in ranking order; a group whose
+            # value drops to 0 goes.
+            factor = (votes[cand] - quota) / votes[cand]
+            new_groups = tuple(
+                (ranking, value * factor if head == cand else value)
+                for (ranking, value), head in zip(groups, heads)
+                if factor or head != cand)
+            successors.append(((elected | {cand}, eliminated, new_groups),
+                               None))
         return successors
 
     start = (frozenset(), frozenset(), canonical(ballots))

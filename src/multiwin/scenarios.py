@@ -68,6 +68,22 @@ class ScenarioInstance:
         return self.profile.w_weight / self.profile.total_weight
 
 
+def require_kind(scenario: ScenarioId, kind: str) -> None:
+    """Raise ScenarioTypeError unless ballots of `kind` ("party", "set" or
+    "list") can express the scenario: party and tactic take every kind,
+    the others candidate ballots, pjr and ejr unordered ones and psc and
+    wpsc ordered ones."""
+    if scenario in (ScenarioId.PARTY, ScenarioId.TACTIC):
+        return
+    if kind == "party":
+        raise ScenarioTypeError("scenario %s needs candidate ballots"
+                                % scenario.value)
+    if scenario in (ScenarioId.PJR, ScenarioId.EJR) and kind != "set":
+        raise ScenarioTypeError("%s needs unordered ballots" % scenario.value)
+    if scenario in (ScenarioId.PSC, ScenarioId.WPSC) and kind != "list":
+        raise ScenarioTypeError("%s needs ordered ballots" % scenario.value)
+
+
 def is_instance(inst: ScenarioInstance) -> bool:
     """Does the profile satisfy the scenario's ballot restriction?"""
     profile = inst.profile
@@ -99,9 +115,7 @@ def is_instance(inst: ScenarioInstance) -> bool:
             return inst.target == w_list
         return inst.target <= w_list and len(w_list) >= inst.ell
 
-    if kind == "party":
-        raise ScenarioTypeError("scenario %s needs candidate ballots"
-                                % scenario.value)
+    require_kind(scenario, kind)
 
     if scenario is ScenarioId.SAME:
         contents = {b.content for b in w_ballots}
@@ -111,17 +125,11 @@ def is_instance(inst: ScenarioInstance) -> bool:
         return len(names) >= inst.ell and inst.target == names
 
     if scenario in (ScenarioId.PJR, ScenarioId.EJR):
-        if kind != "set":
-            raise ScenarioTypeError("%s needs unordered ballots"
-                                    % scenario.value)
         if len(inst.target) < inst.ell:
             return False
         return all(inst.target <= b.content.members for b in w_ballots)
 
     if scenario in (ScenarioId.PSC, ScenarioId.WPSC):
-        if kind != "list":
-            raise ScenarioTypeError("%s needs ordered ballots"
-                                    % scenario.value)
         m = len(inst.target)
         if scenario is ScenarioId.WPSC and m != inst.ell:
             return False

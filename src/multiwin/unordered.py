@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
@@ -68,6 +69,8 @@ from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
 
 # The most seat splits thiele_optimize scores before it refuses a profile.
 OPTIMIZE_BUDGET = 500000
+
+_ONE = Fraction(1)
 
 
 class InsufficientSupportError(ProfileError):
@@ -194,16 +197,27 @@ def boundary_committees(scores: dict, seats: int,
 
 
 def _waterfill(supporters: list) -> Fraction:
-    """Least t with sum of weight * max(0, t - load) over supporters = 1."""
-    supporters = sorted(supporters, key=lambda pair: pair[1])
-    total_w = Fraction(0)
-    total_wl = Fraction(0)
-    for i, (weight, load) in enumerate(supporters):
-        total_w += weight
-        total_wl += weight * load
-        t = (1 + total_wl) / total_w
-        if i + 1 == len(supporters) or t <= supporters[i + 1][1]:
-            return t
+    """Least t with sum of weight * max(0, t - load) over supporters = 1.
+
+    Taken by rising load, the level over the first k supporters is
+    (1 + their sum of weight * load) / their weight, and t is the first
+    such level that does not pass the next load.  A level lies above
+    every load it covers, so it cannot stop below an equal next load.
+    """
+    supporters = sorted(supporters, key=itemgetter(1))
+    lift = _ONE                 # 1 + sum of weight * load so far
+    total_w = None
+    for i, (weight, load) in enumerate(supporters, 1):
+        total_w = weight if total_w is None else total_w + weight
+        if load:
+            lift += weight * load
+        if i == len(supporters):
+            return lift / total_w
+        following = supporters[i][1]
+        if following != load:
+            t = lift / total_w
+            if t <= following:
+                return t
     raise AssertionError("water-fill failed")  # pragma: no cover
 
 
@@ -272,16 +286,17 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
                      clones: Clones = NO_CLONES):
     """Shared min-max-load engine for unordered and ordered ballots.
 
-    supporters_of(content, elected) must return the candidates the
-    ballot currently supports.  Each round the engine elects a candidate
-    minimizing the resulting maximum ballot load; the new unit of load
-    is spread over that candidate's supporters so their maximum is as
-    small as possible (ballots already above the waterline keep their
-    load).  Ties branch, on one head per tied clone class; a state is the
-    elected set with its loads.  Returns (OutcomeSet, {committee:
+    supporters_of(content, elected) must return the unelected candidates
+    the ballot currently supports.  Each round the engine elects a
+    candidate minimizing the resulting maximum ballot load; the new unit
+    of load is spread over that candidate's supporters so their maximum
+    is as small as possible (ballots already above the waterline keep
+    their load).  Ties branch, on one head per tied clone class; a state
+    is the elected set with its loads.  Returns (OutcomeSet, {committee:
     LoadState}).
     """
-    ballots = [(b.content, b.weight) for b in profile.ballots]
+    contents = [b.content for b in profile.ballots]
+    weights = [b.weight for b in profile.ballots]
     seats = profile.seats
 
     def step(state, history):
@@ -289,10 +304,9 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
         if len(elected) == seats:
             return None
         supporters: dict = {}
-        for idx, (content, weight) in enumerate(ballots):
+        for idx, content in enumerate(contents):
             for cand in supporters_of(content, elected):
-                if cand not in elected:
-                    supporters.setdefault(cand, []).append(idx)
+                supporters.setdefault(cand, []).append(idx)
         if not supporters:
             raise InsufficientSupportError(
                 "no supported candidate left for an open seat")
@@ -301,7 +315,7 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
         options = []
         for cand in clones.heads(sorted(supporters), elected):
             idxs = supporters[cand]
-            t = _waterfill([(ballots[i][1], loads[i]) for i in idxs])
+            t = _waterfill([(weights[i], loads[i]) for i in idxs])
             key = max(t, global_max)
             if best_key is None or key < best_key:
                 best_key = key
@@ -319,7 +333,7 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
             successors.append(((elected | {cand}, new_loads), history))
         return successors
 
-    zero = tuple(Fraction(0) for _ in ballots)
+    zero = tuple(Fraction(0) for _ in contents)
     finals, truncated = branch(((frozenset(), zero), ()), step, branch_cap)
     least: dict = {}
     for (elected, loads), history in sorted(finals.items(),

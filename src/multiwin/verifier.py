@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import (chain, combinations, combinations_with_replacement,
-                       groupby, permutations, product)
+                       permutations, product)
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -30,7 +30,7 @@ from .ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet, PartyBallot,
                       normalize)
 from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
-                        is_bad_outcome_possible, is_instance)
+                        is_bad_outcome_possible, is_instance, require_kind)
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
 from .thresholds import REGISTRY, CoverageError, MethodId, PI, threshold
 from .unordered import InsufficientSupportError
@@ -701,7 +701,8 @@ def _ballot_options(method: MethodId, pool: Sequence[str], spec: SearchSpec,
 
 def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
                spec: SearchSpec, seats: int) -> list:
-    """Ballots W members may cast under the scenario's restriction."""
+    """Ballots W members may cast under the scenario's restriction, on a
+    scenario the method's ballot kind can express."""
     cap = method.spec.cap(method, seats)
     ell = len(targets)
     if scenario is ScenarioId.TACTIC:
@@ -712,23 +713,18 @@ def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
             return []               # no W ballot can hold the targets
         if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
             return [frozenset(targets)]
-        if scenario in (ScenarioId.PJR, ScenarioId.EJR):
-            base = frozenset(targets)
-            room = spec.max_ballot_length - ell
-            if cap is not None:
-                room = min(room, cap - ell)
-            options = []
-            for extra in range(0, max(room, 0) + 1):
-                options.extend(base | frozenset(combo)
-                               for combo in combinations(sorted(decoys),
-                                                         extra))
-            return sorted(set(options), key=sorted)
-        return []
+        base = frozenset(targets)               # pjr, ejr
+        room = spec.max_ballot_length - ell
+        if cap is not None:
+            room = min(room, cap - ell)
+        options = []
+        for extra in range(0, max(room, 0) + 1):
+            options.extend(base | frozenset(combo)
+                           for combo in combinations(sorted(decoys), extra))
+        return sorted(set(options), key=sorted)
     if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
         return [tuple(targets)]
-    if scenario in (ScenarioId.PSC, ScenarioId.WPSC):
-        return sorted(permutations(targets))
-    return []
+    return sorted(permutations(targets))        # psc, wpsc
 
 
 def _multisets(options, size):
@@ -795,22 +791,28 @@ def _canonical_form(groups, targets: frozenset, ordered: bool) -> str:
         for pos, name in enumerate(ballot):
             marks.setdefault(name, []).append(
                 (in_w, count, size, pos if ordered else 0))
-    signature = {name: (name not in targets, sorted(found))
-                 for name, found in marks.items()}
-    cells = [tuple(run) for _, run in
-             groupby(sorted(signature, key=signature.get), signature.get)]
-    shift = len(targets) - sum(name in targets for name in signature)
-    best = None
-    for choice in product(*(permutations(cell) for cell in cells)):
-        label = {name: i if name in targets else i + shift
-                 for i, name in enumerate(chain.from_iterable(choice))}
-        image = sorted(
-            (count, tuple(label[name] for name in ballot) if ordered
-             else tuple(sorted(label[name] for name in ballot)), in_w)
-            for count, ballot, in_w in groups)
-        if best is None or image < best:
-            best = image
-    return repr(best)       # as text, a met key takes a quarter of the memory
+    cells: dict = {}        # signature -> the names that carry it
+    for name, found in marks.items():
+        found.sort()
+        cells.setdefault((name not in targets, tuple(found)), []).append(name)
+    present = sum(name in targets for name in marks)
+    shift = len(targets) - present
+
+    def image(names):
+        label = {name: i if i < present else i + shift
+                 for i, name in enumerate(names)}
+        if ordered:
+            return sorted([(count, tuple([label[name] for name in ballot]),
+                            in_w) for count, ballot, in_w in groups])
+        return sorted([(count, tuple(sorted([label[name] for name in ballot])),
+                        in_w) for count, ballot, in_w in groups])
+
+    # As text, a met key takes a quarter of the memory.
+    ranked = [cells[signature] for signature in sorted(cells)]
+    if len(ranked) == len(marks):       # no two signatures tie
+        return repr(image([cell[0] for cell in ranked]))
+    return repr(min(image(chain.from_iterable(choice)) for choice in
+                    product(*(permutations(cell) for cell in ranked))))
 
 
 def _ballot_strategies(method, scenario, ell, seats, spec):
@@ -831,6 +833,7 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     kind = method.spec.ballot
     ordered = kind == "list"
     adv_options = _ballot_options(method, decoys, spec, seats)
+    require_kind(scenario, kind)
     w_options = _w_options(method, scenario, targets, decoys, spec, seats)
 
     def answers(w_groups, adv_votes):
@@ -888,6 +891,9 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     """Best (largest) W-fraction with a reachable bad outcome in the grid.
 
     Returns (fraction, witness); (0, None) if no bad instance was found.
+    A scenario the method's ballots cannot express (set ballots under
+    psc/wpsc, list ballots under pjr/ejr) raises ScenarioTypeError before
+    anything is enumerated.
     Fractions are tried largest first.  For the tactic scenario a fraction
     counts as bad only when every enumerated W strategy admits some
     adversary profile with a bad outcome, and the witness answers the

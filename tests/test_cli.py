@@ -289,6 +289,22 @@ def test_no_engine_refusal_is_the_same_for_search_and_check(capsys,
                                      "only its thresholds are tabulated\n")
 
 
+@pytest.mark.parametrize("label, scenario, message", [
+    ("stv:1", "pjr", "pjr needs unordered ballots"),
+    ("thiele-o", "ejr", "ejr needs unordered ballots"),
+    ("av", "psc", "psc needs ordered ballots"),
+    ("bv", "wpsc", "wpsc needs ordered ballots"),
+])
+def test_kind_refusal_is_the_same_for_search_and_check(
+        capsys, set_profile, list_profile, label, scenario, message):
+    profile = list_profile if scenario in ("pjr", "ejr") else set_profile
+    search = run_cli(capsys, "search", "--method", label, "--scenario",
+                     scenario, "--ell", "1", "--seats", "2")
+    check = run_cli(capsys, "check", "--method", label, "--scenario",
+                    scenario, "--ell", "1", profile)
+    assert search == check == (2, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("threshold", "--method", "bv", "--scenario", "same", "--ell", "1",
       "--seats", "3"),

@@ -67,6 +67,32 @@ def test_transfer_value_conservation():
         frontier.extend(step(state, payload) or ())
 
 
+def test_transfer_step_two_reachers_behind_an_eliminated_name():
+    # Quota 22/3.  E, at 2 the unique minimum, goes first; its [E A] and
+    # [E B] groups then count for A and B, which reach the quota together
+    # at 8.  Each branch rescales the groups counting for its own reacher,
+    # the one behind E among them, by (8 - 22/3) / 8 = 1/12; the other
+    # reacher's groups keep their value.
+    profile = prof("!seats 2\n7 : [A C]\n7 : [B D]\n1 : [E A]\n"
+                   "1 : [E B]\n3 : [C]\n3 : [D]\n")
+    start, step = _stv_step(StvSpec(1), profile)
+    [(after_e, _)] = step(*start)
+    assert after_e[:2] == (frozenset(), frozenset("E"))
+    groups = dict(after_e[2])
+
+    def rescaled(*rankings):
+        return tuple(sorted(
+            (ranking, value / 12 if ranking in rankings else value)
+            for ranking, value in groups.items()))
+
+    assert step(after_e, None) == [
+        ((frozenset("A"), frozenset("E"), rescaled(("A", "C"), ("E", "A"))),
+         None),
+        ((frozenset("B"), frozenset("E"), rescaled(("B", "D"), ("E", "B"))),
+         None)]
+    assert stv_count(StvSpec(1), profile).sorted_committees() == [("A", "B")]
+
+
 def test_transfer_fills_trailing_seats():
     # After A's election only B and C remain for two open seats.
     profile = prof("!seats 3\n9 : [A]\n1 : [B]\n1 : [C]\n")

@@ -1,13 +1,16 @@
 """Witness catalog, bounded adversarial search, and the corpus audit."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from multiwin import verifier
 from multiwin.ballots import DEFAULT_BRANCH_CAP, parse_profile
 from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
-                                ScenarioInstance)
+                                ScenarioInstance, ScenarioTypeError)
 from multiwin.thresholds import CoverageError, MethodId, threshold
 from multiwin.unordered import InsufficientSupportError
 from multiwin.verifier import (CATALOG, SearchSpec, Witness, audit_table,
@@ -207,6 +210,90 @@ def test_search_returns_zero_when_nothing_found():
                                        SearchSpec(max_candidates=1,
                                                   weight_grid=2))
     assert (best, witness) == (0, None)
+
+
+@pytest.mark.parametrize("label, scenario", [
+    ("av", "psc"), ("phragmen-u", "wpsc"), ("stv:1", "pjr"),
+    ("borda", "ejr"),
+])
+def test_search_refuses_a_scenario_the_ballots_cannot_express(
+        monkeypatch, label, scenario):
+    # Set ballots cannot rank the targets first, list ballots carry no
+    # approval set: the search refuses, as is_instance does, instead of
+    # answering 0 from an empty set of W strategies.
+    def enumerating(*args):
+        raise AssertionError("enumerated a refused cell")
+
+    monkeypatch.setattr(verifier, "_multisets", enumerating)
+    with pytest.raises(ScenarioTypeError):
+        search_lower_bound(MethodId.parse(label), scenario, 1, 2)
+
+
+POOL = ("A1", "A2", "B1", "B2")
+TARGETS = frozenset(POOL[:2])
+
+
+def _renamings():
+    for targets in permutations(POOL[:2]):
+        for decoys in permutations(POOL[2:]):
+            yield dict(zip(POOL, targets + decoys))
+
+
+def _renamed(groups, renaming):
+    return Counter((count, type(ballot)(renaming[name] for name in ballot),
+                    in_w) for count, ballot, in_w in groups)
+
+
+def _group_lists(ordered):
+    # Few counts and names, so that signatures often tie.
+    names = st.sampled_from(POOL)
+    ballots = (st.lists(names, min_size=1, max_size=3, unique=True).map(tuple)
+               if ordered else st.frozensets(names, min_size=1, max_size=3))
+    return st.lists(st.tuples(st.integers(1, 2), ballots, st.booleans()),
+                    min_size=1, max_size=4)
+
+
+@st.composite
+def _group_pairs(draw):
+    ordered = draw(st.booleans())
+    first = draw(_group_lists(ordered))
+    if draw(st.booleans()):
+        renaming = draw(st.sampled_from(list(_renamings())))
+        second = list(_renamed(first, renaming).elements())
+        second = draw(st.permutations(second))
+    else:
+        second = draw(_group_lists(ordered))
+    return first, second, ordered
+
+
+@given(_group_pairs())
+def test_canonical_form_is_the_renaming_orbit(pair):
+    first, second, ordered = pair
+    same_orbit = any(_renamed(first, renaming) == Counter(second)
+                     for renaming in _renamings())
+    assert (verifier._canonical_form(first, TARGETS, ordered)
+            == verifier._canonical_form(second, TARGETS, ordered)) \
+        == same_orbit
+
+
+@pytest.mark.parametrize("groups, ordered, key", [
+    ([(2, frozenset({"A1", "A2"}), True), (1, frozenset({"B1"}), False),
+      (1, frozenset({"B2"}), False)], False,
+     "[(1, (2,), False), (1, (3,), False), (2, (0, 1), True)]"),
+    ([(1, frozenset({"A2", "B2"}), True), (3, frozenset({"B1", "B2"}), False)],
+     False, "[(1, (0, 3), True), (3, (2, 3), False)]"),
+    ([(1, ("A2", "A1"), True), (1, ("A1", "B1"), True), (2, ("B2",), False)],
+     True, "[(1, (0, 1), True), (1, (1, 3), True), (2, (2,), False)]"),
+    ([(2, ("B1", "A2"), True), (1, ("B2", "B1"), False),
+      (1, ("B1", "B2"), False)], True,
+     "[(1, (2, 3), False), (1, (3, 2), False), (2, (3, 0), True)]"),
+    ([(2, ("A1",), True), (1, ("A1", "A2"), True)], True,
+     "[(1, (0, 1), True), (2, (0,), True)]"),
+])
+def test_canonical_form_text(groups, ordered, key):
+    # Keys as the search has always written them: a met orbit is found by
+    # its text.
+    assert verifier._canonical_form(groups, TARGETS, ordered) == key
 
 
 def test_search_decides_each_orbit_once(monkeypatch):
