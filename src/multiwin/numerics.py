@@ -1,15 +1,27 @@
 """Exact rational arithmetic helpers.
 
-The sole numeric type in all counting and threshold math is
-fractions.Fraction (arbitrary-precision, always in canonical form).
-This module adds parsing/formatting in the "p/q" text convention used
-by the file formats and the CLI, decimal rendering for display only,
-and the harmonic numbers H_n.
+Every value the package reports is a fractions.Fraction
+(arbitrary-precision, always in canonical form).  The counting engines
+run their inner loops on Python ints over one positive common
+denominator (`common_denominator`), which is exact as well, and turn
+their results back into Fractions.  This module adds parsing/formatting
+in the "p/q" text convention used by the file formats and the CLI,
+decimal rendering for display only, and the harmonic numbers H_n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+
+def common_denominator(values) -> tuple[list, int]:
+    """Fractions (or ints) as ints over their least common denominator
+    d: ([value * d, ...], d).  No d' < d makes every value * d' an int,
+    so gcd(d, *ints) == 1."""
+    pairs = [value.as_integer_ratio() for value in values]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def parse_rational(text: str) -> Fraction:

@@ -15,6 +15,12 @@ members.  Ordered load balancing reports LoadStates as the unordered one
 does: per committee, the least load vector with the history of the first
 path to it.  Positional scoring resolves its boundary tie with
 `unordered.boundary_committees`.
+
+Counting is exact integer arithmetic over a common denominator: the
+ballot weights, the 1/k position weights and the w_k rates are scaled to
+ints once per call, a transfer-count state carries its group values as
+ints over one reduced denominator (`_stv_step`), and only the reported
+values (loads, load history) become Fractions again.
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Optional
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
+from .numerics import common_denominator
 from .unordered import (InsufficientSupportError, boundary_committees, branch,
                         sequential_loads, sequential_max)
 
@@ -67,23 +75,38 @@ def stv_count(spec: StvSpec, profile: Profile,
     finals, truncated = branch(*_stv_step(spec, profile), branch_cap)
     return OutcomeSet((elected if len(elected) == profile.seats
                        else profile.candidates - eliminated
-                       for elected, eliminated, _ in finals), truncated)
+                       for elected, eliminated, _, _ in finals), truncated)
+
+
+def _reduced(den: int, groups: tuple) -> tuple:
+    """(den, groups) with den and every group value divided by their gcd."""
+    g = gcd(den, *(value for _, value in groups))
+    if g == 1:
+        return den, groups
+    return den // g, tuple((ranking, value // g) for ranking, value in groups)
 
 
 def _stv_step(spec: StvSpec, profile: Profile):
     """The transfer count as a (start, step) pair for `branch`.
 
-    A state is (elected, eliminated, groups), groups being the live
-    ballot groups (ranking, remaining value), one per ranking, in ranking
-    order and of positive value.  Each ballot counts for its first
-    non-elected, non-eliminated name.  A candidate whose count
-    reaches the quota Q is elected and every ballot counting for it is
-    rescaled by (v - Q) / v; otherwise a minimum-count candidate is
-    eliminated at full value.  Both choices branch on ties.  When the
-    remaining candidates only just fill the remaining seats, all of them
-    are elected: that state is final, and stv_count reads its committee
-    as every candidate not eliminated.  The surplus of the last elected
-    candidate is not transferred.
+    A state is (elected, eliminated, den, groups), groups being the live
+    ballot groups (ranking, value), one per ranking, in ranking order,
+    each holding the positive value value / den.  The ints are kept
+    reduced, gcd(den, *values) == 1, so every rational state has one
+    representation and `branch` dedups exactly the equal states.  Each
+    ballot counts for its first non-elected, non-eliminated name.  A
+    candidate whose count reaches the quota Q is elected and every ballot
+    counting for it is rescaled by (v - Q) / v; otherwise a minimum-count
+    candidate is eliminated at full value.  Both choices branch on ties.
+    When the remaining candidates only just fill the remaining seats, all
+    of them are elected: that state is final, and stv_count reads its
+    committee as every candidate not eliminated.  The surplus of the last
+    elected candidate is not transferred.
+
+    With Q = qn / qd, a count V (over den) reaches the quota iff
+    V * qd >= qn * den.  A reacher's transfer multiplies its groups by
+    V * qd - qn * den, every other group by V * qd, and den by V * qd;
+    the result is then reduced.
 
     Eliminating a candidate whose count is 0 moves no vote, so when the
     minimum count is 0 the other zero-count candidates stay at the
@@ -94,21 +117,21 @@ def _stv_step(spec: StvSpec, profile: Profile):
     """
     ballots = _list_ballots(profile)
     seats = profile.seats
-    total = profile.total_weight
     if seats + spec.delta <= 0:
         raise ValueError("need S + delta > 0")
-    quota = total / (seats + spec.delta)
-
-    def canonical(groups):
-        merged: dict = {}
-        for ranking, value in groups:
-            if value > 0:
-                merged[ranking] = (merged[ranking] + value
-                                   if ranking in merged else value)
-        return tuple(sorted(merged.items()))
+    weights, unit = common_denominator(weight for _, weight in ballots)
+    merged: dict = {}
+    for (ranking, _), value in zip(ballots, weights):
+        merged[ranking] = merged.get(ranking, 0) + value
+    start = (frozenset(), frozenset()) + _reduced(
+        unit, tuple(sorted(merged.items())))
+    # Q = total / (S + delta) = qn / qd, not necessarily in lowest terms.
+    dn, dd = spec.delta.as_integer_ratio()
+    qn = sum(weights) * dd
+    qd = unit * (seats * dd + dn)
 
     def step(state, _):
-        elected, eliminated, groups = state
+        elected, eliminated, den, groups = state
         if len(elected) == seats:
             return None
         out = elected | eliminated
@@ -127,7 +150,8 @@ def _stv_step(spec: StvSpec, profile: Profile):
         for (_, value), head in zip(groups, heads):
             if head is not None:
                 votes[head] = votes[head] + value if head in votes else value
-        reachers = sorted(c for c, v in votes.items() if v >= quota)
+        bar = qn * den
+        reachers = sorted(c for c, v in votes.items() if v * qd >= bar)
         if not reachers:
             unvoted = remaining.difference(votes)
             if unvoted:
@@ -137,22 +161,22 @@ def _stv_step(spec: StvSpec, profile: Profile):
                 worst = min(votes.values())
                 tied = sorted(c for c, v in votes.items() if v == worst)
                 size = 1
-            return [((elected, eliminated.union(gone), groups), None)
+            return [((elected, eliminated.union(gone), den, groups), None)
                     for gone in combinations(tied, size)]
         successors = []
         for cand in reachers:
             # Rescaling keeps the groups in ranking order; a group whose
             # value drops to 0 goes.
-            factor = (votes[cand] - quota) / votes[cand]
+            whole = votes[cand] * qd
+            surplus = whole - bar
             new_groups = tuple(
-                (ranking, value * factor if head == cand else value)
+                (ranking, value * (surplus if head == cand else whole))
                 for (ranking, value), head in zip(groups, heads)
-                if factor or head != cand)
-            successors.append(((elected | {cand}, eliminated, new_groups),
-                               None))
+                if surplus or head != cand)
+            successors.append(((elected | {cand}, eliminated)
+                               + _reduced(den * whole, new_groups), None))
         return successors
 
-    start = (frozenset(), frozenset(), canonical(ballots))
     return (start, None), step
 
 
@@ -174,26 +198,36 @@ def thiele_ordered(profile: Profile,
     """Sequential max-score election where a ballot counts for its first
     unelected name with weight 1/k, k being that name's position."""
     ballots = _list_ballots(profile)
+    weights, unit = common_denominator(weight for _, weight in ballots)
+    # Credits in units of 1 / (unit * share): weight / k for every k.
+    share = lcm(*range(1, max(len(ranking) for ranking, _ in ballots) + 1))
+    credits = [(ranking, [weight * (share // k)
+                          for k in range(1, len(ranking) + 1)])
+               for (ranking, _), weight in zip(ballots, weights)]
 
     def scores_of(elected):
         scores: dict = {}
-        for ranking, weight in ballots:
+        for ranking, table in credits:
             for pos, name in enumerate(ranking):
                 if name not in elected:
-                    scores[name] = (scores.get(name, Fraction(0))
-                                    + weight / (pos + 1))
+                    scores[name] = scores.get(name, 0) + table[pos]
                     break
         return scores
 
-    return sequential_max(scores_of, profile.seats, branch_cap)[0]
+    return sequential_max(scores_of, profile.seats, unit * share,
+                          branch_cap)[0]
 
 
 def borda_count(weights: BordaWeights, profile: Profile,
                 branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
     """Positional scoring: the name at position k earns weight * w_k."""
     ballots = _list_ballots(profile)
-    scores = {c: Fraction(0) for c in profile.candidates}
-    for ranking, weight in ballots:
-        for pos, name in enumerate(ranking):
-            scores[name] += weight * weights.scheme.w(pos + 1)
+    ints, _ = common_denominator(weight for _, weight in ballots)
+    longest = max(len(ranking) for ranking, _ in ballots)
+    rates, _ = common_denominator(weights.scheme.w(k)
+                                  for k in range(1, longest + 1))
+    scores = dict.fromkeys(profile.candidates, 0)
+    for (ranking, _), weight in zip(ballots, ints):
+        for name, rate in zip(ranking, rates):
+            scores[name] += weight * rate
     return boundary_committees(scores, profile.seats, branch_cap)

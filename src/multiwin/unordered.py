@@ -53,6 +53,15 @@ LoadState keeps the least load vector (compared ballot group by ballot
 group) and the history of the first path to those loads.  The score
 family resolves its single boundary tie in `boundary_committees`, where
 `branch_cap` bounds the committees listed.
+
+Counting is exact integer arithmetic over a common denominator.  Each
+engine scales the ballot weights to ints by the lcm of their
+denominators, and its per-position rates (w_k, psi(n), 1/k) by theirs,
+once per call; scores are then ints in a fixed unit, which orders them
+as the rationals would.  Load balancing holds each state's loads as ints
+over a reduced per-state denominator (`sequential_loads`).  Only the
+reported values, the winning-score trails and the LoadStates, become
+Fractions, once per final state.
 """
 
 from __future__ import annotations
@@ -60,17 +69,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, islice, product
-from math import comb
+from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Callable, Optional
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
+from .numerics import common_denominator
 
 # The most seat splits thiele_optimize scores before it refuses a profile.
 OPTIMIZE_BUDGET = 500000
-
-_ONE = Fraction(1)
 
 
 class InsufficientSupportError(ProfileError):
@@ -167,12 +175,18 @@ def score_family_count(profile: Profile, cap: Optional[int], split: bool,
     cap when None) and gives each its weight, or when `split` an equal
     share of it."""
     ballots = _set_ballots(profile)
-    scores = {c: Fraction(0) for c in profile.candidates}
-    for members, weight in ballots:
+    for members, _ in ballots:
         if cap is not None and len(members) > cap:
             raise ProfileError(
                 "ballot %s exceeds the %d-name cap" % (sorted(members), cap))
-        credit = weight / len(members) if split else weight
+    credits, _ = common_denominator(weight for _, weight in ballots)
+    if split:
+        # In units of 1 / share, a name gets share / len(members) each.
+        share = lcm(*(len(members) for members, _ in ballots))
+        credits = [credit * (share // len(members))
+                   for (members, _), credit in zip(ballots, credits)]
+    scores = dict.fromkeys(profile.candidates, 0)
+    for (members, _), credit in zip(ballots, credits):
         for name in members:
             scores[name] += credit
     return boundary_committees(scores, profile.seats, branch_cap)
@@ -196,28 +210,28 @@ def boundary_committees(scores: dict, seats: int,
     return OutcomeSet(committees, truncated)
 
 
-def _waterfill(supporters: list) -> Fraction:
-    """Least t with sum of weight * max(0, t - load) over supporters = 1.
+def _waterfill(supporters: list, budget: int) -> tuple:
+    """Least t with sum of weight * max(0, t - load) over supporters =
+    budget, as an unreduced (numerator, denominator) pair of ints.
 
     Taken by rising load, the level over the first k supporters is
-    (1 + their sum of weight * load) / their weight, and t is the first
-    such level that does not pass the next load.  A level lies above
-    every load it covers, so it cannot stop below an equal next load.
+    (budget + their sum of weight * load) / their weight, and t is the
+    first such level that does not pass the next load.  A level lies
+    above every load it covers, so it cannot stop below an equal next
+    load.
     """
     supporters = sorted(supporters, key=itemgetter(1))
-    lift = _ONE                 # 1 + sum of weight * load so far
-    total_w = None
+    lift = budget               # budget + sum of weight * load so far
+    total_w = 0
     for i, (weight, load) in enumerate(supporters, 1):
-        total_w = weight if total_w is None else total_w + weight
+        total_w += weight
         if load:
             lift += weight * load
         if i == len(supporters):
-            return lift / total_w
+            return lift, total_w
         following = supporters[i][1]
-        if following != load:
-            t = lift / total_w
-            if t <= following:
-                return t
+        if following != load and lift <= following * total_w:
+            return lift, total_w
     raise AssertionError("water-fill failed")  # pragma: no cover
 
 
@@ -255,13 +269,14 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
     return finals, truncated
 
 
-def sequential_max(scores_of: Callable, seats: int,
+def sequential_max(scores_of: Callable, seats: int, scale: int,
                    branch_cap: int = DEFAULT_BRANCH_CAP,
                    clones: Clones = NO_CLONES):
     """Sequential max-score election: each round elects a top scorer of
     scores_of(elected), branching on one head per tied clone class.
-    Returns (OutcomeSet, {committee: trail}), the trail being the
-    winning score of each round."""
+    scores_of gives int scores in units of 1 / scale.  Returns
+    (OutcomeSet, {committee: trail}), the trail being the winning score
+    of each round as Fractions."""
 
     def step(elected, trail):
         if len(elected) == seats:
@@ -277,7 +292,10 @@ def sequential_max(scores_of: Callable, seats: int,
                 for cand in clones.heads(tied, elected)]
 
     finals, truncated = branch((frozenset(), ()), step, branch_cap)
-    trails, cut = clones.expand_all(finals, branch_cap)
+    # Converted per final state, not per committee it expands into.
+    trails, cut = clones.expand_all(
+        {state: tuple(Fraction(x, scale) for x in trail)
+         for state, trail in finals.items()}, branch_cap)
     return OutcomeSet(trails, truncated or cut), trails
 
 
@@ -291,16 +309,23 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
     candidate minimizing the resulting maximum ballot load; the new unit
     of load is spread over that candidate's supporters so their maximum
     is as small as possible (ballots already above the waterline keep
-    their load).  Ties branch, on one head per tied clone class; a state
-    is the elected set with its loads.  Returns (OutcomeSet, {committee:
-    LoadState}).
+    their load).  Ties branch, on one head per tied clone class.  Returns
+    (OutcomeSet, {committee: LoadState}).
+
+    The ballot weights are ints over their common denominator `unit`.  A
+    state is (elected, den, loads), each load an int over den, kept
+    reduced (gcd(den, *loads) == 1) so that equal loads share one state.
+    A seat's unit of load is `unit * den` in these terms, and a level
+    t = num / (q * den) from `_waterfill` is compared with the loads and
+    with other levels by cross-multiplying.  Only the final states'
+    loads and history become Fractions.
     """
     contents = [b.content for b in profile.ballots]
-    weights = [b.weight for b in profile.ballots]
+    weights, unit = common_denominator(b.weight for b in profile.ballots)
     seats = profile.seats
 
     def step(state, history):
-        elected, loads = state
+        elected, den, loads = state
         if len(elected) == seats:
             return None
         supporters: dict = {}
@@ -310,35 +335,41 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
         if not supporters:
             raise InsufficientSupportError(
                 "no supported candidate left for an open seat")
+        # Levels and keys in units of 1 / den, as (num, q) for num / q.
         global_max = max(loads)
-        best_key = None
+        best = None
         options = []
         for cand in clones.heads(sorted(supporters), elected):
-            idxs = supporters[cand]
-            t = _waterfill([(weights[i], loads[i]) for i in idxs])
-            key = max(t, global_max)
-            if best_key is None or key < best_key:
-                best_key = key
+            t = _waterfill([(weights[i], loads[i]) for i in supporters[cand]],
+                           unit * den)
+            key = t if t[0] > global_max * t[1] else (global_max, 1)
+            if best is None or key[0] * best[1] < best[0] * key[1]:
+                best = key
                 options = [(cand, t)]
-            elif key == best_key:
+            elif key[0] * best[1] == best[0] * key[1]:
                 options.append((cand, t))
-        history += (best_key,)
+        history += ((best[0], best[1] * den),)
         successors = []
-        for cand, t in options:
-            new_loads = list(loads)
+        for cand, (num, q) in options:
+            new_loads = [load * q for load in loads]
             for i in supporters[cand]:
-                if new_loads[i] < t:
-                    new_loads[i] = t
-            new_loads = tuple(new_loads)
-            successors.append(((elected | {cand}, new_loads), history))
+                if new_loads[i] < num:
+                    new_loads[i] = num
+            g = gcd(den * q, *new_loads)
+            successors.append(((elected | {cand}, den * q // g,
+                                tuple(load // g for load in new_loads)),
+                               history))
         return successors
 
-    zero = tuple(Fraction(0) for _ in contents)
-    finals, truncated = branch(((frozenset(), zero), ()), step, branch_cap)
+    start = (frozenset(), 1, (0,) * len(contents))
+    finals, truncated = branch((start, ()), step, branch_cap)
+    ends = [(elected, tuple(Fraction(load, den) for load in loads), history)
+            for (elected, den, loads), history in finals.items()]
     least: dict = {}
-    for (elected, loads), history in sorted(finals.items(),
-                                            key=lambda kv: kv[0][1]):
-        least.setdefault(elected, LoadState(loads, history))
+    for elected, loads, history in sorted(ends, key=itemgetter(1)):
+        if elected not in least:
+            least[elected] = LoadState(
+                loads, tuple(Fraction(num, q) for num, q in history))
     outcomes, cut = clones.expand_all(least, branch_cap)
     return OutcomeSet(outcomes, truncated or cut), outcomes
 
@@ -374,13 +405,15 @@ def thiele_optimize(scheme: WeightScheme, profile: Profile,
         raise BudgetExceededError(
             "%d seats over %d clone classes: more splits than the budget "
             "of %d" % (seats, len(classes), OPTIMIZE_BUDGET))
-    psi = [scheme.psi(n) for n in range(seats + 1)]
+    rates, _ = common_denominator(scheme.w(k) for k in range(1, seats + 1))
+    psi = list(accumulate(rates, initial=0))        # scaled psi(0..seats)
+    weights, _ = common_denominator(weight for _, weight in ballots)
     class_of = {c: k for k, members in enumerate(classes) for c in members}
     # A class lies wholly on a ballot or off it; a ballot's satisfaction
     # table is indexed by its number of elected names.
     tables = [(tuple({class_of[c] for c in members}),
                [weight * value for value in psi])
-              for members, weight in ballots]
+              for (members, _), weight in zip(ballots, weights)]
     best = None
     winners: list = []
     for split in _splits(sizes, seats):
@@ -438,16 +471,18 @@ def _splits(sizes: list, seats: int):
             return
 
 
-def addition_scores(scheme: WeightScheme, ballots: list, elected: frozenset):
-    """Candidate scores for one sequential-addition round."""
+def addition_scores(ballots: list, elected: frozenset):
+    """Candidate scores for one sequential-addition round; each ballot is
+    (members, credits), credits[k] being what it gives every unelected
+    name once k of its names are elected."""
     scores: dict = {}
-    for members, weight in ballots:
-        credit = weight * scheme.w(len(members & elected) + 1)
+    for members, credits in ballots:
+        credit = credits[len(members & elected)]
         if credit == 0:
             continue
         for cand in members:
             if cand not in elected:
-                scores[cand] = scores.get(cand, Fraction(0)) + credit
+                scores[cand] = scores.get(cand, 0) + credit
     return scores
 
 
@@ -461,9 +496,15 @@ def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
                           branch_cap: int = DEFAULT_BRANCH_CAP):
     """Sequential addition as (OutcomeSet, {committee: winning-score trail})."""
     ballots = _set_ballots(profile)
+    seats = profile.seats
+    weights, unit = common_denominator(weight for _, weight in ballots)
+    # w_k for k = 1..seats: a round sees at most seats - 1 elected names.
+    rates, share = common_denominator(scheme.w(k) for k in range(1, seats + 1))
+    credits = [(members, [weight * rate for rate in rates])
+               for (members, _), weight in zip(ballots, weights)]
     return sequential_max(
-        lambda elected: addition_scores(scheme, ballots, elected),
-        profile.seats, branch_cap, Clones(ballots, profile.candidates))
+        lambda elected: addition_scores(credits, elected), seats,
+        unit * share, branch_cap, Clones(ballots, profile.candidates))
 
 
 def thiele_elimination(profile: Profile,
@@ -475,15 +516,22 @@ def thiele_elimination(profile: Profile,
     seats = profile.seats
     universe = profile.candidates
     clones = Clones(ballots, universe)
+    weights, _ = common_denominator(weight for _, weight in ballots)
+    # credits[k] is weight * share / k, a ballot's credit to each of its
+    # k remaining names, in a unit common to every ballot.
+    share = lcm(*range(1, max(len(members) for members, _ in ballots) + 1))
+    credits = [(members, [0] + [weight * (share // k)
+                                for k in range(1, len(members) + 1)])
+               for (members, _), weight in zip(ballots, weights)]
 
     def step(remaining, _):
         if len(remaining) == seats:
             return None
-        scores = dict.fromkeys(remaining, Fraction(0))
-        for members, weight in ballots:
+        scores = dict.fromkeys(remaining, 0)
+        for members, table in credits:
             live = members & remaining
             if live:
-                credit = weight / len(live)
+                credit = table[len(live)]
                 for cand in live:
                     scores[cand] += credit
         worst = min(scores.values())

@@ -702,7 +702,9 @@ def _ballot_options(method: MethodId, pool: Sequence[str], spec: SearchSpec,
 def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
                spec: SearchSpec, seats: int) -> list:
     """Ballots W members may cast under the scenario's restriction, on a
-    scenario the method's ballot kind can express."""
+    scenario the method's ballot kind can express.  Outside tactic, W's
+    ballots must name all ell targets; a set-ballot cap below ell raises
+    CoverageError."""
     cap = method.spec.cap(method, seats)
     ell = len(targets)
     if scenario is ScenarioId.TACTIC:
@@ -710,7 +712,10 @@ def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
                                seats)
     if method.spec.ballot == "set":
         if cap is not None and ell > cap:
-            return []               # no W ballot can hold the targets
+            raise CoverageError(
+                "the %s ballot cap %d is below ell = %d: W cannot name all "
+                "its targets under %s"
+                % (method.label(), cap, ell, scenario.value))
         if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
             return [frozenset(targets)]
         base = frozenset(targets)               # pjr, ejr
@@ -892,7 +897,8 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
 
     Returns (fraction, witness); (0, None) if no bad instance was found.
     A scenario the method's ballots cannot express (set ballots under
-    psc/wpsc, list ballots under pjr/ejr) raises ScenarioTypeError before
+    psc/wpsc, list ballots under pjr/ejr) raises ScenarioTypeError, and a
+    set-ballot cap below ell outside tactic raises CoverageError, before
     anything is enumerated.
     Fractions are tried largest first.  For the tactic scenario a fraction
     counts as bad only when every enumerated W strategy admits some

@@ -225,6 +225,15 @@ def test_limited_vote_cap_above_seats_is_refused(capsys):
         assert "limited vote cap exceeds seat count" in err
 
 
+def test_cap_below_ell_is_refused_by_search(capsys):
+    code, out, err = run_cli(capsys, "search", "--method", "sntv",
+                             "--scenario", "same", "--ell", "2", "--seats",
+                             "2", "--grid", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: the sntv ballot cap 1 is below ell = 2: W cannot "
+                   "name all its targets under same\n")
+
+
 def test_witness_verifies(capsys):
     code, out, _ = run_cli(capsys, "witness", "--construction", "ejr-window",
                            "--method", "bv", "--scenario", "ejr",

@@ -2,6 +2,7 @@
 balancing, sequential position weights, positional scoring."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -61,9 +62,10 @@ def test_transfer_value_conservation():
     frontier = [start]
     while frontier:
         state, payload = frontier.pop()
-        elected, _, groups = state
-        live_value = sum((value for _, value in groups), Fraction(0))
-        assert live_value == total - quota * len(elected)
+        elected, _, den, groups = state
+        values = [value for _, value in groups]
+        assert Fraction(sum(values), den) + quota * len(elected) == total
+        assert gcd(den, *values) == 1
         frontier.extend(step(state, payload) or ())
 
 
@@ -77,20 +79,54 @@ def test_transfer_step_two_reachers_behind_an_eliminated_name():
                    "1 : [E B]\n3 : [C]\n3 : [D]\n")
     start, step = _stv_step(StvSpec(1), profile)
     [(after_e, _)] = step(*start)
-    assert after_e[:2] == (frozenset(), frozenset("E"))
-    groups = dict(after_e[2])
+    assert after_e[:3] == (frozenset(), frozenset("E"), 1)
+    groups = dict(after_e[3])
 
     def rescaled(*rankings):
-        return tuple(sorted(
-            (ranking, value / 12 if ranking in rankings else value)
-            for ranking, value in groups.items()))
+        return {ranking: Fraction(value, 12) if ranking in rankings
+                else Fraction(value)
+                for ranking, value in groups.items()}
 
-    assert step(after_e, None) == [
-        ((frozenset("A"), frozenset("E"), rescaled(("A", "C"), ("E", "A"))),
-         None),
-        ((frozenset("B"), frozenset("E"), rescaled(("B", "D"), ("E", "B"))),
-         None)]
+    successors = step(after_e, None)
+    assert [(state[:2], payload) for state, payload in successors] == [
+        ((frozenset("A"), frozenset("E")), None),
+        ((frozenset("B"), frozenset("E")), None)]
+    expected = [rescaled(("A", "C"), ("E", "A")),
+                rescaled(("B", "D"), ("E", "B"))]
+    for (state, _), values in zip(successors, expected):
+        _, _, den, new_groups = state
+        assert den == 12
+        assert [ranking for ranking, _ in new_groups] == sorted(groups)
+        assert {ranking: Fraction(value, den)
+                for ranking, value in new_groups} == values
     assert stv_count(StvSpec(1), profile).sorted_committees() == [("A", "B")]
+
+
+def test_transfer_orders_meet_in_one_reduced_state():
+    # Quota 5/4.  A (3) and B (2) both reach it, so the count branches on
+    # who goes first.  B first multiplies B's group by 3/8 (den 1 -> 4),
+    # then A's by 7/12 (den 4 -> 12).  A first reaches den 12 at once, and
+    # B's transfer grows it to 1152 before the reduction brings it back to
+    # 12.  Both orders end in one state, which `branch` keeps once.
+    profile = prof("!seats 3\n1 : [A C]\n2 : [A D]\n2 : [B C D]\n")
+    start, step = _stv_step(StvSpec(1), profile)
+    assert start == ((frozenset(), frozenset(), 1,
+                      ((("A", "C"), 1), (("A", "D"), 2),
+                       (("B", "C", "D"), 2))), None)
+    a_first, b_first = step(*start)
+    assert a_first == ((frozenset("A"), frozenset(), 12,
+                        ((("A", "C"), 7), (("A", "D"), 14),
+                         (("B", "C", "D"), 24))), None)
+    assert b_first == ((frozenset("B"), frozenset(), 4,
+                        ((("A", "C"), 4), (("A", "D"), 8),
+                         (("B", "C", "D"), 3))), None)
+    both = ((frozenset("AB"), frozenset(), 12,
+             ((("A", "C"), 7), (("A", "D"), 14), (("B", "C", "D"), 9))),
+            None)
+    assert step(*a_first) == step(*b_first) == [both]
+    # C's 16/12 then reaches the quota of 15/12; D holds 14/12.
+    assert stv_count(StvSpec(1), profile).sorted_committees() == [
+        ("A", "B", "C")]
 
 
 def test_transfer_fills_trailing_seats():

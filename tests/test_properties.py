@@ -1,6 +1,7 @@
 """Randomized invariants shared by every counting engine: scale
-invariance, load conservation, monotone greedy scores, neutrality
-under candidate relabelling, and symmetry under swapping clones."""
+invariance (with exactly scaled payloads), load conservation, monotone
+greedy scores, neutrality under candidate relabelling, and symmetry
+under swapping clones."""
 
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from multiwin.ballots import (DEFAULT_BRANCH_CAP, ListBallot, Profile,
 from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
 from multiwin.thresholds import MethodId
-from multiwin.unordered import (InsufficientSupportError, phragmen_unordered,
+from multiwin.unordered import (InsufficientSupportError, LoadState,
+                                phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
 from multiwin.verifier import default_scope, run_method
@@ -19,13 +21,15 @@ from multiwin.verifier import default_scope, run_method
 NAMES = ("A", "B", "C", "D", "E")
 
 weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+# Denominators such as 3, 7 and 9, which no search profile carries.
+rationals = st.builds(Fraction, st.integers(1, 12), st.integers(1, 9))
 
 
 @st.composite
-def set_profiles(draw):
+def set_profiles(draw, weight=weights):
     pool = NAMES[:draw(st.integers(min_value=2, max_value=5))]
     groups = draw(st.lists(
-        st.tuples(st.sets(st.sampled_from(pool), min_size=1), weights),
+        st.tuples(st.sets(st.sampled_from(pool), min_size=1), weight),
         min_size=1, max_size=4))
     ballots = [WeightedBallot(SetBallot(members), w)
                for members, w in groups]
@@ -34,11 +38,11 @@ def set_profiles(draw):
 
 
 @st.composite
-def list_profiles(draw):
+def list_profiles(draw, weight=weights):
     pool = NAMES[:draw(st.integers(min_value=2, max_value=5))]
     groups = draw(st.lists(
         st.tuples(st.lists(st.sampled_from(pool), min_size=1,
-                           unique=True), weights),
+                           unique=True), weight),
         min_size=1, max_size=4))
     ballots = [WeightedBallot(ListBallot(ranking), w)
                for ranking, w in groups]
@@ -303,3 +307,47 @@ def test_set_registry_engines_equivariant_under_renaming(profile, data):
 @given(list_profiles(), st.data())
 def test_list_registry_engines_equivariant_under_renaming(profile, data):
     _assert_renaming_renames_outcomes("list", profile, data)
+
+
+# ---------------------------------------------------------------------------
+# Exact scaling: multiplying every weight of a rational profile by q leaves
+# every registry engine's OutcomeSet (or its refusal) as it was, multiplies
+# sequential addition's winning scores by q and divides the loads and the
+# load history of load balancing by q.
+
+
+def _assert_scaling_scales_payloads(ballot, profile, factor):
+    scaled = scale(profile, factor)
+    for method in _registry_engines(ballot):
+        before = _attempt(method, profile, DEFAULT_BRANCH_CAP)
+        assert _attempt(method, scaled, DEFAULT_BRANCH_CAP) == before, method
+        if isinstance(before, type):
+            continue
+        if method.spec.loads:
+            _, states = method.spec.engine(method, profile,
+                                           DEFAULT_BRANCH_CAP)
+            _, scaled_states = method.spec.engine(method, scaled,
+                                                  DEFAULT_BRANCH_CAP)
+            assert scaled_states == {
+                committee: LoadState(
+                    tuple(load / factor for load in state.loads),
+                    tuple(level / factor for level in state.history))
+                for committee, state in states.items()}, method
+        if method.kind == "thiele-add":
+            _, trails = thiele_addition_paths(method.scheme, profile)
+            _, scaled_trails = thiele_addition_paths(method.scheme, scaled)
+            assert scaled_trails == {
+                committee: tuple(score * factor for score in trail)
+                for committee, trail in trails.items()}, method
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_profiles(rationals), rationals)
+def test_set_registry_engines_scale_exactly(profile, factor):
+    _assert_scaling_scales_payloads("set", profile, factor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(list_profiles(rationals), rationals)
+def test_list_registry_engines_scale_exactly(profile, factor):
+    _assert_scaling_scales_payloads("list", profile, factor)

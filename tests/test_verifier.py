@@ -229,6 +229,34 @@ def test_search_refuses_a_scenario_the_ballots_cannot_express(
         search_lower_bound(MethodId.parse(label), scenario, 1, 2)
 
 
+@pytest.mark.parametrize("label, cap, scenario, ell, seats", [
+    ("sntv", 1, "party", 2, 2), ("sntv", 1, "same", 2, 2),
+    ("sntv", 1, "pjr", 2, 3), ("sntv", 1, "ejr", 3, 3),
+    ("lv:2", 2, "same", 3, 3), ("lv:2", 2, "pjr", 3, 4),
+])
+def test_search_refuses_a_cap_below_ell(monkeypatch, label, cap, scenario,
+                                        ell, seats):
+    # No W ballot can name all ell targets: the search refuses instead of
+    # answering 0 from an empty set of W strategies.
+    def enumerating(*args):
+        raise AssertionError("enumerated a refused cell")
+
+    monkeypatch.setattr(verifier, "_multisets", enumerating)
+    with pytest.raises(CoverageError,
+                       match="cap %d is below ell = %d" % (cap, ell)):
+        search_lower_bound(MethodId.parse(label), scenario, ell, seats)
+
+
+def test_search_keeps_cells_the_cap_allows():
+    # At ell = cap, and in tactic at any ell, W's ballots fit the cap; the
+    # search reaches pi there.
+    spec = SearchSpec(max_candidates=3, weight_grid=3)
+    assert search_lower_bound(MethodId.parse("lv:2"), "same", 2, 2,
+                              spec)[0] == Fraction(1, 2)
+    assert search_lower_bound(MethodId("sntv"), "tactic", 2, 2,
+                              spec)[0] == Fraction(2, 3)
+
+
 POOL = ("A1", "A2", "B1", "B2")
 TARGETS = frozenset(POOL[:2])
 

@@ -27,7 +27,7 @@ from multiwin.verifier import (AUDIT_SPEC, CATALOG, SearchSpec,
 SEARCH_SPEC = SearchSpec(max_candidates=4, weight_grid=3)
 
 SEARCH_GOLDEN = (
-    "3bba9a556225cc361f9fd78a465fed5a0fbff8e35b861444afafcb94c15f1c9d")
+    "001e299e2ee2da872bd00dfd9d68762638aeb379f81c3c02a4e8997b9ce71cac")
 CATALOG_GOLDEN = (
     "063f21ac73b07a06a56a7d4ad6246f94f23732dc56abf49b816f1316137a7ea1")
 AUDIT_GOLDEN = (
