@@ -386,6 +386,9 @@ def _cmd_search(args) -> int:
                   format_profile(witness.instance.profile).splitlines()]
     else:
         lines.append("no bad-outcome profile found within the grid")
+    if ScenarioId(args.scenario) is ScenarioId.TACTIC:
+        lines.append("note: a tactic value means no W strategy in the "
+                     "grid guarantees ell; it is not a certified lower bound")
     Document(doc_data, lines).emit(args.format)
     return 0
 

@@ -13,7 +13,8 @@ the per-round `branch_cap` and the `truncated` flag: a truncated result
 is a non-empty subset of the full answer whose committees all have S
 members.  Ordered load balancing reports LoadStates as the unordered one
 does: per committee, the least load vector with the history of the first
-path to it.  Positional scoring resolves its boundary tie with
+path to it, each round's elected level (`unordered._sequential_loads`).
+Positional scoring resolves its boundary tie with
 `unordered.boundary_committees`.
 
 Counting is exact integer arithmetic over a common denominator: the
@@ -34,8 +35,8 @@ from typing import Optional
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
 from .numerics import common_denominator
-from .unordered import (InsufficientSupportError, boundary_committees, branch,
-                        sequential_loads, sequential_max)
+from .unordered import (InsufficientSupportError, _sequential_loads,
+                        boundary_committees, branch, sequential_max)
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def phragmen_ordered(profile: Profile,
         head = _first_choice(content.ranking, elected)
         return () if head is None else (head,)
 
-    return sequential_loads(profile, supporters_of, branch_cap)
+    return _sequential_loads(profile, supporters_of, branch_cap)
 
 
 def thiele_ordered(profile: Profile,

@@ -22,6 +22,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from .numerics import common_denominator
+
 SeatVector = tuple
 
 
@@ -66,24 +68,26 @@ def divisor_apportion(spec: DivisorSpec, votes: Sequence, seats: int) -> set:
             "gamma=0 with %d supported parties but only %d seats"
             % (supported, seats))
 
+    # Votes and divisors scaled to ints (divisors by gamma's denominator):
+    # quotients v / d with d >= 0 compare by cross-multiplying, so a zero
+    # divisor (Adams' first seat) ties only with another zero divisor and
+    # beats every positive one.
+    ints, _ = common_denominator(votes)
+    gn, gd = gamma.as_integer_ratio()
     states = {tuple(0 for _ in votes)}
     for _ in range(seats):
         next_states = set()
         for state in states:
-            best = None   # None, or ("inf",) / quotient Fraction
+            best = None   # (votes, divisor) of the largest quotient so far
             winners = []
-            for i, v in enumerate(votes):
+            for i, v in enumerate(ints):
                 if v == 0:
                     continue
-                divisor = state[i] + gamma    # d(s_i + 1) = s_i + gamma
-                if divisor == 0:
-                    quotient = "inf"
-                else:
-                    quotient = v / divisor
-                if best is None or _quotient_gt(quotient, best):
-                    best = quotient
+                divisor = state[i] * gd + gn    # gd * (s_i + gamma)
+                if best is None or v * best[1] > best[0] * divisor:
+                    best = (v, divisor)
                     winners = [i]
-                elif quotient == best:
+                elif v * best[1] == best[0] * divisor:
                     winners.append(i)
             for i in winners:
                 bumped = list(state)
@@ -91,14 +95,6 @@ def divisor_apportion(spec: DivisorSpec, votes: Sequence, seats: int) -> set:
                 next_states.add(tuple(bumped))
         states = next_states
     return states
-
-
-def _quotient_gt(a, b) -> bool:
-    if a == "inf":
-        return b != "inf"
-    if b == "inf":
-        return False
-    return a > b
 
 
 def quota_apportion(spec: QuotaSpec, votes: Sequence, seats: int) -> set:

@@ -22,8 +22,8 @@ state never recurs in a later round and deduplicating within a round is
 global deduplication; an STV state reached again in a later round is
 counted again, to the same finals.  A state reached along several paths
 keeps the payload of the first path, in production order: the
-winning-score trail for sequential addition, the history of
-round-maximum loads for load balancing.
+winning-score trail for sequential addition, the load history for
+load balancing: each round's elected level (`_sequential_loads`).
 
 Candidates approved by exactly the same ballot groups are clones
 (`Clones`), among them every candidate no ballot approves.  No set-ballot
@@ -59,7 +59,7 @@ engine scales the ballot weights to ints by the lcm of their
 denominators, and its per-position rates (w_k, psi(n), 1/k) by theirs,
 once per call; scores are then ints in a fixed unit, which orders them
 as the rationals would.  Load balancing holds each state's loads as ints
-over a reduced per-state denominator (`sequential_loads`).  Only the
+over a reduced per-state denominator (`_sequential_loads`).  Only the
 reported values, the winning-score trails and the LoadStates, become
 Fractions, once per final state.
 """
@@ -91,7 +91,8 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class LoadState:
-    """Per-ballot-group loads and the history of round-maximum loads."""
+    """Per-ballot-group loads and the history of elected levels, the
+    common load each round's winner gives its supporters."""
 
     loads: tuple
     history: tuple
@@ -210,31 +211,6 @@ def boundary_committees(scores: dict, seats: int,
     return OutcomeSet(committees, truncated)
 
 
-def _waterfill(supporters: list, budget: int) -> tuple:
-    """Least t with sum of weight * max(0, t - load) over supporters =
-    budget, as an unreduced (numerator, denominator) pair of ints.
-
-    Taken by rising load, the level over the first k supporters is
-    (budget + their sum of weight * load) / their weight, and t is the
-    first such level that does not pass the next load.  A level lies
-    above every load it covers, so it cannot stop below an equal next
-    load.
-    """
-    supporters = sorted(supporters, key=itemgetter(1))
-    lift = budget               # budget + sum of weight * load so far
-    total_w = 0
-    for i, (weight, load) in enumerate(supporters, 1):
-        total_w += weight
-        if load:
-            lift += weight * load
-        if i == len(supporters):
-            return lift, total_w
-        following = supporters[i][1]
-        if following != load and lift <= following * total_w:
-            return lift, total_w
-    raise AssertionError("water-fill failed")  # pragma: no cover
-
-
 def _check_cap(branch_cap: int) -> None:
     if branch_cap < 1:
         raise ValueError("branch_cap must be >= 1")
@@ -299,26 +275,37 @@ def sequential_max(scores_of: Callable, seats: int, scale: int,
     return OutcomeSet(trails, truncated or cut), trails
 
 
-def sequential_loads(profile: Profile, supporters_of: Callable,
-                     branch_cap: int = DEFAULT_BRANCH_CAP,
-                     clones: Clones = NO_CLONES):
-    """Shared min-max-load engine for unordered and ordered ballots.
+def _sequential_loads(profile: Profile, supporters_of: Callable,
+                      branch_cap: int = DEFAULT_BRANCH_CAP,
+                      clones: Clones = NO_CLONES):
+    """Phragmén's min-max-load rule for `phragmen_unordered` and
+    `ordered.phragmen_ordered`, which pass their supporter rules:
+    supporters_of(content, elected) is every unelected name on a set
+    ballot, the highest-ranked one on a list ballot.  Each round elects a
+    candidate of least level, (1 + sum of weight * load) / sum of weight
+    over its supporters: the common load they reach by sharing one more
+    seat.  Each of its supporters takes exactly that load, and the
+    history records it.  Ties branch, on one head per tied clone class.
+    Returns (OutcomeSet, {committee: LoadState}).
 
-    supporters_of(content, elected) must return the unelected candidates
-    the ballot currently supports.  Each round the engine elects a
-    candidate minimizing the resulting maximum ballot load; the new unit
-    of load is spread over that candidate's supporters so their maximum
-    is as small as possible (ballots already above the waterline keep
-    their load).  Ties branch, on one head per tied clone class.  Returns
-    (OutcomeSet, {committee: LoadState}).
+    The level is exact because no supporter is ever above it.  By
+    induction on rounds, every load is at most the last elected level L
+    (0 at the start) and every level is at least L:
+    - set ballots: a candidate's supporters never change and their loads
+      only rise, so its level only rises (clones share both);
+    - list ballots: c's old supporters keep their loads, and a ballot
+      that newly supports c supported the last winner, so its load is L;
+      c's level is a mediant of its old level and L, or above L when c
+      had no supporters.
+    The argument holds for these two rules only, so the function is
+    private.
 
     The ballot weights are ints over their common denominator `unit`.  A
     state is (elected, den, loads), each load an int over den, kept
-    reduced (gcd(den, *loads) == 1) so that equal loads share one state.
-    A seat's unit of load is `unit * den` in these terms, and a level
-    t = num / (q * den) from `_waterfill` is compared with the loads and
-    with other levels by cross-multiplying.  Only the final states'
-    loads and history become Fractions.
+    reduced (gcd(den, *loads) == 1) so that equal loads share one state;
+    a seat is `unit * den` in these units, and levels compare by
+    cross-multiplying.  Only the final states' loads and history become
+    Fractions.
     """
     contents = [b.content for b in profile.ballots]
     weights, unit = common_denominator(b.weight for b in profile.ballots)
@@ -335,26 +322,24 @@ def sequential_loads(profile: Profile, supporters_of: Callable,
         if not supporters:
             raise InsufficientSupportError(
                 "no supported candidate left for an open seat")
-        # Levels and keys in units of 1 / den, as (num, q) for num / q.
-        global_max = max(loads)
+        # Levels in units of 1 / den, as (num, q) for num / q.
         best = None
         options = []
         for cand in clones.heads(sorted(supporters), elected):
-            t = _waterfill([(weights[i], loads[i]) for i in supporters[cand]],
-                           unit * den)
-            key = t if t[0] > global_max * t[1] else (global_max, 1)
-            if best is None or key[0] * best[1] < best[0] * key[1]:
-                best = key
-                options = [(cand, t)]
-            elif key[0] * best[1] == best[0] * key[1]:
-                options.append((cand, t))
+            group = supporters[cand]
+            num = unit * den + sum(weights[i] * loads[i] for i in group)
+            q = sum(weights[i] for i in group)
+            if best is None or num * best[1] < best[0] * q:
+                best = (num, q)
+                options = [(cand, num, q)]
+            elif num * best[1] == best[0] * q:
+                options.append((cand, num, q))
         history += ((best[0], best[1] * den),)
         successors = []
-        for cand, (num, q) in options:
+        for cand, num, q in options:
             new_loads = [load * q for load in loads]
             for i in supporters[cand]:
-                if new_loads[i] < num:
-                    new_loads[i] = num
+                new_loads[i] = num
             g = gcd(den * q, *new_loads)
             successors.append(((elected | {cand}, den * q // g,
                                 tuple(load // g for load in new_loads)),
@@ -383,7 +368,7 @@ def phragmen_unordered(profile: Profile,
     def supporters_of(content, elected):
         return content.members - elected
 
-    return sequential_loads(profile, supporters_of, branch_cap, clones)
+    return _sequential_loads(profile, supporters_of, branch_cap, clones)
 
 
 def thiele_optimize(scheme: WeightScheme, profile: Profile,

@@ -903,11 +903,15 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     Fractions are tried largest first.  For the tactic scenario a fraction
     counts as bad only when every enumerated W strategy admits some
     adversary profile with a bad outcome, and the witness answers the
-    first strategy; elsewhere the first bad instance is the witness.  The
-    enumeration bounds make the result a lower bound on the true
-    threshold in every scenario, with a witness that replays.  A count the
-    branch cap truncates is bad when it lists a bad committee and not bad
-    when it does not (see _search_bad).
+    first strategy; elsewhere the first bad instance is the witness.
+    Outside tactic the enumeration bounds make the result a lower bound on
+    the true threshold, with a witness that replays.  A tactic value is
+    not a certified lower bound: it means that no W strategy in the grid
+    guarantees ell.  A real W can play strategies the grid lacks (unit
+    ballots cannot split 3/4 into 3/8 + 3/8), and the witness replays
+    only the answer to the first strategy, not the "every strategy" part.
+    A count the branch cap truncates is bad when it lists a bad committee
+    and not bad when it does not (see _search_bad).
 
     Each instance is decided once up to renaming the targets among
     themselves and the decoys among themselves: such a renaming keeps the

@@ -251,6 +251,25 @@ def test_search(capsys):
     assert "1/3" in out
 
 
+def test_tactic_search_says_what_its_value_means(capsys):
+    argv = ("search", "--method", "av", "--scenario", "tactic", "--ell", "1",
+            "--seats", "1", "--grid", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "best 1/2" in out
+    assert out.splitlines()[-1] == (
+        "note: a tactic value means no W strategy in the grid guarantees "
+        "ell; it is not a certified lower bound")
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert "note" not in out
+    code, out, _ = run_cli(capsys, "search", "--method", "av", "--scenario",
+                           "same", "--ell", "1", "--seats", "1", "--grid", "3")
+    assert code == 0
+    assert "note" not in out
+
+
 def test_audit_clean(capsys):
     code, out, _ = run_cli(capsys, "audit", "--smax", "4")
     assert code == 0

@@ -107,7 +107,9 @@ def test_list_engines_scale_invariant(profile, factor):
 
 # ---------------------------------------------------------------------------
 # Load conservation: the final per-ballot loads of both load-balancing
-# engines always sum (weighted) to the number of seats.
+# engines always sum (weighted) to the number of seats.  The elected
+# levels never fall and the last is the maximum load, the invariant that
+# makes each round's closed-form level exact.
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,6 +123,8 @@ def test_unordered_load_conservation(profile):
     for state in states.values():
         total = sum(w * load for w, load in zip(ballot_weights, state.loads))
         assert total == profile.seats
+        assert all(a <= b for a, b in zip(state.history, state.history[1:]))
+        assert state.max_load == state.history[-1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,6 +138,8 @@ def test_ordered_load_conservation(profile):
     for state in states.values():
         total = sum(w * load for w, load in zip(ballot_weights, state.loads))
         assert total == profile.seats
+        assert all(a <= b for a, b in zip(state.history, state.history[1:]))
+        assert state.max_load == state.history[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from multiwin.ballots import (OutcomeSet, WeightScheme, parse_profile)
 from multiwin.thresholds import MethodId
 from multiwin.unordered import (BudgetExceededError, InsufficientSupportError,
                                 boundary_committees, phragmen_unordered,
-                                sequential_loads,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
 from multiwin.verifier import run_method
@@ -112,25 +111,6 @@ def test_load_balancing_symmetric_tie_branches():
     profile = prof("!seats 1\n1 : {A}\n1 : {B}\n")
     out, _ = phragmen_unordered(profile)
     assert out.sorted_committees() == [("A",), ("B",)]
-
-
-def test_load_step_keeps_a_supporter_above_the_waterline():
-    # A rule whose {C} ballots support no one until a seat is filled.
-    # A and C tie at level 1 on the [A C] ballot alone.  After A, that
-    # ballot holds load 1, above the level 1/3 the three fresh {C} votes
-    # give C, so it keeps its load and the {C} ballots take 1/3 each.
-    profile = prof("!seats 2\n1 : {A C}\n3 : {C}\n")
-
-    def supporters_of(content, elected):
-        if elected or "A" in content.members:
-            return content.members - elected
-        return frozenset()
-
-    out, states = sequential_loads(profile, supporters_of)
-    assert out.sorted_committees() == [("A", "C")]
-    state = states[frozenset("AC")]
-    assert state.loads == (Fraction(1), Fraction(1, 3))
-    assert state.history == (Fraction(1), Fraction(1))
 
 
 def test_load_balancing_no_supporter_raises():
