@@ -35,8 +35,8 @@ from typing import Optional
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
 from .numerics import common_denominator
-from .unordered import (InsufficientSupportError, _sequential_loads,
-                        boundary_committees, branch, sequential_max)
+from .unordered import (_sequential_loads, boundary_committees, branch,
+                        sequential_max)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,11 @@ def _stv_step(spec: StvSpec, profile: Profile):
     candidate is eliminated at full value.  Both choices branch on ties.
     When the remaining candidates only just fill the remaining seats, all
     of them are elected: that state is final, and stv_count reads its
-    committee as every candidate not eliminated.  The surplus of the last
-    elected candidate is not transferred.
+    committee as every candidate not eliminated.  The remaining candidates
+    never fall short of the open seats: a Profile has at least S, an
+    election takes one of each, and an elimination, made only while they
+    outnumber the seats, takes at most the excess.  The surplus of the
+    last elected candidate is not transferred.
 
     With Q = qn / qd, a count V (over den) reaches the quota iff
     V * qd >= qn * den.  A reacher's transfer multiplies its groups by
@@ -138,10 +141,6 @@ def _stv_step(spec: StvSpec, profile: Profile):
         out = elected | eliminated
         remaining = profile.candidates - out
         unfilled = seats - len(elected)
-        if len(remaining) < unfilled:
-            raise InsufficientSupportError(
-                "only %d candidates left for %d open seats"
-                % (len(remaining), unfilled))
         if len(remaining) == unfilled:
             return None
         # Every group holds a positive value, so a count is positive and

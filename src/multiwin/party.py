@@ -8,7 +8,9 @@ Quota methods use the unrounded quota Q = V / (S + delta); a seat vector
 (s_i) is valid when some t in [0, 1] satisfies
     s_i - 1 + t <= v_i / Q <= s_i + t   for every party i,
 which is the largest-remainder rule with ties yielding several vectors.
-delta = 0 is the Hare quota, delta = 1 the Droop quota.
+delta = 0 is the Hare quota, delta = 1 the Droop quota.  quota_apportion
+builds the valid vectors directly from the few t that can decide them,
+so its cost follows the number of vectors, not 3^n in the parties.
 
 Both apportionments are tie-aware: they return every seat vector reachable
 under some tie resolution.
@@ -16,10 +18,9 @@ under some tie resolution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from typing import Sequence
 
 from .numerics import common_denominator
@@ -98,30 +99,42 @@ def divisor_apportion(spec: DivisorSpec, votes: Sequence, seats: int) -> set:
 
 
 def quota_apportion(spec: QuotaSpec, votes: Sequence, seats: int) -> set:
-    """All seat vectors admitted by the quota feasibility condition."""
+    """All seat vectors admitted by the quota feasibility condition.
+
+    With shares x_i = v_i / Q, a vector s is admitted iff some t in [0, 1]
+    has x_i - s_i <= t <= x_i - s_i + 1 for every i.  Those t form an
+    interval whose left end L = max(0, max_i (x_i - s_i)) is itself
+    feasible, so s is admitted at t = L.  L is 0, or some x_j - s_j in
+    (0, 1]: that is x_j mod 1, or 1 when x_j - s_j is a whole number.  So
+    trying t in {0, 1} and every x_i mod 1 finds every admitted vector.
+    At one t, s_i ranges over the whole numbers >= 0 in [x_i - t,
+    x_i - t + 1]: ceil(x_i - t), clamped at 0, and one more when x_i - t
+    is a whole number >= 0.  The vectors at t give every way to hand the
+    seats left over to the parties with that second choice, one each.
+
+    Exactly, with votes scaled to ints n_i and delta = dn / dd, the share
+    x_i is n_i (S dd + dn) over den = (sum n) dd.
+    """
     votes = [Fraction(v) for v in votes]
     if any(v < 0 for v in votes):
         raise ValueError("votes must be non-negative")
-    total = sum(votes, Fraction(0))
-    if total <= 0:
+    if sum(votes) <= 0:
         raise ValueError("total votes must be positive")
     if seats < 1:
         raise ValueError("seats must be positive")
-    quota = total / (seats + spec.delta)
-    shares = [v / quota for v in votes]
-
-    # With t in [0, 1], feasible s_i satisfy x_i - 1 <= s_i <= x_i + 1.
-    ranges = []
-    for x in shares:
-        lo = max(0, math.ceil(x - 1))
-        hi = math.floor(x + 1)
-        ranges.append(range(lo, hi + 1))
+    ints, _ = common_denominator(votes)
+    dn, dd = spec.delta.as_integer_ratio()
+    den = sum(ints) * dd
+    shares = [n * (seats * dd + dn) for n in ints]
     result = set()
-    for vector in product(*ranges):
-        if sum(vector) != seats:
-            continue
-        t_lo = max(x - s for x, s in zip(shares, vector))
-        t_hi = min(x - s + 1 for x, s in zip(shares, vector))
-        if max(t_lo, Fraction(0)) <= min(t_hi, Fraction(1)):
-            result.add(vector)
+    for t in {0, den}.union(x % den for x in shares):
+        base = [max(0, -((t - x) // den)) for x in shares]
+        loose = [i for i, x in enumerate(shares)
+                 if x >= t and (x - t) % den == 0]
+        spare = seats - sum(base)
+        for extra in combinations(loose, spare) if spare >= 0 else ():
+            vector = list(base)
+            for i in extra:
+                vector[i] += 1
+            result.add(tuple(vector))
     return result

@@ -148,20 +148,17 @@ def is_good(inst: ScenarioInstance, committee) -> bool:
     """Is this committee a good outcome for W under the scenario?"""
     committee = frozenset(committee)
     scenario = inst.scenario
-    if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
-        # Good means ell members of W's own list are elected; the list may
-        # be a superset of the declared target set.
-        w_list = frozenset().union(
+    if scenario in (ScenarioId.PARTY, ScenarioId.SAME, ScenarioId.PJR):
+        # Good means ell names of W's ballots are elected: W's own list
+        # under party/same (which may be a superset of the declared target
+        # set), the union of W's ballots under pjr.
+        union = frozenset().union(
             *(b.content.members for b in inst.profile.w_ballots()))
-        return len(w_list & committee) >= inst.ell
+        return len(union & committee) >= inst.ell
     if scenario in (ScenarioId.TACTIC, ScenarioId.PSC):
         return len(inst.target & committee) >= inst.ell
     if scenario is ScenarioId.WPSC:
         return inst.target <= committee
-    if scenario is ScenarioId.PJR:
-        union = frozenset().union(
-            *(b.content.members for b in inst.profile.w_ballots()))
-        return len(union & committee) >= inst.ell
     if scenario is ScenarioId.EJR:
         return any(len(b.content.members & committee) >= inst.ell
                    for b in inst.profile.w_ballots())

@@ -81,6 +81,18 @@ class MethodId:
                 object.__setattr__(self, "scheme", WeightScheme.harmonic())
         elif self.scheme is not None:
             raise ValueError("%s takes no weight scheme" % self.kind)
+        # The generated hash, computed once: audit tables key on MethodIds,
+        # and rehashing a Fraction parameter runs Python code each time.
+        object.__setattr__(self, "_hash",
+                           hash((self.kind, self.param, self.scheme)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__, so a copy or an unpickled MethodId
+        # hashes under its own process's string hash seed.
+        return MethodId, (self.kind, self.param, self.scheme)
 
     @property
     def spec(self) -> "MethodKind":

@@ -23,6 +23,7 @@ from importlib import resources
 from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
 from math import isqrt
+from sys import intern
 from typing import Optional, Sequence
 
 from .ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet, PartyBallot,
@@ -854,11 +855,8 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
             if key in met:
                 continue
             met.add(key)
-            try:
-                profile = _profile(kind, groups, seats, universe)
-            except ProfileError:
-                continue
-            inst = ScenarioInstance(profile, targets, ell, scenario)
+            inst = ScenarioInstance(_profile(kind, groups, seats, universe),
+                                    targets, ell, scenario)
             if is_instance(inst):
                 yield inst
 
@@ -990,10 +988,12 @@ def default_scope() -> list:
 
 
 def _entry_or_none(method, scenario, ell, seats):
+    """The cell's entry; None if threshold() refuses it or it has no bound."""
     try:
-        return threshold(method, scenario, ell, seats)
+        entry = threshold(method, scenario, ell, seats)
     except (CoverageError, ValueError):
         return None
+    return None if entry.lo is None and entry.hi is None else entry
 
 
 _CHAINS = (
@@ -1011,118 +1011,83 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
                 with_search: bool = False) -> AuditReport:
     """Machine-check the inequality families over the scope.
 
-    Chain inequalities, seat-count closure, the universal lower bounds,
-    and tactic subadditivity are checked on every applicable entry.  With
-    with_search=True, pi-exact entries at S <= 3 are additionally probed
-    by search_lower_bound: search must never exceed the threshold, and
-    must attain it when the witness catalog covers the pair inside the
-    search grid.
+    Every in-scope entry at S <= smax that bounds its cell (has a lo or a
+    hi) is looked up once, into one table keyed (method, scenario, ell,
+    S); no check reads an entry without a bound.  Each family is one loop
+    over the table, and the checks are listed family by family: chains
+    where the lower entry has a lo and the higher a hi; seat-count closure
+    and the floor ell/(S+1) when (S+1)/ell is whole, on exact pi entries
+    with an exact pi partner at S+1-ell; tactic subadditivity over exact
+    tactic entries; and, with with_search=True, a search_lower_bound
+    probe of exact pi entries at S <= 3, which must never exceed the
+    threshold and must attain it when the witness catalog covers the cell
+    inside the search grid.  A pair the scope lists twice is checked once.
     """
     if scope is None:
         scope = default_scope()
     if spec is None:
         spec = AUDIT_SPEC
+    pairs = dict.fromkeys((m, ScenarioId(sc)) for m, sc in scope)
+    cells = ((m, sc, ell, seats) for m, sc in pairs
+             for seats in range(1, smax + 1) for ell in range(1, seats + 1))
+    table = {cell: entry for cell in cells
+             if (entry := _entry_or_none(*cell)) is not None}
     checks: list = []
-    methods = []
-    for method, _ in scope:
-        if method not in methods:
-            methods.append(method)
-    scoped = set((m.label(), ScenarioId(sc)) for m, sc in scope)
 
-    def in_scope(method, scenario):
-        return (method.label(), scenario) in scoped
+    def check(name, subject, ok, fmt, *args):
+        """Record a check; repeated names and subjects share one string."""
+        checks.append(AuditCheck(intern(name), intern(subject), ok,
+                                 "" if ok else fmt % args))
 
-    for method in methods:
-        for seats in range(1, smax + 1):
-            # row[ell][sc]: the in-scope entries of this (method, S) row
-            row = {ell: {sc: _entry_or_none(method, sc, ell, seats)
-                         for sc in ScenarioId if in_scope(method, sc)}
-                   for ell in range(1, seats + 1)}
-            for ell, entries in row.items():
-                subject = "%s ell=%d S=%d" % (method.label(), ell, seats)
-                # chain inequalities, decidable violations only
-                for low_sc, high_sc in _CHAINS:
-                    low = entries.get(low_sc)
-                    high = entries.get(high_sc)
-                    if low is None or high is None:
-                        continue
-                    if low.lo is not None and high.hi is not None:
-                        ok = low.lo <= high.hi
-                        checks.append(AuditCheck(
-                            "chain %s<=%s" % (low_sc.value, high_sc.value),
-                            subject, ok,
-                            "" if ok else "%s > %s" % (low.lo, high.hi)))
-                # seat-count closure on exact pi values
-                for sc, entry in entries.items():
-                    if entry is None or not entry.is_exact:
-                        continue
-                    if entry.kind != PI:
-                        continue
-                    partner = row[seats + 1 - ell][sc]
-                    if partner is None or not partner.is_exact \
-                            or partner.kind != PI:
-                        continue
-                    ok = entry.value + partner.value >= 1
-                    checks.append(AuditCheck(
-                        "closure %s" % sc.value, subject, ok,
-                        "" if ok else "%s + %s < 1"
-                        % (entry.value, partner.value)))
-                    # universal lower bounds
-                    if (seats + 1) % ell == 0:
-                        ok = entry.value >= Fraction(ell, seats + 1)
-                        checks.append(AuditCheck(
-                            "floor %s" % sc.value, subject, ok,
-                            "" if ok else "%s < %d/%d"
-                            % (entry.value, ell, seats + 1)))
-            # tactic subadditivity over exact tactic values
-            if in_scope(method, ScenarioId.TACTIC):
-                values = {}
-                for ell, entries in row.items():
-                    entry = entries[ScenarioId.TACTIC]
-                    if entry is not None and entry.is_exact:
-                        values[ell] = entry.value
-                for ell_a in values:
-                    for ell_b in values:
-                        ell_sum = ell_a + ell_b
-                        if ell_sum in values:
-                            ok = (values[ell_sum]
-                                  <= values[ell_a] + values[ell_b])
-                            checks.append(AuditCheck(
-                                "tactic subadditive",
-                                "%s S=%d %d+%d" % (method.label(), seats,
-                                                   ell_a, ell_b),
-                                ok, "" if ok else "%s > %s + %s"
-                                % (values[ell_sum], values[ell_a],
-                                   values[ell_b])))
-    if with_search:
-        for method, sc in scope:
-            sc = ScenarioId(sc)
-            for seats in range(1, min(smax, 3) + 1):
-                for ell in range(1, seats + 1):
-                    entry = _entry_or_none(method, sc, ell, seats)
-                    if entry is None or not entry.is_exact \
-                            or entry.kind != PI:
-                        continue
-                    try:
-                        found, _ = search_lower_bound(method, sc, ell, seats,
-                                                      spec)
-                    except CoverageError:
-                        continue
-                    subject = "%s %s ell=%d S=%d" % (method.label(), sc.value,
-                                                     ell, seats)
-                    ok = found <= entry.value
-                    checks.append(AuditCheck(
-                        "search<=threshold", subject, ok,
-                        "" if ok else "%s > %s" % (found, entry.value)))
-                    token = covering_token(method, sc, ell, seats)
-                    if token is not None and _witness_in_grid(
-                            construct_witness(token, method, sc, ell, seats),
-                            spec):
-                        ok = found == entry.value
-                        checks.append(AuditCheck(
-                            "search=threshold", subject, ok,
-                            "" if ok else "found %s, expected %s (via %s)"
-                            % (found, entry.value, token)))
+    def exact(entry, kind=None):
+        """The entry's value if it is exact (and of that kind), else None."""
+        ok = entry is not None and entry.is_exact and kind in (None, entry.kind)
+        return entry.value if ok else None
+
+    for (method, sc, ell, seats), low in table.items():
+        for high_sc in [upper for lower, upper in _CHAINS if lower is sc]:
+            high = table.get((method, high_sc, ell, seats))
+            if high is not None and low.lo is not None and high.hi is not None:
+                check("chain %s<=%s" % (sc.value, high_sc.value),
+                      "%s ell=%d S=%d" % (method.label(), ell, seats),
+                      low.lo <= high.hi, "%s > %s", low.lo, high.hi)
+    for (method, sc, ell, seats), entry in table.items():
+        value = exact(entry, PI)
+        partner = exact(table.get((method, sc, seats + 1 - ell, seats)), PI)
+        if value is None or partner is None:
+            continue
+        subject = "%s ell=%d S=%d" % (method.label(), ell, seats)
+        check("closure %s" % sc.value, subject, value + partner >= 1,
+              "%s + %s < 1", value, partner)
+        if (seats + 1) % ell == 0:
+            check("floor %s" % sc.value, subject,
+                  value >= Fraction(ell, seats + 1),
+                  "%s < %d/%d", value, ell, seats + 1)
+    for (method, sc, ell_a, seats), entry in table.items():
+        a = exact(entry) if sc is ScenarioId.TACTIC else None
+        for ell_b in range(1, seats + 1 - ell_a) if a is not None else ():
+            b, both = (exact(table.get((method, sc, ell, seats)))
+                       for ell in (ell_b, ell_a + ell_b))
+            if b is not None and both is not None:
+                check("tactic subadditive",
+                      "%s S=%d %d+%d" % (method.label(), seats, ell_a, ell_b),
+                      both <= a + b, "%s > %s + %s", both, a, b)
+    for (method, sc, ell, seats), entry in table.items():
+        value = exact(entry, PI) if with_search and seats <= 3 else None
+        if value is None:
+            continue
+        try:
+            found, _ = search_lower_bound(method, sc, ell, seats, spec)
+        except CoverageError:
+            continue
+        subject = "%s %s ell=%d S=%d" % (method.label(), sc.value, ell, seats)
+        check("search<=threshold", subject, found <= value,
+              "%s > %s", found, value)
+        token = covering_token(method, sc, ell, seats)
+        if token is not None and _witness_in_grid(
+                construct_witness(token, method, sc, ell, seats), spec):
+            check("search=threshold", subject, found == value,
+                  "found %s, expected %s (via %s)", found, value, token)
     return AuditReport(tuple(checks))
 
 

@@ -63,6 +63,12 @@ def test_extra_candidates_directive():
     ("!seats 1\n!bogus\n1 : {A}\n", "directive"),
     ("!seats 2\n1 : {A}\n", "universe"),
     ("!seats 1\n1 : {A}\n1 : [A B]\n", "mixes"),
+    ("!seats x\n1 : {A}\n", "bad seat count"),
+    ("!seats 0\n1 : {A}\n", "seats must be positive"),
+    ("!seats 1\n1 : []\n", "empty ordered ballot"),
+    ("!seats 1\n1 : [A A]\n", "duplicate"),
+    ("!seats 1\n0 : {A}\n", "weight must be positive"),
+    ("!seats 1\n-1/2 : {A}\n", "weight must be positive"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ProfileError) as err:
@@ -111,6 +117,27 @@ def test_outcome_set_sorted_and_membership():
     assert len(outcomes) == 2
 
 
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: SetBallot([]), "must be non-empty"),
+    (lambda: ListBallot([]), "must be non-empty"),
+    (lambda: ListBallot(["A", "B", "A"]), "duplicate names"),
+    (lambda: WeightedBallot(SetBallot(["A"]), 0), "weight must be positive"),
+    (lambda: WeightedBallot(SetBallot(["A"]), -1), "weight must be positive"),
+    (lambda: Profile([], 1), "at least one ballot group"),
+    (lambda: Profile([WeightedBallot(SetBallot(["A"]), 1)], 0),
+     "seats must be positive"),
+    (lambda: Profile([WeightedBallot(SetBallot(["A:B"]), 1)], 1),
+     "invalid candidate/party name"),
+    (lambda: Profile([WeightedBallot(PartyBallot("P"), 1)], 1, ["Q R"]),
+     "invalid candidate/party name"),
+    (lambda: scale(parse_profile(SET_TEXT), 0), "scale factor"),
+    (lambda: scale(parse_profile(SET_TEXT), Fraction(-1, 2)), "scale factor"),
+])
+def test_ballots_and_profiles_refuse_invalid_input(build, fragment):
+    with pytest.raises(ProfileError, match=fragment):
+        build()
+
+
 def test_outcome_set_requires_committees():
     with pytest.raises(ProfileError):
         OutcomeSet([])
@@ -146,6 +173,12 @@ def test_explicit_scheme_prefix_and_tail():
 def test_explicit_scheme_must_not_increase():
     with pytest.raises(ValueError):
         WeightScheme.explicit([1, Fraction(1, 3)], tail=Fraction(1, 2))
+    for prefix in ([], [Fraction(1, 2)], [2, 1]):
+        with pytest.raises(ValueError, match="requires w_1 = 1"):
+            WeightScheme.explicit(prefix)
+    for scheme in (WeightScheme.harmonic(), WeightScheme.explicit([1])):
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            scheme.w(0)
 
 
 def test_scheme_labels_round_trip_identity():

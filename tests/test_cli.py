@@ -291,6 +291,18 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "--method", "av", str(broken))
     assert code == 2
     assert "line 2" in err
+    no_w = tmp_path / "no_w.profile"
+    no_w.write_text("!seats 1\n1 : {A}\n1 : {B}\n")
+    for argv, message in [
+            (("check", "--method", "av", "--scenario", "same", "--ell", "1",
+              str(no_w)), "no !W ballot groups"),
+            (("threshold", "--method", "bv", "--seats", "3"),
+             "--ell is required"),
+            (("seq", "--which", "a", "--n", "0"), "--n must be >= 1"),
+            (("seq", "--which", "d", "--n", "2"), "unknown sequence 'd'")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 @pytest.mark.parametrize("label", ["bv:junk", "phragmen-u:weak"])

@@ -119,6 +119,10 @@ def test_format_lp_is_parseable_text():
 
 
 def test_constraint_validation():
+    with pytest.raises(ValueError, match="at least one variable"):
+        LinearProgram(0, [], [])
+    with pytest.raises(ValueError, match=">= form"):
+        dual_program(LinearProgram(1, [1], [([1], "<=", 2)]))
     with pytest.raises(ValueError):
         LinearProgram(2, [1], [])
     with pytest.raises(ValueError):

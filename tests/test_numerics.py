@@ -50,9 +50,13 @@ def test_round_trip(text):
 def test_decimal_rendering():
     assert to_decimal_str(Fraction(3, 5), 3) == "0.600"
     assert to_decimal_str(Fraction(1, 3), 4) == "0.3333"
+    with pytest.raises(ValueError, match="digits must be >= 0"):
+        to_decimal_str(Fraction(1, 3), -1)
 
 
 def test_harmonic_small():
+    with pytest.raises(ValueError, match="n >= 1"):
+        harmonic(0)
     assert harmonic(1) == 1
     assert harmonic(2) == Fraction(3, 2)
     assert harmonic(6) == Fraction(49, 20)

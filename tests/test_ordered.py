@@ -151,6 +151,11 @@ def test_transfer_branch_cap_truncates():
 def test_delta_validation():
     with pytest.raises(ValueError):
         StvSpec(2)
+    # A negative delta is a spec, but S + delta must stay positive.
+    profile = prof("!seats 1\n1 : [A B]\n")
+    for delta in (-1, -2):
+        with pytest.raises(ValueError, match="S \\+ delta > 0"):
+            stv_count(StvSpec(delta), profile)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,13 @@ def test_input_validation():
         divisor_apportion(DivisorSpec(1), [0, 0], 1)
     with pytest.raises(ValueError):
         quota_apportion(QuotaSpec(0), [1, 2], 0)
+    with pytest.raises(ValueError, match="seats must be positive"):
+        divisor_apportion(DivisorSpec(1), [1, 2], 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        quota_apportion(QuotaSpec(1), [3, Fraction(-1, 2)], 2)
+    for votes in ([0, 0], []):
+        with pytest.raises(ValueError, match="total votes must be positive"):
+            quota_apportion(QuotaSpec(1), votes, 2)
     with pytest.raises(ValueError):
         DivisorSpec(2)
     with pytest.raises(ValueError):
@@ -185,6 +192,12 @@ def test_quota_matches_oracle_randomized(delta):
             votes[0] = 1
         engine = quota_apportion(QuotaSpec(delta), votes, seats)
         assert engine == _quota_oracle(delta, votes, seats)
+    # Many parties with distinct votes, where a product over every
+    # party's 2-3 candidate seat counts would run to millions of vectors.
+    votes = rng.sample(range(1, 200), 16)
+    seats = rng.randint(16, 40)
+    engine = quota_apportion(QuotaSpec(delta), votes, seats)
+    assert engine == _quota_oracle(delta, votes, seats)
 
 
 def test_homogeneity_under_vote_scaling():

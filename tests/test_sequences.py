@@ -94,6 +94,8 @@ def test_domain_errors():
     for fn in (seq_a, seq_b, seq_c):
         with pytest.raises(ValueError):
             fn(0)
+    with pytest.raises(ValueError, match="alpha requires n >= 1"):
+        build_alpha_lp(0, WeightScheme.harmonic())
 
 
 def test_subsets_enumeration():

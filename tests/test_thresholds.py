@@ -6,6 +6,7 @@ derivations (closed forms, the LP route, and the witness/search side of
 the package) before being frozen.
 """
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,9 @@ import pytest
 from multiwin.ballots import WeightScheme
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import ScenarioId
-from multiwin.thresholds import (CoverageError, MethodId, TABLE_NAMES,
-                                 criterion_check, generic_bounds, table_grid,
-                                 threshold)
+from multiwin.thresholds import (INTERVAL, CoverageError, MethodId,
+                                 TABLE_NAMES, ThresholdValue, criterion_check,
+                                 generic_bounds, table_grid, threshold)
 from multiwin.verifier import construct_witness, verify_witness
 
 F = Fraction
@@ -42,6 +43,32 @@ def test_method_parse_errors():
             MethodId.parse(bad)
 
 
+@pytest.mark.parametrize("kind, param, scheme, message", [
+    ("bogus", None, None, "unknown method kind 'bogus'"),
+    ("div", None, None, "div requires a parameter"),
+    ("lv", F(3, 2), None, "integer limit >= 1"),
+    ("lv", 0, None, "integer limit >= 1"),
+    ("div", 2, None, "must lie in \\[0, 1\\]"),
+    ("stv", F(-1, 2), None, "must lie in \\[0, 1\\]"),
+    ("bv", 1, None, "bv takes no numeric parameter"),
+    ("phragmen-u", None, WeightScheme.weak(), "takes no weight scheme"),
+])
+def test_method_id_validation(kind, param, scheme, message):
+    with pytest.raises(ValueError, match=message):
+        MethodId(kind, param, scheme)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ThresholdValue(F(3, 2)), "must lie in \\[0, 1\\]"),
+    (lambda: ThresholdValue(F(-1, 3)), "must lie in \\[0, 1\\]"),
+    (lambda: ThresholdValue(None, status=INTERVAL, lo=F(1, 2), hi=F(1, 3)),
+     "lower bound exceeds upper bound"),
+])
+def test_threshold_value_validation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("label", [
     "bv:junk", "phragmen-u:weak", "cv:1", "thiele-elim:harmonic"])
 def test_method_parse_refuses_an_argument_the_kind_does_not_take(label):
@@ -54,6 +81,12 @@ def test_method_parse_round_trips_the_default_scope():
     from multiwin.verifier import default_scope
     for method, _ in default_scope():
         assert MethodId.parse(method.label()) == method
+        # Equal ids hash equal, a pickled copy included; the pickle holds
+        # no cached hash, which another hash seed would make stale.
+        data = pickle.dumps(method)
+        assert b"_hash" not in data
+        for copy in (MethodId.parse(method.label()), pickle.loads(data)):
+            assert copy == method and hash(copy) == hash(method)
 
 
 def test_method_constructors_match_parse():

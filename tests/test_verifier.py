@@ -49,6 +49,16 @@ def test_run_method_dispatch_and_refusals():
 def test_search_refuses_limit_above_seats():
     with pytest.raises(CoverageError):
         search_lower_bound(MethodId("lv", 2), "same", 1, 1)
+    for ell, seats in ((0, 2), (3, 2)):
+        with pytest.raises(ValueError, match="need 1 <= ell <= seats"):
+            search_lower_bound(MethodId("bv"), "same", ell, seats)
+        with pytest.raises(ValueError, match="need 1 <= ell <= seats"):
+            construct_witness("equal-split", MethodId("bv"), "same", ell,
+                              seats)
+    for field in ("max_candidates", "weight_grid", "max_ballot_groups",
+                  "max_ballot_length", "branch_cap"):
+        with pytest.raises(ValueError, match="%s must be positive" % field):
+            SearchSpec(**{field: 0})
 
 
 def test_party_seat_vectors():
