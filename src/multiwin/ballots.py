@@ -125,7 +125,7 @@ class Profile:
             raise ProfileError("profile mixes ballot kinds: %s" % sorted(kinds))
         universe = set(candidates)
         for b in ballots:
-            universe.update(b.content.names())
+            universe.update(b.content.members)
         for name in universe:
             _check_name(name)
         if seats < 1:

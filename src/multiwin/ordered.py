@@ -14,6 +14,8 @@ is a non-empty subset of the full answer whose committees all have S
 members.  Ordered load balancing reports LoadStates as the unordered one
 does: per committee, the least load vector with the history of the first
 path to it, each round's elected level (`unordered._sequential_loads`).
+Once every ballot is exhausted, ordered load balancing and ordered
+sequential weights fill the open seats in every way (`unordered._fill`).
 Positional scoring resolves its boundary tie with
 `unordered.boundary_committees`.
 
@@ -214,8 +216,8 @@ def thiele_ordered(profile: Profile,
                     break
         return scores
 
-    return sequential_max(scores_of, profile.seats, unit * share,
-                          branch_cap)[0]
+    return sequential_max(scores_of, profile.candidates, profile.seats,
+                          unit * share, branch_cap)[0]
 
 
 def borda_count(weights: BordaWeights, profile: Profile,

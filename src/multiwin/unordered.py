@@ -24,6 +24,10 @@ counted again, to the same finals.  A state reached along several paths
 keeps the payload of the first path, in production order: the
 winning-score trail for sequential addition, the load history for
 load balancing: each round's elected level (`_sequential_loads`).
+When seats are open but no unelected candidate has a score (sequential
+addition) or a supporter (load balancing), every unelected candidate
+ties for them (`_fill`), as in the score family and `thiele_optimize`,
+which give such seats to zero-score candidates.
 
 Candidates approved by exactly the same ballot groups are clones
 (`Clones`), among them every candidate no ballot approves.  No set-ballot
@@ -79,10 +83,6 @@ from .numerics import common_denominator
 
 # The most seat splits thiele_optimize scores before it refuses a profile.
 OPTIMIZE_BUDGET = 500000
-
-
-class InsufficientSupportError(ProfileError):
-    """Seats remain but no candidate can legally receive one."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -245,22 +245,35 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
     return finals, truncated
 
 
-def sequential_max(scores_of: Callable, seats: int, scale: int,
-                   branch_cap: int = DEFAULT_BRANCH_CAP,
+def _fill(candidates: frozenset, elected: frozenset, clones: Clones) -> list:
+    """The elected sets after one fill round, in a state where no unelected
+    candidate has a score or a supporter: they all tie, and each clone
+    head takes the seat.  No successor gains a score or a supporter (a
+    ballot's credit never rises as its names are elected, and its
+    supported names only shrink), so the fill runs until the seats are
+    full and lists every way to fill them."""
+    return [elected | {cand}
+            for cand in clones.heads(sorted(candidates - elected), elected)]
+
+
+def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
+                   scale: int, branch_cap: int = DEFAULT_BRANCH_CAP,
                    clones: Clones = NO_CLONES):
     """Sequential max-score election: each round elects a top scorer of
     scores_of(elected), branching on one head per tied clone class.
-    scores_of gives int scores in units of 1 / scale.  Returns
-    (OutcomeSet, {committee: trail}), the trail being the winning score
-    of each round as Fractions."""
+    scores_of gives int scores in units of 1 / scale, and omits the
+    candidates that score nothing.  When no candidate scores, the open
+    seats are filled (`_fill`).  Returns (OutcomeSet, {committee:
+    trail}), the trail being the winning score of each scored round as
+    Fractions."""
 
     def step(elected, trail):
         if len(elected) == seats:
             return None
         scores = scores_of(elected)
         if not scores:
-            raise InsufficientSupportError(
-                "no candidate receives any score for an open seat")
+            return [(filled, trail)
+                    for filled in _fill(candidates, elected, clones)]
         best = max(scores.values())
         trail += (best,)
         tied = sorted([c for c, value in scores.items() if value == best])
@@ -286,6 +299,9 @@ def _sequential_loads(profile: Profile, supporters_of: Callable,
     over its supporters: the common load they reach by sharing one more
     seat.  Each of its supporters takes exactly that load, and the
     history records it.  Ties branch, on one head per tied clone class.
+    When no unelected candidate has a supporter, the open seats are
+    filled (`_fill`); a filled seat changes no load and adds no history
+    entry, so sum(weight * load) == len(history) in every LoadState.
     Returns (OutcomeSet, {committee: LoadState}).
 
     The level is exact because no supporter is ever above it.  By
@@ -309,6 +325,7 @@ def _sequential_loads(profile: Profile, supporters_of: Callable,
     """
     contents = [b.content for b in profile.ballots]
     weights, unit = common_denominator(b.weight for b in profile.ballots)
+    candidates = profile.candidates
     seats = profile.seats
 
     def step(state, history):
@@ -320,8 +337,8 @@ def _sequential_loads(profile: Profile, supporters_of: Callable,
             for cand in supporters_of(content, elected):
                 supporters.setdefault(cand, []).append(idx)
         if not supporters:
-            raise InsufficientSupportError(
-                "no supported candidate left for an open seat")
+            return [((filled, den, loads), history)
+                    for filled in _fill(candidates, elected, clones)]
         # Levels in units of 1 / den, as (num, q) for num / q.
         best = None
         options = []
@@ -488,8 +505,9 @@ def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
     credits = [(members, [weight * rate for rate in rates])
                for (members, _), weight in zip(ballots, weights)]
     return sequential_max(
-        lambda elected: addition_scores(credits, elected), seats,
-        unit * share, branch_cap, Clones(ballots, profile.candidates))
+        lambda elected: addition_scores(credits, elected),
+        profile.candidates, seats, unit * share, branch_cap,
+        Clones(ballots, profile.candidates))
 
 
 def thiele_elimination(profile: Profile,

@@ -17,11 +17,13 @@ truncation depends only on how many states each round produces.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from itertools import (chain, combinations, combinations_with_replacement,
-                       permutations, product)
+                       permutations, product, tee)
 from math import isqrt
 from sys import intern
 from typing import Optional, Sequence
@@ -34,7 +36,6 @@ from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
                         is_bad_outcome_possible, is_instance, require_kind)
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
 from .thresholds import REGISTRY, CoverageError, MethodId, PI, threshold
-from .unordered import InsufficientSupportError
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +822,28 @@ def _canonical_form(groups, targets: frozenset, ordered: bool) -> str:
                     product(*(permutations(cell) for cell in ranked))))
 
 
+@lru_cache(maxsize=None)
+def _orbit_firsts(options: tuple, size: int, targets: frozenset,
+                  ordered: bool):
+    """The first multiset of each orbit in _multisets(options, size), in
+    that order, under renaming the targets among themselves and the other
+    names among themselves: a lazily filled sequence, shared by every
+    search in the process and read through copy().  One side's groups
+    share their in_w flag, so the key sets it False."""
+
+    def firsts():
+        met: set = set()
+        for counts in _multisets(options, size):
+            key = _canonical_form([(count, ballot, False)
+                                   for ballot, count in counts],
+                                  targets, ordered)
+            if key not in met:
+                met.add(key)
+                yield counts
+
+    return tee(firsts(), 1)[0]
+
+
 def _ballot_strategies(method, scenario, ell, seats, spec):
     """W's strategies, each a multiset of the ballots the scenario lets W
     cast, and per strategy the adversary's answers: every multiset of
@@ -829,7 +852,19 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     Of each orbit under renaming the targets among themselves and the
     decoys among themselves, only the first strategy at a fraction and the
     first answer to a strategy are yielded; search_lower_bound says why
-    that decides the rest.
+    that decides the rest.  The strategies' orbits depend only on the
+    ballot kind, W's ballot options, the target set and W's vote count,
+    so they come from the process-wide _orbit_firsts.
+
+    So do the answers to a strategy W that names only targets, as the
+    orbits under renaming the decoys alone.  Proof: W's groups are flagged
+    in_w and the answer's are not, so a renaming (t, d), t of the targets
+    and d of the decoys, carries W + X onto W + Y iff it fixes W and
+    d(X) = Y, X naming only decoys; and (identity, d) fixes W.  The cap on
+    ballot groups counts X's distinct ballots, which a renaming keeps, so
+    it drops whole orbits and may be applied after they are taken.  A
+    strategy that names a decoy keys each answer with W's groups.  Each
+    (count, ballot, in_w) group becomes a WeightedBallot once per call.
     """
     pool_size = max(spec.max_candidates, seats)
     targets = tuple(_names("A", ell))
@@ -838,54 +873,71 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     target_set = frozenset(targets)
     kind = method.spec.ballot
     ordered = kind == "list"
-    adv_options = _ballot_options(method, decoys, spec, seats)
+    adv_options = tuple(_ballot_options(method, decoys, spec, seats))
     require_kind(scenario, kind)
-    w_options = _w_options(method, scenario, targets, decoys, spec, seats)
+    w_options = tuple(_w_options(method, scenario, targets, decoys, spec,
+                                 seats))
+    content = _CONTENT[kind]
+    built: dict = {}        # (count, ballot, in_w) -> its WeightedBallot
+
+    def instance(groups):
+        ballots = []
+        for group in groups:
+            ballot = built.get(group)
+            if ballot is None:
+                count, names, in_w = group
+                ballot = built[group] = WeightedBallot(content(names), count,
+                                                       in_w)
+            ballots.append(ballot)
+        return ScenarioInstance(Profile(ballots, seats, universe), targets,
+                                ell, scenario)
 
     def answers(w_groups, adv_votes):
-        met: set = set()        # orbits of this strategy's answers
-        for counts_adv in _multisets(adv_options, adv_votes):
-            if len(w_groups) + len(counts_adv) > spec.max_ballot_groups:
+        room = spec.max_ballot_groups - len(w_groups)
+        if target_set.issuperset(chain.from_iterable(
+                names for _, names, _ in w_groups)):
+            met = None
+            candidates = copy(_orbit_firsts(adv_options, adv_votes,
+                                            frozenset(), ordered))
+        else:
+            met = set()         # orbits of this strategy's answers
+            candidates = _multisets(adv_options, adv_votes)
+        for counts_adv in candidates:
+            if len(counts_adv) > room:
                 continue
-            # Integer weights keep _profile's zero-weight filter cheap per
-            # candidate; WeightedBallot makes them Fractions.
             groups = w_groups + [(count, ballot, False)
                                  for ballot, count in counts_adv]
-            key = _canonical_form(groups, target_set, ordered)
-            if key in met:
-                continue
-            met.add(key)
-            inst = ScenarioInstance(_profile(kind, groups, seats, universe),
-                                    targets, ell, scenario)
+            if met is not None:
+                key = _canonical_form(groups, target_set, ordered)
+                if key in met:
+                    continue
+                met.add(key)
+            inst = instance(groups)
             if is_instance(inst):
                 yield inst
 
     def strategies(total, w_votes):
-        met: set = set()        # orbits of the strategies at this fraction
-        for counts_w in _multisets(w_options, w_votes):
-            w_groups = [(count, ballot, True) for ballot, count in counts_w]
-            key = _canonical_form(w_groups, target_set, ordered)
-            if key not in met:
-                met.add(key)
-                yield answers(w_groups, total - w_votes)
+        for counts_w in copy(_orbit_firsts(w_options, w_votes, target_set,
+                                           ordered)):
+            yield answers([(count, ballot, True) for ballot, count in counts_w],
+                          total - w_votes)
 
     return strategies
 
 
 def _search_bad(method, inst, spec) -> bool:
     """The badness test as the search counts it: an engine refusal
-    (InsufficientSupportError, AdamsIllDefined) or a truncated count that
-    lists no bad committee (IndeterminateOutcome) counts as not bad, here
-    only; any other error propagates.  A bad verdict, and every verdict on
-    an untruncated count, carries over to every renaming of the instance
-    that fixes the target set: the engines are tie-complete, so renaming
-    candidates renames the outcome set, and whether the cap truncates
-    depends only on how many states each round produces.  A renaming may
-    list other committees of a truncated set, which can only weaken the
-    bound."""
+    (AdamsIllDefined) or a truncated count that lists no bad committee
+    (IndeterminateOutcome) counts as not bad, here only; any other error
+    propagates.  A bad verdict, and every verdict on an untruncated
+    count, carries over to every renaming of the instance that fixes the
+    target set: the engines are tie-complete, so renaming candidates
+    renames the outcome set, and whether the cap truncates depends only
+    on how many states each round produces.  A renaming may list other
+    committees of a truncated set, which can only weaken the bound."""
     try:
         return _is_bad(method, inst, spec.branch_cap)
-    except (InsufficientSupportError, AdamsIllDefined, IndeterminateOutcome):
+    except (AdamsIllDefined, IndeterminateOutcome):
         return False
 
 
@@ -921,7 +973,8 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     had a bad answer in the tactic case and none elsewhere.  The first bad
     instance in the search order is the first of its orbit, so whenever
     no count is truncated the fraction and the witness are those of the
-    exhaustive loop.
+    exhaustive loop.  The orbits are cached per process and read in the
+    same order either way, so no result depends on earlier searches.
     """
     scenario = ScenarioId(scenario)
     if not 1 <= ell <= seats:

@@ -9,7 +9,7 @@ import pytest
 from multiwin.ballots import WeightScheme, parse_profile
 from multiwin.ordered import (BordaWeights, StvSpec, _stv_step, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
-from multiwin.unordered import InsufficientSupportError
+from multiwin.unordered import LoadState
 
 
 def prof(text):
@@ -187,10 +187,17 @@ def test_ordered_loads_conservation():
         assert sum(w * l for w, l in zip(weights, state.loads)) == 3
 
 
-def test_ordered_loads_exhausted_ballots_raise():
-    profile = prof("!seats 2\n1 : [A]\n!candidates B\n")
-    with pytest.raises(InsufficientSupportError):
-        phragmen_ordered(profile)
+def test_ordered_loads_exhausted_ballots_fill():
+    # Every ballot is exhausted once A is elected: the two open seats go
+    # to B, C, D in every way, with no load and no history entry; ordered
+    # sequential weights fill them the same way.
+    profile = prof("!seats 3\n1 : [A]\n!candidates B C D\n")
+    out, states = phragmen_ordered(profile)
+    every_fill = [("A", "B", "C"), ("A", "B", "D"), ("A", "C", "D")]
+    assert out.sorted_committees() == every_fill
+    assert not out.truncated
+    assert set(states.values()) == {LoadState((1,), (1,))}
+    assert thiele_ordered(profile).sorted_committees() == every_fill
 
 
 # ---------------------------------------------------------------------------

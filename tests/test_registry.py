@@ -13,6 +13,11 @@ party lists, overlapping approval groups and declared candidates no
 ballot approves.  There the load-balancing record carries every
 committee's full LoadState and sequential addition its winning-score
 trail.
+
+The phragmen-u, phragmen-o, thiele-add (every scheme) and thiele-o
+digests of both were re-recorded when those engines began to fill the
+seats left open once no candidate has a score or a supporter; every
+record that changed was a refusal ({"error": "profile"}) before.
 """
 
 import hashlib
@@ -50,17 +55,17 @@ GOLDEN = {
     "lv:2": "0ea10633314007c1f38846d3052bc58840b9cd0fcd71684e3f20f09d543281b7",
     "cvq": "ac79c4ca7e0c40b946a927a2649e02a848e9373ddf3a8f020224f7b4651f06d5",
     "phragmen-u":
-        "a54ce89a254766696bc0171f1db8854aca9e100d6499f15154685868e2ebb9b5",
+        "e95a03b0ae860c51d961a9676a950ea89f969b9e2db527d0c38e33f5a8759cca",
     "thiele-opt":
         "e6f1c43928b38c6f4f1eb20f93e6d86b7230f6ae88b04240e245efd40a7835d4",
     "thiele-opt:weak":
         "f94994c9fc8d630a70d069e62b94ca6b8f537941865f17408e7b6ab36c6227d0",
     "thiele-add":
-        "033d1c610296dbd1f6677d98457f7e4c3fb703bbece7e4095393bc57e7ef97e4",
+        "086c8ee078690aed8c895ea5ee69966a863d03fed1cf6294ea76cfa44641cde7",
     "thiele-add:weak":
-        "268b71c9ef1b8cc6a690d198f03460cc792b9fc3ad34299562344509b52fbb7e",
+        "f6b357e4738b301cb4b8e7a508c5aa8922355d54ebf5773f63b002f2475d963f",
     "thiele-add:explicit(1,1/3;tail=1/4)":
-        "a50de0a9974aed36e7c2723270d0614f408e95b6ac00b76d2a8398180145206b",
+        "02ea56fb37377d9db050baf6c443e00df40aa309da5ec99eccfd06c71bf67aa7",
     "thiele-elim":
         "786df5428cf2d2164653587a0bf897481e43930d72099bcc71274cbea151d9af",
     "stv:1":
@@ -70,9 +75,9 @@ GOLDEN = {
     "stv:1/2":
         "0eee63d1cb2b3b701f643662f7685d273c4c19098a8ce5ebde530ed726fd7a86",
     "phragmen-o":
-        "e74f2f6f5115fc5068bf0e2d0e79219571303dc33a6e6158ff9af6a6bcddba1a",
+        "90b610c812c41bab5a9ea6850371aefca00309f20f9b129a7264a10a54300a54",
     "thiele-o":
-        "a7ef9371dba7a17c00ee1d96310f6c94019937ee91d044cb9573b7fcecbe94f5",
+        "69a704b025cf8307b6ef40eefa941be7971baaeacd7da752a772a48c16e2b888",
     "borda":
         "0dc2a9b08fb091d2a7d367dbbb026eecccda2bd250e215222daadac877ee448e",
     "borda:weak":
@@ -231,9 +236,9 @@ CLONE_LABELS = {
 
 CLONE_GOLDEN = {
     "phragmen-u":
-        "2bdd14606ab144ac7c9257175a7c4aaeadc877a927f2a88ccfff3f507b9d5bdc",
+        "b7a4018028efff8dcbcf50ecd09e52fed0022339c35cf7594dd9e656c7112152",
     "thiele-add":
-        "43ef48af0c9fa5c5215571c7ed2d06449a9ce64e32a56c8de23e916277af87e0",
+        "cba9788cf307e7c9f785452067400c090c302ff1ba7b73958163356530995951",
     "thiele-elim":
         "d7c310c514c7c8755404085980651656d6ccdae2393917eb0a21752542ba7fbc",
     "thiele-opt":

@@ -8,7 +8,7 @@ import pytest
 
 from multiwin.ballots import (OutcomeSet, WeightScheme, parse_profile)
 from multiwin.thresholds import MethodId
-from multiwin.unordered import (BudgetExceededError, InsufficientSupportError,
+from multiwin.unordered import (BudgetExceededError, LoadState,
                                 boundary_committees, phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
@@ -113,10 +113,16 @@ def test_load_balancing_symmetric_tie_branches():
     assert out.sorted_committees() == [("A",), ("B",)]
 
 
-def test_load_balancing_no_supporter_raises():
-    profile = prof("!seats 2\n1 : {A}\n!candidates B\n")
-    with pytest.raises(InsufficientSupportError):
-        phragmen_unordered(profile)
+def test_load_balancing_no_supporter_fills():
+    # Once A is elected no candidate has a supporter: the two open seats
+    # go to the unapproved B, C, D in every way, with no load and no
+    # history entry.
+    profile = prof("!seats 3\n1 : {A}\n!candidates B C D\n")
+    out, states = phragmen_unordered(profile)
+    assert out.sorted_committees() == [("A", "B", "C"), ("A", "B", "D"),
+                                       ("A", "C", "D")]
+    assert not out.truncated
+    assert set(states.values()) == {LoadState((1,), (1,))}
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +208,19 @@ def test_addition_paths_scores_non_increasing():
         assert all(a >= b for a, b in zip(trail, trail[1:]))
 
 
-def test_addition_no_score_raises():
-    profile = prof("!seats 2\n1 : {A}\n!candidates B\n")
-    with pytest.raises(InsufficientSupportError):
-        thiele_addition(WeightScheme.harmonic(), profile)
+def test_addition_no_score_fills():
+    # No candidate scores once A is elected: the open seats go to the
+    # unapproved B, C, D in every way, adding nothing to the trail.
+    profile = prof("!seats 3\n1 : {A}\n!candidates B C D\n")
+    out, trails = thiele_addition_paths(WeightScheme.harmonic(), profile)
+    assert out.sorted_committees() == [("A", "B", "C"), ("A", "B", "D"),
+                                       ("A", "C", "D")]
+    assert set(trails.values()) == {(1,)}
+    # Under the weak scheme B scores 0 once A is elected, so B ties with
+    # the unapproved C although the two are not clones.
+    profile = prof("!seats 2\n5 : {A B}\n!candidates C\n")
+    out = thiele_addition(WeightScheme.weak(), profile)
+    assert out.sorted_committees() == [("A", "B"), ("A", "C"), ("B", "C")]
 
 
 def test_addition_weak_scheme_stops_crediting_held_groups():

@@ -1,6 +1,7 @@
 """Witness catalog, bounded adversarial search, and the corpus audit."""
 
 from collections import Counter
+from copy import copy
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,10 +10,10 @@ from hypothesis import given, strategies as st
 
 from multiwin import verifier
 from multiwin.ballots import DEFAULT_BRANCH_CAP, parse_profile
+from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
                                 ScenarioInstance, ScenarioTypeError)
 from multiwin.thresholds import CoverageError, MethodId, threshold
-from multiwin.unordered import InsufficientSupportError
 from multiwin.verifier import (CATALOG, SearchSpec, Witness, audit_table,
                                construct_witness, covering_token,
                                default_scope, party_seat_vectors, run_method,
@@ -334,6 +335,130 @@ def test_canonical_form_text(groups, ordered, key):
     assert verifier._canonical_form(groups, TARGETS, ordered) == key
 
 
+@st.composite
+def _targets_only_strategies(draw):
+    """(W's groups on targets only, adversary options over decoys, the
+    adversary's vote count, ordered)."""
+    ordered = draw(st.booleans())
+    targets, decoys = ("A1", "A2"), ("B1", "B2", "B3")
+
+    def ballots(names):
+        if ordered:
+            return st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                            unique=True).map(tuple)
+        return st.frozensets(st.sampled_from(names), min_size=1, max_size=3)
+
+    w_groups = draw(st.lists(st.tuples(st.integers(1, 2), ballots(targets),
+                                       st.just(True)),
+                             min_size=1, max_size=2))
+    options = draw(st.lists(ballots(decoys), min_size=1, max_size=6,
+                            unique=True))
+    options.sort(key=sorted if not ordered else None)
+    return w_groups, tuple(options), draw(st.integers(1, 3)), ordered
+
+
+@given(_targets_only_strategies())
+def test_adversary_orbits_answer_a_strategy_on_targets(case):
+    # The first answer of each orbit, keyed with W's groups, is the first
+    # of its orbit under renaming the decoys alone: the cached sequence.
+    w_groups, options, votes, ordered = case
+    met, kept = set(), []
+    for counts in verifier._multisets(options, votes):
+        key = verifier._canonical_form(
+            w_groups + [(count, ballot, False) for ballot, count in counts],
+            TARGETS, ordered)
+        if key not in met:
+            met.add(key)
+            kept.append(counts)
+    assert list(copy(verifier._orbit_firsts(options, votes, frozenset(),
+                                             ordered))) == kept
+
+
+@st.composite
+def _strategy_options(draw):
+    ordered = draw(st.booleans())
+    names = st.sampled_from(POOL)
+    ballots = (st.lists(names, min_size=1, max_size=2, unique=True).map(tuple)
+               if ordered else st.frozensets(names, min_size=1, max_size=2))
+    options = draw(st.lists(ballots, min_size=1, max_size=5, unique=True))
+    options.sort(key=None if ordered else sorted)
+    return tuple(options), draw(st.integers(1, 3)), ordered
+
+
+@given(_strategy_options())
+def test_strategy_orbits_are_the_renaming_orbits(case):
+    # The cached strategies are the first multiset of each orbit under
+    # renaming the targets among themselves and the decoys among
+    # themselves, found here by trying every renaming.
+    options, size, ordered = case
+    kept = []
+    for counts in verifier._multisets(options, size):
+        groups = [(count, ballot, True) for ballot, count in counts]
+        if not any(_renamed(groups, renaming) == Counter(seen)
+                   for seen in kept for renaming in _renamings()):
+            kept.append(groups)
+    firsts = verifier._orbit_firsts(options, size, TARGETS, ordered)
+    assert [[(count, ballot, True) for ballot, count in counts]
+            for counts in copy(firsts)] == kept
+
+
+CACHE_CELLS = [("phragmen-u", "tactic", 2, 3), ("stv:1", "tactic", 2, 2),
+               ("av", "ejr", 2, 3), ("thiele-o", "wpsc", 2, 3),
+               ("borda", "psc", 1, 2), ("phragmen-o", "same", 1, 3),
+               ("thiele-add", "pjr", 1, 2)]
+
+
+def test_search_is_the_same_with_a_cold_or_warm_cache(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_method(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "run_method", counting)
+
+    def results(cells):
+        found = {}
+        for label, scenario, ell, seats in cells:
+            before = len(calls)
+            best, witness = search_lower_bound(
+                MethodId.parse(label), scenario, ell, seats,
+                verifier.AUDIT_SPEC)
+            found[label, scenario] = (best, witness.instance.profile,
+                                      len(calls) - before)
+        return found
+
+    verifier._orbit_firsts.cache_clear()
+    cold = results(CACHE_CELLS)
+    assert results(CACHE_CELLS) == cold
+    verifier._orbit_firsts.cache_clear()
+    assert results(CACHE_CELLS[::-1]) == cold
+
+
+def test_search_strategies_keep_targets_apart():
+    # A single av ballot over A1 and three decoys: its orbit is fixed by
+    # whether it names A1 and by how many decoys it names, 6 in all.
+    strategies = verifier._ballot_strategies(MethodId("av"), ScenarioId.TACTIC,
+                                             1, 1, verifier.AUDIT_SPEC)
+    assert len(list(strategies(2, 1))) == 6
+
+
+def test_search_answers_keep_to_the_ballot_group_cap():
+    # pjr lets W cast {A1}, whose answers come from the cache, and {A1, B1},
+    # whose answers are keyed with W's group; both obey the cap.
+    spec = SearchSpec(max_candidates=4, weight_grid=4, max_ballot_groups=2)
+    strategies = verifier._ballot_strategies(MethodId("av"), ScenarioId.PJR,
+                                             1, 2, spec)
+    sizes = {}
+    for answers in strategies(4, 1):
+        for inst in answers:
+            (w_ballot,) = inst.profile.w_ballots()
+            names = w_ballot.content.members
+            sizes[names] = max(sizes.get(names, 0), len(inst.profile.ballots))
+    assert sizes[frozenset({"A1"})] == sizes[frozenset({"A1", "B1"})] == 2
+    assert max(sizes.values()) == 2
+
+
 def test_search_decides_each_orbit_once(monkeypatch):
     # stv:1 tactic ell=3 S=3 holds 11,480 engine calls in the exhaustive
     # loop but only 1,964 instances distinct up to renaming the targets
@@ -352,7 +477,7 @@ def test_search_decides_each_orbit_once(monkeypatch):
 
 
 @pytest.mark.parametrize("error, refused", [
-    (InsufficientSupportError("no supported candidate left"), True),
+    (AdamsIllDefined("a zero divisor"), True),
     (ValueError("an engine fault"), False),
 ])
 def test_search_counts_only_engine_refusals_as_not_bad(monkeypatch, error,
@@ -440,6 +565,14 @@ def test_audit_with_search_on_restricted_scope():
     names = {c.name for c in report.checks}
     assert "search<=threshold" in names
     assert "search=threshold" in names
+
+
+def test_search_audit_clean():
+    # Every search probe of an exact pi cell at S <= 3 stays at or below
+    # pi, and attains it wherever a catalog witness fits the grid.
+    report = audit_table(smax=3, with_search=True)
+    assert len(report.checks) == 1542
+    assert report.passed and not report.failures()
 
 
 def test_default_scope_covers_all_scenarios():

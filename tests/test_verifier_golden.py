@@ -6,11 +6,12 @@ every default-scope pair at ell <= S <= 2 under SEARCH_SPEC: the best
 fraction, the witness profile in file format and its sorted target, or
 the error class when the search refuses the cell.  CATALOG_GOLDEN pins
 construct_witness for every catalog token over the default-scope methods,
-every scenario and ell <= S <= 3 in the same way.  AUDIT_GOLDEN,
-recorded before the search decided instances up to renaming, pins
+every scenario and ell <= S <= 3 in the same way.  AUDIT_GOLDEN pins
 search_lower_bound under the audit's own spec on every pi-exact
-default-scope cell at S = 3, apart from the phragmen-u/-o tactic cells
-at ell = 2, 3, whose search results the engines' support defect decides.
+default-scope cell at S = 3.  It was recorded before the search decided
+instances up to renaming, without the phragmen-u/-o tactic cells at
+ell = 2, 3, and re-recorded with them once the sequential engines filled
+the seats no candidate supports.
 """
 
 import hashlib
@@ -31,12 +32,7 @@ SEARCH_GOLDEN = (
 CATALOG_GOLDEN = (
     "063f21ac73b07a06a56a7d4ad6246f94f23732dc56abf49b816f1316137a7ea1")
 AUDIT_GOLDEN = (
-    "6002a6daab1234044ad2fca2d78ee95613a1a9f5d69f72ccf893aca3f3e986ba")
-
-# The search audit's known failures: the engines refuse unsupported seats.
-SUPPORT_DEFECTS = frozenset(
-    (method, "tactic", ell, 3) for method in ("phragmen-u", "phragmen-o")
-    for ell in (2, 3))
+    "e340dc17bc575528535be14f457b947e5a97e9dd1ba0b04ec45f4b116aee4ebe")
 
 
 def _witness_record(witness) -> list:
@@ -83,9 +79,7 @@ def _pi_exact(method, scenario, ell, seats) -> bool:
 def audit_search_records() -> list:
     return [_search_record(method, scenario, ell, seats, AUDIT_SPEC)
             for method, scenario, ell, seats in _cells(3)
-            if seats == 3 and _pi_exact(method, scenario, ell, seats)
-            and (method.label(), scenario.value, ell, seats)
-            not in SUPPORT_DEFECTS]
+            if seats == 3 and _pi_exact(method, scenario, ell, seats)]
 
 
 def catalog_records() -> list:
