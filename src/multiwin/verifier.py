@@ -667,6 +667,9 @@ class SearchSpec:
                      "max_ballot_length", "branch_cap"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
+        if self.weight_grid < 2:
+            raise ValueError("weight_grid must be at least 2: a grid of "
+                             "one ballot holds no instance")
 
 
 # The audit's search spec: smaller than the defaults, so that the search
@@ -779,18 +782,21 @@ def _party_strategies(ell, seats, spec):
     return lambda total, w_votes: [answers(total, w_votes)]
 
 
-def _canonical_form(groups, targets: frozenset, ordered: bool) -> str:
+def _canonical_form(groups, cells: tuple, ordered: bool) -> str:
     """A key for (count, ballot, in_w) groups that two group lists share
-    iff a renaming of the targets among themselves and of the other names
-    among themselves carries one onto the other.
+    iff a renaming of the names within each cell of the ordered partition
+    `cells` carries one onto the other; the names in no cell form one
+    more cell, after the others.
 
-    Each name is labelled by its place in the order of (side, incidence
-    signature), targets below len(targets) and the rest above; the key is
-    the least relabelled group list over the orders of names whose
-    signatures tie.  A renaming carries signatures along, so it leaves the
-    set of relabellings, and with it the key, unchanged.  Permuting only
-    tied names keeps large pools cheap, where the renamings number
-    ell! (n - ell)!.
+    Each name is labelled by its place in the order of (cell, incidence
+    signature), a cell's names counted from the cell's offset, the sum of
+    the sizes of the cells before it; the key is the least relabelled
+    group list over the orders of names whose signatures tie.  A renaming
+    carries signatures along, so it leaves the set of relabellings, and
+    with it the key, unchanged; and a label tells its name's cell, so an
+    equal key gives a renaming within the cells.  Permuting only tied
+    names keeps large pools cheap, where the renamings number the product
+    of the cells' factorials.
     """
     marks: dict = {}
     for count, ballot, in_w in groups:
@@ -798,16 +804,26 @@ def _canonical_form(groups, targets: frozenset, ordered: bool) -> str:
         for pos, name in enumerate(ballot):
             marks.setdefault(name, []).append(
                 (in_w, count, size, pos if ordered else 0))
-    cells: dict = {}        # signature -> the names that carry it
+    where = {name: i for i, cell in enumerate(cells) for name in cell}
+    rest = len(cells)
+    tied: dict = {}         # (cell, signature) -> the names that carry it
     for name, found in marks.items():
         found.sort()
-        cells.setdefault((name not in targets, tuple(found)), []).append(name)
-    present = sum(name in targets for name in marks)
-    shift = len(targets) - present
+        tied.setdefault((where.get(name, rest), tuple(found)), []).append(
+            name)
+    offsets = [0]
+    for cell in cells:
+        offsets.append(offsets[-1] + len(cell))
+    ranked, slots = [], []
+    for signature in sorted(tied):
+        names = tied[signature]
+        ranked.append(names)
+        first = offsets[signature[0]]
+        slots.extend(range(first, first + len(names)))
+        offsets[signature[0]] += len(names)
 
     def image(names):
-        label = {name: i if i < present else i + shift
-                 for i, name in enumerate(names)}
+        label = dict(zip(names, slots))
         if ordered:
             return sorted([(count, tuple([label[name] for name in ballot]),
                             in_w) for count, ballot, in_w in groups])
@@ -815,33 +831,141 @@ def _canonical_form(groups, targets: frozenset, ordered: bool) -> str:
                         in_w) for count, ballot, in_w in groups])
 
     # As text, a met key takes a quarter of the memory.
-    ranked = [cells[signature] for signature in sorted(cells)]
     if len(ranked) == len(marks):       # no two signatures tie
-        return repr(image([cell[0] for cell in ranked]))
+        return repr(image([names[0] for names in ranked]))
     return repr(min(image(chain.from_iterable(choice)) for choice in
-                    product(*(permutations(cell) for cell in ranked))))
+                    product(*(permutations(names) for names in ranked))))
+
+
+def _renamed(ballot, swap: dict):
+    """The ballot with each name the swap moves replaced."""
+    return type(ballot)([swap.get(name, name) for name in ballot])
+
+
+def _swaps(cells):
+    """Per cell, the swaps of its adjacent names in sorted order: they
+    generate the renamings within the cells."""
+    for cell in cells:
+        names = sorted(cell)
+        for first, second in zip(names, names[1:]):
+            yield {first: second, second: first}
 
 
 @lru_cache(maxsize=None)
-def _orbit_firsts(options: tuple, size: int, targets: frozenset,
-                  ordered: bool):
+def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
     """The first multiset of each orbit in _multisets(options, size), in
-    that order, under renaming the targets among themselves and the other
-    names among themselves: a lazily filled sequence, shared by every
-    search in the process and read through copy().  One side's groups
-    share their in_w flag, so the key sets it False."""
+    that order, under renaming the names within each cell of `cells` (the
+    names in no cell form one more cell): a lazily filled sequence,
+    shared by every search in the process and read through copy().  One
+    side's groups share their in_w flag, so the key sets it False.
+
+    The fill is orderly.  The options must be closed under the renamings,
+    or ValueError is raised: a renaming then permutes the option indices,
+    and in combinations_with_replacement order the first member of an
+    orbit has the first member of its prefix's orbit as its prefix (if a
+    renaming put the prefix earlier, it would put the whole multiset
+    earlier).  So level `size` extends only the firsts of level size - 1,
+    each by the options at or after its last one, and keys just those.
+
+    There is one entry per (options, size, cells, ordered) met, each
+    holding its firsts and the keys it has met; the options and cells
+    are fixed by the ballot kind and the SearchSpec grid, so the entries
+    are bounded by the grids searched, not by the number of searches.
+    """
+    if size == 0:
+        return tee([()], 1)[0]
+    offered = set(options)
+    named = set().union(*options)
+    for swap in _swaps([named.intersection(cell) for cell in cells]
+                       + [named.difference(*cells)]):
+        if any(_renamed(option, swap) not in offered for option in options):
+            raise ValueError("ballot options are not closed under renaming "
+                             "%s and %s" % tuple(sorted(swap)))
+    index = {option: i for i, option in enumerate(options)}
 
     def firsts():
         met: set = set()
-        for counts in _multisets(options, size):
-            key = _canonical_form([(count, ballot, False)
-                                   for ballot, count in counts],
-                                  targets, ordered)
-            if key not in met:
-                met.add(key)
-                yield counts
+        for prefix in copy(_orbit_firsts(options, size - 1, cells, ordered)):
+            last = index[prefix[-1][0]] if prefix else 0
+            for i in range(last, len(options)):
+                if prefix and i == last:
+                    counts = prefix[:-1] + ((options[i], prefix[-1][1] + 1),)
+                else:
+                    counts = prefix + ((options[i], 1),)
+                key = _canonical_form([(count, ballot, False)
+                                       for ballot, count in counts],
+                                      cells, ordered)
+                if key not in met:
+                    met.add(key)
+                    yield counts
 
     return tee(firsts(), 1)[0]
+
+
+def _decoy_cells(w_groups, targets: frozenset, ordered: bool):
+    """The decoys W's ballots name, grouped into cells by their incidence
+    signature in W's groups, the (count, size, position) of each group
+    that names the decoy; None unless swapping any two adjacent decoys of
+    a cell keeps W's groups.
+
+    A renaming that fixes W's groups keeps each name's signature, so it
+    maps every cell onto itself; when the swaps keep W, they generate
+    every renaming within the cells, so the decoy renamings that fix W
+    (with some renaming of the targets) are exactly those within the
+    cells.  W = {A1, B1} + {A2, B2} is fixed by swapping B1 and B2 only
+    together with A1 and A2, so it gets None.
+    """
+    marks: dict = {}
+    for count, ballot, _ in w_groups:
+        for pos, name in enumerate(ballot):
+            if name not in targets:
+                marks.setdefault(name, []).append(
+                    (count, len(ballot), pos if ordered else 0))
+    tied: dict = {}
+    for name, found in marks.items():
+        tied.setdefault(tuple(sorted(found)), set()).add(name)
+    cells = tuple(sorted((frozenset(names) for names in tied.values()),
+                         key=sorted))
+    w = set(w_groups)
+    for swap in _swaps(cells):
+        if {(count, _renamed(ballot, swap), in_w)
+                for count, ballot, in_w in w_groups} != w:
+            return None
+    return cells
+
+
+def _answer_firsts(w_groups, adv_options: tuple, adv_votes: int,
+                   targets: frozenset, ordered: bool, room: int):
+    """The first answer of each orbit to W's strategy: every multiset of
+    adv_votes adversary ballots of at most `room` groups, skipping an
+    answer X when W + X is a renaming of W + Y for an earlier answer Y.
+
+    W's groups are flagged in_w and the answer's are not, so a renaming
+    (t, d), t of the targets and d of the decoys, carries W + X onto
+    W + Y iff it fixes W and d(X) = Y, X naming only decoys.  When W has
+    decoy cells (_decoy_cells), those d are the renamings within the
+    cells, and the answers come from the shared _orbit_firsts; otherwise
+    each answer is keyed with W's groups.  The cap on ballot groups
+    counts X's distinct ballots, which a renaming keeps, so it drops
+    whole orbits and may be applied after they are taken.
+    """
+    cells = _decoy_cells(w_groups, targets, ordered)
+    if cells is not None:
+        for counts_adv in copy(_orbit_firsts(adv_options, adv_votes, cells,
+                                             ordered)):
+            if len(counts_adv) <= room:
+                yield counts_adv
+        return
+    met: set = set()
+    for counts_adv in _multisets(adv_options, adv_votes):
+        if len(counts_adv) > room:
+            continue
+        key = _canonical_form(w_groups + [(count, ballot, False)
+                                          for ballot, count in counts_adv],
+                              (targets,), ordered)
+        if key not in met:
+            met.add(key)
+            yield counts_adv
 
 
 def _ballot_strategies(method, scenario, ell, seats, spec):
@@ -854,17 +978,12 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     first answer to a strategy are yielded; search_lower_bound says why
     that decides the rest.  The strategies' orbits depend only on the
     ballot kind, W's ballot options, the target set and W's vote count,
-    so they come from the process-wide _orbit_firsts.
-
-    So do the answers to a strategy W that names only targets, as the
-    orbits under renaming the decoys alone.  Proof: W's groups are flagged
-    in_w and the answer's are not, so a renaming (t, d), t of the targets
-    and d of the decoys, carries W + X onto W + Y iff it fixes W and
-    d(X) = Y, X naming only decoys; and (identity, d) fixes W.  The cap on
-    ballot groups counts X's distinct ballots, which a renaming keeps, so
-    it drops whole orbits and may be applied after they are taken.  A
-    strategy that names a decoy keys each answer with W's groups.  Each
-    (count, ballot, in_w) group becomes a WeightedBallot once per call.
+    so they come from the process-wide _orbit_firsts, and so do the
+    answers to a strategy with decoy cells (_answer_firsts).  Both option
+    sets are closed under the renamings: the adversary may cast every
+    ballot over the decoys, and W every ballot the scenario allows, which
+    no renaming within W's cells changes.  Each (count, ballot, in_w)
+    group becomes a WeightedBallot once per call.
     """
     pool_size = max(spec.max_candidates, seats)
     targets = tuple(_names("A", ell))
@@ -877,6 +996,12 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     require_kind(scenario, kind)
     w_options = tuple(_w_options(method, scenario, targets, decoys, spec,
                                  seats))
+    if ordered and scenario in (ScenarioId.PARTY, ScenarioId.SAME):
+        # W's one list fixes the order of the targets: no renaming of
+        # them keeps it, so each target is a cell of its own.
+        w_cells = tuple(frozenset([target]) for target in targets)
+    else:
+        w_cells = (target_set,)
     content = _CONTENT[kind]
     built: dict = {}        # (count, ballot, in_w) -> its WeightedBallot
 
@@ -893,31 +1018,16 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
                                 ell, scenario)
 
     def answers(w_groups, adv_votes):
-        room = spec.max_ballot_groups - len(w_groups)
-        if target_set.issuperset(chain.from_iterable(
-                names for _, names, _ in w_groups)):
-            met = None
-            candidates = copy(_orbit_firsts(adv_options, adv_votes,
-                                            frozenset(), ordered))
-        else:
-            met = set()         # orbits of this strategy's answers
-            candidates = _multisets(adv_options, adv_votes)
-        for counts_adv in candidates:
-            if len(counts_adv) > room:
-                continue
-            groups = w_groups + [(count, ballot, False)
-                                 for ballot, count in counts_adv]
-            if met is not None:
-                key = _canonical_form(groups, target_set, ordered)
-                if key in met:
-                    continue
-                met.add(key)
-            inst = instance(groups)
+        for counts_adv in _answer_firsts(
+                w_groups, adv_options, adv_votes, target_set, ordered,
+                spec.max_ballot_groups - len(w_groups)):
+            inst = instance(w_groups + [(count, ballot, False)
+                                        for ballot, count in counts_adv])
             if is_instance(inst):
                 yield inst
 
     def strategies(total, w_votes):
-        for counts_w in copy(_orbit_firsts(w_options, w_votes, target_set,
+        for counts_w in copy(_orbit_firsts(w_options, w_votes, w_cells,
                                            ordered)):
             yield answers([(count, ballot, True) for ballot, count in counts_w],
                           total - w_votes)

@@ -234,6 +234,16 @@ def test_cap_below_ell_is_refused_by_search(capsys):
                    "name all its targets under same\n")
 
 
+def test_grid_of_one_is_refused_by_search(capsys):
+    # One ballot holds no instance, so "best 0" would be a vacuous answer.
+    code, out, err = run_cli(capsys, "search", "--method", "bv",
+                             "--scenario", "same", "--ell", "1", "--seats",
+                             "1", "--grid", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: weight_grid must be at least 2: a grid of one "
+                   "ballot holds no instance\n")
+
+
 def test_witness_verifies(capsys):
     code, out, _ = run_cli(capsys, "witness", "--construction", "ejr-window",
                            "--method", "bv", "--scenario", "ejr",

@@ -60,6 +60,9 @@ def test_search_refuses_limit_above_seats():
                   "max_ballot_length", "branch_cap"):
         with pytest.raises(ValueError, match="%s must be positive" % field):
             SearchSpec(**{field: 0})
+    # A grid of one ballot holds no instance, so it would answer "best 0".
+    with pytest.raises(ValueError, match="weight_grid must be at least 2"):
+        SearchSpec(weight_grid=1)
 
 
 def test_party_seat_vectors():
@@ -270,6 +273,7 @@ def test_search_keeps_cells_the_cap_allows():
 
 POOL = ("A1", "A2", "B1", "B2")
 TARGETS = frozenset(POOL[:2])
+CELLS = (TARGETS,)          # the targets, then the decoys as the rest
 
 
 def _renamings():
@@ -281,6 +285,12 @@ def _renamings():
 def _renamed(groups, renaming):
     return Counter((count, type(ballot)(renaming[name] for name in ballot),
                     in_w) for count, ballot, in_w in groups)
+
+
+def _orbit(groups):
+    """Every renaming of the groups, as one hashable set."""
+    return frozenset(frozenset(_renamed(groups, renaming).items())
+                     for renaming in _renamings())
 
 
 def _group_lists(ordered):
@@ -310,8 +320,8 @@ def test_canonical_form_is_the_renaming_orbit(pair):
     first, second, ordered = pair
     same_orbit = any(_renamed(first, renaming) == Counter(second)
                      for renaming in _renamings())
-    assert (verifier._canonical_form(first, TARGETS, ordered)
-            == verifier._canonical_form(second, TARGETS, ordered)) \
+    assert (verifier._canonical_form(first, CELLS, ordered)
+            == verifier._canonical_form(second, CELLS, ordered)) \
         == same_orbit
 
 
@@ -332,29 +342,58 @@ def test_canonical_form_is_the_renaming_orbit(pair):
 def test_canonical_form_text(groups, ordered, key):
     # Keys as the search has always written them: a met orbit is found by
     # its text.
-    assert verifier._canonical_form(groups, TARGETS, ordered) == key
+    assert verifier._canonical_form(groups, CELLS, ordered) == key
+
+
+DECOYS = ("B1", "B2", "B3")
+
+
+def _ballots(names, ordered):
+    if ordered:
+        return st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                        unique=True).map(tuple)
+    return st.frozensets(st.sampled_from(names), min_size=1, max_size=3)
+
+
+def _closed(options, renamings, ordered):
+    """The options with every renaming of each, sorted as the search
+    sorts them: the cache accepts only option sets closed this way."""
+    closed = {type(ballot)(renaming.get(name, name) for name in ballot)
+              for ballot in options for renaming in renamings}
+    return tuple(sorted(closed, key=None if ordered else sorted))
+
+
+def _decoy_renamings():
+    return [dict(zip(DECOYS, order)) for order in permutations(DECOYS)]
+
+
+def _keyed_answers(w_groups, options, votes, ordered):
+    """The first answer of each orbit of W + answer, keyed with W's
+    groups: the loop the cache stands in for."""
+    met, kept = set(), []
+    for counts in verifier._multisets(options, votes):
+        key = verifier._canonical_form(
+            w_groups + [(count, ballot, False) for ballot, count in counts],
+            CELLS, ordered)
+        if key not in met:
+            met.add(key)
+            kept.append(counts)
+    return kept
 
 
 @st.composite
 def _targets_only_strategies(draw):
-    """(W's groups on targets only, adversary options over decoys, the
-    adversary's vote count, ordered)."""
+    """(W's groups on targets only, adversary options over decoys closed
+    under renaming the decoys, the adversary's vote count, ordered)."""
     ordered = draw(st.booleans())
-    targets, decoys = ("A1", "A2"), ("B1", "B2", "B3")
-
-    def ballots(names):
-        if ordered:
-            return st.lists(st.sampled_from(names), min_size=1, max_size=3,
-                            unique=True).map(tuple)
-        return st.frozensets(st.sampled_from(names), min_size=1, max_size=3)
-
-    w_groups = draw(st.lists(st.tuples(st.integers(1, 2), ballots(targets),
+    w_groups = draw(st.lists(st.tuples(st.integers(1, 2),
+                                       _ballots(POOL[:2], ordered),
                                        st.just(True)),
                              min_size=1, max_size=2))
-    options = draw(st.lists(ballots(decoys), min_size=1, max_size=6,
-                            unique=True))
-    options.sort(key=sorted if not ordered else None)
-    return w_groups, tuple(options), draw(st.integers(1, 3)), ordered
+    options = draw(st.lists(_ballots(DECOYS, ordered), min_size=1,
+                            max_size=3))
+    return (w_groups, _closed(options, _decoy_renamings(), ordered),
+            draw(st.integers(1, 3)), ordered)
 
 
 @given(_targets_only_strategies())
@@ -362,16 +401,70 @@ def test_adversary_orbits_answer_a_strategy_on_targets(case):
     # The first answer of each orbit, keyed with W's groups, is the first
     # of its orbit under renaming the decoys alone: the cached sequence.
     w_groups, options, votes, ordered = case
+    assert list(copy(verifier._orbit_firsts(options, votes, (), ordered))) \
+        == _keyed_answers(w_groups, options, votes, ordered)
+
+
+@st.composite
+def _decoy_strategies(draw):
+    """(W's groups on distinct ballots over targets and decoys, adversary
+    options closed under renaming the decoys, the adversary's vote count,
+    ordered)."""
+    ordered = draw(st.booleans())
+    ballots = draw(st.lists(_ballots(POOL[:2] + DECOYS, ordered),
+                            min_size=1, max_size=3, unique=True))
+    w_groups = [(draw(st.integers(1, 2)), ballot, True) for ballot in ballots]
+    options = draw(st.lists(_ballots(DECOYS, ordered), min_size=1,
+                            max_size=3))
+    return (w_groups, _closed(options, _decoy_renamings(), ordered),
+            draw(st.integers(1, 3)), ordered)
+
+
+@given(_decoy_strategies())
+def test_decoy_cells_answer_a_strategy_on_decoys(case):
+    # Where W has decoy cells, the cache's orbits under renaming within
+    # the cells are the answers the keyed loop keeps, in the same order;
+    # the answers the search reads agree with the keyed loop either way.
+    w_groups, options, votes, ordered = case
+    kept = _keyed_answers(w_groups, options, votes, ordered)
+    cells = verifier._decoy_cells(w_groups, TARGETS, ordered)
+    if cells is not None:
+        assert list(copy(verifier._orbit_firsts(options, votes, cells,
+                                                 ordered))) == kept
+    assert list(verifier._answer_firsts(w_groups, options, votes, TARGETS,
+                                        ordered, votes)) == kept
+
+
+def test_decoy_cells_fall_back_to_the_keyed_loop():
+    # Swapping B1 and B2 keeps W = {A1, B1} + {A2, B2} only together with
+    # swapping A1 and A2, so W has no decoy cells; its answers are keyed,
+    # and they are the first of each orbit found by trying every renaming.
+    w_groups = [(1, frozenset({"A1", "B1"}), True),
+                (1, frozenset({"A2", "B2"}), True)]
+    assert verifier._decoy_cells(w_groups, TARGETS, False) is None
+    options = (frozenset({"B1"}), frozenset({"B1", "B2"}), frozenset({"B2"}))
     met, kept = set(), []
-    for counts in verifier._multisets(options, votes):
-        key = verifier._canonical_form(
-            w_groups + [(count, ballot, False) for ballot, count in counts],
-            TARGETS, ordered)
-        if key not in met:
-            met.add(key)
+    for counts in verifier._multisets(options, 2):
+        orbit = _orbit(w_groups + [(count, ballot, False)
+                                   for ballot, count in counts])
+        if orbit not in met:
+            met.add(orbit)
             kept.append(counts)
-    assert list(copy(verifier._orbit_firsts(options, votes, frozenset(),
-                                             ordered))) == kept
+    assert list(verifier._answer_firsts(w_groups, options, 2, TARGETS, False,
+                                        2)) == kept
+    assert len(kept) == 4       # {B1}{B1} ~ {B2}{B2}, {B1}{B1B2} ~ {B1B2}{B2}
+
+
+@pytest.mark.parametrize("options, cells", [
+    ((frozenset({"B1"}), frozenset({"B1", "B2"})), ()),
+    ((("A1", "A2"),), CELLS),
+])
+def test_orbit_firsts_refuses_options_not_closed(options, cells):
+    # The orderly fill is sound only when each renaming within the cells
+    # permutes the options.
+    with pytest.raises(ValueError, match="not closed under renaming"):
+        verifier._orbit_firsts(options, 2, cells, isinstance(options[0],
+                                                             tuple))
 
 
 @st.composite
@@ -380,9 +473,9 @@ def _strategy_options(draw):
     names = st.sampled_from(POOL)
     ballots = (st.lists(names, min_size=1, max_size=2, unique=True).map(tuple)
                if ordered else st.frozensets(names, min_size=1, max_size=2))
-    options = draw(st.lists(ballots, min_size=1, max_size=5, unique=True))
-    options.sort(key=None if ordered else sorted)
-    return tuple(options), draw(st.integers(1, 3)), ordered
+    options = draw(st.lists(ballots, min_size=1, max_size=3))
+    return (_closed(options, list(_renamings()), ordered),
+            draw(st.integers(1, 3)), ordered)
 
 
 @given(_strategy_options())
@@ -391,13 +484,13 @@ def test_strategy_orbits_are_the_renaming_orbits(case):
     # renaming the targets among themselves and the decoys among
     # themselves, found here by trying every renaming.
     options, size, ordered = case
-    kept = []
+    met, kept = set(), []
     for counts in verifier._multisets(options, size):
         groups = [(count, ballot, True) for ballot, count in counts]
-        if not any(_renamed(groups, renaming) == Counter(seen)
-                   for seen in kept for renaming in _renamings()):
+        if _orbit(groups) not in met:
+            met.add(_orbit(groups))
             kept.append(groups)
-    firsts = verifier._orbit_firsts(options, size, TARGETS, ordered)
+    firsts = verifier._orbit_firsts(options, size, CELLS, ordered)
     assert [[(count, ballot, True) for ballot, count in counts]
             for counts in copy(firsts)] == kept
 
@@ -408,14 +501,29 @@ CACHE_CELLS = [("phragmen-u", "tactic", 2, 3), ("stv:1", "tactic", 2, 2),
                ("thiele-add", "pjr", 1, 2)]
 
 
-def test_search_is_the_same_with_a_cold_or_warm_cache(monkeypatch):
+def _clear_caches():
+    """Empty every cache the search reads, so that the next search starts
+    cold."""
+    for value in vars(verifier).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _counting(monkeypatch, name):
+    """Count the calls to verifier.<name> from now on."""
     calls = []
+    original = getattr(verifier, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return run_method(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(verifier, "run_method", counting)
+    monkeypatch.setattr(verifier, name, counting)
+    return calls
+
+
+def test_search_is_the_same_with_a_cold_or_warm_cache(monkeypatch):
+    calls = _counting(monkeypatch, "run_method")
 
     def results(cells):
         found = {}
@@ -428,10 +536,10 @@ def test_search_is_the_same_with_a_cold_or_warm_cache(monkeypatch):
                                       len(calls) - before)
         return found
 
-    verifier._orbit_firsts.cache_clear()
+    _clear_caches()
     cold = results(CACHE_CELLS)
     assert results(CACHE_CELLS) == cold
-    verifier._orbit_firsts.cache_clear()
+    _clear_caches()
     assert results(CACHE_CELLS[::-1]) == cold
 
 
@@ -462,18 +570,17 @@ def test_search_answers_keep_to_the_ballot_group_cap():
 def test_search_decides_each_orbit_once(monkeypatch):
     # stv:1 tactic ell=3 S=3 holds 11,480 engine calls in the exhaustive
     # loop but only 1,964 instances distinct up to renaming the targets
-    # among themselves and the decoys among themselves.
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return run_method(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "run_method", counting)
+    # among themselves and the decoys among themselves.  From a cold
+    # cache the orderly fill keys 2,880 multisets (13,326 when every
+    # multiset was keyed).
+    calls = _counting(monkeypatch, "run_method")
+    keys = _counting(monkeypatch, "_canonical_form")
+    _clear_caches()
     best, _ = search_lower_bound(MethodId("stv", 1), "tactic", 3, 3,
                                  verifier.AUDIT_SPEC)
     assert best == F(3, 4)
     assert 0 < len(calls) <= 1964
+    assert 0 < len(keys) <= 2880
 
 
 @pytest.mark.parametrize("error, refused", [
@@ -567,12 +674,19 @@ def test_audit_with_search_on_restricted_scope():
     assert "search=threshold" in names
 
 
-def test_search_audit_clean():
+def test_search_audit_clean(monkeypatch):
     # Every search probe of an exact pi cell at S <= 3 stays at or below
-    # pi, and attains it wherever a catalog witness fits the grid.
+    # pi, and attains it wherever a catalog witness fits the grid.  From
+    # a cold cache, the 373 searches make 19,675 engine calls and key
+    # 4,536 multisets (30,943 before the decoy cells and the orderly fill).
+    calls = _counting(monkeypatch, "run_method")
+    keys = _counting(monkeypatch, "_canonical_form")
+    _clear_caches()
     report = audit_table(smax=3, with_search=True)
     assert len(report.checks) == 1542
     assert report.passed and not report.failures()
+    assert len(calls) == 19675
+    assert 0 < len(keys) <= 4536
 
 
 def test_default_scope_covers_all_scenarios():
