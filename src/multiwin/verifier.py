@@ -9,10 +9,11 @@ bad instances by bounded brute force over unit-ballot profiles (and, for
 the tactic scenario, over W's strategies); audit_table() machine-checks
 the inequality families the threshold corpus must satisfy.  The replay
 and the search decide badness with one test, _is_bad().  The search
-decides each instance once up to renaming the targets among themselves
-and the decoys among themselves; that is sound because the engines are
-tie-complete, so a renaming renames the outcome set, and the branch cap's
-truncation depends only on how many states each round produces.
+skips an instance that a renaming of the targets among themselves and
+the decoys among themselves makes of one decided before; that is sound
+because the engines are tie-complete, so a renaming renames the outcome
+set, and the branch cap's truncation depends only on how many states
+each round produces.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import (chain, combinations, combinations_with_replacement,
-                       permutations, product, tee)
+from itertools import chain, combinations, permutations, product, tee
 from math import isqrt
 from sys import intern
 from typing import Optional, Sequence
@@ -737,18 +737,6 @@ def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
     return sorted(permutations(targets))        # psc, wpsc
 
 
-def _multisets(options, size):
-    """Sorted multisets as ((ballot, count), ...) tuples."""
-    for combo in combinations_with_replacement(range(len(options)), size):
-        counts: list = []
-        for idx in combo:
-            if counts and counts[-1][0] == idx:
-                counts[-1] = (idx, counts[-1][1] + 1)
-            else:
-                counts.append((idx, 1))
-        yield tuple((options[idx], count) for idx, count in counts)
-
-
 def _partitions(total: int, max_parts: int):
     """Partitions of `total` into at most max_parts positive parts,
     largest part first (canonical, order-free)."""
@@ -782,16 +770,16 @@ def _party_strategies(ell, seats, spec):
     return lambda total, w_votes: [answers(total, w_votes)]
 
 
-def _canonical_form(groups, cells: tuple, ordered: bool) -> str:
-    """A key for (count, ballot, in_w) groups that two group lists share
-    iff a renaming of the names within each cell of the ordered partition
-    `cells` carries one onto the other; the names in no cell form one
-    more cell, after the others.
+def _canonical_form(counts, cells: tuple, ordered: bool) -> str:
+    """A key for a multiset of (ballot, count) pairs that two multisets
+    share iff a renaming of the names within each cell of the ordered
+    partition `cells` carries one onto the other; the names in no cell
+    form one more cell, after the others.
 
     Each name is labelled by its place in the order of (cell, incidence
     signature), a cell's names counted from the cell's offset, the sum of
     the sizes of the cells before it; the key is the least relabelled
-    group list over the orders of names whose signatures tie.  A renaming
+    multiset over the orders of names whose signatures tie.  A renaming
     carries signatures along, so it leaves the set of relabellings, and
     with it the key, unchanged; and a label tells its name's cell, so an
     equal key gives a renaming within the cells.  Permuting only tied
@@ -799,11 +787,11 @@ def _canonical_form(groups, cells: tuple, ordered: bool) -> str:
     of the cells' factorials.
     """
     marks: dict = {}
-    for count, ballot, in_w in groups:
+    for ballot, count in counts:
         size = len(ballot)
         for pos, name in enumerate(ballot):
             marks.setdefault(name, []).append(
-                (in_w, count, size, pos if ordered else 0))
+                (count, size, pos if ordered else 0))
     where = {name: i for i, cell in enumerate(cells) for name in cell}
     rest = len(cells)
     tied: dict = {}         # (cell, signature) -> the names that carry it
@@ -825,10 +813,10 @@ def _canonical_form(groups, cells: tuple, ordered: bool) -> str:
     def image(names):
         label = dict(zip(names, slots))
         if ordered:
-            return sorted([(count, tuple([label[name] for name in ballot]),
-                            in_w) for count, ballot, in_w in groups])
-        return sorted([(count, tuple(sorted([label[name] for name in ballot])),
-                        in_w) for count, ballot, in_w in groups])
+            return sorted([(count, tuple([label[name] for name in ballot]))
+                           for ballot, count in counts])
+        return sorted([(count, tuple(sorted([label[name] for name in ballot])))
+                       for ballot, count in counts])
 
     # As text, a met key takes a quarter of the memory.
     if len(ranked) == len(marks):       # no two signatures tie
@@ -842,30 +830,48 @@ def _renamed(ballot, swap: dict):
     return type(ballot)([swap.get(name, name) for name in ballot])
 
 
-def _swaps(cells):
-    """Per cell, the swaps of its adjacent names in sorted order: they
-    generate the renamings within the cells."""
-    for cell in cells:
-        names = sorted(cell)
-        for first, second in zip(names, names[1:]):
-            yield {first: second, second: first}
+def _cells(counts, names) -> tuple:
+    """The `names` grouped into the classes of "swapping these two keeps
+    the multiset `counts` of (ballot, count) pairs", each class in the
+    order of `names`, the classes in the order of their first members.
+
+    The relation is an equivalence, since (x y)(y z)(x y) = (x z); so
+    each name is tried only against each class's first member, and the
+    renamings within the classes, each of which keeps the multiset, are
+    exactly the group that the kept swaps generate.
+    """
+    kept = set(counts)
+    classes: list = []
+    for name in names:
+        for cls in classes:
+            swap = {cls[0]: name, name: cls[0]}
+            if all((_renamed(ballot, swap), count) in kept
+                   for ballot, count in counts):
+                cls.append(name)
+                break
+        else:
+            classes.append([name])
+    return tuple(frozenset(cls) for cls in classes)
 
 
 @lru_cache(maxsize=None)
 def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
-    """The first multiset of each orbit in _multisets(options, size), in
-    that order, under renaming the names within each cell of `cells` (the
-    names in no cell form one more cell): a lazily filled sequence,
-    shared by every search in the process and read through copy().  One
-    side's groups share their in_w flag, so the key sets it False.
+    """The first multiset of each orbit among the sorted multisets of
+    `size` options, as ((ballot, count), ...) tuples in
+    combinations_with_replacement order, under renaming the names within
+    each cell of `cells` (the names in no cell form one more cell): a
+    lazily filled sequence, shared by every search in the process and
+    read through copy().
 
-    The fill is orderly.  The options must be closed under the renamings,
-    or ValueError is raised: a renaming then permutes the option indices,
-    and in combinations_with_replacement order the first member of an
-    orbit has the first member of its prefix's orbit as its prefix (if a
-    renaming put the prefix earlier, it would put the whole multiset
-    earlier).  So level `size` extends only the firsts of level size - 1,
-    each by the options at or after its last one, and keys just those.
+    The fill is orderly.  The options must be closed under the renamings
+    (the names they use of each cell, and of the rest, form one class of
+    _cells), or ValueError is raised: a renaming then permutes the option
+    indices, and in combinations_with_replacement order the first member
+    of an orbit has the first member of its prefix's orbit as its prefix
+    (if a renaming put the prefix earlier, it would put the whole
+    multiset earlier).  So level `size` extends only the firsts of level
+    size - 1, each by the options at or after its last one, and keys just
+    those.
 
     There is one entry per (options, size, cells, ordered) met, each
     holding its firsts and the keys it has met; the options and cells
@@ -874,13 +880,14 @@ def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
     """
     if size == 0:
         return tee([()], 1)[0]
-    offered = set(options)
+    once = tuple((option, 1) for option in options)
     named = set().union(*options)
-    for swap in _swaps([named.intersection(cell) for cell in cells]
-                       + [named.difference(*cells)]):
-        if any(_renamed(option, swap) not in offered for option in options):
+    for part in ([named.intersection(cell) for cell in cells]
+                 + [named.difference(*cells)]):
+        classes = _cells(once, sorted(part))
+        if len(classes) > 1:
             raise ValueError("ballot options are not closed under renaming "
-                             "%s and %s" % tuple(sorted(swap)))
+                             "%s and %s" % (min(classes[0]), min(classes[1])))
     index = {option: i for i, option in enumerate(options)}
 
     def firsts():
@@ -892,9 +899,7 @@ def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
                     counts = prefix[:-1] + ((options[i], prefix[-1][1] + 1),)
                 else:
                     counts = prefix + ((options[i], 1),)
-                key = _canonical_form([(count, ballot, False)
-                                       for ballot, count in counts],
-                                      cells, ordered)
+                key = _canonical_form(counts, cells, ordered)
                 if key not in met:
                     met.add(key)
                     yield counts
@@ -902,108 +907,42 @@ def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
     return tee(firsts(), 1)[0]
 
 
-def _decoy_cells(w_groups, targets: frozenset, ordered: bool):
-    """The decoys W's ballots name, grouped into cells by their incidence
-    signature in W's groups, the (count, size, position) of each group
-    that names the decoy; None unless swapping any two adjacent decoys of
-    a cell keeps W's groups.
-
-    A renaming that fixes W's groups keeps each name's signature, so it
-    maps every cell onto itself; when the swaps keep W, they generate
-    every renaming within the cells, so the decoy renamings that fix W
-    (with some renaming of the targets) are exactly those within the
-    cells.  W = {A1, B1} + {A2, B2} is fixed by swapping B1 and B2 only
-    together with A1 and A2, so it gets None.
-    """
-    marks: dict = {}
-    for count, ballot, _ in w_groups:
-        for pos, name in enumerate(ballot):
-            if name not in targets:
-                marks.setdefault(name, []).append(
-                    (count, len(ballot), pos if ordered else 0))
-    tied: dict = {}
-    for name, found in marks.items():
-        tied.setdefault(tuple(sorted(found)), set()).add(name)
-    cells = tuple(sorted((frozenset(names) for names in tied.values()),
-                         key=sorted))
-    w = set(w_groups)
-    for swap in _swaps(cells):
-        if {(count, _renamed(ballot, swap), in_w)
-                for count, ballot, in_w in w_groups} != w:
-            return None
-    return cells
-
-
-def _answer_firsts(w_groups, adv_options: tuple, adv_votes: int,
-                   targets: frozenset, ordered: bool, room: int):
-    """The first answer of each orbit to W's strategy: every multiset of
-    adv_votes adversary ballots of at most `room` groups, skipping an
-    answer X when W + X is a renaming of W + Y for an earlier answer Y.
-
-    W's groups are flagged in_w and the answer's are not, so a renaming
-    (t, d), t of the targets and d of the decoys, carries W + X onto
-    W + Y iff it fixes W and d(X) = Y, X naming only decoys.  When W has
-    decoy cells (_decoy_cells), those d are the renamings within the
-    cells, and the answers come from the shared _orbit_firsts; otherwise
-    each answer is keyed with W's groups.  The cap on ballot groups
-    counts X's distinct ballots, which a renaming keeps, so it drops
-    whole orbits and may be applied after they are taken.
-    """
-    cells = _decoy_cells(w_groups, targets, ordered)
-    if cells is not None:
-        for counts_adv in copy(_orbit_firsts(adv_options, adv_votes, cells,
-                                             ordered)):
-            if len(counts_adv) <= room:
-                yield counts_adv
-        return
-    met: set = set()
-    for counts_adv in _multisets(adv_options, adv_votes):
-        if len(counts_adv) > room:
-            continue
-        key = _canonical_form(w_groups + [(count, ballot, False)
-                                          for ballot, count in counts_adv],
-                              (targets,), ordered)
-        if key not in met:
-            met.add(key)
-            yield counts_adv
-
-
 def _ballot_strategies(method, scenario, ell, seats, spec):
     """W's strategies, each a multiset of the ballots the scenario lets W
     cast, and per strategy the adversary's answers: every multiset of
     ballots over the decoys that keeps the profile a scenario instance.
 
-    Of each orbit under renaming the targets among themselves and the
-    decoys among themselves, only the first strategy at a fraction and the
-    first answer to a strategy are yielded; search_lower_bound says why
-    that decides the rest.  The strategies' orbits depend only on the
-    ballot kind, W's ballot options, the target set and W's vote count,
-    so they come from the process-wide _orbit_firsts, and so do the
-    answers to a strategy with decoy cells (_answer_firsts).  Both option
-    sets are closed under the renamings: the adversary may cast every
-    ballot over the decoys, and W every ballot the scenario allows, which
-    no renaming within W's cells changes.  Each (count, ballot, in_w)
-    group becomes a WeightedBallot once per call.
+    Both come from the process-wide _orbit_firsts, the first of each
+    orbit under renaming within the cells that _cells finds;
+    search_lower_bound says why that decides the rest.  W's strategies
+    are the orbits under renaming the decoys among themselves and the
+    targets within the classes whose swaps keep W's ballot options: one
+    class, but one per target for the single list of party and same on
+    list ballots.  The answers to a strategy are the orbits under
+    renaming within the classes of decoys whose swaps keep W's groups;
+    such a renaming R fixes W, so it carries W + X onto W + R(X).  A
+    renaming that fixes W only together with one of the targets, as
+    (A1 A2)(B1 B2) fixes {A1, B1} + {A2, B2}, is not among them, so such
+    a strategy may meet two answers of one orbit.  Both option sets are
+    closed under the renamings: the adversary may cast every ballot over
+    the decoys, and W every ballot the scenario allows.  Per call, each
+    strategy's decoy cells are found once, and each (count, ballot, in_w)
+    group becomes a WeightedBallot once.
     """
     pool_size = max(spec.max_candidates, seats)
     targets = tuple(_names("A", ell))
     decoys = tuple(_names("B", pool_size - ell))
     universe = targets + decoys
-    target_set = frozenset(targets)
     kind = method.spec.ballot
     ordered = kind == "list"
     adv_options = tuple(_ballot_options(method, decoys, spec, seats))
     require_kind(scenario, kind)
     w_options = tuple(_w_options(method, scenario, targets, decoys, spec,
                                  seats))
-    if ordered and scenario in (ScenarioId.PARTY, ScenarioId.SAME):
-        # W's one list fixes the order of the targets: no renaming of
-        # them keeps it, so each target is a cell of its own.
-        w_cells = tuple(frozenset([target]) for target in targets)
-    else:
-        w_cells = (target_set,)
+    w_cells = _cells([(option, 1) for option in w_options], targets)
     content = _CONTENT[kind]
     built: dict = {}        # (count, ballot, in_w) -> its WeightedBallot
+    decoy_cells: dict = {}  # W's strategy -> _cells(strategy, decoys)
 
     def instance(groups):
         ballots = []
@@ -1017,10 +956,18 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
         return ScenarioInstance(Profile(ballots, seats, universe), targets,
                                 ell, scenario)
 
-    def answers(w_groups, adv_votes):
-        for counts_adv in _answer_firsts(
-                w_groups, adv_options, adv_votes, target_set, ordered,
-                spec.max_ballot_groups - len(w_groups)):
+    def answers(counts_w, adv_votes):
+        cells = decoy_cells.get(counts_w)
+        if cells is None:
+            cells = decoy_cells[counts_w] = _cells(counts_w, decoys)
+        w_groups = [(count, ballot, True) for ballot, count in counts_w]
+        room = spec.max_ballot_groups - len(counts_w)
+        for counts_adv in copy(_orbit_firsts(adv_options, adv_votes, cells,
+                                             ordered)):
+            if len(counts_adv) > room:
+                # The cap counts distinct ballots, which a renaming keeps,
+                # so it drops whole orbits.
+                continue
             inst = instance(w_groups + [(count, ballot, False)
                                         for ballot, count in counts_adv])
             if is_instance(inst):
@@ -1029,8 +976,7 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     def strategies(total, w_votes):
         for counts_w in copy(_orbit_firsts(w_options, w_votes, w_cells,
                                            ordered)):
-            yield answers([(count, ballot, True) for ballot, count in counts_w],
-                          total - w_votes)
+            yield answers(counts_w, total - w_votes)
 
     return strategies
 
@@ -1073,11 +1019,12 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     A count the branch cap truncates is bad when it lists a bad committee
     and not bad when it does not (see _search_bad).
 
-    Each instance is decided once up to renaming the targets among
-    themselves and the decoys among themselves: such a renaming keeps the
-    target set, and _search_bad gives every instance of one orbit the same
-    verdict.  A later member of a decided orbit is skipped, and so is a W
-    strategy whose orbit was met before at this fraction.  Either is
+    Instances are decided up to renaming the targets among themselves
+    and the decoys among themselves: such a renaming keeps the target
+    set, and _search_bad gives every instance of one orbit the same
+    verdict.  A later member of a decided orbit is skipped where
+    _ballot_strategies finds the renaming, and so is a W strategy whose
+    orbit was met before at this fraction.  Either is
     already known not to change the result: an answer met again was not
     bad, or the loop would have left the strategy; a strategy met again
     had a bad answer in the tactic case and none elsewhere.  The first bad

@@ -3,10 +3,11 @@
 from collections import Counter
 from copy import copy
 from fractions import Fraction
-from itertools import permutations
+from itertools import (chain, combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from multiwin import verifier
 from multiwin.ballots import DEFAULT_BRANCH_CAP, parse_profile
@@ -238,7 +239,7 @@ def test_search_refuses_a_scenario_the_ballots_cannot_express(
     def enumerating(*args):
         raise AssertionError("enumerated a refused cell")
 
-    monkeypatch.setattr(verifier, "_multisets", enumerating)
+    monkeypatch.setattr(verifier, "_orbit_firsts", enumerating)
     with pytest.raises(ScenarioTypeError):
         search_lower_bound(MethodId.parse(label), scenario, 1, 2)
 
@@ -255,7 +256,7 @@ def test_search_refuses_a_cap_below_ell(monkeypatch, label, cap, scenario,
     def enumerating(*args):
         raise AssertionError("enumerated a refused cell")
 
-    monkeypatch.setattr(verifier, "_multisets", enumerating)
+    monkeypatch.setattr(verifier, "_orbit_firsts", enumerating)
     with pytest.raises(CoverageError,
                        match="cap %d is below ell = %d" % (cap, ell)):
         search_lower_bound(MethodId.parse(label), scenario, ell, seats)
@@ -272,50 +273,66 @@ def test_search_keeps_cells_the_cap_allows():
 
 
 POOL = ("A1", "A2", "B1", "B2")
-TARGETS = frozenset(POOL[:2])
-CELLS = (TARGETS,)          # the targets, then the decoys as the rest
+TARGETS = POOL[:2]
+CELLS = (frozenset(TARGETS),)   # the targets, then the decoys as the rest
+DECOYS = ("B1", "B2", "B3")     # the decoys of the answer tests
 
 
-def _renamings():
-    for targets in permutations(POOL[:2]):
-        for decoys in permutations(POOL[2:]):
-            yield dict(zip(POOL, targets + decoys))
+def _multisets(options, size):
+    """Sorted multisets of `size` options as ((ballot, count), ...) tuples,
+    in combinations_with_replacement order."""
+    for combo in combinations_with_replacement(options, size):
+        yield tuple((ballot, combo.count(ballot))
+                    for ballot in dict.fromkeys(combo))
 
 
-def _renamed(groups, renaming):
-    return Counter((count, type(ballot)(renaming[name] for name in ballot),
-                    in_w) for count, ballot, in_w in groups)
+def _renamings(names=POOL):
+    """Every renaming of the targets among themselves and of the other
+    names among themselves."""
+    for targets in permutations(TARGETS):
+        for others in permutations(names[2:]):
+            yield dict(zip(names, targets + others))
 
 
-def _orbit(groups):
-    """Every renaming of the groups, as one hashable set."""
-    return frozenset(frozenset(_renamed(groups, renaming).items())
-                     for renaming in _renamings())
+def _renamed(counts, renaming):
+    return Counter((type(ballot)(renaming.get(name, name) for name in ballot),
+                    count) for ballot, count in counts)
 
 
-def _group_lists(ordered):
+def _orbit(counts, renamings):
+    """Every image of the counts under the renamings, as one hashable set."""
+    return frozenset(frozenset(_renamed(counts, renaming).items())
+                     for renaming in renamings)
+
+
+def _ballots(names, ordered, longest=3):
+    if ordered:
+        return st.lists(st.sampled_from(names), min_size=1, max_size=longest,
+                        unique=True).map(tuple)
+    return st.frozensets(st.sampled_from(names), min_size=1,
+                         max_size=longest)
+
+
+def _count_lists(ordered):
     # Few counts and names, so that signatures often tie.
-    names = st.sampled_from(POOL)
-    ballots = (st.lists(names, min_size=1, max_size=3, unique=True).map(tuple)
-               if ordered else st.frozensets(names, min_size=1, max_size=3))
-    return st.lists(st.tuples(st.integers(1, 2), ballots, st.booleans()),
+    return st.lists(st.tuples(_ballots(POOL, ordered), st.integers(1, 2)),
                     min_size=1, max_size=4)
 
 
 @st.composite
-def _group_pairs(draw):
+def _count_pairs(draw):
     ordered = draw(st.booleans())
-    first = draw(_group_lists(ordered))
+    first = draw(_count_lists(ordered))
     if draw(st.booleans()):
         renaming = draw(st.sampled_from(list(_renamings())))
         second = list(_renamed(first, renaming).elements())
         second = draw(st.permutations(second))
     else:
-        second = draw(_group_lists(ordered))
+        second = draw(_count_lists(ordered))
     return first, second, ordered
 
 
-@given(_group_pairs())
+@given(_count_pairs())
 def test_canonical_form_is_the_renaming_orbit(pair):
     first, second, ordered = pair
     same_orbit = any(_renamed(first, renaming) == Counter(second)
@@ -325,34 +342,79 @@ def test_canonical_form_is_the_renaming_orbit(pair):
         == same_orbit
 
 
-@pytest.mark.parametrize("groups, ordered, key", [
-    ([(2, frozenset({"A1", "A2"}), True), (1, frozenset({"B1"}), False),
-      (1, frozenset({"B2"}), False)], False,
-     "[(1, (2,), False), (1, (3,), False), (2, (0, 1), True)]"),
-    ([(1, frozenset({"A2", "B2"}), True), (3, frozenset({"B1", "B2"}), False)],
-     False, "[(1, (0, 3), True), (3, (2, 3), False)]"),
-    ([(1, ("A2", "A1"), True), (1, ("A1", "B1"), True), (2, ("B2",), False)],
-     True, "[(1, (0, 1), True), (1, (1, 3), True), (2, (2,), False)]"),
-    ([(2, ("B1", "A2"), True), (1, ("B2", "B1"), False),
-      (1, ("B1", "B2"), False)], True,
-     "[(1, (2, 3), False), (1, (3, 2), False), (2, (3, 0), True)]"),
-    ([(2, ("A1",), True), (1, ("A1", "A2"), True)], True,
-     "[(1, (0, 1), True), (2, (0,), True)]"),
+@pytest.mark.parametrize("counts, ordered, key", [
+    ([(frozenset({"A1", "A2"}), 2), (frozenset({"B1"}), 1),
+      (frozenset({"B2"}), 1)], False,
+     "[(1, (2,)), (1, (3,)), (2, (0, 1))]"),
+    ([(frozenset({"A2", "B2"}), 1), (frozenset({"B1", "B2"}), 3)],
+     False, "[(1, (0, 2)), (3, (2, 3))]"),
+    ([(("A2", "A1"), 1), (("A1", "B1"), 1), (("B2",), 2)],
+     True, "[(1, (0, 1)), (1, (1, 2)), (2, (3,))]"),
+    ([(("B1", "A2"), 2), (("B2", "B1"), 1), (("B1", "B2"), 1)], True,
+     "[(1, (2, 3)), (1, (3, 2)), (2, (3, 0))]"),
+    ([(("A1",), 2), (("A1", "A2"), 1)], True,
+     "[(1, (0, 1)), (2, (0,))]"),
 ])
-def test_canonical_form_text(groups, ordered, key):
-    # Keys as the search has always written them: a met orbit is found by
-    # its text.
-    assert verifier._canonical_form(groups, CELLS, ordered) == key
+def test_canonical_form_text(counts, ordered, key):
+    # Keys as the search writes them: a met orbit is found by its text.
+    assert verifier._canonical_form(counts, CELLS, ordered) == key
 
 
-DECOYS = ("B1", "B2", "B3")
+@st.composite
+def _cell_cases(draw):
+    ordered = draw(st.booleans())
+    ballots = draw(st.lists(_ballots(POOL, ordered), min_size=1, max_size=4,
+                            unique=True))
+    return [(ballot, draw(st.integers(1, 2))) for ballot in ballots]
 
 
-def _ballots(names, ordered):
-    if ordered:
-        return st.lists(st.sampled_from(names), min_size=1, max_size=3,
-                        unique=True).map(tuple)
-    return st.frozensets(st.sampled_from(names), min_size=1, max_size=3)
+@given(_cell_cases())
+def test_cells_are_the_classes_of_the_swaps_that_keep_the_multiset(counts):
+    cells = verifier._cells(counts, POOL)
+    assert sorted(chain.from_iterable(cells)) == list(POOL)
+    cell_of = {name: cell for cell in cells for name in cell}
+    for x, y in combinations(POOL, 2):
+        keeps = _renamed(counts, {x: y, y: x}) == Counter(counts)
+        assert keeps == (cell_of[x] is cell_of[y])
+    for orders in product(*(permutations(sorted(cell)) for cell in cells)):
+        renaming = {name: image for cell, order in zip(cells, orders)
+                    for name, image in zip(sorted(cell), order)}
+        assert _renamed(counts, renaming) == Counter(counts)
+
+
+def test_cells_of_two_strategies_on_decoys():
+    # Swapping B1 and B2 keeps W = {A1, B1} + {A2, B2} only together with
+    # swapping A1 and A2, so each decoy is a cell of its own, and all 6
+    # answers at size 2 are kept, where the orbits of every renaming that
+    # fixes W are only 4: {B1}{B1} ~ {B2}{B2}, {B1}{B1B2} ~ {B1B2}{B2}.
+    w = ((frozenset({"A1", "B1"}), 1), (frozenset({"A2", "B2"}), 1))
+    cells = verifier._cells(w, DECOYS[:2])
+    assert cells == (frozenset({"B1"}), frozenset({"B2"}))
+    options = (frozenset({"B1"}), frozenset({"B1", "B2"}), frozenset({"B2"}))
+    kept = list(copy(verifier._orbit_firsts(options, 2, cells, False)))
+    assert kept == list(_multisets(options, 2))
+    assert len(kept) == 6
+    assert len(_keyed_answers(w, options, 2)) == 4
+    w = ((frozenset({"A1", "B1", "B2"}), 1), (frozenset({"A1", "B3", "B4"}), 1))
+    assert verifier._cells(w, ("B1", "B2", "B3", "B4")) == (
+        frozenset({"B1", "B2"}), frozenset({"B3", "B4"}))
+
+
+@pytest.mark.parametrize("label, scenario, one_cell", [
+    ("stv:1", "party", False), ("stv:1", "same", False),
+    ("stv:1", "psc", True), ("thiele-o", "wpsc", True),
+    ("borda", "tactic", True), ("av", "party", True), ("av", "same", True),
+    ("av", "pjr", True), ("av", "ejr", True), ("av", "tactic", True),
+])
+def test_target_cells(label, scenario, one_cell):
+    # W's one list under party and same fixes the order of the targets,
+    # so no swap of two targets keeps it; every other option set is kept
+    # by every swap.
+    options = verifier._w_options(MethodId.parse(label), ScenarioId(scenario),
+                                  TARGETS, DECOYS, verifier.AUDIT_SPEC, 3)
+    cells = verifier._cells([(option, 1) for option in options], TARGETS)
+    assert cells == (CELLS if one_cell
+                     else (frozenset({"A1"}), frozenset({"A2"})))
 
 
 def _closed(options, renamings, ordered):
@@ -363,96 +425,101 @@ def _closed(options, renamings, ordered):
     return tuple(sorted(closed, key=None if ordered else sorted))
 
 
-def _decoy_renamings():
-    return [dict(zip(DECOYS, order)) for order in permutations(DECOYS)]
+def _fixing(w):
+    """Every renaming of the targets among themselves and the decoys among
+    themselves that fixes W's (ballot, count) pairs."""
+    return [renaming for renaming in _renamings(TARGETS + DECOYS)
+            if _renamed(w, renaming) == Counter(w)]
 
 
-def _keyed_answers(w_groups, options, votes, ordered):
-    """The first answer of each orbit of W + answer, keyed with W's
-    groups: the loop the cache stands in for."""
+def _keyed_answers(w, options, votes):
+    """The first answer of each orbit under the renamings that fix W, by
+    trying every renaming: the answers the search kept when it keyed each
+    answer with W's groups."""
+    fixing = _fixing(w)
     met, kept = set(), []
-    for counts in verifier._multisets(options, votes):
-        key = verifier._canonical_form(
-            w_groups + [(count, ballot, False) for ballot, count in counts],
-            CELLS, ordered)
-        if key not in met:
-            met.add(key)
+    for counts in _multisets(options, votes):
+        orbit = _orbit(counts, fixing)
+        if orbit not in met:
+            met.add(orbit)
             kept.append(counts)
     return kept
 
 
+def _answers(w, options, votes, ordered):
+    """The answers the search reads for W's strategy."""
+    cells = verifier._cells(w, DECOYS)
+    return list(copy(verifier._orbit_firsts(options, votes, cells, ordered)))
+
+
 @st.composite
 def _targets_only_strategies(draw):
-    """(W's groups on targets only, adversary options over decoys closed
-    under renaming the decoys, the adversary's vote count, ordered)."""
+    """(W's (ballot, count) pairs on targets only, adversary options over
+    decoys closed under renaming the decoys, the adversary's vote count,
+    ordered)."""
     ordered = draw(st.booleans())
-    w_groups = draw(st.lists(st.tuples(st.integers(1, 2),
-                                       _ballots(POOL[:2], ordered),
-                                       st.just(True)),
-                             min_size=1, max_size=2))
+    w = draw(st.lists(st.tuples(_ballots(TARGETS, ordered),
+                                st.integers(1, 2)),
+                      min_size=1, max_size=2))
     options = draw(st.lists(_ballots(DECOYS, ordered), min_size=1,
                             max_size=3))
-    return (w_groups, _closed(options, _decoy_renamings(), ordered),
+    return (w, _closed(options, list(_renamings(TARGETS + DECOYS)), ordered),
             draw(st.integers(1, 3)), ordered)
 
 
 @given(_targets_only_strategies())
 def test_adversary_orbits_answer_a_strategy_on_targets(case):
-    # The first answer of each orbit, keyed with W's groups, is the first
-    # of its orbit under renaming the decoys alone: the cached sequence.
-    w_groups, options, votes, ordered = case
+    # Every renaming of the decoys fixes W, so the answers are the first
+    # of each orbit under renaming the decoys alone: the cached sequence.
+    w, options, votes, ordered = case
     assert list(copy(verifier._orbit_firsts(options, votes, (), ordered))) \
-        == _keyed_answers(w_groups, options, votes, ordered)
+        == _keyed_answers(w, options, votes)
 
 
 @st.composite
 def _decoy_strategies(draw):
-    """(W's groups on distinct ballots over targets and decoys, adversary
-    options closed under renaming the decoys, the adversary's vote count,
-    ordered)."""
+    """(W's (ballot, count) pairs on distinct ballots over targets and
+    decoys, adversary options closed under renaming the decoys, the
+    adversary's vote count, ordered)."""
     ordered = draw(st.booleans())
-    ballots = draw(st.lists(_ballots(POOL[:2] + DECOYS, ordered),
+    ballots = draw(st.lists(_ballots(TARGETS + DECOYS, ordered),
                             min_size=1, max_size=3, unique=True))
-    w_groups = [(draw(st.integers(1, 2)), ballot, True) for ballot in ballots]
+    w = [(ballot, draw(st.integers(1, 2))) for ballot in ballots]
     options = draw(st.lists(_ballots(DECOYS, ordered), min_size=1,
                             max_size=3))
-    return (w_groups, _closed(options, _decoy_renamings(), ordered),
+    return (w, _closed(options, list(_renamings(TARGETS + DECOYS)), ordered),
             draw(st.integers(1, 3)), ordered)
 
 
 @given(_decoy_strategies())
-def test_decoy_cells_answer_a_strategy_on_decoys(case):
-    # Where W has decoy cells, the cache's orbits under renaming within
-    # the cells are the answers the keyed loop keeps, in the same order;
-    # the answers the search reads agree with the keyed loop either way.
-    w_groups, options, votes, ordered = case
-    kept = _keyed_answers(w_groups, options, votes, ordered)
-    cells = verifier._decoy_cells(w_groups, TARGETS, ordered)
-    if cells is not None:
-        assert list(copy(verifier._orbit_firsts(options, votes, cells,
-                                                 ordered))) == kept
-    assert list(verifier._answer_firsts(w_groups, options, votes, TARGETS,
-                                        ordered, votes)) == kept
+def test_skipped_answers_are_renamings_of_kept_ones(case):
+    # The kept answers come in search order, and each answer skipped
+    # between them is the image of an earlier kept one under a renaming
+    # that fixes W, so it is the same instance up to renaming.
+    w, options, votes, ordered = case
+    kept, fixing = _answers(w, options, votes, ordered), _fixing(w)
+    earlier: list = []
+    images: set = set()     # every image of an earlier kept answer
+    for counts in _multisets(options, votes):
+        if kept[len(earlier):len(earlier) + 1] == [counts]:
+            earlier.append(counts)
+            images |= _orbit(counts, fixing)
+        else:
+            assert frozenset(Counter(counts).items()) in images
+    assert earlier == kept
 
 
-def test_decoy_cells_fall_back_to_the_keyed_loop():
-    # Swapping B1 and B2 keeps W = {A1, B1} + {A2, B2} only together with
-    # swapping A1 and A2, so W has no decoy cells; its answers are keyed,
-    # and they are the first of each orbit found by trying every renaming.
-    w_groups = [(1, frozenset({"A1", "B1"}), True),
-                (1, frozenset({"A2", "B2"}), True)]
-    assert verifier._decoy_cells(w_groups, TARGETS, False) is None
-    options = (frozenset({"B1"}), frozenset({"B1", "B2"}), frozenset({"B2"}))
-    met, kept = set(), []
-    for counts in verifier._multisets(options, 2):
-        orbit = _orbit(w_groups + [(count, ballot, False)
-                                   for ballot, count in counts])
-        if orbit not in met:
-            met.add(orbit)
-            kept.append(counts)
-    assert list(verifier._answer_firsts(w_groups, options, 2, TARGETS, False,
-                                        2)) == kept
-    assert len(kept) == 4       # {B1}{B1} ~ {B2}{B2}, {B1}{B1B2} ~ {B1B2}{B2}
+@given(_decoy_strategies())
+def test_kept_answers_are_the_orbits_when_swaps_fix_w(case):
+    # When every renaming that fixes W moves each decoy within its cell,
+    # the swaps that keep W generate those renamings' action on the
+    # answers, so the kept answers are the first of each orbit.
+    w, options, votes, ordered = case
+    cells = verifier._cells(w, DECOYS)
+    assume(all(renaming[name] in cell for renaming in _fixing(w)
+               for cell in cells for name in cell))
+    assert _answers(w, options, votes, ordered) \
+        == _keyed_answers(w, options, votes)
 
 
 @pytest.mark.parametrize("options, cells", [
@@ -470,10 +537,8 @@ def test_orbit_firsts_refuses_options_not_closed(options, cells):
 @st.composite
 def _strategy_options(draw):
     ordered = draw(st.booleans())
-    names = st.sampled_from(POOL)
-    ballots = (st.lists(names, min_size=1, max_size=2, unique=True).map(tuple)
-               if ordered else st.frozensets(names, min_size=1, max_size=2))
-    options = draw(st.lists(ballots, min_size=1, max_size=3))
+    options = draw(st.lists(_ballots(POOL, ordered, longest=2), min_size=1,
+                            max_size=3))
     return (_closed(options, list(_renamings()), ordered),
             draw(st.integers(1, 3)), ordered)
 
@@ -485,14 +550,13 @@ def test_strategy_orbits_are_the_renaming_orbits(case):
     # themselves, found here by trying every renaming.
     options, size, ordered = case
     met, kept = set(), []
-    for counts in verifier._multisets(options, size):
-        groups = [(count, ballot, True) for ballot, count in counts]
-        if _orbit(groups) not in met:
-            met.add(_orbit(groups))
-            kept.append(groups)
-    firsts = verifier._orbit_firsts(options, size, CELLS, ordered)
-    assert [[(count, ballot, True) for ballot, count in counts]
-            for counts in copy(firsts)] == kept
+    for counts in _multisets(options, size):
+        orbit = _orbit(counts, _renamings())
+        if orbit not in met:
+            met.add(orbit)
+            kept.append(counts)
+    assert list(copy(verifier._orbit_firsts(options, size, CELLS,
+                                            ordered))) == kept
 
 
 CACHE_CELLS = [("phragmen-u", "tactic", 2, 3), ("stv:1", "tactic", 2, 2),
@@ -552,8 +616,9 @@ def test_search_strategies_keep_targets_apart():
 
 
 def test_search_answers_keep_to_the_ballot_group_cap():
-    # pjr lets W cast {A1}, whose answers come from the cache, and {A1, B1},
-    # whose answers are keyed with W's group; both obey the cap.
+    # pjr lets W cast {A1}, whose answers are orbits under renaming the
+    # decoys, and {A1, B1}, whose answers are orbits under renaming within
+    # its decoy cells {B1} and {B2, B3}; both obey the cap.
     spec = SearchSpec(max_candidates=4, weight_grid=4, max_ballot_groups=2)
     strategies = verifier._ballot_strategies(MethodId("av"), ScenarioId.PJR,
                                              1, 2, spec)
@@ -571,7 +636,7 @@ def test_search_decides_each_orbit_once(monkeypatch):
     # stv:1 tactic ell=3 S=3 holds 11,480 engine calls in the exhaustive
     # loop but only 1,964 instances distinct up to renaming the targets
     # among themselves and the decoys among themselves.  From a cold
-    # cache the orderly fill keys 2,880 multisets (13,326 when every
+    # cache the orderly fill keys 2,879 multisets (13,326 when every
     # multiset was keyed).
     calls = _counting(monkeypatch, "run_method")
     keys = _counting(monkeypatch, "_canonical_form")
@@ -678,7 +743,8 @@ def test_search_audit_clean(monkeypatch):
     # Every search probe of an exact pi cell at S <= 3 stays at or below
     # pi, and attains it wherever a catalog witness fits the grid.  From
     # a cold cache, the 373 searches make 19,675 engine calls and key
-    # 4,536 multisets (30,943 before the decoy cells and the orderly fill).
+    # 4,451 multisets (4,536 before the transposition classes, 30,943
+    # before the decoy cells and the orderly fill).
     calls = _counting(monkeypatch, "run_method")
     keys = _counting(monkeypatch, "_canonical_form")
     _clear_caches()

@@ -11,8 +11,14 @@ search_lower_bound under the audit's own spec on every pi-exact
 default-scope cell at S = 3.  It was recorded before the search decided
 instances up to renaming, without the phragmen-u/-o tactic cells at
 ell = 2, 3, and re-recorded with them once the sequential engines filled
-the seats no candidate supports.
+the seats no candidate supports.  DEFAULT_SPEC_GOLDEN pins, at the
+SearchSpec defaults, the best fraction and witness profile of cells where
+some W strategy is fixed by a renaming of the decoys only together with
+one of the targets, recorded while such answers were still keyed together
+with W's groups.
 """
+
+import pytest
 
 import hashlib
 import json
@@ -20,7 +26,7 @@ import json
 from multiwin.ballots import format_profile
 from multiwin.numerics import format_rational
 from multiwin.scenarios import ScenarioId
-from multiwin.thresholds import PI, threshold
+from multiwin.thresholds import PI, MethodId, threshold
 from multiwin.verifier import (AUDIT_SPEC, CATALOG, SearchSpec,
                                construct_witness, default_scope,
                                search_lower_bound)
@@ -33,6 +39,33 @@ CATALOG_GOLDEN = (
     "063f21ac73b07a06a56a7d4ad6246f94f23732dc56abf49b816f1316137a7ea1")
 AUDIT_GOLDEN = (
     "e340dc17bc575528535be14f457b947e5a97e9dd1ba0b04ec45f4b116aee4ebe")
+
+_ONE_DECOY = "!candidates A2 B2 B3\n!W %d : {A1}\n1 : {B1}\n"
+
+DEFAULT_SPEC_GOLDEN = [
+    # (method, scenario, ell, S, best fraction, witness profile)
+    ("lv:2", "tactic", 2, 2, "1/2", "!seats 2\n" + _ONE_DECOY % 1),
+    ("lv:2", "tactic", 2, 3, "1/2", "!seats 3\n" + _ONE_DECOY % 1),
+    ("lv:2", "tactic", 1, 3, "2/5",
+     "!seats 3\n!candidates B4\n!W 2 : {A1}\n1 : {B1 B2}\n1 : {B1 B3}\n"
+     "1 : {B2 B3}\n"),
+    ("bv", "tactic", 2, 2, "1/2", "!seats 2\n" + _ONE_DECOY % 1),
+    ("bv", "tactic", 2, 3, "1/2", "!seats 3\n" + _ONE_DECOY % 1),
+    ("bv", "tactic", 3, 3, "1/2",
+     "!seats 3\n!candidates A2 A3 B2\n!W 1 : {A1}\n1 : {B1}\n"),
+    ("av", "tactic", 2, 2, "1/2", "!seats 2\n" + _ONE_DECOY % 1),
+    ("av", "tactic", 2, 3, "1/2", "!seats 3\n" + _ONE_DECOY % 1),
+    ("av", "tactic", 3, 3, "1/2",
+     "!seats 3\n!candidates A2 A3 B2\n!W 1 : {A1}\n1 : {B1}\n"),
+    ("cvq", "tactic", 2, 2, "2/3", "!seats 2\n" + _ONE_DECOY % 2),
+    ("phragmen-u", "tactic", 2, 2, "2/3", "!seats 2\n" + _ONE_DECOY % 2),
+    ("thiele-opt", "tactic", 2, 2, "2/3", "!seats 2\n" + _ONE_DECOY % 2),
+    ("thiele-elim", "tactic", 2, 2, "2/3", "!seats 2\n" + _ONE_DECOY % 2),
+    ("cvq", "pjr", 1, 1, "3/4",
+     "!seats 1\n!candidates B4\n!W 3 : {A1 B1 B2}\n1 : {B3}\n"),
+    ("cvq", "ejr", 1, 1, "3/4",
+     "!seats 1\n!candidates B4\n!W 3 : {A1 B1 B2}\n1 : {B3}\n"),
+]
 
 
 def _witness_record(witness) -> list:
@@ -107,3 +140,15 @@ def test_golden_audit_search():
 
 def test_golden_catalog():
     assert _digest(catalog_records()) == CATALOG_GOLDEN
+
+
+@pytest.mark.parametrize("label, scenario, ell, seats, best, profile",
+                         DEFAULT_SPEC_GOLDEN,
+                         ids=["%s-%s-%d-%d" % cell[:4]
+                              for cell in DEFAULT_SPEC_GOLDEN])
+def test_golden_default_spec_search(label, scenario, ell, seats, best,
+                                    profile):
+    found, witness = search_lower_bound(MethodId.parse(label), scenario, ell,
+                                        seats, SearchSpec())
+    assert format_rational(found) == best
+    assert format_profile(witness.instance.profile) == profile
