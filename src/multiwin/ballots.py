@@ -14,6 +14,7 @@ tie, deduplicated and canonically ordered.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, Iterable, Optional, Sequence
@@ -23,6 +24,10 @@ from .numerics import format_rational, parse_rational
 DEFAULT_BRANCH_CAP = 10000
 
 RESERVED_CHARS = set("{}[]#:!")
+
+# One character a name may not hold: str.isspace() or reserved.
+_BAD_NAME_CHAR = re.compile(
+    r"[\s%s]" % re.escape("".join(sorted(RESERVED_CHARS))))
 
 
 class ProfileError(ValueError):
@@ -42,9 +47,16 @@ class ProfileParseError(ProfileError):
 
 
 def _check_name(name: str) -> str:
-    if not name or any(ch.isspace() or ch in RESERVED_CHARS for ch in name):
+    if not name or _BAD_NAME_CHAR.search(name):
         raise ProfileError("invalid candidate/party name: %r" % name)
     return name
+
+
+def _check_names(names: set) -> None:
+    """_check_name on every name, the joined names searched at once."""
+    if "" in names or _BAD_NAME_CHAR.search("".join(names)):
+        for name in names:
+            _check_name(name)
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,17 @@ BallotContent = PartyBallot | SetBallot | ListBallot
 
 @dataclass(frozen=True)
 class WeightedBallot:
+    """A ballot group.  The weight is kept as given when it is an int, and
+    made a Fraction otherwise; an int equals, and hashes as, the Fraction
+    of the same value, so the ballot does too."""
+
     content: BallotContent
-    weight: Fraction
+    weight: Fraction | int
     in_w: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        if type(self.weight) is not int:
+            object.__setattr__(self, "weight", Fraction(self.weight))
         if self.weight <= 0:
             raise ProfileError("ballot weight must be positive")
 
@@ -120,14 +137,14 @@ class Profile:
         ballots = tuple(ballots)
         if not ballots:
             raise ProfileError("profile needs at least one ballot group")
-        kinds = {b.content.kind for b in ballots}
-        if len(kinds) != 1:
-            raise ProfileError("profile mixes ballot kinds: %s" % sorted(kinds))
+        kind = ballots[0].content.kind
         universe = set(candidates)
         for b in ballots:
+            if b.content.kind != kind:
+                raise ProfileError("profile mixes ballot kinds: %s" % sorted(
+                    {b.content.kind for b in ballots}))
             universe.update(b.content.members)
-        for name in universe:
-            _check_name(name)
+        _check_names(universe)
         if seats < 1:
             raise ProfileError("seats must be positive")
         if len(universe) < seats:

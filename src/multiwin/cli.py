@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .ballots import (DEFAULT_BRANCH_CAP, ProfileError, WeightScheme,
                       format_profile, parse_profile_file)
@@ -415,7 +416,10 @@ def _cmd_audit(args) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call only: parsing leaves it as it
+    was, so every later run() in the process reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json", "csv"),
                         default="human", help="output format")

@@ -18,7 +18,10 @@ from math import lcm
 def common_denominator(values) -> tuple[list, int]:
     """Fractions (or ints) as ints over their least common denominator
     d: ([value * d, ...], d).  No d' < d makes every value * d' an int,
-    so gcd(d, *ints) == 1."""
+    so gcd(d, *ints) == 1.  Ints alone come back as they are, over 1."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
     pairs = [value.as_integer_ratio() for value in values]
     den = lcm(*(d for _, d in pairs))
     return [n * (den // d) for n, d in pairs], den

@@ -21,9 +21,10 @@ Positional scoring resolves its boundary tie with
 
 Counting is exact integer arithmetic over a common denominator: the
 ballot weights, the 1/k position weights and the w_k rates are scaled to
-ints once per call, a transfer-count state carries its group values as
-ints over one reduced denominator (`_stv_step`), and only the reported
-values (loads, load history) become Fractions again.
+ints once per call (the w_k once per scheme and length), a transfer-count
+state carries its group values as ints over one reduced denominator
+(`_stv_step`), and only the reported values (loads, load history) become
+Fractions again, when they are read.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Optional
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
 from .numerics import common_denominator
-from .unordered import (_sequential_loads, boundary_committees, branch,
-                        sequential_max)
+from .unordered import (_rates, _sequential_loads, boundary_committees,
+                        branch, sequential_max)
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,6 @@ def _list_ballots(profile: Profile) -> list:
     if profile.kind != "list":
         raise ProfileError("engine requires ordered (list) ballots")
     return [(b.content.ranking, b.weight) for b in profile.ballots]
-
-
-def _first_choice(ranking, excluded) -> Optional[str]:
-    for name in ranking:
-        if name not in excluded:
-            return name
-    return None
 
 
 def stv_count(spec: StvSpec, profile: Profile,
@@ -123,7 +116,8 @@ def _stv_step(spec: StvSpec, profile: Profile):
     """
     ballots = _list_ballots(profile)
     seats = profile.seats
-    if seats + spec.delta <= 0:
+    dn, dd = spec.delta.as_integer_ratio()
+    if seats * dd + dn <= 0:
         raise ValueError("need S + delta > 0")
     weights, unit = common_denominator(weight for _, weight in ballots)
     merged: dict = {}
@@ -132,7 +126,6 @@ def _stv_step(spec: StvSpec, profile: Profile):
     start = (frozenset(), frozenset()) + _reduced(
         unit, tuple(sorted(merged.items())))
     # Q = total / (S + delta) = qn / qd, not necessarily in lowest terms.
-    dn, dd = spec.delta.as_integer_ratio()
     qn = sum(weights) * dd
     qd = unit * (seats * dd + dn)
 
@@ -147,11 +140,16 @@ def _stv_step(spec: StvSpec, profile: Profile):
             return None
         # Every group holds a positive value, so a count is positive and
         # the candidates missing from `votes` are exactly those at 0.
-        heads = [_first_choice(ranking, out) for ranking, _ in groups]
+        heads = []
         votes: dict = {}
-        for (_, value), head in zip(groups, heads):
-            if head is not None:
-                votes[head] = votes[head] + value if head in votes else value
+        for ranking, value in groups:
+            for head in ranking:
+                if head not in out:
+                    votes[head] = votes.get(head, 0) + value
+                    break
+            else:
+                head = None
+            heads.append(head)
         bar = qn * den
         reachers = sorted(c for c, v in votes.items() if v * qd >= bar)
         if not reachers:
@@ -186,13 +184,18 @@ def phragmen_ordered(profile: Profile,
                      branch_cap: int = DEFAULT_BRANCH_CAP):
     """Min-max-load rule where each ballot supports only its
     highest-ranked unelected candidate."""
-    _list_ballots(profile)
+    rankings = [ranking for ranking, _ in _list_ballots(profile)]
 
-    def supporters_of(content, elected):
-        head = _first_choice(content.ranking, elected)
-        return () if head is None else (head,)
+    def supporters(elected):
+        found: dict = {}
+        for idx, ranking in enumerate(rankings):
+            for name in ranking:
+                if name not in elected:
+                    found.setdefault(name, []).append(idx)
+                    break
+        return found
 
-    return _sequential_loads(profile, supporters_of, branch_cap)
+    return _sequential_loads(profile, supporters, branch_cap)
 
 
 def thiele_ordered(profile: Profile,
@@ -226,8 +229,7 @@ def borda_count(weights: BordaWeights, profile: Profile,
     ballots = _list_ballots(profile)
     ints, _ = common_denominator(weight for _, weight in ballots)
     longest = max(len(ranking) for ranking, _ in ballots)
-    rates, _ = common_denominator(weights.scheme.w(k)
-                                  for k in range(1, longest + 1))
+    rates, _ = _rates(weights.scheme, longest)
     scores = dict.fromkeys(profile.candidates, 0)
     for (ranking, _), weight in zip(ballots, ints):
         for name, rate in zip(ranking, rates):

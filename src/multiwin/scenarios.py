@@ -58,7 +58,9 @@ class ScenarioInstance:
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "target", frozenset(target))
         object.__setattr__(self, "ell", int(ell))
-        object.__setattr__(self, "scenario", ScenarioId(scenario))
+        object.__setattr__(self, "scenario", scenario
+                           if type(scenario) is ScenarioId
+                           else ScenarioId(scenario))
         if not 1 <= self.ell <= profile.seats:
             raise ValueError("need 1 <= ell <= seats")
 
@@ -144,25 +146,33 @@ def is_instance(inst: ScenarioInstance) -> bool:
     raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
 
 
-def is_good(inst: ScenarioInstance, committee) -> bool:
-    """Is this committee a good outcome for W under the scenario?"""
-    committee = frozenset(committee)
+def _good_test(inst: ScenarioInstance):
+    """is_good for the instance as a test of one committee (a frozenset),
+    with the part that depends only on the instance done once."""
     scenario = inst.scenario
+    ell = inst.ell
     if scenario in (ScenarioId.PARTY, ScenarioId.SAME, ScenarioId.PJR):
         # Good means ell names of W's ballots are elected: W's own list
         # under party/same (which may be a superset of the declared target
         # set), the union of W's ballots under pjr.
         union = frozenset().union(
             *(b.content.members for b in inst.profile.w_ballots()))
-        return len(union & committee) >= inst.ell
+        return lambda committee: len(union & committee) >= ell
+    target = inst.target
     if scenario in (ScenarioId.TACTIC, ScenarioId.PSC):
-        return len(inst.target & committee) >= inst.ell
+        return lambda committee: len(target & committee) >= ell
     if scenario is ScenarioId.WPSC:
-        return inst.target <= committee
+        return target.issubset
     if scenario is ScenarioId.EJR:
-        return any(len(b.content.members & committee) >= inst.ell
-                   for b in inst.profile.w_ballots())
+        w_sets = [b.content.members for b in inst.profile.w_ballots()]
+        return lambda committee: any(len(members & committee) >= ell
+                                     for members in w_sets)
     raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
+
+
+def is_good(inst: ScenarioInstance, committee) -> bool:
+    """Is this committee a good outcome for W under the scenario?"""
+    return _good_test(inst)(frozenset(committee))
 
 
 def is_bad_outcome_possible(inst: ScenarioInstance,
@@ -173,7 +183,7 @@ def is_bad_outcome_possible(inst: ScenarioInstance,
     (never one that is not reachable), so a bad committee on it answers
     yes; only when every listed committee is good is the answer unknown.
     """
-    if any(not is_good(inst, committee) for committee in outcomes.committees):
+    if not all(map(_good_test(inst), outcomes.committees)):
         return True
     if outcomes.truncated:
         raise IndeterminateOutcome(

@@ -60,21 +60,24 @@ family resolves its single boundary tie in `boundary_committees`, where
 
 Counting is exact integer arithmetic over a common denominator.  Each
 engine scales the ballot weights to ints by the lcm of their
-denominators, and its per-position rates (w_k, psi(n), 1/k) by theirs,
-once per call; scores are then ints in a fixed unit, which orders them
-as the rationals would.  Load balancing holds each state's loads as ints
-over a reduced per-state denominator (`_sequential_loads`).  Only the
-reported values, the winning-score trails and the LoadStates, become
-Fractions, once per final state.
+denominators (int weights are taken as they are), once per call, and
+its per-position rates (w_k, psi(n), 1/k) by theirs, the w_k once per
+scheme and length (`_rates`); scores are then ints in a fixed unit,
+which orders them as the rationals would.  Load balancing holds each
+state's loads as ints over a reduced per-state denominator
+(`_sequential_loads`).  Only the reported values become Fractions: the
+winning-score trails once per final state, and a LoadState when a
+caller reads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, gcd, lcm
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
@@ -162,6 +165,15 @@ class Clones:
 # Every candidate its own class: the engines shared with ordered ballots
 # run uncompressed there.
 NO_CLONES = Clones((), ())
+
+
+@lru_cache(maxsize=None)
+def _rates(scheme: WeightScheme, count: int) -> tuple:
+    """(w_1..w_count as ints over their least common denominator d, d):
+    one table per scheme and length, as every count reads the same."""
+    rates, share = common_denominator(scheme.w(k)
+                                      for k in range(1, count + 1))
+    return tuple(rates), share
 
 
 def _set_ballots(profile: Profile) -> list:
@@ -288,21 +300,22 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
     return OutcomeSet(trails, truncated or cut), trails
 
 
-def _sequential_loads(profile: Profile, supporters_of: Callable,
+def _sequential_loads(profile: Profile, supporters: Callable,
                       branch_cap: int = DEFAULT_BRANCH_CAP,
                       clones: Clones = NO_CLONES):
     """Phragmén's min-max-load rule for `phragmen_unordered` and
     `ordered.phragmen_ordered`, which pass their supporter rules:
-    supporters_of(content, elected) is every unelected name on a set
-    ballot, the highest-ranked one on a list ballot.  Each round elects a
-    candidate of least level, (1 + sum of weight * load) / sum of weight
-    over its supporters: the common load they reach by sharing one more
-    seat.  Each of its supporters takes exactly that load, and the
-    history records it.  Ties branch, on one head per tied clone class.
-    When no unelected candidate has a supporter, the open seats are
-    filled (`_fill`); a filled seat changes no load and adds no history
-    entry, so sum(weight * load) == len(history) in every LoadState.
-    Returns (OutcomeSet, {committee: LoadState}).
+    supporters(elected) maps each unelected candidate with a supporter to
+    the indices of its supporting ballot groups, a set ballot supporting
+    every unelected name on it, a list ballot its highest-ranked one.
+    Each round elects a candidate of least level, (1 + sum of weight *
+    load) / sum of weight over its supporters: the common load they reach
+    by sharing one more seat.  Each of its supporters takes exactly that
+    load, and the history records it.  Ties branch, on one head per tied
+    clone class.  When no unelected candidate has a supporter, the open
+    seats are filled (`_fill`); a filled seat changes no load and adds no
+    history entry, so sum(weight * load) == len(history) in every
+    LoadState.  Returns (OutcomeSet, {committee: LoadState}).
 
     The level is exact because no supporter is ever above it.  By
     induction on rounds, every load is at most the last elected level L
@@ -320,10 +333,13 @@ def _sequential_loads(profile: Profile, supporters_of: Callable,
     state is (elected, den, loads), each load an int over den, kept
     reduced (gcd(den, *loads) == 1) so that equal loads share one state;
     a seat is `unit * den` in these units, and levels compare by
-    cross-multiplying.  Only the final states' loads and history become
-    Fractions.
+    cross-multiplying.  A committee reached with several load vectors
+    keeps the least, compared as rationals by their ints over the lcm of
+    the final dens; the committees are expanded in that order.  The
+    LoadStates are built from the ints only when they are read
+    (`_LoadStates`), so a caller that wants only the OutcomeSet builds no
+    Fraction.
     """
-    contents = [b.content for b in profile.ballots]
     weights, unit = common_denominator(b.weight for b in profile.ballots)
     candidates = profile.candidates
     seats = profile.seats
@@ -332,18 +348,15 @@ def _sequential_loads(profile: Profile, supporters_of: Callable,
         elected, den, loads = state
         if len(elected) == seats:
             return None
-        supporters: dict = {}
-        for idx, content in enumerate(contents):
-            for cand in supporters_of(content, elected):
-                supporters.setdefault(cand, []).append(idx)
-        if not supporters:
+        backers = supporters(elected)
+        if not backers:
             return [((filled, den, loads), history)
                     for filled in _fill(candidates, elected, clones)]
         # Levels in units of 1 / den, as (num, q) for num / q.
         best = None
         options = []
-        for cand in clones.heads(sorted(supporters), elected):
-            group = supporters[cand]
+        for cand in clones.heads(sorted(backers), elected):
+            group = backers[cand]
             num = unit * den + sum(weights[i] * loads[i] for i in group)
             q = sum(weights[i] for i in group)
             if best is None or num * best[1] < best[0] * q:
@@ -355,7 +368,7 @@ def _sequential_loads(profile: Profile, supporters_of: Callable,
         successors = []
         for cand, num, q in options:
             new_loads = [load * q for load in loads]
-            for i in supporters[cand]:
+            for i in backers[cand]:
                 new_loads[i] = num
             g = gcd(den * q, *new_loads)
             successors.append(((elected | {cand}, den * q // g,
@@ -363,29 +376,56 @@ def _sequential_loads(profile: Profile, supporters_of: Callable,
                                history))
         return successors
 
-    start = (frozenset(), 1, (0,) * len(contents))
+    start = (frozenset(), 1, (0,) * len(weights))
     finals, truncated = branch((start, ()), step, branch_cap)
-    ends = [(elected, tuple(Fraction(load, den) for load in loads), history)
-            for (elected, den, loads), history in finals.items()]
+    common = lcm(*(den for _, den, _ in finals))
+
+    def rational_order(item):
+        (_, den, loads), _ = item
+        return [load * (common // den) for load in loads]
+
     least: dict = {}
-    for elected, loads, history in sorted(ends, key=itemgetter(1)):
-        if elected not in least:
-            least[elected] = LoadState(
-                loads, tuple(Fraction(num, q) for num, q in history))
+    for state, history in sorted(finals.items(), key=rational_order):
+        least.setdefault(state[0], (state, history))
     outcomes, cut = clones.expand_all(least, branch_cap)
-    return OutcomeSet(outcomes, truncated or cut), outcomes
+    return OutcomeSet(outcomes, truncated or cut), _LoadStates(outcomes)
+
+
+class _LoadStates(Mapping):
+    """{committee: LoadState} over a count's final (state, history) ints;
+    each LoadState is built when it is read."""
+
+    def __init__(self, finals: dict):
+        self._finals = finals
+
+    def __getitem__(self, committee) -> LoadState:
+        (_, den, loads), history = self._finals[committee]
+        return LoadState(tuple(Fraction(load, den) for load in loads),
+                         tuple(Fraction(num, q) for num, q in history))
+
+    def __iter__(self):
+        return iter(self._finals)
+
+    def __len__(self) -> int:
+        return len(self._finals)
 
 
 def phragmen_unordered(profile: Profile,
                        branch_cap: int = DEFAULT_BRANCH_CAP):
     """Min-max-load rule on unordered ballots; a ballot supports every
     unelected name on it (with one shared load account per ballot)."""
-    clones = Clones(_set_ballots(profile), profile.candidates)
+    ballots = _set_ballots(profile)
+    approvers: dict = {}
+    for idx, (members, _) in enumerate(ballots):
+        for cand in members:
+            approvers.setdefault(cand, []).append(idx)
 
-    def supporters_of(content, elected):
-        return content.members - elected
+    def supporters(elected):
+        return {cand: group for cand, group in approvers.items()
+                if cand not in elected}
 
-    return _sequential_loads(profile, supporters_of, branch_cap, clones)
+    return _sequential_loads(profile, supporters, branch_cap,
+                             Clones(ballots, profile.candidates))
 
 
 def thiele_optimize(scheme: WeightScheme, profile: Profile,
@@ -407,7 +447,7 @@ def thiele_optimize(scheme: WeightScheme, profile: Profile,
         raise BudgetExceededError(
             "%d seats over %d clone classes: more splits than the budget "
             "of %d" % (seats, len(classes), OPTIMIZE_BUDGET))
-    rates, _ = common_denominator(scheme.w(k) for k in range(1, seats + 1))
+    rates, _ = _rates(scheme, seats)
     psi = list(accumulate(rates, initial=0))        # scaled psi(0..seats)
     weights, _ = common_denominator(weight for _, weight in ballots)
     class_of = {c: k for k, members in enumerate(classes) for c in members}
@@ -501,7 +541,7 @@ def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
     seats = profile.seats
     weights, unit = common_denominator(weight for _, weight in ballots)
     # w_k for k = 1..seats: a round sees at most seats - 1 elected names.
-    rates, share = common_denominator(scheme.w(k) for k in range(1, seats + 1))
+    rates, share = _rates(scheme, seats)
     credits = [(members, [weight * rate for rate in rates])
                for (members, _), weight in zip(ballots, weights)]
     return sequential_max(

@@ -677,14 +677,13 @@ class SearchSpec:
 AUDIT_SPEC = SearchSpec(max_candidates=4, weight_grid=4)
 
 
-def _fraction_ladder(grid: int):
+@lru_cache(maxsize=None)
+def _fraction_ladder(grid: int) -> tuple:
     """(fraction, total, w_count) triples, largest fraction first."""
-    seen = []
-    for total in range(2, grid + 1):
-        for w_count in range(1, total):
-            seen.append((Fraction(w_count, total), total, w_count))
-    seen.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return seen
+    return tuple(sorted(
+        ((Fraction(w_count, total), total, w_count)
+         for total in range(2, grid + 1) for w_count in range(1, total)),
+        key=lambda item: (-item[0], item[1], item[2])))
 
 
 def _ballot_options(method: MethodId, pool: Sequence[str], spec: SearchSpec,
@@ -933,6 +932,7 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     targets = tuple(_names("A", ell))
     decoys = tuple(_names("B", pool_size - ell))
     universe = targets + decoys
+    target = frozenset(targets)
     kind = method.spec.ballot
     ordered = kind == "list"
     adv_options = tuple(_ballot_options(method, decoys, spec, seats))
@@ -953,7 +953,7 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
                 ballot = built[group] = WeightedBallot(content(names), count,
                                                        in_w)
             ballots.append(ballot)
-        return ScenarioInstance(Profile(ballots, seats, universe), targets,
+        return ScenarioInstance(Profile(ballots, seats, universe), target,
                                 ell, scenario)
 
     def answers(counts_w, adv_votes):
@@ -1131,7 +1131,8 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
     tactic entries; and, with with_search=True, a search_lower_bound
     probe of exact pi entries at S <= 3, which must never exceed the
     threshold and must attain it when the witness catalog covers the cell
-    inside the search grid.  A pair the scope lists twice is checked once.
+    inside the search grid.  A pair the scope lists twice is checked once,
+    and a cell whose search is its twin's (`_search_twin`) is searched once.
     """
     if scope is None:
         scope = default_scope()
@@ -1182,13 +1183,20 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
                 check("tactic subadditive",
                       "%s S=%d %d+%d" % (method.label(), seats, ell_a, ell_b),
                       both <= a + b, "%s > %s + %s", both, a, b)
+    searched: dict = {}     # search cell -> its best fraction, None if refused
     for (method, sc, ell, seats), entry in table.items():
         value = exact(entry, PI) if with_search and seats <= 3 else None
         if value is None:
             continue
-        try:
-            found, _ = search_lower_bound(method, sc, ell, seats, spec)
-        except CoverageError:
+        key = (method, _search_twin(sc, ell), ell, seats)
+        if key not in searched:
+            try:
+                searched[key] = search_lower_bound(method, sc, ell, seats,
+                                                   spec)[0]
+            except CoverageError:
+                searched[key] = None
+        found = searched[key]
+        if found is None:
             continue
         subject = "%s %s ell=%d S=%d" % (method.label(), sc.value, ell, seats)
         check("search<=threshold", subject, found <= value,
@@ -1199,6 +1207,28 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
             check("search=threshold", subject, found == value,
                   "found %s, expected %s (via %s)", found, value, token)
     return AuditReport(tuple(checks))
+
+
+def _search_twin(scenario: ScenarioId, ell: int) -> ScenarioId:
+    """The scenario whose search_lower_bound is this one's, step by step.
+
+    ejr at ell = 1 is pjr at ell = 1, and wpsc is psc.  The twins are
+    searched over the same W options (_w_options shares their branch), the
+    same kind check and cells, and the same is_instance branch: for psc
+    and wpsc its extra |A| = ell test always holds, since the search's
+    target set has exactly ell names.  Their good-outcome tests agree on
+    every committee: at ell = 1 "some W ballot has a name elected" (ejr)
+    is "the union of W's ballots has a name elected" (pjr); and with
+    |A| = ell, "ell of A are elected" (psc) is "all of A is elected"
+    (wpsc).  So every instance gets the same verdict, the search makes
+    the same engine calls in the same order, and both return the same
+    fraction and a witness with the same profile and target set.
+    """
+    if scenario is ScenarioId.EJR and ell == 1:
+        return ScenarioId.PJR
+    if scenario is ScenarioId.WPSC:
+        return ScenarioId.PSC
+    return scenario
 
 
 def _witness_in_grid(witness: Witness, spec: SearchSpec) -> bool:

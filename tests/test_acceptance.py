@@ -2,15 +2,18 @@
 values, worked examples, party-list reductions, the corpus audit,
 search rediscovery, and engine invariants at scale."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 from math import comb, prod
 
 import pytest
 
 from multiwin.ballots import (ListBallot, Profile, SetBallot, WeightScheme,
-                              WeightedBallot, scale)
+                              WeightedBallot, parse_profile, scale)
 from multiwin.numerics import harmonic
 from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
@@ -163,20 +166,10 @@ def _tie_complete_size(vectors, seats):
     return sum(prod(comb(seats, k) for k in vector) for vector in vectors)
 
 
-def test_party_list_reductions():
+def _party_list_family():
+    """(parties, votes, seats, set profile, list profile) per trial: each
+    party casts one ballot naming S interchangeable names."""
     rng = random.Random(20260824)
-    cap = 10 ** 6
-    dhondt_set_engines = [
-        lambda p: phragmen_unordered(p, branch_cap=cap)[0],
-        lambda p: thiele_optimize(HARMONIC, p),
-        lambda p: thiele_addition(HARMONIC, p, branch_cap=cap),
-        lambda p: thiele_elimination(p, branch_cap=cap),
-    ]
-    dhondt_list_engines = [
-        lambda p: phragmen_ordered(p, branch_cap=cap)[0],
-        thiele_ordered,
-        lambda p: borda_count(BordaWeights(HARMONIC), p),
-    ]
     for trial in range(200):
         n_parties = rng.randint(1, 4)
         seats = rng.randint(1, 5)
@@ -190,6 +183,24 @@ def test_party_list_reductions():
         list_profile = Profile(
             [WeightedBallot(ListBallot(names[p]), F(v))
              for p, v in zip(parties, votes)], seats)
+        yield parties, votes, seats, set_profile, list_profile
+
+
+def test_party_list_reductions():
+    cap = 10 ** 6
+    dhondt_set_engines = [
+        lambda p: phragmen_unordered(p, branch_cap=cap)[0],
+        lambda p: thiele_optimize(HARMONIC, p),
+        lambda p: thiele_addition(HARMONIC, p, branch_cap=cap),
+        lambda p: thiele_elimination(p, branch_cap=cap),
+    ]
+    dhondt_list_engines = [
+        lambda p: phragmen_ordered(p, branch_cap=cap)[0],
+        thiele_ordered,
+        lambda p: borda_count(BordaWeights(HARMONIC), p),
+    ]
+    for parties, votes, seats, set_profile, list_profile in (
+            _party_list_family()):
         dhondt = divisor_apportion(DivisorSpec(1), votes, seats)
         for engine in dhondt_set_engines:
             out = engine(set_profile)
@@ -201,6 +212,43 @@ def test_party_list_reductions():
             expected = quota_apportion(QuotaSpec(delta), votes, seats)
             out = stv_count(StvSpec(delta), list_profile, branch_cap=cap)
             assert _seat_vectors(out, parties) == expected
+
+
+# The truncated Phragmén counts of run_method at branch caps 1-3 on the
+# bundled fixtures and the party-list family: sorted committees and the
+# truncated flag, recorded while both engines still built every LoadState.
+COUNT_ONLY_GOLDEN = ("c0d0ccb273baf7907340fd88f0cc2fd3"
+                     "bff2753ccef1e1e28e5f6a06477e1667")
+
+
+def _load_counts():
+    """(method, profile) for phragmen-u and phragmen-o on every bundled
+    fixture of their ballot kind and every party-list profile."""
+    fixtures = resources.files("multiwin") / "profiles"
+    profiles = [parse_profile(path.read_text(encoding="utf-8"))
+                for path in sorted(fixtures.iterdir(), key=lambda p: p.name)
+                if path.name.endswith(".profile")]
+    for _, _, _, set_profile, list_profile in _party_list_family():
+        profiles += [set_profile, list_profile]
+    for label in ("phragmen-u", "phragmen-o"):
+        method = MethodId.parse(label)
+        for profile in profiles:
+            if profile.kind == method.spec.ballot:
+                yield method, profile
+
+
+def test_load_methods_count_only_path():
+    records = []
+    for method, profile in _load_counts():
+        for cap in (1, 2, 3):
+            out = run_method(method, profile, cap)
+            full, states = method.spec.engine(method, profile, cap)
+            assert out == full          # committees and truncated flag
+            assert set(states) == out.committees
+            records.append([out.sorted_committees(), out.truncated])
+    assert any(truncated for _, truncated in records)
+    text = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNT_ONLY_GOLDEN
 
 
 # ---------------------------------------------------------------------------

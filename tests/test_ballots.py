@@ -1,13 +1,16 @@
 """Profile parsing, formatting, normalization and weight schemes."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from multiwin.ballots import (ListBallot, OutcomeSet, PartyBallot, Profile,
-                              ProfileError, ProfileParseError, SetBallot,
-                              WeightScheme, WeightedBallot, format_profile,
-                              normalize, parse_profile, scale)
+from multiwin.ballots import (RESERVED_CHARS, ListBallot, OutcomeSet,
+                              PartyBallot, Profile, ProfileError,
+                              ProfileParseError, SetBallot, WeightScheme,
+                              WeightedBallot, _check_name, _check_names,
+                              format_profile, normalize, parse_profile, scale)
 
 SET_TEXT = """
 # comment line
@@ -204,3 +207,57 @@ def test_profile_equality_is_structural():
     one = parse_profile("!seats 1\n1 : {A}\n2 : {B}\n")
     two = parse_profile("!seats 1\n1 : {A}\n2 : {B}\n")
     assert one == two
+
+
+# ---------------------------------------------------------------------------
+# Name checks and int weights
+
+
+def _invalid(name):
+    """The name test as a per-character scan: empty, or some character
+    is whitespace or reserved."""
+    return not name or any(ch.isspace() or ch in RESERVED_CHARS
+                           for ch in name)
+
+
+def _refused(check, names):
+    try:
+        check(names)
+    except ProfileError:
+        return True
+    return False
+
+
+def test_check_name_refuses_every_space_and_reserved_character():
+    spaces = [chr(code) for code in range(sys.maxunicode + 1)
+              if chr(code).isspace()]
+    assert len(spaces) > 6             # more than ASCII whitespace
+    for ch in spaces + sorted(RESERVED_CHARS):
+        for name in (ch, "A%sB" % ch, "AB" + ch):
+            assert _refused(_check_name, name)
+            assert _refused(_check_names, {"A", name})
+    assert _refused(_check_name, "")
+    assert _refused(_check_names, {"A", ""})
+    assert not _refused(_check_names, {"A", "B_1", "\u00e9"})
+
+
+@given(st.text())
+def test_check_name_matches_the_character_scan(name):
+    assert _refused(_check_name, name) == _invalid(name)
+
+
+@given(st.sets(st.text(max_size=4), max_size=4))
+def test_check_names_refuses_a_set_with_any_invalid_name(names):
+    assert _refused(_check_names, names) == any(map(_invalid, names))
+
+
+def test_int_weights_stay_ints_and_equal_their_fractions():
+    content = SetBallot(["A"])
+    whole, rational = WeightedBallot(content, 2), WeightedBallot(
+        content, Fraction(2))
+    assert type(whole.weight) is int
+    assert type(rational.weight) is Fraction
+    assert whole == rational and hash(whole) == hash(rational)
+    assert WeightedBallot(content, 0.5).weight == Fraction(1, 2)
+    assert format_profile(Profile([whole], 1)) == format_profile(
+        Profile([rational], 1))

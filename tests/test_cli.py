@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from multiwin import cli
 from multiwin.cli import run
 
 
@@ -321,6 +322,20 @@ def test_stray_method_argument_exits_two(capsys, label):
                              "--scenario", "ejr", "--ell", "2", "--seats", "3")
     assert (code, out) == (2, "")
     assert err == "error: %s takes no parameter\n" % label.partition(":")[0]
+
+
+def test_runs_in_one_process_share_one_parser(capsys, set_profile):
+    # The parser is built once; a usage error, a help request and a
+    # count in between leave the next run's parse as the first one's.
+    first = run_cli(capsys, "count", "--method", "av", set_profile,
+                    "--format", "json")
+    assert run_cli(capsys, "count", "--bogus")[0] == 2
+    assert run_cli(capsys, "count", "--help")[0] == 0
+    assert run_cli(capsys, "threshold", "--method", "av", "--ell", "1",
+                   "--seats", "2")[0] == 0
+    assert run_cli(capsys, "count", "--method", "av", set_profile,
+                   "--format", "json") == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_missing_file_exit_two(capsys):

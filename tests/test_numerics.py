@@ -1,11 +1,13 @@
 """Rational text format and small numeric helpers."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
-from multiwin.numerics import (format_rational, harmonic, parse_rational,
-                               to_decimal_str)
+from multiwin.numerics import (common_denominator, format_rational, harmonic,
+                               parse_rational, to_decimal_str)
 
 
 def test_parse_integer():
@@ -65,3 +67,20 @@ def test_harmonic_small():
 def test_harmonic_exact_sum():
     n = 40
     assert harmonic(n) == sum(Fraction(1, k) for k in range(1, n + 1))
+
+
+_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), _RATIONALS), max_size=6))
+def test_common_denominator_is_least(values):
+    ints, den = common_denominator(values)
+    assert den >= 1 and all(type(n) is int for n in ints)
+    assert [Fraction(n, den) for n in ints] == values
+    assert gcd(den, *ints) == 1
+
+
+def test_common_denominator_of_ints_is_one():
+    assert common_denominator(iter([3, 0, -2])) == ([3, 0, -2], 1)
+    assert common_denominator([]) == ([], 1)
+    assert common_denominator([2, Fraction(1, 3)]) == ([6, 1], 3)

@@ -158,6 +158,32 @@ def test_golden_outcomes():
     assert digests == GOLDEN
 
 
+def _with_int_weights(profile):
+    """The profile scaled to whole weights, once as Fractions and once with
+    the same weights as ints."""
+    rational = [WeightedBallot(b.content, b.weight * 2, b.in_w)
+                for b in profile.ballots]
+    whole = [WeightedBallot(b.content, int(b.weight), b.in_w)
+             for b in rational]
+    return (Profile(rational, profile.seats, profile.candidates),
+            Profile(whole, profile.seats, profile.candidates))
+
+
+@pytest.mark.parametrize("kind", ["set", "list", "party"])
+def test_int_weights_count_as_their_fractions(kind):
+    for profile in _family(kind, FAMILY_SEEDS[kind]):
+        rational, whole = _with_int_weights(profile)
+        assert all(type(b.weight) is int for b in whole.ballots)
+        assert whole == rational and hash(whole) == hash(rational)
+        for label in LABELS[kind]:
+            method = MethodId.parse(label)
+            assert _record(method, whole) == _record(method, rational)
+            if method.spec.loads:
+                engine = method.spec.engine
+                assert dict(engine(method, whole, DEFAULT_BRANCH_CAP)[1]) \
+                    == dict(engine(method, rational, DEFAULT_BRANCH_CAP)[1])
+
+
 # ---------------------------------------------------------------------------
 # One record per kind
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from multiwin import verifier
-from multiwin.ballots import DEFAULT_BRANCH_CAP, parse_profile
+from multiwin.ballots import (DEFAULT_BRANCH_CAP, format_profile,
+                              parse_profile)
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
                                 ScenarioInstance, ScenarioTypeError)
@@ -744,15 +745,60 @@ def test_search_audit_clean(monkeypatch):
     # pi, and attains it wherever a catalog witness fits the grid.  From
     # a cold cache, the 373 searches make 19,675 engine calls and key
     # 4,451 multisets (4,536 before the transposition classes, 30,943
-    # before the decoy cells and the orderly fill).
+    # before the decoy cells and the orderly fill).  Searching each pair
+    # of twin cells once saves 4,902 of those calls and gives the same
+    # report.
     calls = _counting(monkeypatch, "run_method")
     keys = _counting(monkeypatch, "_canonical_form")
     _clear_caches()
-    report = audit_table(smax=3, with_search=True)
-    assert len(report.checks) == 1542
-    assert report.passed and not report.failures()
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_search_twin", lambda scenario, ell: scenario)
+        every_cell = audit_table(smax=3, with_search=True)
     assert len(calls) == 19675
     assert 0 < len(keys) <= 4536
+    del calls[:]
+    report = audit_table(smax=3, with_search=True)
+    assert len(calls) == 19675 - 4902
+    assert report == every_cell
+    assert len(report.checks) == 1542
+    assert report.passed and not report.failures()
+
+
+def _twin_pairs():
+    """(method, twin, scenario, ell, seats) for every S <= 3 cell whose
+    search is its twin's, on the candidate-ballot methods of the default
+    scope whose ballot kind expresses the scenario."""
+    methods = dict.fromkeys(method for method, _ in default_scope()
+                            if method.spec.ballot != "party")
+    pairs = []
+    for method in methods:
+        for seats in (1, 2, 3):
+            for ell in range(1, seats + 1):
+                for scenario in (ScenarioId.EJR, ScenarioId.WPSC):
+                    twin = verifier._search_twin(scenario, ell)
+                    if twin is scenario or scenario.value not in (
+                            ("pjr", "ejr") if method.spec.ballot == "set"
+                            else ("psc", "wpsc")):
+                        continue
+                    pairs.append(pytest.param(
+                        method, twin, scenario, ell, seats,
+                        id="%s-%s-%d-%d" % (method.label(), scenario.value,
+                                            ell, seats)))
+    return pairs
+
+
+@pytest.mark.parametrize("method, twin, scenario, ell, seats", _twin_pairs())
+def test_twin_cells_search_alike(method, twin, scenario, ell, seats):
+    def searched(sc):
+        try:
+            best, witness = search_lower_bound(method, sc, ell, seats,
+                                               verifier.AUDIT_SPEC)
+        except (CoverageError, ScenarioTypeError) as exc:
+            return type(exc)
+        return best, witness and (format_profile(witness.instance.profile),
+                                  witness.instance.target)
+
+    assert searched(scenario) == searched(twin)
 
 
 def test_default_scope_covers_all_scenarios():
