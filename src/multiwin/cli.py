@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,7 +38,7 @@ from .lp import format_lp
 from .thresholds import (CoverageError, MethodId, TABLE_NAMES, ThresholdValue,
                          criterion_check, table_grid, threshold, CRITERIA)
 from .unordered import BudgetExceededError
-from .verifier import (AUDIT_SPEC, CATALOG, SearchSpec, Witness, audit_table,
+from .verifier import (CATALOG, SearchSpec, Witness, audit_table,
                        construct_witness, party_seat_vectors, run_method,
                        search_lower_bound, verify_witness)
 
@@ -395,9 +394,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    spec = replace(AUDIT_SPEC, weight_grid=args.grid)
-    report = audit_table(smax=args.smax, spec=spec,
-                         with_search=args.with_search)
+    report = audit_table(smax=args.smax, with_search=args.with_search)
     failures = report.failures()
     doc_data = {"checks": len(report.checks), "passed": report.passed,
                 "failures": [{"name": c.name, "subject": c.subject,
@@ -518,7 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cross-check the threshold corpus")
     p.add_argument("--smax", type=int, default=5)
     p.add_argument("--with-search", action="store_true")
-    p.add_argument("--grid", type=int, default=AUDIT_SPEC.weight_grid)
     p.set_defaults(func=_cmd_audit)
 
     return parser

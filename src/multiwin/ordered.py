@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
@@ -205,9 +205,9 @@ def thiele_ordered(profile: Profile,
     ballots = _list_ballots(profile)
     weights, unit = common_denominator(weight for _, weight in ballots)
     # Credits in units of 1 / (unit * share): weight / k for every k.
-    share = lcm(*range(1, max(len(ranking) for ranking, _ in ballots) + 1))
-    credits = [(ranking, [weight * (share // k)
-                          for k in range(1, len(ranking) + 1)])
+    rates, share = _rates(WeightScheme.harmonic(),
+                          max(len(ranking) for ranking, _ in ballots))
+    credits = [(ranking, [weight * rate for rate in rates[:len(ranking)]])
                for (ranking, _), weight in zip(ballots, weights)]
 
     def scores_of(elected):

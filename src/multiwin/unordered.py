@@ -62,12 +62,12 @@ Counting is exact integer arithmetic over a common denominator.  Each
 engine scales the ballot weights to ints by the lcm of their
 denominators (int weights are taken as they are), once per call, and
 its per-position rates (w_k, psi(n), 1/k) by theirs, the w_k once per
-scheme and length (`_rates`); scores are then ints in a fixed unit,
-which orders them as the rationals would.  Load balancing holds each
-state's loads as ints over a reduced per-state denominator
-(`_sequential_loads`).  Only the reported values become Fractions: the
-winning-score trails once per final state, and a LoadState when a
-caller reads it.
+scheme and length (`_rates`, the 1/k as the harmonic w_k); scores are
+then ints in a fixed unit, which orders them as the rationals would.
+Load balancing holds each state's loads as ints over a reduced
+per-state denominator (`_sequential_loads`).  Only the reported values
+become Fractions: the winning-score trails once per final state, and a
+LoadState when a caller reads it.
 """
 
 from __future__ import annotations
@@ -560,11 +560,12 @@ def thiele_elimination(profile: Profile,
     universe = profile.candidates
     clones = Clones(ballots, universe)
     weights, _ = common_denominator(weight for _, weight in ballots)
-    # credits[k] is weight * share / k, a ballot's credit to each of its
-    # k remaining names, in a unit common to every ballot.
-    share = lcm(*range(1, max(len(members) for members, _ in ballots) + 1))
-    credits = [(members, [0] + [weight * (share // k)
-                                for k in range(1, len(members) + 1)])
+    # credits[k] is weight / k, a ballot's credit to each of its k
+    # remaining names, as an int in a unit common to every ballot.
+    rates, _ = _rates(WeightScheme.harmonic(),
+                      max(len(members) for members, _ in ballots))
+    credits = [(members, [0] + [weight * rate
+                                for rate in rates[:len(members)]])
                for (members, _), weight in zip(ballots, weights)]
 
     def step(remaining, _):

@@ -723,46 +723,29 @@ def _w_options(method: MethodId, scenario: ScenarioId, targets, decoys,
         if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
             return [frozenset(targets)]
         base = frozenset(targets)               # pjr, ejr
-        room = spec.max_ballot_length - ell
-        if cap is not None:
-            room = min(room, cap - ell)
-        options = []
-        for extra in range(0, max(room, 0) + 1):
-            options.extend(base | frozenset(combo)
-                           for combo in combinations(sorted(decoys), extra))
-        return sorted(set(options), key=sorted)
+        # The tactic ballots naming every target, and base, which they
+        # lack when ell exceeds max_ballot_length.
+        tactic = _ballot_options(method, list(targets) + list(decoys), spec,
+                                 seats)
+        return sorted({base}.union(option for option in tactic
+                                   if base <= option), key=sorted)
     if scenario in (ScenarioId.PARTY, ScenarioId.SAME):
         return [tuple(targets)]
     return sorted(permutations(targets))        # psc, wpsc
 
 
-def _partitions(total: int, max_parts: int):
-    """Partitions of `total` into at most max_parts positive parts,
-    largest part first (canonical, order-free)."""
-
-    def rec(remaining, parts_left, largest):
-        if remaining == 0:
-            yield ()
-            return
-        if parts_left == 0:
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for tail in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + tail
-
-    yield from rec(total, max_parts, total)
-
-
 def _party_strategies(ell, seats, spec):
     """W's one strategy, a party of its own, and the adversary's answers:
-    every partition of the other votes into at most max_candidates - 1
-    parties."""
+    the orbit firsts of one 1-name ballot per rival party, P1^v1 P2^v2 ...
+    with v1 >= v2 >= ..., the partitions of the other votes into at most
+    max_candidates - 1 parts in reverse lexicographic order."""
+    parties = tuple((name,) for name in _names("P", spec.max_candidates - 1))
 
     def answers(total, w_votes):
-        for parts in _partitions(total - w_votes, spec.max_candidates - 1):
+        for counts in copy(_orbit_firsts(parties, total - w_votes, (),
+                                         False)):
             groups = [(w_votes, "W", True)]
-            groups += [(v, "P%d" % (j + 1), False)
-                       for j, v in enumerate(parts)]
+            groups += [(votes, name, False) for (name,), votes in counts]
             yield ScenarioInstance(_profile("party", groups, seats), {"W"},
                                    ell, ScenarioId.PARTY)
 
@@ -1043,7 +1026,9 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
             raise CoverageError("apportionment methods use the party scenario")
         strategies = _party_strategies(ell, seats, spec)
     else:
-        _require_engine(method)     # before _search_bad can swallow it
+        # Refuse an engine-less method (cv) before anything is
+        # enumerated; a cell with no instance would otherwise answer 0.
+        _require_engine(method)
         strategies = _ballot_strategies(method, scenario, ell, seats, spec)
     tactic = scenario is ScenarioId.TACTIC
     for fraction, total, w_votes in _fraction_ladder(spec.weight_grid):

@@ -9,6 +9,7 @@ import pytest
 
 from multiwin import cli
 from multiwin.cli import run
+from multiwin.verifier import AuditCheck, AuditReport
 
 
 @pytest.fixture
@@ -146,6 +147,47 @@ def test_threshold_human(capsys):
     assert "3/5" in out
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (("--method", "thiele-add", "--ell", "2", "--seats", "3", "--decimals",
+      "3"),
+     ["pi(2, 3) under thiele-add, scenario same: 1/2? (0.500)  [conjectured]",
+      "  source: sequential-mass-lp",
+      "  note: proved lower bound; equality conjectured"]),
+    (("--method", "thiele-opt:explicit(1,1/2;tail=1/3)", "--ell", "2",
+      "--seats", "3"),
+     ["pi(2, 3) under thiele-opt:explicit(1,1/2;tail=1/3), scenario same: "
+      ">=1/2  [lower_bound]",
+      "  source: weight-floor-extremes",
+      "  note: proved lower bound only"]),
+    (("--method", "thiele-add", "--ell", "1", "--seats", "8"),
+     ["pi(1, 8) under thiele-add, scenario same: [1/9,761/3001]  [interval]",
+      "  source: sequential-mass-bounds",
+      "  note: exact value needs the order-8 vote-mass program"]),
+    (("--method", "div:1", "--scenario", "party", "--ell", "1", "--seats",
+      "2"),
+     ["pi(1, 2) under div:1, scenario party: 1/3+  [exact]",
+      "  source: divisor-party-extremes"]),
+])
+def test_threshold_human_cells(capsys, argv, lines):
+    # One cell per rendering: conjectured, lower bound, interval, and
+    # attained; with --decimals and the note line.
+    code, out, _ = run_cli(capsys, "threshold", *argv)
+    assert code == 0
+    assert out.splitlines() == lines
+
+
+def test_table_human(capsys):
+    code, out, _ = run_cli(capsys, "table", "tha-same", "--max-seats", "3")
+    assert code == 0
+    assert out == ("tha-same -- sequential harmonic addition, common list\n"
+                   "S\\ell     1     2     3\n"
+                   "    1   1/2            \n"
+                   "    2   1/3  2/3?      \n"
+                   "    3  3/11  1/2?  3/4?\n"
+                   "(suffix -: approached, not attained; +: attained; "
+                   "?: conjectured)\n")
+
+
 def test_threshold_json_fields(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--method", "cvq",
                            "--scenario", "same", "--ell", "2", "--seats", "3",
@@ -208,6 +250,7 @@ def test_flags_only_where_they_act(capsys, set_profile):
                    "--branch-cap", "3")[0] == 2
     assert run_cli(capsys, "count", "--method", "av", "--dump-lp",
                    set_profile)[0] == 2
+    assert run_cli(capsys, "audit", "--grid", "4")[0] == 2
     code, out, _ = run_cli(capsys, "count", "--method", "thiele-add",
                            "--branch-cap", "1", "--format", "json",
                            set_profile)
@@ -262,6 +305,15 @@ def test_search(capsys):
     assert "1/3" in out
 
 
+def test_search_that_finds_nothing_says_so(capsys):
+    code, out, _ = run_cli(capsys, "search", "--method", "phragmen-u",
+                           "--scenario", "party", "--ell", "1", "--seats",
+                           "3", "--grid", "2")
+    assert code == 0
+    assert out == ("search phragmen-u, scenario party, ell=1, S=3, grid 2: "
+                   "best 0\nno bad-outcome profile found within the grid\n")
+
+
 def test_tactic_search_says_what_its_value_means(capsys):
     argv = ("search", "--method", "av", "--scenario", "tactic", "--ell", "1",
             "--seats", "1", "--grid", "3")
@@ -285,6 +337,17 @@ def test_audit_clean(capsys):
     code, out, _ = run_cli(capsys, "audit", "--smax", "4")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_audit_lists_its_failures(capsys, monkeypatch):
+    report = AuditReport((AuditCheck("floor same", "av ell=1 S=1", True),
+                          AuditCheck("floor same", "av ell=1 S=2", False,
+                                     "1/4 < 1/3")))
+    monkeypatch.setattr(cli, "audit_table", lambda **kwargs: report)
+    code, out, _ = run_cli(capsys, "audit")
+    assert code == 1
+    assert out == ("audit: 2 checks, 1 failures\n"
+                   "FAIL floor same av ell=1 S=2: 1/4 < 1/3\n")
 
 
 def test_decimals_flag(capsys):

@@ -418,6 +418,66 @@ def test_target_cells(label, scenario, one_cell):
                      else (frozenset({"A1"}), frozenset({"A2"})))
 
 
+@pytest.mark.parametrize("label, seats, ell, longest, options", [
+    # Caps: none (av), 2 (lv:2) and S (bv); "A1B1" is the ballot {A1, B1}.
+    ("av", 3, 1, 1, "A1"),
+    ("av", 3, 1, 2, "A1 A1B1 A1B2 A1B3"),
+    ("av", 3, 1, 3, "A1 A1B1 A1B1B2 A1B1B3 A1B2 A1B2B3 A1B3"),
+    ("av", 3, 2, 1, "A1A2"),
+    ("av", 3, 2, 2, "A1A2"),
+    ("av", 3, 2, 3, "A1A2 A1A2B1 A1A2B2 A1A2B3"),
+    ("av", 3, 3, 2, "A1A2A3"),
+    ("av", 3, 3, 3, "A1A2A3"),
+    ("lv:2", 3, 1, 1, "A1"),
+    ("lv:2", 3, 1, 2, "A1 A1B1 A1B2 A1B3"),
+    ("lv:2", 3, 1, 3, "A1 A1B1 A1B2 A1B3"),
+    ("lv:2", 3, 2, 1, "A1A2"),
+    ("lv:2", 3, 2, 2, "A1A2"),
+    ("lv:2", 3, 2, 3, "A1A2"),
+    ("bv", 2, 1, 1, "A1"),
+    ("bv", 2, 1, 2, "A1 A1B1 A1B2 A1B3"),
+    ("bv", 2, 1, 3, "A1 A1B1 A1B2 A1B3"),
+    ("bv", 2, 2, 1, "A1A2"),
+    ("bv", 2, 2, 3, "A1A2"),
+])
+def test_pjr_and_ejr_w_options(label, seats, ell, longest, options):
+    # Every ballot that names all targets, within max_ballot_length and
+    # the cap, sorted; the targets alone when ell exceeds
+    # max_ballot_length.  Recorded while these had a loop of their own.
+    spec = SearchSpec(max_candidates=4, weight_grid=4,
+                      max_ballot_length=longest)
+    targets = tuple("A%d" % (i + 1) for i in range(ell))
+    for scenario in (ScenarioId.PJR, ScenarioId.EJR):
+        found = verifier._w_options(MethodId.parse(label), scenario, targets,
+                                    DECOYS, spec, seats)
+        assert " ".join("".join(sorted(ballot)) for ballot in found) == options
+
+
+def _partitions(votes, parts):
+    """The partitions of `votes` into at most `parts` parts, each part
+    list non-increasing, in reverse lexicographic order."""
+    return sorted((combo for size in range(1, parts + 1)
+                   for combo in combinations_with_replacement(
+                       range(votes, 0, -1), size) if sum(combo) == votes),
+                  reverse=True)
+
+
+def test_party_answers_are_the_partitions_of_the_rival_votes():
+    # The i-th part goes to P<i>, so the answers are named and ordered as
+    # when the search enumerated partitions itself.
+    for parties in range(7):
+        strategies = verifier._party_strategies(
+            1, 1, SearchSpec(max_candidates=parties + 1))
+        for votes in range(1, 13):
+            (answers,) = strategies(votes + 1, 1)
+            found = [[(b.content.party, b.weight)
+                      for b in inst.profile.ballots if not b.in_w]
+                     for inst in answers]
+            assert found == [[("P%d" % (i + 1), part)
+                              for i, part in enumerate(parts)]
+                             for parts in _partitions(votes, parties)]
+
+
 def _closed(options, renamings, ordered):
     """The options with every renaming of each, sorted as the search
     sorts them: the cache accepts only option sets closed this way."""
@@ -744,8 +804,9 @@ def test_search_audit_clean(monkeypatch):
     # Every search probe of an exact pi cell at S <= 3 stays at or below
     # pi, and attains it wherever a catalog witness fits the grid.  From
     # a cold cache, the 373 searches make 19,675 engine calls and key
-    # 4,451 multisets (4,536 before the transposition classes, 30,943
-    # before the decoy cells and the orderly fill).  Searching each pair
+    # 4,462 multisets, 11 of them the party answers' own (4,536 before
+    # the transposition classes, 30,943 before the decoy cells and the
+    # orderly fill).  Searching each pair
     # of twin cells once saves 4,902 of those calls and gives the same
     # report.
     calls = _counting(monkeypatch, "run_method")

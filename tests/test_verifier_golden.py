@@ -15,7 +15,10 @@ the seats no candidate supports.  DEFAULT_SPEC_GOLDEN pins, at the
 SearchSpec defaults, the best fraction and witness profile of cells where
 some W strategy is fixed by a renaming of the decoys only together with
 one of the targets, recorded while such answers were still keyed together
-with W's groups.
+with W's groups.  PARTY_GOLDEN pins search_lower_bound on every party
+cell of the default scope's apportionment methods at S <= 5, under the
+audit's spec and under PARTY_SPEC, recorded while the party answers came
+from a partition enumerator of their own.
 """
 
 import pytest
@@ -39,6 +42,9 @@ CATALOG_GOLDEN = (
     "063f21ac73b07a06a56a7d4ad6246f94f23732dc56abf49b816f1316137a7ea1")
 AUDIT_GOLDEN = (
     "e340dc17bc575528535be14f457b947e5a97e9dd1ba0b04ec45f4b116aee4ebe")
+PARTY_SPEC = SearchSpec(max_candidates=6, weight_grid=8)
+PARTY_GOLDEN = (
+    "488e6e6161bc3c084c18ac891aa76c83bf918665b9e640a692ee4aedf977d36b")
 
 _ONE_DECOY = "!candidates A2 B2 B3\n!W %d : {A1}\n1 : {B1}\n"
 
@@ -115,6 +121,14 @@ def audit_search_records() -> list:
             if seats == 3 and _pi_exact(method, scenario, ell, seats)]
 
 
+def party_search_records() -> list:
+    methods = dict.fromkeys(method for method, _ in default_scope()
+                            if method.spec.ballot == "party")
+    return [_search_record(method, ScenarioId.PARTY, ell, seats, spec)
+            for spec in (AUDIT_SPEC, PARTY_SPEC) for method in methods
+            for seats in range(1, 6) for ell in range(1, seats + 1)]
+
+
 def catalog_records() -> list:
     records = []
     for token in CATALOG:
@@ -136,6 +150,10 @@ def test_golden_search():
 
 def test_golden_audit_search():
     assert _digest(audit_search_records()) == AUDIT_GOLDEN
+
+
+def test_golden_party_search():
+    assert _digest(party_search_records()) == PARTY_GOLDEN
 
 
 def test_golden_catalog():
