@@ -14,6 +14,7 @@ program over variables x_sigma, one per non-empty subset of candidates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .ballots import WeightScheme
@@ -22,7 +23,6 @@ from .lp import LinearProgram, LpOutcome, solve
 ALPHA_CAP = 7
 
 _b_cache: list = [None, Fraction(1)]
-_alpha_cache: dict = {}
 
 
 def seq_b(n: int) -> Fraction:
@@ -100,16 +100,14 @@ def build_alpha_lp(n: int, scheme: WeightScheme) -> LinearProgram:
 
 
 def alpha(n: int, scheme: WeightScheme = None) -> Fraction:
-    """alpha_n(scheme), memoized; scheme defaults to harmonic weights."""
-    if scheme is None:
-        scheme = WeightScheme.harmonic()
-    key = (n, scheme.label())
-    if key not in _alpha_cache:
-        _alpha_cache[key] = solve_alpha(n, scheme).value
-    return _alpha_cache[key]
+    """alpha_n(scheme); scheme defaults to harmonic weights."""
+    return solve_alpha(n, scheme or WeightScheme.harmonic()).value
 
 
+@lru_cache(maxsize=None)
 def solve_alpha(n: int, scheme: WeightScheme) -> LpOutcome:
+    """The solved alpha program, one per (n, scheme) per process: the
+    outcome is frozen and its point a tuple, so callers share it."""
     outcome = solve(build_alpha_lp(n, scheme))
     if outcome.status != "optimal":
         raise RuntimeError("alpha LP not optimal: %s" % outcome.status)

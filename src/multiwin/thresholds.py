@@ -20,7 +20,8 @@ supplies the rule's ballot cap and, for cvq, its split credit.  Adding a
 method means adding one registry entry; MethodId (built as
 MethodId(kind, param, scheme=...) or parsed from its label), threshold(),
 the verifier's run_method, search and witness builders, and the CLI all
-read the record.
+read the record.  A witness construction that covers the new kind also
+lists it in its verifier.CATALOG row.
 """
 
 from __future__ import annotations

@@ -183,9 +183,6 @@ def _symmetric_parties(method, scenario, ell, seats, eps):
 
 def _common_list_tie(method, scenario, ell, seats, eps):
     """W (weight ell) on one ell-name list versus S+1-ell unit singletons."""
-    _require(method.kind in ("phragmen-u", "thiele-opt", "thiele-elim",
-                             "phragmen-o"),
-             "tie construction applies to the load and credit methods")
     if method.kind == "thiele-opt":
         _require(method.scheme.kind == "harmonic",
                  "exchange tie needs harmonic weights")
@@ -200,9 +197,6 @@ def _common_list_tie(method, scenario, ell, seats, eps):
 
 def _divisor_extremes(method, scenario, ell, seats, eps):
     """W at ell-1+gamma against S+1-ell parties of gamma votes each."""
-    _require(method.kind == "div", "divisor construction")
-    _require(scenario is ScenarioId.PARTY,
-             "apportionment witnesses live in the party scenario")
     gamma = method.param
     _require(gamma > 0, "zero first divisor gives every party a free seat")
     rest = seats + 1 - ell
@@ -216,7 +210,6 @@ def _divisor_extremes(method, scenario, ell, seats, eps):
 def _quota_boundary(method, scenario, ell, seats, eps):
     """W at ell-1+t against S+1-ell parties of t votes, t on the rounding
     boundary of the quota."""
-    _require(method.kind in ("quota", "stv"), "quota-family construction")
     delta = method.param
     t = Fraction(seats + 1 - ell + delta, seats + 2 - ell)
     value = Fraction(ell * (seats + 2 - ell) - 1 + delta) \
@@ -229,9 +222,6 @@ def _quota_boundary(method, scenario, ell, seats, eps):
         groups += [(t, "P%d" % (j + 1), False) for j in range(rest)]
         profile = _profile("party", groups, seats)
         return profile, {"W"}, value
-    _require(scenario in (ScenarioId.PARTY, ScenarioId.SAME,
-                          ScenarioId.PSC, ScenarioId.WPSC),
-             "transfer witnesses cover the list scenarios")
     targets = _names("A", ell)
     groups = [(ell - 1 + t, targets, True)]
     groups += [(t, ["B%d" % (j + 1)], False) for j in range(rest)]
@@ -266,9 +256,6 @@ def _equal_split(method, scenario, ell, seats, eps):
         value = Fraction(u, u + rest)
         profile = normalize(_profile("set", groups, seats))
         return profile, targets, value
-    _require(method.kind in ("sntv", "cvq", "stv", "phragmen-u",
-                             "phragmen-o", "thiele-opt", "thiele-elim"),
-             "even-split ties apply to the score, load and credit methods")
     if method.kind == "thiele-opt":
         _require(method.scheme.kind == "harmonic",
                  "even-split ties need harmonic weights")
@@ -284,10 +271,6 @@ def _equal_split(method, scenario, ell, seats, eps):
 def _majority_tie(method, scenario, ell, seats, eps):
     """Two blocks of equal weight on disjoint lists; the larger list can
     sweep every seat."""
-    _require(method.kind in ("bv", "av"), "unlimited-score methods only")
-    _require(scenario in (ScenarioId.PARTY, ScenarioId.SAME,
-                          ScenarioId.TACTIC, ScenarioId.PJR),
-             "the half threshold covers the list scenarios")
     targets = _names("A", ell)
     groups = [(Fraction(1), targets, True),
               (Fraction(1), _names("B", seats), False)]
@@ -298,9 +281,6 @@ def _majority_tie(method, scenario, ell, seats, eps):
 def _ejr_window(method, scenario, ell, seats, eps):
     """W ballots add rotating decoy windows to the common target set; the
     decoys tie everywhere and can fill all seats."""
-    _require(method.kind in ("bv", "av", "lv"), "score-family methods only")
-    _require(scenario is ScenarioId.EJR,
-             "per-ballot representation witnesses")
     cap = method.spec.cap(method, seats)
     if cap is not None:
         _require(2 * ell - 1 <= cap,
@@ -323,10 +303,6 @@ def _ejr_window(method, scenario, ell, seats, eps):
 def _self_voting(method, scenario, ell, seats, eps):
     """A huge block spreads one split vote per member over its own list
     while each opponent keeps a whole vote; approaches fraction 1."""
-    _require(method.kind == "cvq", "vote-splitting dilution construction")
-    _require(scenario in (ScenarioId.PARTY, ScenarioId.SAME,
-                          ScenarioId.PJR, ScenarioId.EJR),
-             "dilution covers the list scenarios")
     eps = _default_eps(eps)
     _require(0 < eps < 1, "eps must lie in (0, 1)")
     w = max(ell, -(-seats * (1 - eps) // eps))   # ceil(S(1-eps)/eps)
@@ -345,12 +321,8 @@ def _self_voting(method, scenario, ell, seats, eps):
 def _addition_lp_vertex(method, scenario, ell, seats, eps):
     """W holds 1/w_ell votes on its list; the adversary plays a vertex of
     the minimum-mass election program for the other S+1-ell seats."""
-    _require(method.kind == "thiele-add", "sequential addition construction")
     if scenario in (ScenarioId.TACTIC, ScenarioId.EJR):
         _require(ell == 1, "only the one-seat value is known here")
-    else:
-        _require(scenario in (ScenarioId.SAME, ScenarioId.PJR),
-                 "covered scenarios: same, pjr (all ell), tactic/ejr at ell=1")
     scheme = method.scheme
     wl = scheme.w(ell)
     _require(wl > 0, "zero list weight saturates the threshold at 1")
@@ -372,11 +344,7 @@ def _addition_lp_vertex(method, scenario, ell, seats, eps):
 def _cyclic_window_opt(method, scenario, ell, seats, eps):
     """One block on a single name against rotating k-windows sized to the
     best satisfaction-per-name ratio."""
-    _require(method.kind == "thiele-opt", "optimization construction")
     _require(ell == 1, "single-seat construction")
-    _require(scenario in (ScenarioId.SAME, ScenarioId.PJR,
-                          ScenarioId.EJR),
-             "covered scenarios: same, pjr, ejr")
     scheme = method.scheme
     best = max(k * scheme.w(k) for k in range(1, seats + 1))
     _require(best > 0, "all weights vanish")
@@ -392,10 +360,6 @@ def _cyclic_window_opt(method, scenario, ell, seats, eps):
 def _weight_floor(method, scenario, ell, seats, eps):
     """W holds 1/w_ell votes on its list against unit singletons; trading
     the last list seat for an extra singleton is satisfaction-neutral."""
-    _require(method.kind == "thiele-opt", "optimization construction")
-    _require(scenario in (ScenarioId.SAME, ScenarioId.PJR,
-                          ScenarioId.EJR),
-             "covered scenarios: same, pjr, ejr")
     scheme = method.scheme
     wl = scheme.w(ell)
     targets = _names("A", ell)
@@ -419,9 +383,6 @@ def _weight_floor(method, scenario, ell, seats, eps):
 def _elimination_trap(method, scenario, ell, seats, eps):
     """Decoy clusters keep W's candidate at minimum score until it is
     eliminated, after which the clusters collapse one name at a time."""
-    _require(method.kind == "thiele-elim", "elimination construction")
-    _require(scenario in (ScenarioId.PJR, ScenarioId.EJR),
-             "covered scenarios: pjr, ejr")
     _require(ell == 1, "single-seat construction")
     m = max(1, isqrt(seats))
     limit = Fraction(m, m * m + seats)
@@ -450,9 +411,6 @@ def _elimination_trap(method, scenario, ell, seats, eps):
 def _suffix_chain(method, scenario, ell, seats, eps):
     """Nested suffix lists weighted by the extremal mass sequence keep
     every next candidate at score exactly one."""
-    _require(method.kind == "thiele-o", "ordered sequential construction")
-    _require(scenario in (ScenarioId.SAME, ScenarioId.TACTIC),
-             "covered scenarios: same, tactic")
     n = seats + 1 - ell
     targets = _names("A", ell)
     decoys = _names("B", n)
@@ -472,9 +430,6 @@ def _suffix_chain(method, scenario, ell, seats, eps):
 def _rotated_start(method, scenario, ell, seats, eps):
     """Every W ballot opens with a fixed prefix and rotates the next name,
     so the late list positions split W's weight as finely as possible."""
-    _require(method.kind == "thiele-o", "ordered sequential construction")
-    _require(scenario is ScenarioId.WPSC,
-             "covered scenario: wpsc")
     n = seats + 1 - ell
     k = (ell - 1) // 2
     c = Fraction(seq_c(ell))
@@ -493,9 +448,6 @@ def _rotated_start(method, scenario, ell, seats, eps):
 def _self_first_psc(method, scenario, ell, seats, eps):
     """Each W voter ranks a different own-side name first, splitting the
     top-position support; unit opponents with doubled weight sweep."""
-    _require(method.kind in ("phragmen-o", "thiele-o"),
-             "ordered methods whose top-set guarantee fails")
-    _require(scenario is ScenarioId.PSC, "covered scenario: psc")
     eps = _default_eps(eps)
     _require(0 < eps < 1, "eps must lie in (0, 1)")
     q = max(ell, int(-(-2 * seats * (1 - eps) // eps)))
@@ -510,9 +462,6 @@ def _self_first_psc(method, scenario, ell, seats, eps):
 def _positional_split(method, scenario, ell, seats, eps):
     """Both sides rotate their lists so every candidate earns the average
     positional weight; all S+1 candidates tie."""
-    _require(method.kind == "borda", "positional construction")
-    _require(scenario is ScenarioId.TACTIC,
-             "covered scenario: tactic")
     scheme = method.scheme
     n = seats + 1 - ell
     mean_l = scheme.psi(ell) / ell
@@ -530,9 +479,6 @@ def _positional_split(method, scenario, ell, seats, eps):
 def _positional_list(method, scenario, ell, seats, eps):
     """W keeps one common list, so its last name earns only w_ell per
     vote, while the adversary rotates for the average weight."""
-    _require(method.kind == "borda", "positional construction")
-    _require(scenario in (ScenarioId.SAME, ScenarioId.WPSC),
-             "covered scenarios: same, wpsc")
     scheme = method.scheme
     n = seats + 1 - ell
     wl = scheme.w(ell)
@@ -557,30 +503,24 @@ def _load_fixture(name: str) -> Profile:
 
 
 _FIXTURE_WITNESSES = {
-    # token: (file, method label, scenario, ell, seats, target, fraction)
+    # token: (file, method kind, scenario, ell, seats, target, fraction)
     "overlap-approvals": ("overlap_approvals_2409.profile", "phragmen-u",
-                          ScenarioId.EJR, 2, 12, ("A", "B"),
-                          Fraction(409, 2409)),
-    "vote-splitting": ("split_vote_1912.profile", "thiele-add",
-                       ScenarioId.SAME, 1, 3, ("K", "L", "M"),
-                       Fraction(13, 50)),
+                          "ejr", 2, 12, ("A", "B"), Fraction(409, 2409)),
+    "vote-splitting": ("split_vote_1912.profile", "thiele-add", "same", 1, 3,
+                       ("K", "L", "M"), Fraction(13, 50)),
     "ordered-majority-loss": ("ordered_majority_loss.profile", "thiele-o",
-                              ScenarioId.SAME, 2, 3, ("A", "B", "C"),
+                              "same", 2, 3, ("A", "B", "C"),
                               Fraction(11, 20)),
     "ordered-tactic-split": ("ordered_tactic_after.profile", "thiele-o",
-                             ScenarioId.SAME, 1, 2, ("C", "D"),
-                             Fraction(39, 100)),
+                             "same", 1, 2, ("C", "D"), Fraction(39, 100)),
 }
 
 
 def _fixture_witness(token):
-    file_name, label, fix_scenario, fix_ell, fix_seats, target, frac = \
+    file_name, _, _, fix_ell, fix_seats, target, frac = \
         _FIXTURE_WITNESSES[token]
 
     def build(method, scenario, ell, seats, eps):
-        _require(method.kind == label, "fixture is for method %s" % label)
-        _require(scenario is fix_scenario,
-                 "fixture scenario is %s" % fix_scenario.value)
         _require((ell, seats) == (fix_ell, fix_seats),
                  "fixture parameters are ell=%d, S=%d"
                  % (fix_ell, fix_seats))
@@ -589,28 +529,40 @@ def _fixture_witness(token):
     return build
 
 
-# token -> builder(method, scenario, ell, seats, eps), which returns
-# (profile, target, fraction) or raises CoverageError where the
-# construction does not apply; construct_witness() makes the Witness.
+# token -> (builder, the method kinds and the scenarios it covers, None
+# meaning every one).  construct_witness() refuses any other pair; the
+# builder(method, scenario, ell, seats, eps) returns (profile, target,
+# fraction) or raises CoverageError where a condition on ell, eps, the
+# parameter or the weights fails, and construct_witness() makes the
+# Witness.
 CATALOG: dict = {
-    "divisor-extremes": _divisor_extremes,
-    "quota-boundary": _quota_boundary,
-    "majority-tie": _majority_tie,
-    "ejr-window": _ejr_window,
-    "equal-split": _equal_split,
-    "common-list-tie": _common_list_tie,
-    "symmetric-parties": _symmetric_parties,
-    "addition-lp-vertex": _addition_lp_vertex,
-    "cyclic-window-opt": _cyclic_window_opt,
-    "weight-floor": _weight_floor,
-    "suffix-chain": _suffix_chain,
-    "rotated-start": _rotated_start,
-    "positional-split": _positional_split,
-    "positional-list": _positional_list,
-    "self-voting": _self_voting,
-    "elimination-trap": _elimination_trap,
-    "self-first-psc": _self_first_psc,
-    **{token: _fixture_witness(token) for token in _FIXTURE_WITNESSES},
+    "divisor-extremes": (_divisor_extremes, ("div",), ("party",)),
+    "quota-boundary": (_quota_boundary, ("quota", "stv"),
+                       ("party", "same", "psc", "wpsc")),
+    "majority-tie": (_majority_tie, ("bv", "av"),
+                     ("party", "same", "tactic", "pjr")),
+    "ejr-window": (_ejr_window, ("bv", "av", "lv"), ("ejr",)),
+    "equal-split": (_equal_split, ("sntv", "cvq", "stv", "phragmen-u",
+                                   "phragmen-o", "thiele-opt", "thiele-elim",
+                                   "lv"), None),
+    "common-list-tie": (_common_list_tie, ("phragmen-u", "thiele-opt",
+                                           "thiele-elim", "phragmen-o"), None),
+    "symmetric-parties": (_symmetric_parties, None, None),
+    "addition-lp-vertex": (_addition_lp_vertex, ("thiele-add",),
+                           ("same", "pjr", "tactic", "ejr")),
+    "cyclic-window-opt": (_cyclic_window_opt, ("thiele-opt",),
+                          ("same", "pjr", "ejr")),
+    "weight-floor": (_weight_floor, ("thiele-opt",), ("same", "pjr", "ejr")),
+    "suffix-chain": (_suffix_chain, ("thiele-o",), ("same", "tactic")),
+    "rotated-start": (_rotated_start, ("thiele-o",), ("wpsc",)),
+    "positional-split": (_positional_split, ("borda",), ("tactic",)),
+    "positional-list": (_positional_list, ("borda",), ("same", "wpsc")),
+    "self-voting": (_self_voting, ("cvq",), ("party", "same", "pjr", "ejr")),
+    "elimination-trap": (_elimination_trap, ("thiele-elim",), ("pjr", "ejr")),
+    "self-first-psc": (_self_first_psc, ("phragmen-o", "thiele-o"),
+                       ("psc",)),
+    **{token: (_fixture_witness(token), (kind,), (scenario,))
+       for token, (_, kind, scenario, *_) in _FIXTURE_WITNESSES.items()},
 }
 
 
@@ -623,8 +575,15 @@ def construct_witness(token: str, method: MethodId, scenario, ell: int,
     if not 1 <= ell <= seats:
         raise ValueError("need 1 <= ell <= seats")
     scenario = ScenarioId(scenario)
-    profile, target, claimed = CATALOG[token](method, scenario, ell, seats,
-                                              eps)
+    build, kinds, scenarios = CATALOG[token]
+    if (kinds is not None and method.kind not in kinds
+            or scenarios is not None and scenario.value not in scenarios):
+        raise CoverageError(
+            "%s covers %s under %s; not %s under %s"
+            % (token, "every method" if kinds is None else ", ".join(kinds),
+               "every scenario" if scenarios is None
+               else ", ".join(scenarios), method.label(), scenario.value))
+    profile, target, claimed = build(method, scenario, ell, seats, eps)
     return Witness(ScenarioInstance(profile, target, ell, scenario), claimed,
                    token)
 
@@ -836,7 +795,7 @@ def _cells(counts, names) -> tuple:
     return tuple(frozenset(cls) for cls in classes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
     """The first multiset of each orbit among the sorted multisets of
     `size` options, as ((ballot, count), ...) tuples in
@@ -856,9 +815,12 @@ def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
     those.
 
     There is one entry per (options, size, cells, ordered) met, each
-    holding its firsts and the keys it has met; the options and cells
-    are fixed by the ballot kind and the SearchSpec grid, so the entries
-    are bounded by the grids searched, not by the number of searches.
+    holding its firsts and the keys it has met, and at most 512 entries,
+    the least recently used evicted first: more than the audit's search
+    or a search at the SearchSpec defaults meets, so neither evicts, and
+    a long process searching many grids keeps a bounded cache.  Eviction
+    changes no answer: a reader's copy() keeps its own buffer, and an
+    entry built again yields the same sequence.
     """
     if size == 0:
         return tee([()], 1)[0]

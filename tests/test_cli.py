@@ -297,6 +297,16 @@ def test_witness_verifies(capsys):
     assert "True" in out
 
 
+def test_witness_outside_its_catalog_row_is_refused(capsys):
+    code, out, err = run_cli(capsys, "witness", "--construction",
+                             "majority-tie", "--method", "stv:1",
+                             "--scenario", "same", "--ell", "1",
+                             "--seats", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: majority-tie covers bv, av under party, same, "
+                   "tactic, pjr; not stv:1 under same\n")
+
+
 def test_search(capsys):
     code, out, _ = run_cli(capsys, "search", "--method", "div:1",
                            "--scenario", "party", "--ell", "1",

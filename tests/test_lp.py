@@ -73,6 +73,15 @@ def test_certificate_satisfies_all_constraints_exactly():
 def test_check_solution_rejects_violations():
     lp = LinearProgram(2, [1, 1], [([1, 1], ">=", 2)])
     assert not check_solution(lp, (Fraction(1, 2), Fraction(1, 2)))
+    assert check_solution(lp, (1, 1))
+    assert not check_solution(lp, (2,))                 # wrong length
+    assert not check_solution(lp, (3, -1))              # negative entry
+    capped = LinearProgram(2, [1, 1], [([1, 1], "<=", 2)])
+    assert check_solution(capped, (1, 1))
+    assert not check_solution(capped, (2, 1))
+    fixed = LinearProgram(2, [1, 1], [([1, 2], "=", 3)])
+    assert check_solution(fixed, (1, 1))
+    assert not check_solution(fixed, (3, 1))
 
 
 def test_strong_duality_exact():

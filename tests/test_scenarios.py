@@ -52,6 +52,21 @@ def test_same_target_must_match_the_common_list():
     assert not is_instance(inst(text, "A", 1, "same"))
 
 
+def test_w_on_two_party_lists_is_not_a_party_instance():
+    text = "!seats 3\n!W 2 : {A1 A2}\n!W 1 : {C1}\n2 : {B1 B2}\n"
+    assert not is_instance(inst(text, ["A1", "A2"], 2, "party"))
+
+
+def test_target_smaller_than_ell_is_refused():
+    sets = "!seats 2\n!W 2 : {A B}\n1 : {C}\n"
+    assert is_instance(inst(sets, "AB", 2, "pjr"))
+    for scenario in ("pjr", "ejr"):
+        assert not is_instance(inst(sets, "A", 2, scenario))
+    lists = "!seats 2\n!W 2 : [A B]\n1 : [C]\n"
+    assert is_instance(inst(lists, "AB", 2, "psc"))
+    assert not is_instance(inst(lists, "A", 2, "psc"))
+
+
 def test_party_requires_disjoint_identical_lists():
     good = "!seats 3\n!W 3 : {A1 A2}\n2 : {B1 B2}\n1 : {C1}\n"
     overlap = "!seats 3\n!W 3 : {A1 A2}\n2 : {A2 B1}\n1 : {C1}\n"

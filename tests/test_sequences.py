@@ -131,6 +131,16 @@ def test_alpha_certificate_is_exact():
             assert sum(outcome.point, Fraction(0)) == outcome.value
 
 
+def test_alpha_program_is_solved_once():
+    scheme = WeightScheme.explicit([1, Fraction(1, 2)], Fraction(1, 4))
+    assert solve_alpha(4, scheme) is solve_alpha(4, scheme)
+    assert alpha(4, scheme) == solve_alpha(4, scheme).value
+    assert alpha(4) == solve_alpha(4, WeightScheme.harmonic()).value
+    for _ in range(2):      # a refused order raises every time
+        with pytest.raises(ValueError, match="capped"):
+            solve_alpha(ALPHA_CAP + 1, scheme)
+
+
 @pytest.mark.parametrize("scheme", CERTIFIED_SCHEMES, ids=WeightScheme.label)
 def test_alpha_6_strong_duality(scheme):
     dual_lp = dual_program(build_alpha_lp(6, scheme))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from multiwin import thresholds
 from multiwin.ballots import WeightScheme
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import ScenarioId
@@ -453,3 +454,64 @@ def test_criterion_validation():
 
 def test_single_seat_criteria_trivially_hold():
     assert criterion_check(MethodId("bv"), "JR", 1) is True
+    for criterion in ("PJR", "EJR", "PSC-strong", "wPSC-floor"):
+        assert criterion_check(MethodId("bv"), criterion, 1) is True
+        assert criterion_check(MethodId("thiele-o"), criterion, 1) is True
+
+
+def test_criterion_at_the_exact_threshold_follows_its_side():
+    # bv's one-seat pjr threshold at S = 2 is 1/2, exactly JR's bar; it
+    # is attained (no minus side), so JR fails.
+    assert threshold(MethodId("bv"), ScenarioId.PJR, 1, 2).value == F(1, 2)
+    assert criterion_check(MethodId("bv"), "JR", 2) is False
+    minus = ThresholdValue(F(1, 2), "pi", "minus", "exact", "test")
+    assert thresholds._compare(minus, F(1, 2), allow_equal=False) is True
+
+
+def test_criterion_decided_by_an_upper_bound():
+    # Beyond ALPHA_CAP the one-seat entry is an interval; here its hi,
+    # 1/9, is below JR's bar 1/8.
+    method = MethodId.parse("thiele-add:explicit(1;tail=0)")
+    entry = threshold(method, ScenarioId.PJR, 1, 8)
+    assert (entry.status, entry.lo, entry.hi) == (INTERVAL, F(1, 9), F(1, 9))
+    assert criterion_check(method, "JR", 8) is True
+    # A lo above the bar decides the other way.
+    entry = threshold(MethodId("thiele-elim"), ScenarioId.PJR, 1, 5)
+    assert (entry.is_exact, entry.lo) == (False, F(2, 9))
+    assert criterion_check(MethodId("thiele-elim"), "JR", 5) is False
+
+
+@pytest.mark.parametrize("label", ["thiele-opt:constant",
+                                   "thiele-opt:explicit(1,1;tail=0)"])
+def test_optimization_tactic_needs_subharmonic_weights(label):
+    for ell in (1, 2):
+        entry = threshold(MethodId.parse(label), ScenarioId.TACTIC, ell, 3)
+        assert (entry.status, entry.source) == ("unknown", "no-result")
+
+
+@pytest.mark.parametrize("label", ["thiele-add:weak",
+                                   "thiele-add:explicit(1,1/2;tail=1/4)"])
+def test_non_harmonic_addition_has_no_party_value(label):
+    entry = threshold(MethodId.parse(label), ScenarioId.PARTY, 1, 3)
+    assert (entry.status, entry.source) == ("unknown", "no-result")
+
+
+@pytest.mark.parametrize("scenario", ["same", "pjr"])
+def test_non_harmonic_addition_list_values(scenario):
+    method = MethodId.parse("thiele-add:explicit(1,1/2;tail=1/4)")
+    # Beyond ALPHA_CAP (order S + 1 - ell = 8) only the generic bounds.
+    entry = threshold(method, scenario, 2, 9)
+    assert (entry.status, entry.source) == ("unknown",
+                                            "sequential-mass-bounds")
+    assert (entry.lo, entry.hi) == (F(1, 5), 1)
+    # A proved lower bound from the vote-mass program.
+    for seats, value in ((3, F(1, 2)), (4, F(3, 7))):
+        entry = threshold(method, scenario, 2, seats)
+        assert (entry.status, entry.value) == ("lower_bound", value)
+        assert (entry.lo, entry.hi) == (value, 1)
+    # w_3 = 0: a third list seat is worth nothing, so W is saturated.
+    saturated = MethodId.parse("thiele-add:explicit(1,1/2;tail=0)")
+    for seats in (4, 5):
+        entry = threshold(saturated, scenario, 3, seats)
+        assert entry.is_exact and entry.value == 1
+        assert entry.source == "single-bonus-saturation"

@@ -161,6 +161,37 @@ def test_self_first_burial_witness():
     assert verify_witness(witness, method)
 
 
+def test_elimination_trap_closes_in_on_its_limit():
+    # m = 2 clusters at S = 4 approach m / (m^2 + S) = 1/4 as the
+    # clusters grow; eps asks for a fraction within eps of the limit.
+    method = MethodId("thiele-elim")
+    for eps, fraction, names in ((None, F(5, 21), 13),
+                                 (F(1, 10), F(5, 21), 13),
+                                 (F(1, 100), F(6, 25), 15),
+                                 (F(1, 1000), F(63, 253), 129)):
+        witness = construct_witness("elimination-trap", method, "pjr", 1, 4,
+                                    eps)
+        assert witness.claimed_fraction == fraction
+        assert len(witness.instance.profile.candidates) == names
+        if names == 15:
+            assert verify_witness(witness, method)
+    with pytest.raises(CoverageError, match="eps must be positive"):
+        construct_witness("elimination-trap", method, "pjr", 1, 4, F(0))
+
+
+@pytest.mark.parametrize("scenario", ["same", "wpsc"])
+def test_positional_list_with_a_worthless_last_seat(scenario):
+    # w_2 = 0: W's second name earns nothing, so the threshold is 1 and
+    # the witness is W alone with silent decoys.
+    method = MethodId.parse("borda:weak")
+    witness = construct_witness("positional-list", method, scenario, 2, 3)
+    assert witness.claimed_fraction == 1
+    assert format_profile(witness.instance.profile) == (
+        "!seats 3\n!candidates B1 B2\n!W 1/2 : [A1 A2]\n")
+    assert verify_witness(witness, method)
+    assert threshold(method, ScenarioId(scenario), 2, 3).value == 1
+
+
 def test_fixture_witnesses():
     cases = [
         ("overlap-approvals", "phragmen-u", "ejr", 2, 12, F(409, 2409)),
@@ -191,6 +222,23 @@ def test_hypothesis_guards_fire():
 def test_covering_token_finds_catalog_entries():
     assert covering_token(MethodId("bv"), ScenarioId.EJR, 2, 3) is not None
     assert covering_token(MethodId("div", 1), ScenarioId.PARTY, 1, 2) is not None
+
+
+def test_witness_in_grid_refusals():
+    def witness(text, target, fraction):
+        inst = ScenarioInstance(parse_profile(text), target, 1, "tactic")
+        return Witness(inst, fraction)
+
+    three_groups = witness("!seats 1\n!W 1 : {A}\n1 : {B}\n1 : {C}\n",
+                           "A", F(1, 3))
+    assert verifier._witness_in_grid(three_groups, SearchSpec())
+    assert not verifier._witness_in_grid(three_groups,
+                                         SearchSpec(max_ballot_groups=2))
+    long_ballot = witness("!seats 1\n!W 1 : {A B C D}\n1 : {E}\n", "A",
+                          F(1, 2))
+    assert verifier._witness_in_grid(long_ballot,
+                                     SearchSpec(max_ballot_length=4))
+    assert not verifier._witness_in_grid(long_ballot, SearchSpec())
 
 
 # ---------------------------------------------------------------------------

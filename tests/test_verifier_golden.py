@@ -6,11 +6,14 @@ every default-scope pair at ell <= S <= 2 under SEARCH_SPEC: the best
 fraction, the witness profile in file format and its sorted target, or
 the error class when the search refuses the cell.  CATALOG_GOLDEN pins
 construct_witness for every catalog token over the default-scope methods,
-every scenario and ell <= S <= 3 in the same way.  AUDIT_GOLDEN pins
-search_lower_bound under the audit's own spec on every pi-exact
-default-scope cell at S = 3.  It was recorded before the search decided
-instances up to renaming, without the phragmen-u/-o tactic cells at
-ell = 2, 3, and re-recorded with them once the sequential engines filled
+every scenario and ell <= S <= 3 in the same way.  WIDE_CATALOG_GOLDEN
+does the same at ell <= S <= 5 with eps None and 1/7, and COVERING_GOLDEN
+pins covering_token on every default-scope cell at S <= 5; both were
+recorded before the catalog rows stated the kinds and scenarios each
+construction covers.  AUDIT_GOLDEN pins search_lower_bound under the
+audit's own spec on every pi-exact default-scope cell at S = 3.  It was
+recorded before the search decided instances up to renaming, without the
+phragmen-u/-o tactic cells at ell = 2, 3, and re-recorded with them once the sequential engines filled
 the seats no candidate supports.  DEFAULT_SPEC_GOLDEN pins, at the
 SearchSpec defaults, the best fraction and witness profile of cells where
 some W strategy is fixed by a renaming of the decoys only together with
@@ -25,14 +28,17 @@ import pytest
 
 import hashlib
 import json
+from fractions import Fraction
+from functools import lru_cache
 
+from multiwin import verifier
 from multiwin.ballots import format_profile
 from multiwin.numerics import format_rational
 from multiwin.scenarios import ScenarioId
 from multiwin.thresholds import PI, MethodId, threshold
 from multiwin.verifier import (AUDIT_SPEC, CATALOG, SearchSpec,
-                               construct_witness, default_scope,
-                               search_lower_bound)
+                               construct_witness, covering_token,
+                               default_scope, search_lower_bound)
 
 SEARCH_SPEC = SearchSpec(max_candidates=4, weight_grid=3)
 
@@ -42,6 +48,10 @@ CATALOG_GOLDEN = (
     "063f21ac73b07a06a56a7d4ad6246f94f23732dc56abf49b816f1316137a7ea1")
 AUDIT_GOLDEN = (
     "e340dc17bc575528535be14f457b947e5a97e9dd1ba0b04ec45f4b116aee4ebe")
+WIDE_CATALOG_GOLDEN = (
+    "9c432b9d478e0ae137fca4ccce341cc7ea5530b1b09b9e3e3fa58e016a45f7d5")
+COVERING_GOLDEN = (
+    "5b48ef5dbe18b11c0a90b07b824b12018bedc57f3014f8f09059b8db71268464")
 PARTY_SPEC = SearchSpec(max_candidates=6, weight_grid=8)
 PARTY_GOLDEN = (
     "488e6e6161bc3c084c18ac891aa76c83bf918665b9e640a692ee4aedf977d36b")
@@ -129,19 +139,30 @@ def party_search_records() -> list:
             for seats in range(1, 6) for ell in range(1, seats + 1)]
 
 
-def catalog_records() -> list:
+def catalog_records(max_seats=3, eps=None) -> list:
     records = []
     for token in CATALOG:
-        for method, scenario, ell, seats in _cells(3):
+        for method, scenario, ell, seats in _cells(max_seats):
             key = [token, method.label(), scenario.value, ell, seats]
             try:
                 witness = construct_witness(token, method, scenario, ell,
-                                            seats)
+                                            seats, eps)
             except (ValueError, TypeError) as exc:
                 records.append(key + [type(exc).__name__])
                 continue
             records.append(key + _witness_record(witness))
     return records
+
+
+def wide_catalog_records() -> list:
+    return [[eps] + record for eps in (None, "1/7")
+            for record in catalog_records(5, eps and Fraction(eps))]
+
+
+def covering_records() -> list:
+    return [[method.label(), scenario.value, ell, seats,
+             covering_token(method, scenario, ell, seats)]
+            for method, scenario, ell, seats in _cells(5)]
 
 
 def test_golden_search():
@@ -156,8 +177,25 @@ def test_golden_party_search():
     assert _digest(party_search_records()) == PARTY_GOLDEN
 
 
+def test_golden_audit_search_with_a_small_orbit_cache(monkeypatch):
+    # Evicted orbit sequences are built again; the level recursion reads
+    # the cache through the module name, so it meets the small one too.
+    small = lru_cache(maxsize=2)(verifier._orbit_firsts.__wrapped__)
+    monkeypatch.setattr(verifier, "_orbit_firsts", small)
+    assert _digest(audit_search_records()) == AUDIT_GOLDEN
+    assert small.cache_info().currsize == 2
+
+
 def test_golden_catalog():
     assert _digest(catalog_records()) == CATALOG_GOLDEN
+
+
+def test_golden_wide_catalog():
+    assert _digest(wide_catalog_records()) == WIDE_CATALOG_GOLDEN
+
+
+def test_golden_covering_tokens():
+    assert _digest(covering_records()) == COVERING_GOLDEN
 
 
 @pytest.mark.parametrize("label, scenario, ell, seats, best, profile",
