@@ -37,8 +37,8 @@ from math import gcd
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
 from .numerics import common_denominator
-from .unordered import (_rates, _sequential_loads, boundary_committees,
-                        branch, sequential_max)
+from .unordered import (_rates, _sequential_loads, _settler,
+                        boundary_committees, branch, sequential_max)
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,16 @@ def _list_ballots(profile: Profile) -> list:
 
 
 def stv_count(spec: StvSpec, profile: Profile,
-              branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
-    """Fractional transfer counting; see _stv_step for the procedure."""
-    finals, truncated = branch(*_stv_step(spec, profile), branch_cap)
+              branch_cap: int = DEFAULT_BRANCH_CAP,
+              goal=None) -> OutcomeSet:
+    """Fractional transfer counting; see _stv_step for the procedure.  A
+    goal makes it a goal count (`unordered._settler`): a state can still
+    elect every candidate it has not eliminated."""
+    settle = _settler(goal, profile.seats)
+    candidates = profile.candidates
+    finals, truncated = branch(
+        *_stv_step(spec, profile), branch_cap,
+        settle and (lambda state: settle(state[0], candidates - state[1])))
     return OutcomeSet((elected if len(elected) == profile.seats
                        else profile.candidates - eliminated
                        for elected, eliminated, _, _ in finals), truncated)
@@ -181,7 +188,7 @@ def _stv_step(spec: StvSpec, profile: Profile):
 
 
 def phragmen_ordered(profile: Profile,
-                     branch_cap: int = DEFAULT_BRANCH_CAP):
+                     branch_cap: int = DEFAULT_BRANCH_CAP, goal=None):
     """Min-max-load rule where each ballot supports only its
     highest-ranked unelected candidate."""
     rankings = [ranking for ranking, _ in _list_ballots(profile)]
@@ -195,11 +202,12 @@ def phragmen_ordered(profile: Profile,
                     break
         return found
 
-    return _sequential_loads(profile, supporters, branch_cap)
+    return _sequential_loads(profile, supporters, branch_cap, goal=goal)
 
 
 def thiele_ordered(profile: Profile,
-                   branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
+                   branch_cap: int = DEFAULT_BRANCH_CAP,
+                   goal=None) -> OutcomeSet:
     """Sequential max-score election where a ballot counts for its first
     unelected name with weight 1/k, k being that name's position."""
     ballots = _list_ballots(profile)
@@ -220,11 +228,12 @@ def thiele_ordered(profile: Profile,
         return scores
 
     return sequential_max(scores_of, profile.candidates, profile.seats,
-                          unit * share, branch_cap)[0]
+                          unit * share, branch_cap, goal=goal)[0]
 
 
 def borda_count(weights: BordaWeights, profile: Profile,
-                branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
+                branch_cap: int = DEFAULT_BRANCH_CAP,
+                goal=None) -> OutcomeSet:
     """Positional scoring: the name at position k earns weight * w_k."""
     ballots = _list_ballots(profile)
     ints, _ = common_denominator(weight for _, weight in ballots)
@@ -234,4 +243,4 @@ def borda_count(weights: BordaWeights, profile: Profile,
     for (ranking, _), weight in zip(ballots, ints):
         for name, rate in zip(ranking, rates):
             scores[name] += weight * rate
-    return boundary_committees(scores, profile.seats, branch_cap)
+    return boundary_committees(scores, profile.seats, branch_cap, goal)

@@ -20,7 +20,7 @@ cares about.  The supported scenarios are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -48,10 +48,25 @@ class IndeterminateOutcome(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioInstance:
+    """A profile with W's target set, ell and the scenario.
+
+    `goal` states the scenario's good test as pairs (names, ell): a
+    committee is good for W iff some pair has at least ell of its names
+    elected.
+    - party, same, pjr: the union of W's ballots, which under party and
+      same is W's own list (it may be a superset of the target);
+    - tactic, psc: (target, ell);
+    - wpsc: (target, |target|);
+    - ejr: one pair per W ballot.
+    Electing more names never makes a good committee bad, which the goal
+    counts of the engines rely on (`unordered.branch`).
+    """
+
     profile: Profile
     target: frozenset
     ell: int
     scenario: ScenarioId
+    goal: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, profile: Profile, target, ell: int,
                  scenario: ScenarioId):
@@ -63,11 +78,28 @@ class ScenarioInstance:
                            else ScenarioId(scenario))
         if not 1 <= self.ell <= profile.seats:
             raise ValueError("need 1 <= ell <= seats")
+        object.__setattr__(self, "goal", _goal(self))
 
     @property
     def fraction(self) -> Fraction:
         """W's share of the total vote weight."""
         return self.profile.w_weight / self.profile.total_weight
+
+
+def _goal(inst: ScenarioInstance) -> tuple:
+    scenario = inst.scenario
+    ell = inst.ell
+    if scenario in (ScenarioId.PARTY, ScenarioId.SAME, ScenarioId.PJR):
+        return ((frozenset().union(
+            *(b.content.members for b in inst.profile.w_ballots())), ell),)
+    if scenario in (ScenarioId.TACTIC, ScenarioId.PSC):
+        return ((inst.target, ell),)
+    if scenario is ScenarioId.WPSC:
+        return ((inst.target, len(inst.target)),)
+    if scenario is ScenarioId.EJR:
+        return tuple((b.content.members, ell)
+                     for b in inst.profile.w_ballots())
+    raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
 
 
 def require_kind(scenario: ScenarioId, kind: str) -> None:
@@ -146,33 +178,16 @@ def is_instance(inst: ScenarioInstance) -> bool:
     raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
 
 
-def _good_test(inst: ScenarioInstance):
-    """is_good for the instance as a test of one committee (a frozenset),
-    with the part that depends only on the instance done once."""
-    scenario = inst.scenario
-    ell = inst.ell
-    if scenario in (ScenarioId.PARTY, ScenarioId.SAME, ScenarioId.PJR):
-        # Good means ell names of W's ballots are elected: W's own list
-        # under party/same (which may be a superset of the declared target
-        # set), the union of W's ballots under pjr.
-        union = frozenset().union(
-            *(b.content.members for b in inst.profile.w_ballots()))
-        return lambda committee: len(union & committee) >= ell
-    target = inst.target
-    if scenario in (ScenarioId.TACTIC, ScenarioId.PSC):
-        return lambda committee: len(target & committee) >= ell
-    if scenario is ScenarioId.WPSC:
-        return target.issubset
-    if scenario is ScenarioId.EJR:
-        w_sets = [b.content.members for b in inst.profile.w_ballots()]
-        return lambda committee: any(len(members & committee) >= ell
-                                     for members in w_sets)
-    raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
+def _bad(pairs: tuple, committees) -> list:
+    """The committees that meet no goal pair."""
+    for names, ell in pairs:
+        committees = [c for c in committees if len(names & c) < ell]
+    return committees
 
 
 def is_good(inst: ScenarioInstance, committee) -> bool:
     """Is this committee a good outcome for W under the scenario?"""
-    return _good_test(inst)(frozenset(committee))
+    return not _bad(inst.goal, (frozenset(committee),))
 
 
 def is_bad_outcome_possible(inst: ScenarioInstance,
@@ -182,8 +197,9 @@ def is_bad_outcome_possible(inst: ScenarioInstance,
     A truncated outcome set lists only some of the reachable committees
     (never one that is not reachable), so a bad committee on it answers
     yes; only when every listed committee is good is the answer unknown.
+    An engine given the instance's goal returns such a subset too.
     """
-    if not all(map(_good_test(inst), outcomes.committees)):
+    if _bad(inst.goal, outcomes.committees):
         return True
     if outcomes.truncated:
         raise IndeterminateOutcome(

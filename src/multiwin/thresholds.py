@@ -558,9 +558,12 @@ def _borda_threshold(method, scenario, ell, seats):
 class MethodKind:
     """Everything the package knows about one method kind.
 
-    For candidate ballots, engine(method, profile, branch_cap) returns the
-    OutcomeSet, or (OutcomeSet, {committee: LoadState}) when loads is set;
-    None means no engine (only thresholds are tabulated).  For party
+    For candidate ballots, engine(method, profile, branch_cap, goal=None)
+    returns the OutcomeSet, or (OutcomeSet, {committee: LoadState}) when
+    loads is set; given a scenario's goal pairs, every engine but
+    thiele-opt's runs a goal count (`unordered.branch`), which lists only
+    committees that decide the goal.  None means no engine (only
+    thresholds are tabulated).  For party
     ballots, engine(method, votes, seats) returns the reachable seat
     vectors.  threshold(method, scenario, ell, seats) returns a
     ThresholdValue or None; cap(method, seats) is the largest ballot the
@@ -583,11 +586,11 @@ def _score_kind(threshold_of, cap=lambda m, seats: None, split=False,
     """A score-family kind.  Its ballots name at most cap(method, seats)
     candidates, in counts and searches alike, and give each name the
     ballot's weight, or with split an equal share of it."""
-    def engine(method, profile, branch_cap):
+    def engine(method, profile, branch_cap, goal=None):
         # The engine refuses a profile of the wrong ballot kind before
         # cap() can refuse the seat count.
         limit = cap(method, profile.seats) if profile.kind == "set" else None
-        return score_family_count(profile, limit, split, branch_cap)
+        return score_family_count(profile, limit, split, branch_cap, goal)
 
     return MethodKind("set", threshold_of, engine=engine, cap=cap, **fields)
 
@@ -617,28 +620,34 @@ REGISTRY = {
     "cvq": _score_kind(_cvq_threshold, split=True),
     "phragmen-u": MethodKind(
         "set", _phragmen_u_threshold, loads=True,
-        engine=lambda m, p, cap: phragmen_unordered(p, cap)),
+        engine=lambda m, p, cap, goal=None: phragmen_unordered(
+            p, cap, goal)),
     "thiele-opt": MethodKind(
         "set", _thiele_opt_threshold, scheme=True,
-        engine=lambda m, p, cap: thiele_optimize(m.scheme, p, cap)),
+        engine=lambda m, p, cap, goal=None: thiele_optimize(
+            m.scheme, p, cap)),
     "thiele-add": MethodKind(
         "set", _thiele_add_threshold, scheme=True,
-        engine=lambda m, p, cap: thiele_addition(m.scheme, p, cap)),
+        engine=lambda m, p, cap, goal=None: thiele_addition(
+            m.scheme, p, cap, goal)),
     "thiele-elim": MethodKind(
         "set", _thiele_elim_threshold,
-        engine=lambda m, p, cap: thiele_elimination(p, cap)),
+        engine=lambda m, p, cap, goal=None: thiele_elimination(
+            p, cap, goal)),
     "stv": MethodKind(
         "list", _stv_threshold, param="delta", audited=(1, 0),
-        engine=lambda m, p, cap: stv_count(StvSpec(m.param), p, cap)),
+        engine=lambda m, p, cap, goal=None: stv_count(
+            StvSpec(m.param), p, cap, goal)),
     "phragmen-o": MethodKind(
         "list", _phragmen_o_threshold, loads=True,
-        engine=lambda m, p, cap: phragmen_ordered(p, cap)),
+        engine=lambda m, p, cap, goal=None: phragmen_ordered(p, cap, goal)),
     "thiele-o": MethodKind(
         "list", _thiele_o_threshold,
-        engine=lambda m, p, cap: thiele_ordered(p, cap)),
+        engine=lambda m, p, cap, goal=None: thiele_ordered(p, cap, goal)),
     "borda": MethodKind(
         "list", _borda_threshold, scheme=True,
-        engine=lambda m, p, cap: borda_count(BordaWeights(m.scheme), p, cap)),
+        engine=lambda m, p, cap, goal=None: borda_count(
+            BordaWeights(m.scheme), p, cap, goal)),
 }
 
 

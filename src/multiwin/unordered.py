@@ -52,6 +52,25 @@ answer, lists at most `branch_cap` committees, and each of its
 committees has exactly S members.  Every engine refuses a `branch_cap`
 below 1 with the same ValueError.
 
+A count may instead be given a goal: a scenario's good test as (names,
+ell) pairs (`scenarios.ScenarioInstance.goal`), as when the verifier asks
+whether the method can produce a committee that is bad for W.  Each
+branching engine then bounds a state by the names it has elected and
+the names it can still elect (STV: its elected set and the candidates
+not eliminated; elimination: none and the remaining set; the sequential
+engines: the elected set and every candidate), and `branch` drops a
+state whose every committee is good and ends the count at the first
+state whose every committee is bad (`_settled_branch`, which proves the
+truncation argument).  The engine returns the committees of one final
+state, reached from that bad state or from the last dropped one by
+first successors: reachable S-member committees, bad ones when the full
+count finds a bad one, and truncated only where the full count is.  The
+score family decides its boundary tie for a goal with one committee
+(`_decide_tie`), found among seat splits over the tied names grouped by
+the goal sets that hold them when the committees are too many to try.
+A profile where a clone class straddles a goal set is counted in full
+(`_settler`).  Without a goal, every engine returns its full OutcomeSet.
+
 Load balancing may reach one committee with different loads; its
 LoadState keeps the least load vector (compared ballot group by ballot
 group) and the history of the first path to those loads.  The score
@@ -183,7 +202,8 @@ def _set_ballots(profile: Profile) -> list:
 
 
 def score_family_count(profile: Profile, cap: Optional[int], split: bool,
-                       branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
+                       branch_cap: int = DEFAULT_BRANCH_CAP,
+                       goal=None) -> OutcomeSet:
     """Top-S by total score.  A ballot names at most `cap` candidates (no
     cap when None) and gives each its weight, or when `split` an equal
     share of it."""
@@ -202,18 +222,22 @@ def score_family_count(profile: Profile, cap: Optional[int], split: bool,
     for (members, _), credit in zip(ballots, credits):
         for name in members:
             scores[name] += credit
-    return boundary_committees(scores, profile.seats, branch_cap)
+    return boundary_committees(scores, profile.seats, branch_cap, goal)
 
 
 def boundary_committees(scores: dict, seats: int,
-                        branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
-    """All top-`seats` sets obtainable by resolving ties at the boundary."""
+                        branch_cap: int = DEFAULT_BRANCH_CAP,
+                        goal=None) -> OutcomeSet:
+    """All top-`seats` sets obtainable by resolving ties at the boundary;
+    with a goal, one that decides the goal (`_decide_tie`)."""
     _check_cap(branch_cap)
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     pivot = scores[ranked[seats - 1]]
     fixed = [c for c in ranked if scores[c] > pivot]
     tied = [c for c in ranked if scores[c] == pivot]
     need = seats - len(fixed)
+    if goal is not None and need < len(tied):
+        return _decide_tie(frozenset(fixed), tied, need, branch_cap, goal)
     truncated = comb(len(tied), need) > branch_cap
     committees = []
     for extra in combinations(tied, need):
@@ -223,12 +247,53 @@ def boundary_committees(scores: dict, seats: int,
     return OutcomeSet(committees, truncated)
 
 
+def _decide_tie(fixed: frozenset, tied: list, need: int, branch_cap: int,
+                goal) -> OutcomeSet:
+    """The committee of `fixed` and `need` of the `tied` names that decides
+    whether one is bad for the goal (see `_settler`).
+    - One goal pair: the committee with the fewest of its names decides.
+    - Several: the committees are tried in turn while there are at most
+      branch_cap of them.  Beyond that, the tied names are grouped by the
+      goal sets that hold them, so the committees with the same number
+      of seats per group are all good or all bad, and the seat splits
+      over the groups (`_splits`) are tried instead, at most branch_cap.
+    The result is the first bad committee, else the first one tried,
+    truncated when some were left untried.
+    """
+    if len(goal) == 1:
+        ((names, ell),) = goal
+        fewest = fixed.union(sorted(tied, key=names.__contains__)[:need])
+        return OutcomeSet((fewest if len(names & fewest) < ell
+                           else fixed.union(tied[:need]),))
+    if comb(len(tied), need) <= branch_cap:
+        choices = combinations(tied, need)
+        truncated = False
+    else:
+        groups: dict = {}
+        for cand in tied:
+            groups.setdefault(tuple(cand in names for names, _ in goal),
+                              []).append(cand)
+        members = list(groups.values())
+        sizes = [len(group) for group in members]
+        choices = (chain.from_iterable(
+            group[:n] for group, n in zip(members, split))
+            for split in _splits(sizes, need))
+        truncated = _split_count(sizes, need) > branch_cap
+    first = None
+    for choice in islice(choices, branch_cap):
+        committee = fixed.union(choice)
+        if not any(len(names & committee) >= ell for names, ell in goal):
+            return OutcomeSet((committee,))
+        first = first or committee
+    return OutcomeSet((first,), truncated)
+
+
 def _check_cap(branch_cap: int) -> None:
     if branch_cap < 1:
         raise ValueError("branch_cap must be >= 1")
 
 
-def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
+def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
     """Run a tie-branching count breadth-first from `start`.
 
     start is a (state, payload) pair.  step(state, payload) returns None
@@ -236,8 +301,16 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
     successors.  A state produced twice in a round keeps its first
     payload.  Returns ({final state: payload}, truncated); see the module
     docstring for the contract.
+
+    With `settle`, the count is a goal count: settle(state) is True when
+    every committee the state can reach is good, False when every one is
+    bad, and None when it cannot tell.  `_settled_branch` runs it and
+    proves that its verdict is the full count's wherever that one is
+    untruncated and never contradicts a decided one under truncation.
     """
     _check_cap(branch_cap)
+    if settle is not None:
+        return _settled_branch(start, step, branch_cap, settle)
     frontier = dict((start,))
     finals: dict = {}
     truncated = False
@@ -257,6 +330,111 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP):
     return finals, truncated
 
 
+def _settled_branch(start, step, branch_cap: int, settle):
+    """The goal count: `branch`, dropping each produced state that settle
+    calls good and ending at the first it calls bad.  settle must be
+    monotone (a good or bad state has only good or bad successors) and
+    exact on final states, so no final state stays on a frontier.
+    Returns ({final: payload}, truncated) for one final state, reached by
+    first successors from the bad state, or else from the last state
+    dropped, which the latest round produced and so is nearest its final
+    state; truncated is whether a round was cut, and False after a bad
+    state.
+
+    The verdict is whether the final's committees are bad.  It is sound:
+    a bad answer is a reachable committee of a state whose committees are
+    all bad.  A good answer with no round cut kept every state that is
+    not good, since such a state has only parents that are not good; so
+    no final state is bad, and no committee.
+
+    It is the full count's verdict wherever that one is decided.  Let F_r
+    and G_r be the frontiers of round r of the full and the goal count.
+    By induction, F_r less its good states is a prefix of G_r, with the
+    same payloads: a state that is not good has its first parent in that
+    prefix, so the full round's produced states, less the good ones, come
+    first among the goal round's and in the same order, and cutting both
+    at branch_cap keeps the prefix.  Hence:
+    - when the full count cuts no round, G_r is F_r less its good
+      states, so the goal count cuts none either and decides;
+    - a bad committee the full count lists, truncated or not, comes from
+      a final state of some F_r that is not good, which the goal count
+      produces, so it ends bad there or earlier.
+    So the goal verdict equals the full one wherever the full count is
+    untruncated, and never contradicts a decided one.
+    """
+    def first_final(state, payload):
+        while (successors := step(state, payload)) is not None:
+            state, payload = successors[0]
+        return {state: payload}
+
+    if settle(start[0]) is not None:
+        return first_final(*start), False
+    dropped = None
+    frontier = dict((start,))
+    truncated = False
+    while frontier:
+        produced: dict = {}
+        for state, payload in frontier.items():
+            for successor, data in step(state, payload):
+                if successor in produced:
+                    continue
+                verdict = settle(successor)
+                if verdict is None:
+                    produced[successor] = data
+                elif not verdict:
+                    return first_final(successor, data), False
+                else:
+                    dropped = (successor, data)
+        if len(produced) > branch_cap:
+            truncated = True
+            produced = dict(islice(produced.items(), branch_cap))
+        frontier = produced
+    return first_final(*dropped), truncated
+
+
+def _settler(goal, seats: int, clones: Clones = NO_CLONES):
+    """settle(sure, possible) for a goal count, or None without a goal.
+
+    `goal` holds (names, ell) pairs, a committee being good iff some pair
+    has ell of its names elected (`scenarios.ScenarioInstance.goal`).
+    Every S-member committee a state can reach holds `sure` and lies in
+    `possible`; a pair then has at least its names in `sure` plus those
+    of the open seats that `possible` must give to its names, and at most
+    its names in `sure` plus as many of the open seats as `possible` can
+    give them.  Both bounds only tighten as `sure` grows and `possible`
+    shrinks, and they meet when the state is final.  A clone count
+    bounds its representative states, which hold other members of a
+    class than some committees they expand into; that is harmless unless
+    a class straddles a goal set, so then there is no settle (None) and
+    the count runs in full.
+    """
+    if goal is None:
+        return None
+    for members in clones._shared:
+        for names, _ in goal:
+            if 0 < len(names.intersection(members)) < len(members):
+                return None
+
+    def settle(sure, possible):
+        open_seats = seats - len(sure)
+        # The names of `possible` that every committee leaves out.
+        spare = len(possible) - len(sure) - open_seats
+        bad = True
+        for names, ell in goal:
+            short = ell - len(names & sure)
+            if short <= 0:
+                return True
+            # The pair's names a committee may still take.
+            maybe = len(names & possible) - ell + short
+            if maybe - spare >= short:
+                return True
+            if maybe >= short and open_seats >= short:
+                bad = False
+        return False if bad else None
+
+    return settle
+
+
 def _fill(candidates: frozenset, elected: frozenset, clones: Clones) -> list:
     """The elected sets after one fill round, in a state where no unelected
     candidate has a score or a supporter: they all tie, and each clone
@@ -270,14 +448,14 @@ def _fill(candidates: frozenset, elected: frozenset, clones: Clones) -> list:
 
 def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
                    scale: int, branch_cap: int = DEFAULT_BRANCH_CAP,
-                   clones: Clones = NO_CLONES):
+                   clones: Clones = NO_CLONES, goal=None):
     """Sequential max-score election: each round elects a top scorer of
     scores_of(elected), branching on one head per tied clone class.
     scores_of gives int scores in units of 1 / scale, and omits the
     candidates that score nothing.  When no candidate scores, the open
     seats are filled (`_fill`).  Returns (OutcomeSet, {committee:
     trail}), the trail being the winning score of each scored round as
-    Fractions."""
+    Fractions.  A goal makes it a goal count (`_settler`)."""
 
     def step(elected, trail):
         if len(elected) == seats:
@@ -292,7 +470,10 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
         return [(elected | {cand}, trail)
                 for cand in clones.heads(tied, elected)]
 
-    finals, truncated = branch((frozenset(), ()), step, branch_cap)
+    settle = _settler(goal, seats, clones)
+    finals, truncated = branch(
+        (frozenset(), ()), step, branch_cap,
+        settle and (lambda elected: settle(elected, candidates)))
     # Converted per final state, not per committee it expands into.
     trails, cut = clones.expand_all(
         {state: tuple(Fraction(x, scale) for x in trail)
@@ -302,7 +483,7 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
 
 def _sequential_loads(profile: Profile, supporters: Callable,
                       branch_cap: int = DEFAULT_BRANCH_CAP,
-                      clones: Clones = NO_CLONES):
+                      clones: Clones = NO_CLONES, goal=None):
     """Phragmén's min-max-load rule for `phragmen_unordered` and
     `ordered.phragmen_ordered`, which pass their supporter rules:
     supporters(elected) maps each unelected candidate with a supporter to
@@ -315,7 +496,8 @@ def _sequential_loads(profile: Profile, supporters: Callable,
     clone class.  When no unelected candidate has a supporter, the open
     seats are filled (`_fill`); a filled seat changes no load and adds no
     history entry, so sum(weight * load) == len(history) in every
-    LoadState.  Returns (OutcomeSet, {committee: LoadState}).
+    LoadState.  Returns (OutcomeSet, {committee: LoadState}); a goal makes
+    it a goal count (`_settler`).
 
     The level is exact because no supporter is ever above it.  By
     induction on rounds, every load is at most the last elected level L
@@ -377,7 +559,10 @@ def _sequential_loads(profile: Profile, supporters: Callable,
         return successors
 
     start = (frozenset(), 1, (0,) * len(weights))
-    finals, truncated = branch((start, ()), step, branch_cap)
+    settle = _settler(goal, seats, clones)
+    finals, truncated = branch(
+        (start, ()), step, branch_cap,
+        settle and (lambda state: settle(state[0], candidates)))
     common = lcm(*(den for _, den, _ in finals))
 
     def rational_order(item):
@@ -411,7 +596,7 @@ class _LoadStates(Mapping):
 
 
 def phragmen_unordered(profile: Profile,
-                       branch_cap: int = DEFAULT_BRANCH_CAP):
+                       branch_cap: int = DEFAULT_BRANCH_CAP, goal=None):
     """Min-max-load rule on unordered ballots; a ballot supports every
     unelected name on it (with one shared load account per ballot)."""
     ballots = _set_ballots(profile)
@@ -425,7 +610,7 @@ def phragmen_unordered(profile: Profile,
                 if cand not in elected}
 
     return _sequential_loads(profile, supporters, branch_cap,
-                             Clones(ballots, profile.candidates))
+                             Clones(ballots, profile.candidates), goal)
 
 
 def thiele_optimize(scheme: WeightScheme, profile: Profile,
@@ -529,13 +714,14 @@ def addition_scores(ballots: list, elected: frozenset):
 
 
 def thiele_addition(scheme: WeightScheme, profile: Profile,
-                    branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
+                    branch_cap: int = DEFAULT_BRANCH_CAP,
+                    goal=None) -> OutcomeSet:
     """Greedy sequential max-score election with tie branching."""
-    return thiele_addition_paths(scheme, profile, branch_cap)[0]
+    return thiele_addition_paths(scheme, profile, branch_cap, goal)[0]
 
 
 def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
-                          branch_cap: int = DEFAULT_BRANCH_CAP):
+                          branch_cap: int = DEFAULT_BRANCH_CAP, goal=None):
     """Sequential addition as (OutcomeSet, {committee: winning-score trail})."""
     ballots = _set_ballots(profile)
     seats = profile.seats
@@ -547,11 +733,12 @@ def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
     return sequential_max(
         lambda elected: addition_scores(credits, elected),
         profile.candidates, seats, unit * share, branch_cap,
-        Clones(ballots, profile.candidates))
+        Clones(ballots, profile.candidates), goal)
 
 
 def thiele_elimination(profile: Profile,
-                       branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
+                       branch_cap: int = DEFAULT_BRANCH_CAP,
+                       goal=None) -> OutcomeSet:
     """Repeated elimination of a minimum-score candidate (harmonic credit:
     a ballot with k remaining names gives each of them weight/k),
     branching on one head per tied clone class."""
@@ -583,6 +770,10 @@ def thiele_elimination(profile: Profile,
         return [(remaining - {cand}, None)
                 for cand in clones.heads(tied, universe - remaining)]
 
-    finals, truncated = branch((universe, None), step, branch_cap)
+    settle = _settler(goal, seats, clones)
+    nothing = frozenset()
+    finals, truncated = branch(
+        (universe, None), step, branch_cap,
+        settle and (lambda remaining: settle(nothing, remaining)))
     outcomes, cut = clones.expand_all(finals, branch_cap)
     return OutcomeSet(outcomes, truncated or cut)

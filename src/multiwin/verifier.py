@@ -8,12 +8,14 @@ confirms a bad committee is reachable; search_lower_bound() looks for
 bad instances by bounded brute force over unit-ballot profiles (and, for
 the tactic scenario, over W's strategies); audit_table() machine-checks
 the inequality families the threshold corpus must satisfy.  The replay
-and the search decide badness with one test, _is_bad().  The search
-skips an instance that a renaming of the targets among themselves and
-the decoys among themselves makes of one decided before; that is sound
-because the engines are tie-complete, so a renaming renames the outcome
-set, and the branch cap's truncation depends only on how many states
-each round produces.
+and the search decide badness with one test, _is_bad(), which runs the
+engine as a goal count (`unordered.branch`): it stops at the first
+round state that must end bad and drops the states that must end good.
+The search skips an instance that a renaming of the targets among
+themselves and the decoys among themselves makes of one decided before;
+that is sound because the engines are tie-complete, so a renaming
+renames the outcome set, and a decided goal verdict is the truth about
+the instance.
 """
 
 from __future__ import annotations
@@ -68,15 +70,17 @@ class Witness:
 
 
 def run_method(method: MethodId, profile: Profile,
-               branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
-    """The tie-complete OutcomeSet of the method on the profile."""
+               branch_cap: int = DEFAULT_BRANCH_CAP, goal=None) -> OutcomeSet:
+    """The tie-complete OutcomeSet of the method on the profile, or with
+    a scenario's goal pairs the engine's goal count: committees that
+    decide whether a bad one is reachable (`unordered.branch`)."""
     spec = method.spec
     if spec.ballot == "party":
         raise CoverageError(
             "%s apportions seats to parties; use party_seat_vectors"
             % method.kind)
     _require_engine(method)
-    result = spec.engine(method, profile, branch_cap)
+    result = spec.engine(method, profile, branch_cap, goal)
     return result[0] if spec.loads else result
 
 
@@ -106,6 +110,8 @@ def _is_bad(method: MethodId, inst: ScenarioInstance,
     """Can the method produce an outcome that is bad for W on the instance?
 
     On party ballots, bad means W's party can get fewer than ell seats.
+    Elsewhere the engine runs a goal count for the instance's goal, which
+    answers as the full count wherever that is decided.
     """
     profile = inst.profile
     if profile.kind == "party":
@@ -113,8 +119,8 @@ def _is_bad(method: MethodId, inst: ScenarioInstance,
         (party,) = inst.target
         idx = names.index(party)
         return any(vec[idx] < inst.ell for vec in vectors)
-    return is_bad_outcome_possible(inst,
-                                   run_method(method, profile, branch_cap))
+    return is_bad_outcome_possible(
+        inst, run_method(method, profile, branch_cap, inst.goal))
 
 
 def verify_witness(witness: Witness, method: MethodId,
@@ -216,8 +222,6 @@ def _quota_boundary(method, scenario, ell, seats, eps):
         / ((seats + delta) * (seats + 2 - ell))
     rest = seats + 1 - ell
     if method.kind == "quota":
-        _require(scenario is ScenarioId.PARTY,
-                 "apportionment witnesses live in the party scenario")
         groups = [(ell - 1 + t, "W", True)]
         groups += [(t, "P%d" % (j + 1), False) for j in range(rest)]
         profile = _profile("party", groups, seats)
@@ -247,8 +251,6 @@ def _equal_split(method, scenario, ell, seats, eps):
             value = Fraction(ell * u, ell * u + rest * v)
             profile = normalize(_profile("set", groups, seats))
             return profile, targets, value
-        _require(scenario in (ScenarioId.SAME, ScenarioId.PJR,
-                              ScenarioId.EJR), "set-ballot scenarios only")
         _require(ell <= limit, "common list exceeds the ballot cap")
         groups = [(Fraction(u), targets, True)]
         groups += [(Fraction(1), [decoys[(i + j) % rest] for j in range(u)],
@@ -529,41 +531,65 @@ def _fixture_witness(token):
     return build
 
 
-# token -> (builder, the method kinds and the scenarios it covers, None
-# meaning every one).  construct_witness() refuses any other pair; the
-# builder(method, scenario, ell, seats, eps) returns (profile, target,
-# fraction) or raises CoverageError where a condition on ell, eps, the
-# parameter or the weights fails, and construct_witness() makes the
-# Witness.
+def _covers(kinds, scenarios=None) -> dict:
+    """Coverage of the same scenarios (None: every one) for each kind."""
+    return dict.fromkeys(kinds, scenarios)
+
+
+# token -> (builder, {method kind: the scenarios it covers for that kind,
+# None meaning every one}, or None for every kind and scenario).
+# construct_witness() refuses any other pair; the builder(method,
+# scenario, ell, seats, eps) returns (profile, target, fraction) or raises
+# CoverageError where a condition on ell, eps, the parameter or the
+# weights fails, and construct_witness() makes the Witness.
 CATALOG: dict = {
-    "divisor-extremes": (_divisor_extremes, ("div",), ("party",)),
-    "quota-boundary": (_quota_boundary, ("quota", "stv"),
-                       ("party", "same", "psc", "wpsc")),
-    "majority-tie": (_majority_tie, ("bv", "av"),
-                     ("party", "same", "tactic", "pjr")),
-    "ejr-window": (_ejr_window, ("bv", "av", "lv"), ("ejr",)),
-    "equal-split": (_equal_split, ("sntv", "cvq", "stv", "phragmen-u",
-                                   "phragmen-o", "thiele-opt", "thiele-elim",
-                                   "lv"), None),
-    "common-list-tie": (_common_list_tie, ("phragmen-u", "thiele-opt",
-                                           "thiele-elim", "phragmen-o"), None),
-    "symmetric-parties": (_symmetric_parties, None, None),
-    "addition-lp-vertex": (_addition_lp_vertex, ("thiele-add",),
-                           ("same", "pjr", "tactic", "ejr")),
-    "cyclic-window-opt": (_cyclic_window_opt, ("thiele-opt",),
-                          ("same", "pjr", "ejr")),
-    "weight-floor": (_weight_floor, ("thiele-opt",), ("same", "pjr", "ejr")),
-    "suffix-chain": (_suffix_chain, ("thiele-o",), ("same", "tactic")),
-    "rotated-start": (_rotated_start, ("thiele-o",), ("wpsc",)),
-    "positional-split": (_positional_split, ("borda",), ("tactic",)),
-    "positional-list": (_positional_list, ("borda",), ("same", "wpsc")),
-    "self-voting": (_self_voting, ("cvq",), ("party", "same", "pjr", "ejr")),
-    "elimination-trap": (_elimination_trap, ("thiele-elim",), ("pjr", "ejr")),
-    "self-first-psc": (_self_first_psc, ("phragmen-o", "thiele-o"),
-                       ("psc",)),
-    **{token: (_fixture_witness(token), (kind,), (scenario,))
+    "divisor-extremes": (_divisor_extremes, _covers(("div",), ("party",))),
+    "quota-boundary": (_quota_boundary, {
+        "quota": ("party",), "stv": ("party", "same", "psc", "wpsc")}),
+    "majority-tie": (_majority_tie, _covers(
+        ("bv", "av"), ("party", "same", "tactic", "pjr"))),
+    "ejr-window": (_ejr_window, _covers(("bv", "av", "lv"), ("ejr",))),
+    "equal-split": (_equal_split, {
+        **_covers(("sntv", "cvq", "stv", "phragmen-u", "phragmen-o",
+                   "thiele-opt", "thiele-elim")),
+        "lv": ("same", "pjr", "ejr", "tactic")}),
+    "common-list-tie": (_common_list_tie, _covers(
+        ("phragmen-u", "thiele-opt", "thiele-elim", "phragmen-o"))),
+    "symmetric-parties": (_symmetric_parties, None),
+    "addition-lp-vertex": (_addition_lp_vertex, _covers(
+        ("thiele-add",), ("same", "pjr", "tactic", "ejr"))),
+    "cyclic-window-opt": (_cyclic_window_opt, _covers(
+        ("thiele-opt",), ("same", "pjr", "ejr"))),
+    "weight-floor": (_weight_floor, _covers(
+        ("thiele-opt",), ("same", "pjr", "ejr"))),
+    "suffix-chain": (_suffix_chain, _covers(("thiele-o",),
+                                            ("same", "tactic"))),
+    "rotated-start": (_rotated_start, _covers(("thiele-o",), ("wpsc",))),
+    "positional-split": (_positional_split, _covers(("borda",),
+                                                    ("tactic",))),
+    "positional-list": (_positional_list, _covers(("borda",),
+                                                  ("same", "wpsc"))),
+    "self-voting": (_self_voting, _covers(
+        ("cvq",), ("party", "same", "pjr", "ejr"))),
+    "elimination-trap": (_elimination_trap, _covers(("thiele-elim",),
+                                                    ("pjr", "ejr"))),
+    "self-first-psc": (_self_first_psc, _covers(("phragmen-o", "thiele-o"),
+                                                ("psc",))),
+    **{token: (_fixture_witness(token), _covers((kind,), (scenario,)))
        for token, (_, kind, scenario, *_) in _FIXTURE_WITNESSES.items()},
 }
+
+
+def _coverage_text(coverage) -> str:
+    """A row's coverage as text, naming together the kinds that share
+    their scenarios: "bv, av under party, same; lv under ejr"."""
+    shared: dict = {}
+    for kind, scenarios in coverage.items():
+        shared.setdefault(scenarios, []).append(kind)
+    return "; ".join("%s under %s" % (
+        ", ".join(kinds),
+        "every scenario" if scenarios is None else ", ".join(scenarios))
+        for scenarios, kinds in shared.items())
 
 
 def construct_witness(token: str, method: MethodId, scenario, ell: int,
@@ -575,14 +601,14 @@ def construct_witness(token: str, method: MethodId, scenario, ell: int,
     if not 1 <= ell <= seats:
         raise ValueError("need 1 <= ell <= seats")
     scenario = ScenarioId(scenario)
-    build, kinds, scenarios = CATALOG[token]
-    if (kinds is not None and method.kind not in kinds
-            or scenarios is not None and scenario.value not in scenarios):
-        raise CoverageError(
-            "%s covers %s under %s; not %s under %s"
-            % (token, "every method" if kinds is None else ", ".join(kinds),
-               "every scenario" if scenarios is None
-               else ", ".join(scenarios), method.label(), scenario.value))
+    build, coverage = CATALOG[token]
+    if coverage is not None and (
+            method.kind not in coverage
+            or coverage[method.kind] is not None
+            and scenario.value not in coverage[method.kind]):
+        raise CoverageError("%s covers %s; not %s under %s"
+                            % (token, _coverage_text(coverage),
+                               method.label(), scenario.value))
     profile, target, claimed = build(method, scenario, ell, seats, eps)
     return Witness(ScenarioInstance(profile, target, ell, scenario), claimed,
                    token)
@@ -930,12 +956,14 @@ def _search_bad(method, inst, spec) -> bool:
     """The badness test as the search counts it: an engine refusal
     (AdamsIllDefined) or a truncated count that lists no bad committee
     (IndeterminateOutcome) counts as not bad, here only; any other error
-    propagates.  A bad verdict, and every verdict on an untruncated
-    count, carries over to every renaming of the instance that fixes the
-    target set: the engines are tie-complete, so renaming candidates
-    renames the outcome set, and whether the cap truncates depends only
-    on how many states each round produces.  A renaming may list other
-    committees of a truncated set, which can only weaken the bound."""
+    propagates.  The count is a goal count, and a decided verdict is the
+    truth about the instance: a bad one lists a reachable bad committee,
+    and a good one comes from a count that cut no round (see
+    `unordered._settled_branch`).  So it carries over to every renaming
+    of the instance that fixes the target set: the engines are
+    tie-complete, so renaming candidates renames the outcome set.  A
+    renaming may be decided where the instance was not, which can only
+    weaken the bound."""
     try:
         return _is_bad(method, inst, spec.branch_cap)
     except (AdamsIllDefined, IndeterminateOutcome):
@@ -961,8 +989,11 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     guarantees ell.  A real W can play strategies the grid lacks (unit
     ballots cannot split 3/4 into 3/8 + 3/8), and the witness replays
     only the answer to the first strategy, not the "every strategy" part.
-    A count the branch cap truncates is bad when it lists a bad committee
-    and not bad when it does not (see _search_bad).
+    Each instance is decided by a goal count (`_is_bad`), which stops at
+    the first round state that must end bad and drops the states that
+    must end good; its verdict is the full count's wherever that one is
+    decided.  A count the branch cap truncates is bad when it lists a
+    bad committee and not bad when it does not (see _search_bad).
 
     Instances are decided up to renaming the targets among themselves
     and the decoys among themselves: such a renaming keeps the target

@@ -1,18 +1,25 @@
-"""The shared tie-branching loop: what a truncated count returns."""
+"""The shared tie-branching loop: what a truncated count returns, and
+what a goal count decides."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multiwin.ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet,
-                              Profile, SetBallot, WeightScheme, WeightedBallot)
+from multiwin import ordered
+from multiwin.ballots import (DEFAULT_BRANCH_CAP, CoverageError, ListBallot,
+                              OutcomeSet, Profile, SetBallot, WeightScheme,
+                              WeightedBallot)
 from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
+from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
+                                ScenarioInstance, is_bad_outcome_possible)
 from multiwin.thresholds import MethodId
-from multiwin.unordered import (phragmen_unordered, thiele_addition,
-                                thiele_addition_paths, thiele_elimination,
-                                thiele_optimize)
-from multiwin.verifier import run_method
+from multiwin.unordered import (BudgetExceededError, phragmen_unordered,
+                                thiele_addition, thiele_addition_paths,
+                                thiele_elimination, thiele_optimize)
+from multiwin.verifier import (AUDIT_SPEC, default_scope, run_method,
+                               search_lower_bound)
 
 HARMONIC = WeightScheme.harmonic()
 NAMES = ["C%d" % i for i in range(6)]
@@ -125,3 +132,157 @@ def test_optimize_over_a_thousand_clone_classes():
     assert not out.truncated
     assert out.sorted_committees() == [(n,) for n in names]
 
+
+
+# ---------------------------------------------------------------------------
+# Goal counts: given a scenario's goal pairs, an engine lists only
+# committees that decide whether a bad one is reachable.  The verdict must
+# be the full count's wherever that is untruncated, and must never
+# contradict a decided full verdict at a cap that truncates.
+
+SCENARIOS = {"set": ("party", "same", "tactic", "pjr", "ejr"),
+             "list": ("party", "same", "tactic", "psc", "wpsc")}
+# Engines on `branch` (and thiele-opt, which takes no goal): each keeps
+# every state the full count keeps that is not settled good, so it also
+# decides every verdict the full count decides.  The score family
+# (av, bv, sntv, lv, cvq, borda) checks seat splits instead of listing
+# committees, so a cap can cut the two at different places.
+BRANCHING = ("phragmen-u", "thiele-opt", "thiele-add", "thiele-elim", "stv",
+             "phragmen-o", "thiele-o")
+METHODS = {ballot: list(dict.fromkeys(
+    method for method, _ in default_scope()
+    if method.spec.ballot == ballot and method.spec.engine is not None))
+    for ballot in SCENARIOS}
+
+
+@st.composite
+def goal_instances(draw, ballot):
+    """An instance on `ballot` ballots: each ballot names whole blocks of
+    2 names or single names, so names of one block are often clones; W
+    holds the first ballot group and the target is any set of names, so a
+    clone class often straddles a goal set."""
+    pool = ["C%d" % i for i in range(draw(st.integers(2, 7)))]
+    blocks = [pool[i:i + 2] for i in range(0, len(pool), 2)]
+    content = SetBallot if ballot == "set" else ListBallot
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            chosen = draw(st.lists(st.sampled_from(blocks), min_size=1,
+                                   max_size=3, unique_by=tuple))
+            names = [name for block in chosen for name in block]
+        else:
+            names = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=4, unique=True))
+        groups.append((names, draw(st.integers(1, 6))))
+    # W is the first group and now and then another, each of weight at
+    # most 2, so that bad committees are common.
+    in_w = [True] + [draw(st.integers(0, 3)) == 0 for _ in groups[1:]]
+    profile = Profile([WeightedBallot(content(names),
+                                      Fraction(min(weight, 2) if w
+                                               else weight), w)
+                       for (names, weight), w in zip(groups, in_w)],
+                      draw(st.integers(1, len(pool))), pool)
+    target = draw(st.sets(st.sampled_from(pool), min_size=1))
+    ell = draw(st.integers(1, profile.seats))
+    return ScenarioInstance(profile, target, ell,
+                            draw(st.sampled_from(SCENARIOS[ballot])))
+
+
+def _verdict(method, inst, branch_cap, goal):
+    """True or False, None when the count cannot decide, or the type of
+    the engine's refusal."""
+    try:
+        outcome = run_method(method, inst.profile, branch_cap,
+                             inst.goal if goal else None)
+    except (CoverageError, ValueError, BudgetExceededError) as exc:
+        return type(exc)
+    try:
+        return is_bad_outcome_possible(inst, outcome)
+    except IndeterminateOutcome:
+        return None
+
+
+def _assert_goal_verdicts_agree(inst):
+    for method in METHODS[inst.profile.kind]:
+        full = _verdict(method, inst, DEFAULT_BRANCH_CAP, False)
+        assert full is not None
+        assert _verdict(method, inst, DEFAULT_BRANCH_CAP, True) == full, \
+            method
+        for cap in (1, 2, 3):
+            full = _verdict(method, inst, cap, False)
+            goal = _verdict(method, inst, cap, True)
+            if isinstance(full, type):
+                assert goal is full, (method, cap)
+            elif full is not None and (goal is not None
+                                       or method.kind in BRANCHING):
+                assert goal == full, (method, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(goal_instances("set"))
+def test_set_goal_verdicts_agree_with_the_full_count(inst):
+    _assert_goal_verdicts_agree(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(goal_instances("list"))
+def test_list_goal_verdicts_agree_with_the_full_count(inst):
+    _assert_goal_verdicts_agree(inst)
+
+
+@pytest.mark.parametrize("label, ballots, target", [
+    ("phragmen-u", [["C0", "C1"], ["D0"]], ["C0", "D0"]),
+    ("thiele-add", [["C0", "C1"], ["D0"]], ["C0", "D0"]),
+    ("thiele-elim", [["C0", "C1"], ["A0", "D0"]], ["A0", "C1", "D0"]),
+], ids=["phragmen-u", "thiele-add", "thiele-elim"])
+def test_a_clone_class_straddling_a_goal_set_is_counted_in_full(
+        label, ballots, target):
+    # C0 and C1 are clones, so the count branches on C0 alone.  Only one
+    # of them is in the target, so the committees a state holding (or
+    # keeping) C0 expands into are not all good or all bad; settling it
+    # would drop the bad {C1} or {C0} and end on a good committee.
+    profile = Profile([WeightedBallot(SetBallot(names), Fraction(1), True)
+                       for names in ballots], 1)
+    inst = ScenarioInstance(profile, target, 1, ScenarioId.TACTIC)
+    method = MethodId.parse(label)
+    assert _verdict(method, inst, DEFAULT_BRANCH_CAP, True) is True
+    assert _verdict(method, inst, DEFAULT_BRANCH_CAP, False) is True
+
+
+def test_goal_count_lists_one_committee_of_the_verdict():
+    # Six equal singletons, S = 3, target {C0, C1} at ell = 2: some
+    # committee is bad, and the goal count ends at the first state that
+    # must end bad, with the one committee it leads to.
+    inst = ScenarioInstance(SET_PROFILE, ["C0", "C1"], 2, ScenarioId.TACTIC)
+    for method in METHODS["set"]:
+        if method.kind == "thiele-opt":
+            continue
+        out = run_method(method, SET_PROFILE, DEFAULT_BRANCH_CAP, inst.goal)
+        assert len(out) == 1 and not out.truncated, method
+        assert is_bad_outcome_possible(inst, out), method
+    # A target all of whose completions are good: every state is dropped.
+    good = ScenarioInstance(SET_PROFILE, NAMES, 1, ScenarioId.TACTIC)
+    out = thiele_elimination(SET_PROFILE, DEFAULT_BRANCH_CAP, good.goal)
+    assert len(out) == 1 and not is_bad_outcome_possible(good, out)
+
+
+def test_goal_count_steps_of_the_heaviest_search_cell(monkeypatch):
+    # stv:1 tactic ell=3 S=3 is the slowest cell of the audit search.  Its
+    # full counts take 18,731 steps; ended at the first state that loses
+    # a target, or passes for good once all three are elected, 7,840.
+    steps = [0]
+    make = ordered._stv_step
+
+    def counted(spec, profile):
+        start, step = make(spec, profile)
+
+        def wrapped(state, payload):
+            steps[0] += 1
+            return step(state, payload)
+
+        return start, wrapped
+
+    monkeypatch.setattr(ordered, "_stv_step", counted)
+    best, _ = search_lower_bound(MethodId.parse("stv:1"), "tactic", 3, 3,
+                                 AUDIT_SPEC)
+    assert (best, steps[0]) == (Fraction(3, 4), 7840)

@@ -13,8 +13,8 @@ from multiwin import verifier
 from multiwin.ballots import (DEFAULT_BRANCH_CAP, format_profile,
                               parse_profile)
 from multiwin.party import AdamsIllDefined
-from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
-                                ScenarioInstance, ScenarioTypeError)
+from multiwin.scenarios import (ScenarioId, ScenarioInstance,
+                                ScenarioTypeError)
 from multiwin.thresholds import CoverageError, MethodId, threshold
 from multiwin.verifier import (CATALOG, SearchSpec, Witness, audit_table,
                                construct_witness, covering_token,
@@ -217,6 +217,26 @@ def test_hypothesis_guards_fire():
     with pytest.raises(Exception):
         construct_witness("symmetric-parties", MethodId("quota", 1), "party",
                           2, 4)
+
+
+@pytest.mark.parametrize("token, label, scenario, covers", [
+    ("quota-boundary", "quota:1", "same",
+     "quota under party; stv under party, same, psc, wpsc"),
+    ("equal-split", "lv:2", "psc",
+     "sntv, cvq, stv, phragmen-u, phragmen-o, thiele-opt, thiele-elim "
+     "under every scenario; lv under same, pjr, ejr, tactic"),
+    ("equal-split", "lv:2", "party",
+     "sntv, cvq, stv, phragmen-u, phragmen-o, thiele-opt, thiele-elim "
+     "under every scenario; lv under same, pjr, ejr, tactic"),
+])
+def test_catalog_row_states_coverage_per_kind(token, label, scenario, covers):
+    # The row, not the builder, refuses a kind outside the scenarios it
+    # covers for that kind.
+    with pytest.raises(CoverageError) as refused:
+        construct_witness(token, MethodId.parse(label), scenario,
+                          1 if token == "equal-split" else 2, 3)
+    assert str(refused.value) == "%s covers %s; not %s under %s" % (
+        token, covers, label, scenario)
 
 
 def test_covering_token_finds_catalog_entries():
@@ -777,26 +797,23 @@ def test_search_counts_only_engine_refusals_as_not_bad(monkeypatch, error,
 
 
 # Two tied 8-name lists give C(16, 8) = 12,870 committees, over the
-# default cap.  A truncated count lists only reachable committees, so the
-# majority-tie witnesses, whose listed committees include a bad one, are
-# decided; the ejr-window count lists only good ones and stays open.
+# default cap, so run_method's full count is truncated.  The verdict is a
+# goal count: the score family splits the tied names by the goal sets
+# that hold them, and the ejr-window tie is 256 splits over 9 groups, one
+# of them bad, where the full count lists 10,000 good committees.
 S8_WITNESSES = [("majority-tie", label, scenario, True)
                 for label in ("bv", "av")
                 for scenario in ("party", "same", "tactic", "pjr")]
-S8_WITNESSES.append(("ejr-window", "av", "ejr", False))
+S8_WITNESSES.append(("ejr-window", "av", "ejr", True))
 
 
-@pytest.mark.parametrize("token, label, scenario, decided", S8_WITNESSES)
-def test_s8_witnesses_at_the_default_cap(token, label, scenario, decided):
+@pytest.mark.parametrize("token, label, scenario, bad", S8_WITNESSES)
+def test_s8_witnesses_at_the_default_cap(token, label, scenario, bad):
     method = MethodId.parse(label)
     witness = construct_witness(token, method, scenario, 8, 8)
     outcomes = run_method(method, witness.instance.profile)
     assert outcomes.truncated and len(outcomes) == DEFAULT_BRANCH_CAP
-    if decided:
-        assert verify_witness(witness, method) is True
-    else:
-        with pytest.raises(IndeterminateOutcome):
-            verify_witness(witness, method)
+    assert verify_witness(witness, method) is bad
 
 
 def test_search_soundness_small_grid():
