@@ -561,11 +561,11 @@ class MethodKind:
     For candidate ballots, engine(method, profile, branch_cap, goal=None)
     returns the OutcomeSet, or (OutcomeSet, {committee: LoadState}) when
     loads is set; given a scenario's goal pairs, every engine but
-    thiele-opt's runs a goal count (`unordered.branch`), which lists only
-    committees that decide the goal.  None means no engine (only
-    thresholds are tabulated).  For party
-    ballots, engine(method, votes, seats) returns the reachable seat
-    vectors.  threshold(method, scenario, ell, seats) returns a
+    thiele-opt's and thiele-elim's runs a goal count (`unordered.branch`),
+    which lists only committees that decide the goal.  None means no
+    engine (only thresholds are tabulated).  For party ballots,
+    engine(method, votes, seats) returns the reachable seat vectors.
+    threshold(method, scenario, ell, seats) returns a
     ThresholdValue or None; cap(method, seats) is the largest ballot the
     method accepts, or None for no cap.  audited lists the parameters the
     default audit scope runs the kind at.
@@ -632,8 +632,7 @@ REGISTRY = {
             m.scheme, p, cap, goal)),
     "thiele-elim": MethodKind(
         "set", _thiele_elim_threshold,
-        engine=lambda m, p, cap, goal=None: thiele_elimination(
-            p, cap, goal)),
+        engine=lambda m, p, cap, goal=None: thiele_elimination(p, cap)),
     "stv": MethodKind(
         "list", _stv_threshold, param="delta", audited=(1, 0),
         engine=lambda m, p, cap, goal=None: stv_count(

@@ -57,19 +57,21 @@ ell) pairs (`scenarios.ScenarioInstance.goal`), as when the verifier asks
 whether the method can produce a committee that is bad for W.  Each
 branching engine then bounds a state by the names it has elected and
 the names it can still elect (STV: its elected set and the candidates
-not eliminated; elimination: none and the remaining set; the sequential
-engines: the elected set and every candidate), and `branch` drops a
-state whose every committee is good and ends the count at the first
-state whose every committee is bad (`_settled_branch`, which proves the
-truncation argument).  The engine returns the committees of one final
-state, reached from that bad state or from the last dropped one by
-first successors: reachable S-member committees, bad ones when the full
-count finds a bad one, and truncated only where the full count is.  The
-score family decides its boundary tie for a goal with one committee
-(`_decide_tie`), found among seat splits over the tied names grouped by
-the goal sets that hold them when the committees are too many to try.
-A profile where a clone class straddles a goal set is counted in full
-(`_settler`).  Without a goal, every engine returns its full OutcomeSet.
+not eliminated; the sequential engines: the elected set and every
+candidate), and `branch` drops a state whose every committee is good
+and ends the count at the first state whose every committee is bad
+(`_settled_branch`, which proves the truncation argument).  The engine
+returns the committees of one final state, reached from that bad state
+or from the last dropped one by first successors: reachable S-member
+committees, bad ones when the full count finds a bad one, and truncated
+only where the full count is.  The score family decides its boundary
+tie for a goal with one committee (`_decide_tie`), found among seat
+splits over the tied names grouped by the goal sets that hold them.  A
+profile where a clone class straddles a goal set is counted in full
+(`_settler`).  Without a goal, every engine returns its full OutcomeSet,
+as `thiele_elimination` and `thiele_optimize` always do: elimination
+counts seldom branch, so bounding their states costs more than it
+saves, and optimization scores every seat split anyway.
 
 Load balancing may reach one committee with different loads; its
 LoadState keeps the least load vector (compared ballot group by ballot
@@ -252,40 +254,36 @@ def _decide_tie(fixed: frozenset, tied: list, need: int, branch_cap: int,
     """The committee of `fixed` and `need` of the `tied` names that decides
     whether one is bad for the goal (see `_settler`).
     - One goal pair: the committee with the fewest of its names decides.
-    - Several: the committees are tried in turn while there are at most
-      branch_cap of them.  Beyond that, the tied names are grouped by the
-      goal sets that hold them, so the committees with the same number
-      of seats per group are all good or all bad, and the seat splits
-      over the groups (`_splits`) are tried instead, at most branch_cap.
+    - Several: the tied names are grouped by the goal sets that hold
+      them, so the committees with the same number of seats per group
+      are all good or all bad, and the seat splits over the groups
+      (`_splits`) are tried in turn, at most branch_cap of them.  There
+      are never more splits than committees, so the splits are cut only
+      where listing the committees would be cut too.
     The result is the first bad committee, else the first one tried,
-    truncated when some were left untried.
+    truncated when some splits were left untried.
     """
     if len(goal) == 1:
         ((names, ell),) = goal
         fewest = fixed.union(sorted(tied, key=names.__contains__)[:need])
         return OutcomeSet((fewest if len(names & fewest) < ell
                            else fixed.union(tied[:need]),))
-    if comb(len(tied), need) <= branch_cap:
-        choices = combinations(tied, need)
-        truncated = False
-    else:
-        groups: dict = {}
-        for cand in tied:
-            groups.setdefault(tuple(cand in names for names, _ in goal),
-                              []).append(cand)
-        members = list(groups.values())
-        sizes = [len(group) for group in members]
-        choices = (chain.from_iterable(
-            group[:n] for group, n in zip(members, split))
-            for split in _splits(sizes, need))
-        truncated = _split_count(sizes, need) > branch_cap
+    groups: dict = {}
+    for cand in tied:
+        groups.setdefault(tuple(cand in names for names, _ in goal),
+                          []).append(cand)
+    members = list(groups.values())
+    sizes = [len(group) for group in members]
     first = None
-    for choice in islice(choices, branch_cap):
-        committee = fixed.union(choice)
+    for tried, split in enumerate(_splits(sizes, need)):
+        if tried == branch_cap:
+            return OutcomeSet((first,), True)
+        committee = fixed.union(chain.from_iterable(
+            group[:n] for group, n in zip(members, split)))
         if not any(len(names & committee) >= ell for names, ell in goal):
             return OutcomeSet((committee,))
         first = first or committee
-    return OutcomeSet((first,), truncated)
+    return OutcomeSet((first,))
 
 
 def _check_cap(branch_cap: int) -> None:
@@ -737,8 +735,7 @@ def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
 
 
 def thiele_elimination(profile: Profile,
-                       branch_cap: int = DEFAULT_BRANCH_CAP,
-                       goal=None) -> OutcomeSet:
+                       branch_cap: int = DEFAULT_BRANCH_CAP) -> OutcomeSet:
     """Repeated elimination of a minimum-score candidate (harmonic credit:
     a ballot with k remaining names gives each of them weight/k),
     branching on one head per tied clone class."""
@@ -770,10 +767,6 @@ def thiele_elimination(profile: Profile,
         return [(remaining - {cand}, None)
                 for cand in clones.heads(tied, universe - remaining)]
 
-    settle = _settler(goal, seats, clones)
-    nothing = frozenset()
-    finals, truncated = branch(
-        (universe, None), step, branch_cap,
-        settle and (lambda remaining: settle(nothing, remaining)))
+    finals, truncated = branch((universe, None), step, branch_cap)
     outcomes, cut = clones.expand_all(finals, branch_cap)
     return OutcomeSet(outcomes, truncated or cut)
