@@ -8,12 +8,13 @@ scoring with a configurable weight scheme.
 
 All engines branch ties and return tie-complete OutcomeSets.  Transfer
 counting, ordered load balancing and ordered sequential weights run on
-the breadth-first branching loop `unordered.branch`, which owns dedup,
-the per-round `branch_cap` and the `truncated` flag: a truncated result
-is a non-empty subset of the full answer whose committees all have S
-members.  Ordered load balancing reports LoadStates as the unordered one
-does: per committee, the least load vector with the history of the first
-path to it, each round's elected level (`unordered._sequential_loads`).
+the package's one breadth-first round loop, `unordered.branch`, which
+owns dedup, the per-round `branch_cap`, the `truncated` flag and a goal
+count's settled states: a truncated result is a non-empty subset of the
+full answer whose committees all have S members.  Ordered load
+balancing reports LoadStates as the unordered one does: per committee,
+the least load vector with the history of the first path to it, each
+round's elected level (`unordered._sequential_loads`).
 Once every ballot is exhausted, ordered load balancing and ordered
 sequential weights fill the open seats in every way (`unordered._fill`).
 Positional scoring resolves its boundary tie with
@@ -71,11 +72,11 @@ def stv_count(spec: StvSpec, profile: Profile,
     """Fractional transfer counting; see _stv_step for the procedure.  A
     goal makes it a goal count (`unordered._settler`): a state can still
     elect every candidate it has not eliminated."""
-    settle = _settler(goal, profile.seats)
     candidates = profile.candidates
     finals, truncated = branch(
         *_stv_step(spec, profile), branch_cap,
-        settle and (lambda state: settle(state[0], candidates - state[1])))
+        _settler(goal, profile.seats,
+                 lambda state: (state[0], candidates - state[1])))
     return OutcomeSet((elected if len(elected) == profile.seats
                        else profile.candidates - eliminated
                        for elected, eliminated, _, _ in finals), truncated)

@@ -13,7 +13,8 @@ builds the valid vectors directly from the few t that can decide them,
 so its cost follows the number of vectors, not 3^n in the parties.
 
 Both apportionments are tie-aware: they return every seat vector reachable
-under some tie resolution.
+under some tie resolution.  divisor_apportion runs on the engines' round
+loop, `unordered.branch`, under a cap that no round can reach.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .numerics import common_denominator
+from .unordered import branch
 
 SeatVector = tuple
 
@@ -75,27 +78,33 @@ def divisor_apportion(spec: DivisorSpec, votes: Sequence, seats: int) -> set:
     # beats every positive one.
     ints, _ = common_denominator(votes)
     gn, gd = gamma.as_integer_ratio()
-    states = {tuple(0 for _ in votes)}
-    for _ in range(seats):
-        next_states = set()
-        for state in states:
-            best = None   # (votes, divisor) of the largest quotient so far
-            winners = []
-            for i, v in enumerate(ints):
-                if v == 0:
-                    continue
-                divisor = state[i] * gd + gn    # gd * (s_i + gamma)
-                if best is None or v * best[1] > best[0] * divisor:
-                    best = (v, divisor)
-                    winners = [i]
-                elif v * best[1] == best[0] * divisor:
-                    winners.append(i)
-            for i in winners:
-                bumped = list(state)
-                bumped[i] += 1
-                next_states.add(tuple(bumped))
-        states = next_states
-    return states
+
+    def step(state, given):
+        if given == seats:
+            return None
+        best = None   # (votes, divisor) of the largest quotient so far
+        winners = []
+        for i, v in enumerate(ints):
+            if v == 0:
+                continue
+            divisor = state[i] * gd + gn    # gd * (s_i + gamma)
+            if best is None or v * best[1] > best[0] * divisor:
+                best = (v, divisor)
+                winners = [i]
+            elif v * best[1] == best[0] * divisor:
+                winners.append(i)
+        successors = []
+        for i in winners:
+            bumped = list(state)
+            bumped[i] += 1
+            successors.append((tuple(bumped), given + 1))
+        return successors
+
+    # A state is a seat vector, its payload the seats given so far.  No
+    # round holds more than the C(S + p - 1, S) vectors of S seats.
+    finals, _ = branch(((0,) * len(votes), 0), step,
+                       comb(seats + len(votes) - 1, seats))
+    return set(finals)
 
 
 def quota_apportion(spec: QuotaSpec, votes: Sequence, seats: int) -> set:

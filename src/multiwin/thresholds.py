@@ -799,7 +799,9 @@ class TableGrid:
 
 
 def table_grid(name: str, max_seats: int = 5) -> TableGrid:
-    """Regenerate one of the named reference grids."""
+    """Regenerate one of the named reference grids (max_seats >= 1)."""
+    if max_seats < 1:
+        raise ValueError("max_seats must be >= 1")
     if name == "sequences":
         from .sequences import seq_b
         ns = tuple(range(1, 7))

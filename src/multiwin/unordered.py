@@ -12,18 +12,20 @@ elimination).  The score family is one engine, `score_family_count`;
 each rule's ballot cap and split credit are plain arguments, which the
 rule's entry in `thresholds.REGISTRY` supplies.
 
-The round-based engines here and in `ordered` share one breadth-first
-branching loop, `branch`.  An engine supplies only its scoring: a step that maps
-a state to its tied successors, in sorted candidate order, or marks the
-state final.  A step grows the elected or eliminated set (or shrinks the
-remaining set), so every count ends.  Every step but STV's elimination
-of zero-vote ties (`ordered._stv_step`) grows it by exactly one, so a
-state never recurs in a later round and deduplicating within a round is
-global deduplication; an STV state reached again in a later round is
-counted again, to the same finals.  A state reached along several paths
-keeps the payload of the first path, in production order: the
-winning-score trail for sequential addition, the load history for
-load balancing: each round's elected level (`_sequential_loads`).
+`branch` is the package's one breadth-first round loop, for full and
+goal counts (below) alike: the round-based engines here and in `ordered`
+run on it, and so does `party.divisor_apportion`.  An engine supplies
+only its scoring: a step that maps a state to its tied successors, in
+sorted candidate order, or marks the state final.  A step grows the
+elected or eliminated set (or shrinks the remaining set, or gives a
+seat), so every count ends.  Every step but STV's elimination of
+zero-vote ties (`ordered._stv_step`) grows it by exactly one, so a state
+never recurs in a later round and deduplicating within a round is global
+deduplication; an STV state reached again in a later round is counted
+again, to the same finals.  A state reached along several paths keeps
+the payload of the first path, in production order: the winning-score
+trail for sequential addition, the load history for load balancing: each
+round's elected level (`_sequential_loads`).
 When seats are open but no unelected candidate has a score (sequential
 addition) or a supporter (load balancing), every unelected candidate
 ties for them (`_fill`), as in the score family and `thiele_optimize`,
@@ -53,25 +55,25 @@ committees has exactly S members.  Every engine refuses a `branch_cap`
 below 1 with the same ValueError.
 
 A count may instead be given a goal: a scenario's good test as (names,
-ell) pairs (`scenarios.ScenarioInstance.goal`), as when the verifier asks
-whether the method can produce a committee that is bad for W.  Each
-branching engine then bounds a state by the names it has elected and
-the names it can still elect (STV: its elected set and the candidates
-not eliminated; the sequential engines: the elected set and every
-candidate), and `branch` drops a state whose every committee is good
-and ends the count at the first state whose every committee is bad
-(`_settled_branch`, which proves the truncation argument).  The engine
-returns the committees of one final state, reached from that bad state
-or from the last dropped one by first successors: reachable S-member
-committees, bad ones when the full count finds a bad one, and truncated
-only where the full count is.  The score family decides its boundary
-tie for a goal with one committee (`_decide_tie`), found among seat
-splits over the tied names grouped by the goal sets that hold them.  A
-profile where a clone class straddles a goal set is counted in full
-(`_settler`).  Without a goal, every engine returns its full OutcomeSet,
-as `thiele_elimination` and `thiele_optimize` always do: elimination
-counts seldom branch, so bounding their states costs more than it
-saves, and optimization scores every seat split anyway.
+ell) pairs (`scenarios.ScenarioInstance.goal`), as when the verifier
+asks whether the method can produce a committee that is bad for W.  Each
+branching engine then passes `_settler` the bounds of a state: the names
+it has elected and the names it can still elect (STV: its elected set
+and the candidates not eliminated; the sequential engines: the elected
+set and every candidate).  `branch` drops a state whose every committee
+is good and ends the count at the first state whose every committee is
+bad; its docstring proves the truncation argument.  The engine returns
+the committees of one final state, reached from that bad state or from
+the last dropped one by first successors: reachable S-member committees,
+bad ones when the full count finds a bad one, and truncated only where
+the full count is.  The score family decides its boundary tie for a goal
+with one committee (`_decide_tie`), found among seat splits over the
+tied names grouped by the goal sets that hold them.  A profile where a
+clone class straddles a goal set is counted in full (`_settler`).
+Without a goal, every engine returns its full OutcomeSet, as
+`thiele_elimination` and `thiele_optimize` always do: elimination counts
+seldom branch, so bounding their states costs more than it saves, and
+optimization scores every seat split anyway.
 
 Load balancing may reach one committee with different loads; its
 LoadState keeps the least load vector (compared ballot group by ballot
@@ -302,42 +304,14 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
 
     With `settle`, the count is a goal count: settle(state) is True when
     every committee the state can reach is good, False when every one is
-    bad, and None when it cannot tell.  `_settled_branch` runs it and
-    proves that its verdict is the full count's wherever that one is
-    untruncated and never contradicts a decided one under truncation.
-    """
-    _check_cap(branch_cap)
-    if settle is not None:
-        return _settled_branch(start, step, branch_cap, settle)
-    frontier = dict((start,))
-    finals: dict = {}
-    truncated = False
-    while frontier:
-        produced: dict = {}
-        for state, payload in frontier.items():
-            successors = step(state, payload)
-            if successors is None:
-                finals[state] = payload
-                continue
-            for successor, data in successors:
-                produced.setdefault(successor, data)
-        if len(produced) > branch_cap:
-            truncated = True
-            produced = dict(islice(produced.items(), branch_cap))
-        frontier = produced
-    return finals, truncated
-
-
-def _settled_branch(start, step, branch_cap: int, settle):
-    """The goal count: `branch`, dropping each produced state that settle
-    calls good and ending at the first it calls bad.  settle must be
-    monotone (a good or bad state has only good or bad successors) and
-    exact on final states, so no final state stays on a frontier.
-    Returns ({final: payload}, truncated) for one final state, reached by
-    first successors from the bad state, or else from the last state
-    dropped, which the latest round produced and so is nearest its final
-    state; truncated is whether a round was cut, and False after a bad
-    state.
+    bad, and None when it cannot tell.  settle must be monotone (a good
+    or bad state has only good or bad successors) and exact on final
+    states, so no final state stays on a frontier.  Each produced state
+    that settle calls good is dropped, and the count ends at the first
+    it calls bad.  The result is one final state, reached by first
+    successors from the bad state, or else from the last state dropped,
+    which the latest round produced and so is nearest its final state;
+    truncated is whether a round was cut, and False after a bad state.
 
     The verdict is whether the final's committees are bad.  It is sound:
     a bad answer is a reachable committee of a state whose committees are
@@ -360,51 +334,59 @@ def _settled_branch(start, step, branch_cap: int, settle):
     So the goal verdict equals the full one wherever the full count is
     untruncated, and never contradicts a decided one.
     """
+    _check_cap(branch_cap)
+
     def first_final(state, payload):
         while (successors := step(state, payload)) is not None:
             state, payload = successors[0]
         return {state: payload}
 
-    if settle(start[0]) is not None:
+    if settle is not None and settle(start[0]) is not None:
         return first_final(*start), False
     dropped = None
     frontier = dict((start,))
+    finals: dict = {}
     truncated = False
     while frontier:
         produced: dict = {}
         for state, payload in frontier.items():
-            for successor, data in step(state, payload):
+            successors = step(state, payload)
+            if successors is None:
+                finals[state] = payload
+                continue
+            for successor, data in successors:
                 if successor in produced:
                     continue
-                verdict = settle(successor)
+                verdict = settle and settle(successor)
                 if verdict is None:
                     produced[successor] = data
-                elif not verdict:
-                    return first_final(successor, data), False
-                else:
+                elif verdict:
                     dropped = (successor, data)
+                else:
+                    return first_final(successor, data), False
         if len(produced) > branch_cap:
             truncated = True
             produced = dict(islice(produced.items(), branch_cap))
         frontier = produced
-    return first_final(*dropped), truncated
+    return (finals if dropped is None else first_final(*dropped)), truncated
 
 
-def _settler(goal, seats: int, clones: Clones = NO_CLONES):
-    """settle(sure, possible) for a goal count, or None without a goal.
+def _settler(goal, seats: int, bounds: Callable, clones: Clones = NO_CLONES):
+    """settle(state) for a goal count, or None without a goal.
 
     `goal` holds (names, ell) pairs, a committee being good iff some pair
     has ell of its names elected (`scenarios.ScenarioInstance.goal`).
-    Every S-member committee a state can reach holds `sure` and lies in
-    `possible`; a pair then has at least its names in `sure` plus those
-    of the open seats that `possible` must give to its names, and at most
-    its names in `sure` plus as many of the open seats as `possible` can
-    give them.  Both bounds only tighten as `sure` grows and `possible`
-    shrinks, and they meet when the state is final.  A clone count
-    bounds its representative states, which hold other members of a
-    class than some committees they expand into; that is harmless unless
-    a class straddles a goal set, so then there is no settle (None) and
-    the count runs in full.
+    bounds(state) gives (sure, possible): every S-member committee the
+    state can reach holds `sure` and lies in `possible`.  A pair then has
+    at least its names in `sure` plus those of the open seats that
+    `possible` must give to its names, and at most its names in `sure`
+    plus as many of the open seats as `possible` can give them.  Both
+    bounds only tighten as `sure` grows and `possible` shrinks, and they
+    meet when the state is final.  A clone count bounds its
+    representative states, which hold other members of a class than some
+    committees they expand into; that is harmless unless a class
+    straddles a goal set, so then there is no settle (None) and the count
+    runs in full.
     """
     if goal is None:
         return None
@@ -413,7 +395,8 @@ def _settler(goal, seats: int, clones: Clones = NO_CLONES):
             if 0 < len(names.intersection(members)) < len(members):
                 return None
 
-    def settle(sure, possible):
+    def settle(state):
+        sure, possible = bounds(state)
         open_seats = seats - len(sure)
         # The names of `possible` that every committee leaves out.
         spare = len(possible) - len(sure) - open_seats
@@ -468,10 +451,9 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
         return [(elected | {cand}, trail)
                 for cand in clones.heads(tied, elected)]
 
-    settle = _settler(goal, seats, clones)
     finals, truncated = branch(
         (frozenset(), ()), step, branch_cap,
-        settle and (lambda elected: settle(elected, candidates)))
+        _settler(goal, seats, lambda elected: (elected, candidates), clones))
     # Converted per final state, not per committee it expands into.
     trails, cut = clones.expand_all(
         {state: tuple(Fraction(x, scale) for x in trail)
@@ -557,10 +539,9 @@ def _sequential_loads(profile: Profile, supporters: Callable,
         return successors
 
     start = (frozenset(), 1, (0,) * len(weights))
-    settle = _settler(goal, seats, clones)
     finals, truncated = branch(
         (start, ()), step, branch_cap,
-        settle and (lambda state: settle(state[0], candidates)))
+        _settler(goal, seats, lambda state: (state[0], candidates), clones))
     common = lcm(*(den for _, den, _ in finals))
 
     def rational_order(item):

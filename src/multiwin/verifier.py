@@ -959,7 +959,7 @@ def _search_bad(method, inst, spec) -> bool:
     propagates.  The count is a goal count, and a decided verdict is the
     truth about the instance: a bad one lists a reachable bad committee,
     and a good one comes from a count that cut no round (see
-    `unordered._settled_branch`).  So it carries over to every renaming
+    `unordered.branch`).  So it carries over to every renaming
     of the instance that fixes the target set: the engines are
     tie-complete, so renaming candidates renames the outcome set.  A
     renaming may be decided where the instance was not, which can only
@@ -1111,7 +1111,10 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
     threshold and must attain it when the witness catalog covers the cell
     inside the search grid.  A pair the scope lists twice is checked once,
     and a cell whose search is its twin's (`_search_twin`) is searched once.
+    An smax below 1 would check nothing, so it is refused.
     """
+    if smax < 1:
+        raise ValueError("smax must be >= 1")
     if scope is None:
         scope = default_scope()
     if spec is None:

@@ -15,7 +15,8 @@ from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
 from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
                                 ScenarioInstance, is_bad_outcome_possible)
 from multiwin.thresholds import MethodId
-from multiwin.unordered import (BudgetExceededError, phragmen_unordered,
+from multiwin.unordered import (BudgetExceededError, branch,
+                                phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
 from multiwin.verifier import (AUDIT_SPEC, default_scope, run_method,
@@ -46,6 +47,74 @@ ENGINES = {
     "borda": lambda cap: borda_count(BordaWeights(HARMONIC), LIST_PROFILE,
                                      cap),
 }
+
+
+def _choose(names, size):
+    """A synthetic count for `branch`: each round adds one name not yet
+    chosen, in name order, and a set of `size` names is final.  The
+    payload is the order in which the names were added."""
+    def step(chosen, path):
+        if len(chosen) == size:
+            return None
+        return [(chosen | {name}, path + (name,))
+                for name in names if name not in chosen]
+
+    return (frozenset(), ()), step
+
+
+def _finals(*paths):
+    return {frozenset(path): tuple(path) for path in paths}
+
+
+def test_branch_keeps_the_first_payload_of_a_state():
+    # {a, b} comes from {a} and then from {b}; the first path stays.
+    finals, truncated = branch(*_choose("abc", 2), 3)
+    assert list(finals.items()) == list(_finals("ab", "ac", "bc").items())
+    assert not truncated
+
+
+@pytest.mark.parametrize("cap", range(1, 8))
+def test_branch_truncates_exactly_when_a_round_exceeds_the_cap(cap):
+    # Choosing 2 of 4 names: the rounds produce 4 and 6 states, and a cut
+    # round keeps its first `cap` in production order.
+    finals, truncated = branch(*_choose("abcd", 2), cap)
+    every = list(_finals("ab", "ac", "ad", "bc", "bd", "cd").items())
+    assert truncated == (cap < 6)
+    assert list(finals.items()) == every[:cap]
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_goal_count_settled_at_its_start(verdict):
+    # Every committee good (or every one bad) from the start: one final,
+    # reached by first successors, with no round run and none cut.
+    for cap in (1, DEFAULT_BRANCH_CAP):
+        assert branch(*_choose("abcd", 2), cap,
+                      lambda chosen: verdict) == (_finals("ab"), False)
+
+
+def test_goal_count_ends_at_a_bad_state_after_a_cut_round():
+    # Good iff "a" is chosen.  Round 1 drops {a} and cuts {b}, {c}, {d}
+    # to two; round 2 drops {a, b} and ends at {b, c}, which is bad, so
+    # the verdict is decided and not truncated.
+    def settle(chosen):
+        if "a" in chosen:
+            return True
+        return False if len(chosen) == 2 else None
+
+    assert branch(*_choose("abcd", 2), 2, settle) == (_finals("bc"), False)
+
+
+@pytest.mark.parametrize("cap, last, truncated",
+                         [(2, "bc", True), (3, "cb", False)])
+def test_goal_count_all_good_returns_the_last_dropped(cap, last, truncated):
+    # Every final good, every earlier state undecided: each final is
+    # dropped, and the last one dropped, by the last state of round 1
+    # kept, is returned; truncated when round 1 (3 states) was cut.
+    def settle(chosen):
+        return True if len(chosen) == 2 else None
+
+    assert branch(*_choose("abc", 2), cap, settle) == (
+        {frozenset(last): tuple(last)}, truncated)
 
 
 def _outcome(result):

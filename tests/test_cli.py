@@ -383,6 +383,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
             (("threshold", "--method", "bv", "--seats", "3"),
              "--ell is required"),
             (("seq", "--which", "a", "--n", "0"), "--n must be >= 1"),
+            (("audit", "--smax", "0", "--format", "json"),
+             "smax must be >= 1"),
+            (("table", "optimal", "--max-seats", "0"),
+             "max_seats must be >= 1"),
             (("seq", "--which", "d", "--n", "2"), "unknown sequence 'd'")]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")

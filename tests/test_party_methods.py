@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 
+from multiwin.ballots import DEFAULT_BRANCH_CAP
 from multiwin.party import (AdamsIllDefined, DivisorSpec, QuotaSpec,
                             divisor_apportion, quota_apportion)
 
@@ -122,6 +123,15 @@ def test_droop_lr_frozen():
 def test_divisor_tie_yields_both_vectors():
     # After A's first seat, A's next quotient ties B's first.
     assert divisor_apportion(DivisorSpec(1), [2, 1], 2) == {(2, 0), (1, 1)}
+
+
+def test_divisor_ties_beyond_the_default_branch_cap():
+    # 16 equal parties tie at every one of 8 seats, so every 0/1 vector
+    # with 8 ones is reachable: C(16, 8) = 12,870, more than the default
+    # branch cap, and none may be cut.
+    vectors = divisor_apportion(DivisorSpec(1), [1] * 16, 8)
+    assert len(vectors) == math.comb(16, 8) > DEFAULT_BRANCH_CAP
+    assert all(set(v) == {0, 1} and sum(v) == 8 for v in vectors)
 
 
 def test_quota_tie_yields_both_vectors():

@@ -219,6 +219,12 @@ def test_unknown_table_rejected():
         table_grid("mystery")
 
 
+@pytest.mark.parametrize("max_seats", [0, -1])
+def test_empty_table_grid_rejected(max_seats):
+    with pytest.raises(ValueError, match="max_seats must be >= 1"):
+        table_grid("optimal", max_seats=max_seats)
+
+
 # ---------------------------------------------------------------------------
 # Spot values across the wider corpus
 

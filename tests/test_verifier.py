@@ -852,6 +852,13 @@ def test_audit_default_scope_clean():
     assert len(report.checks) > 1000
 
 
+@pytest.mark.parametrize("smax", [0, -1])
+def test_audit_of_no_cells_rejected(smax):
+    # No entry has S < 1, so such an audit would pass with 0 checks.
+    with pytest.raises(ValueError, match="smax must be >= 1"):
+        audit_table(smax=smax)
+
+
 def test_audit_with_search_on_restricted_scope():
     scope = [(MethodId("bv"), ScenarioId.EJR),
              (MethodId("div", 1), ScenarioId.PARTY),
