@@ -147,7 +147,8 @@ class Profile:
         _check_names(universe)
         if seats < 1:
             raise ProfileError("seats must be positive")
-        if len(universe) < seats:
+        # One party can take several seats; a candidate takes one.
+        if kind != "party" and len(universe) < seats:
             raise ProfileError("candidate universe smaller than seat count")
         object.__setattr__(self, "ballots", ballots)
         object.__setattr__(self, "candidates", frozenset(universe))

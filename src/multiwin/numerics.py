@@ -5,8 +5,8 @@ Every value the package reports is a fractions.Fraction
 run their inner loops on Python ints over one positive common
 denominator (`common_denominator`), which is exact as well, and turn
 their results back into Fractions.  This module adds parsing/formatting
-in the "p/q" text convention used by the file formats and the CLI,
-decimal rendering for display only, and the harmonic numbers H_n.
+in the "p/q" text convention used by the file formats and the CLI, and
+decimal rendering for display only.
 """
 
 from __future__ import annotations
@@ -68,16 +68,3 @@ def to_decimal_str(value: Fraction, digits: int = 3) -> str:
     if digits == 0:
         return sign + text
     return "%s%s.%s" % (sign, text[:-digits], text[-digits:])
-
-
-_HARMONIC_CACHE = [Fraction(0)]
-
-
-def harmonic(n: int) -> Fraction:
-    """The n-th harmonic number H_n = sum_{i<=n} 1/i, exactly."""
-    if n < 1:
-        raise ValueError("harmonic requires n >= 1")
-    while len(_HARMONIC_CACHE) <= n:
-        k = len(_HARMONIC_CACHE)
-        _HARMONIC_CACHE.append(_HARMONIC_CACHE[-1] + Fraction(1, k))
-    return _HARMONIC_CACHE[n]

@@ -14,14 +14,15 @@ EJR, DPC, strong and weak PSC floors) as threshold inequalities.
 table_grid() regenerates the named reference grids.
 
 REGISTRY holds one MethodKind record per method kind: its ballot kind,
-parameter, weight-scheme flag, counting engine, threshold handler and
-ballot cap.  The five score rules share one engine, and each entry
-supplies the rule's ballot cap and, for cvq, its split credit.  Adding a
-method means adding one registry entry; MethodId (built as
-MethodId(kind, param, scheme=...) or parsed from its label), threshold(),
-the verifier's run_method, search and witness builders, and the CLI all
-read the record.  A witness construction that covers the new kind also
-lists it in its verifier.CATALOG row.
+parameter, weight-scheme flag, counting engine, threshold handler, ballot
+cap and whether it elects as D'Hondt on party lists.  The five score
+rules share one engine, and each entry supplies the rule's ballot cap
+and, for cvq, its split credit.  Adding a method means adding one
+registry entry; MethodId (built as MethodId(kind, param, scheme=...) or
+parsed from its label), threshold(), the verifier's run_method, search
+and witness builders, and the CLI all read the record.  A witness
+construction that covers the new kind also lists it in its
+verifier.CATALOG row.
 """
 
 from __future__ import annotations
@@ -186,6 +187,9 @@ def threshold(method: MethodId, scenario, ell: int, seats: int) -> ThresholdValu
     """The proportionality threshold for (method, scenario, ell, seats)."""
     _check_args(ell, seats)
     scenario = ScenarioId(scenario)
+    if (scenario is ScenarioId.PARTY and method.spec.dhondt
+            and (method.scheme is None or method.scheme.kind == "harmonic")):
+        return _optimal(ell, seats)
     result = method.spec.threshold(method, scenario, ell, seats)
     if result is None:
         return _unknown(source="no-result",
@@ -335,8 +339,6 @@ def _optimal(ell, seats, kind=PI, source="dhondt-reduction"):
 
 
 def _phragmen_u_threshold(method, scenario, ell, seats):
-    if scenario is ScenarioId.PARTY:
-        return _optimal(ell, seats)
     if scenario in (ScenarioId.SAME, ScenarioId.TACTIC, ScenarioId.PJR):
         return _optimal(ell, seats, source="free-voting-power")
     if scenario is ScenarioId.EJR:
@@ -363,8 +365,6 @@ def _weights_subharmonic(scheme: WeightScheme, seats: int) -> bool:
 def _thiele_opt_threshold(method, scenario, ell, seats):
     scheme = method.scheme
     if scheme.kind == "harmonic":
-        if scenario is ScenarioId.PARTY:
-            return _optimal(ell, seats)
         if scenario in (ScenarioId.SAME, ScenarioId.TACTIC,
                         ScenarioId.PJR, ScenarioId.EJR):
             return _optimal(ell, seats, source="satisfaction-exchange")
@@ -398,11 +398,6 @@ def _gamma_or_none(scheme: WeightScheme, n: int) -> Optional[Fraction]:
 
 def _thiele_add_threshold(method, scenario, ell, seats):
     scheme = method.scheme
-    harmonic_w = scheme.kind == "harmonic"
-    if scenario is ScenarioId.PARTY:
-        if harmonic_w:
-            return _optimal(ell, seats)
-        return None
     if scheme.kind == "weak":
         if scenario is ScenarioId.TACTIC:
             return _exact(Fraction(ell, seats + 1), kind=PIHAT,
@@ -434,7 +429,7 @@ def _thiele_add_threshold(method, scenario, ell, seats):
             if wl == 0:
                 return _exact(Fraction(1), source="single-bonus-saturation")
             value = (1 / wl) / (1 / wl + gam)
-            if harmonic_w:
+            if scheme.kind == "harmonic":
                 return ThresholdValue(
                     value, PI, UNSPECIFIED, CONJECTURED,
                     "sequential-mass-lp", lo=value, hi=Fraction(1),
@@ -460,8 +455,6 @@ def _thiele_add_threshold(method, scenario, ell, seats):
 
 
 def _thiele_elim_threshold(method, scenario, ell, seats):
-    if scenario is ScenarioId.PARTY:
-        return _optimal(ell, seats)
     if scenario in (ScenarioId.SAME, ScenarioId.TACTIC):
         return _exact(Fraction(ell, seats + 1), source="credit-conservation")
     if scenario in (ScenarioId.PJR, ScenarioId.EJR):
@@ -496,8 +489,6 @@ def _stv_threshold(method, scenario, ell, seats):
 
 
 def _phragmen_o_threshold(method, scenario, ell, seats):
-    if scenario is ScenarioId.PARTY:
-        return _optimal(ell, seats)
     if scenario in (ScenarioId.SAME, ScenarioId.TACTIC, ScenarioId.WPSC):
         return _optimal(ell, seats, source="free-voting-power")
     if scenario is ScenarioId.PSC:
@@ -506,8 +497,6 @@ def _phragmen_o_threshold(method, scenario, ell, seats):
 
 
 def _thiele_o_threshold(method, scenario, ell, seats):
-    if scenario is ScenarioId.PARTY:
-        return _optimal(ell, seats)
     a_rest = seq_a(seats + 1 - ell)
     if scenario is ScenarioId.TACTIC:
         value = seq_a(ell) / (seq_a(ell) + a_rest)
@@ -541,8 +530,6 @@ def _borda_threshold(method, scenario, ell, seats):
     if scenario in (ScenarioId.SAME, ScenarioId.WPSC):
         return _exact(rest / (scheme.w(ell) + rest),
                       source="positional-averages")
-    if scenario is ScenarioId.PARTY and scheme.kind == "harmonic":
-        return _optimal(ell, seats)
     return None
 
 
@@ -567,8 +554,11 @@ class MethodKind:
     engine(method, votes, seats) returns the reachable seat vectors.
     threshold(method, scenario, ell, seats) returns a
     ThresholdValue or None; cap(method, seats) is the largest ballot the
-    method accepts, or None for no cap.  audited lists the parameters the
-    default audit scope runs the kind at.
+    method accepts, or None for no cap.  dhondt says that on party-list
+    profiles (each party one ballot naming its own list) the kind elects
+    as D'Hondt, at harmonic weights where it takes a scheme, so its party
+    threshold is ell/(S+1).  audited lists the parameters the default
+    audit scope runs the kind at.
     """
 
     ballot: str                          # "party" | "set" | "list"
@@ -578,6 +568,7 @@ class MethodKind:
     scheme: bool = False                 # takes a weight scheme
     cap: Callable = lambda method, seats: None
     loads: bool = False
+    dhondt: bool = False
     audited: tuple = (None,)
 
 
@@ -619,32 +610,32 @@ REGISTRY = {
     "cv": MethodKind("set", _cv_threshold),
     "cvq": _score_kind(_cvq_threshold, split=True),
     "phragmen-u": MethodKind(
-        "set", _phragmen_u_threshold, loads=True,
+        "set", _phragmen_u_threshold, loads=True, dhondt=True,
         engine=lambda m, p, cap, goal=None: phragmen_unordered(
             p, cap, goal)),
     "thiele-opt": MethodKind(
-        "set", _thiele_opt_threshold, scheme=True,
+        "set", _thiele_opt_threshold, scheme=True, dhondt=True,
         engine=lambda m, p, cap, goal=None: thiele_optimize(
             m.scheme, p, cap)),
     "thiele-add": MethodKind(
-        "set", _thiele_add_threshold, scheme=True,
+        "set", _thiele_add_threshold, scheme=True, dhondt=True,
         engine=lambda m, p, cap, goal=None: thiele_addition(
             m.scheme, p, cap, goal)),
     "thiele-elim": MethodKind(
-        "set", _thiele_elim_threshold,
+        "set", _thiele_elim_threshold, dhondt=True,
         engine=lambda m, p, cap, goal=None: thiele_elimination(p, cap)),
     "stv": MethodKind(
         "list", _stv_threshold, param="delta", audited=(1, 0),
         engine=lambda m, p, cap, goal=None: stv_count(
             StvSpec(m.param), p, cap, goal)),
     "phragmen-o": MethodKind(
-        "list", _phragmen_o_threshold, loads=True,
+        "list", _phragmen_o_threshold, loads=True, dhondt=True,
         engine=lambda m, p, cap, goal=None: phragmen_ordered(p, cap, goal)),
     "thiele-o": MethodKind(
-        "list", _thiele_o_threshold,
+        "list", _thiele_o_threshold, dhondt=True,
         engine=lambda m, p, cap, goal=None: thiele_ordered(p, cap, goal)),
     "borda": MethodKind(
-        "list", _borda_threshold, scheme=True,
+        "list", _borda_threshold, scheme=True, dhondt=True,
         engine=lambda m, p, cap, goal=None: borda_count(
             BordaWeights(m.scheme), p, cap, goal)),
 }
@@ -667,10 +658,6 @@ def generic_bounds(ell: int, seats: int) -> list:
     """Method-independent constraints applying at (ell, seats)."""
     _check_args(ell, seats)
     bounds = []
-    if ell == 1:
-        bounds.append(GenericBound(
-            "pi(1,S) >= 1/(S+1): S+1 equal singleton blocks tie",
-            "symmetric-singletons", Fraction(1, seats + 1)))
     if (seats + 1) % ell == 0:
         bounds.append(GenericBound(
             "pi(ell,S) >= ell/(S+1) when (S+1)/ell is an integer",
@@ -678,10 +665,10 @@ def generic_bounds(ell: int, seats: int) -> list:
     bounds.append(GenericBound(
         "pi(ell,S) + pi(S+1-ell,S) >= 1: both sides cannot be guaranteed "
         "more than S seats in total", "seat-count-closure"))
-    if 2 * ell >= seats + 1:
+    if 2 * ell > seats + 1:
         bounds.append(GenericBound(
             "best achievable pi(ell,S) over all methods is 1/2 for "
-            "ell >= (S+1)/2", "majority-floor", Fraction(1, 2)))
+            "ell > (S+1)/2", "majority-floor", Fraction(1, 2)))
     return bounds
 
 

@@ -146,11 +146,6 @@ def _profile(kind: str, groups, seats: int, extra=()) -> Profile:
     content = _CONTENT[kind]
     ballots = [WeightedBallot(content(names), weight, in_w)
                for weight, names, in_w in groups if weight > 0]
-    if kind == "party":
-        # Pad with silent party names so few-party electorates still
-        # satisfy the universe >= seats profile invariant; they receive no
-        # votes and never win seats.
-        extra = _names("Z", max(0, seats - len(ballots)))
     return Profile(ballots, seats, extra)
 
 

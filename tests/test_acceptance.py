@@ -12,22 +12,21 @@ from math import comb, prod
 
 import pytest
 
-from multiwin.ballots import (ListBallot, Profile, SetBallot, WeightScheme,
-                              WeightedBallot, parse_profile, scale)
-from multiwin.numerics import harmonic
-from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
-                              phragmen_ordered, stv_count, thiele_ordered)
+from multiwin.ballots import (ListBallot, Profile, ProfileError, SetBallot,
+                              WeightScheme, WeightedBallot, parse_profile,
+                              scale)
+from multiwin.ordered import StvSpec, stv_count, thiele_ordered
 from multiwin.party import (DivisorSpec, QuotaSpec, divisor_apportion,
                             quota_apportion)
 from multiwin.scenarios import ScenarioId
 from multiwin.sequences import alpha, seq_a, seq_b, seq_c
-from multiwin.thresholds import (CoverageError, MethodId, table_grid,
-                                 threshold)
-from multiwin.unordered import (phragmen_unordered,
-                                thiele_addition, thiele_addition_paths,
-                                thiele_elimination, thiele_optimize)
+from multiwin.thresholds import (REGISTRY, CoverageError, MethodId,
+                                 table_grid, threshold)
+from multiwin.unordered import (phragmen_unordered, thiele_addition,
+                                thiele_addition_paths)
 from multiwin.verifier import (SearchSpec, _load_fixture, audit_table,
-                               run_method, search_lower_bound, verify_witness)
+                               default_scope, run_method, search_lower_bound,
+                               verify_witness)
 
 from test_thresholds import GRIDS
 
@@ -94,7 +93,7 @@ def test_lp_values():
     assert abs(values[6] - F(490, 100)) <= F(5, 1000)
     assert values[6] <= F(29952, 6103)
     for n in range(1, 7):
-        assert n / harmonic(n) <= values[n] <= n
+        assert n / HARMONIC.psi(n) <= values[n] <= n
         if n > 1:
             assert values[n] >= values[n - 1]
     for m in range(1, 6):
@@ -187,31 +186,37 @@ def _party_list_family():
 
 
 def test_party_list_reductions():
+    # The registry's `dhondt` kinds, at harmonic weights, elect as div:1 on
+    # party lists; every other candidate engine fails to on some trial.
     cap = 10 ** 6
-    dhondt_set_engines = [
-        lambda p: phragmen_unordered(p, branch_cap=cap)[0],
-        lambda p: thiele_optimize(HARMONIC, p),
-        lambda p: thiele_addition(HARMONIC, p, branch_cap=cap),
-        lambda p: thiele_elimination(p, branch_cap=cap),
-    ]
-    dhondt_list_engines = [
-        lambda p: phragmen_ordered(p, branch_cap=cap)[0],
-        thiele_ordered,
-        lambda p: borda_count(BordaWeights(HARMONIC), p),
-    ]
+    dhondt_kinds = [MethodId(kind) for kind, spec in REGISTRY.items()
+                    if spec.dhondt]
+    others = {method for method, _ in default_scope()
+              if method.spec.ballot != "party" and not method.spec.dhondt
+              and method.spec.engine is not None}
+    assert {m.spec.ballot for m in dhondt_kinds} == {"set", "list"}
     for parties, votes, seats, set_profile, list_profile in (
             _party_list_family()):
+        profiles = {"set": set_profile, "list": list_profile}
         dhondt = divisor_apportion(DivisorSpec(1), votes, seats)
-        for engine in dhondt_set_engines:
-            out = engine(set_profile)
-            assert _seat_vectors(out, parties) == dhondt
-            assert len(out) == _tie_complete_size(dhondt, seats)
-        for engine in dhondt_list_engines:
-            assert _seat_vectors(engine(list_profile), parties) == dhondt
+        for method in dhondt_kinds:
+            out = run_method(method, profiles[method.spec.ballot], cap)
+            assert _seat_vectors(out, parties) == dhondt, method.label()
+            if method.spec.ballot == "set":
+                assert len(out) == _tie_complete_size(dhondt, seats)
+        for method in list(others):
+            try:
+                out = run_method(method, profiles[method.spec.ballot], cap)
+            except (CoverageError, ProfileError):    # a ballot cap below S
+                others.discard(method)
+                continue
+            if _seat_vectors(out, parties) != dhondt:
+                others.discard(method)
         for delta in (F(0), F(1, 2), F(1)):
             expected = quota_apportion(QuotaSpec(delta), votes, seats)
             out = stv_count(StvSpec(delta), list_profile, branch_cap=cap)
             assert _seat_vectors(out, parties) == expected
+    assert not others, sorted(m.label() for m in others)
 
 
 # The truncated Phragmén counts of run_method at branch caps 1-3 on the
@@ -245,6 +250,7 @@ def test_load_methods_count_only_path():
             full, states = method.spec.engine(method, profile, cap)
             assert out == full          # committees and truncated flag
             assert set(states) == out.committees
+            assert len(states) == len(out)
             records.append([out.sorted_committees(), out.truncated])
     assert any(truncated for _, truncated in records)
     text = json.dumps(records, separators=(",", ":"))

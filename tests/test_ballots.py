@@ -46,6 +46,14 @@ def test_parse_party_profile():
     assert {b.content.party for b in profile.ballots} == {"P", "Q", "R"}
 
 
+def test_party_profile_may_name_fewer_parties_than_seats():
+    profile = parse_profile("!seats 5\n3 : party P0\n2 : party P1\n")
+    assert (profile.seats, profile.candidates) == (5, frozenset({"P0", "P1"}))
+    assert format_profile(profile) == "!seats 5\n3 : party P0\n2 : party P1\n"
+    with pytest.raises(ProfileError, match="universe"):
+        Profile([WeightedBallot(ListBallot(["A"]), 1)], 2)
+
+
 def test_parse_rational_weights():
     profile = parse_profile("!seats 1\n1/3 : {A}\n2/3 : {B}\n")
     assert profile.total_weight == 1
@@ -151,6 +159,11 @@ def test_harmonic_scheme_weights():
     assert [scheme.w(k) for k in (1, 2, 3)] == [1, Fraction(1, 2),
                                                 Fraction(1, 3)]
     assert scheme.psi(3) == Fraction(11, 6)
+    # The harmonic numbers H_n.
+    assert scheme.psi(1) == 1
+    assert scheme.psi(2) == Fraction(3, 2)
+    assert scheme.psi(6) == Fraction(49, 20)
+    assert scheme.psi(40) == sum(Fraction(1, k) for k in range(1, 41))
 
 
 def test_weak_scheme_weights():

@@ -115,6 +115,17 @@ def test_apportion(capsys, party_profile):
     assert doc["seat_vectors"] == [[2, 1, 0]]
 
 
+def test_apportion_fewer_parties_than_seats(capsys, tmp_path):
+    path = tmp_path / "two.profile"
+    path.write_text("!seats 5\n3 : party P0\n2 : party P1\n")
+    code, out, _ = run_cli(capsys, "apportion", "--method", "div:1",
+                           "--format", "json", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["parties"] == ["P0", "P1"]
+    assert doc["seat_vectors"] == [[3, 2]]
+
+
 def test_check_bad_outcome_exit_one(capsys, set_profile):
     code, out, _ = run_cli(capsys, "check", "--method", "thiele-add",
                            "--scenario", "same", "--ell", "1", set_profile)

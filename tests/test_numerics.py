@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from multiwin.numerics import (common_denominator, format_rational, harmonic,
+from multiwin.numerics import (common_denominator, format_rational,
                                parse_rational, to_decimal_str)
 
 
@@ -54,19 +54,6 @@ def test_decimal_rendering():
     assert to_decimal_str(Fraction(1, 3), 4) == "0.3333"
     with pytest.raises(ValueError, match="digits must be >= 0"):
         to_decimal_str(Fraction(1, 3), -1)
-
-
-def test_harmonic_small():
-    with pytest.raises(ValueError, match="n >= 1"):
-        harmonic(0)
-    assert harmonic(1) == 1
-    assert harmonic(2) == Fraction(3, 2)
-    assert harmonic(6) == Fraction(49, 20)
-
-
-def test_harmonic_exact_sum():
-    n = 40
-    assert harmonic(n) == sum(Fraction(1, k) for k in range(1, n + 1))
 
 
 _RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)

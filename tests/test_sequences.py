@@ -11,7 +11,6 @@ import pytest
 
 from multiwin.ballots import WeightScheme
 from multiwin.lp import check_solution, dual_program, solve
-from multiwin.numerics import harmonic
 from multiwin.sequences import (ALPHA_CAP, alpha, build_alpha_lp, seq_a,
                                 seq_b, seq_c, solve_alpha, subsets)
 
@@ -164,7 +163,7 @@ def test_alpha_bounds_and_monotone():
     previous = Fraction(0)
     for n in range(1, 5):
         value = alpha(n)
-        assert Fraction(n) / harmonic(n) <= value <= n
+        assert Fraction(n) / WeightScheme.harmonic().psi(n) <= value <= n
         assert value > previous
         previous = value
 
