@@ -229,6 +229,9 @@ def _cmd_check(args) -> int:
 def _cmd_threshold(args) -> int:
     method = MethodId.parse(args.method)
     if args.criterion:
+        if args.ell is not None or args.scenario is not None:
+            raise _CliError("--ell and --scenario do not apply with "
+                            "--criterion")
         verdict = criterion_check(method, args.criterion, args.seats)
         word = {True: "satisfied", False: "violated", None: "unknown"}[verdict]
         doc_data = {"method": method.label(), "criterion": args.criterion,
@@ -239,7 +242,7 @@ def _cmd_threshold(args) -> int:
         return 0
     if args.ell is None:
         raise _CliError("--ell is required unless --criterion is used")
-    scenario = ScenarioId(args.scenario)
+    scenario = ScenarioId(args.scenario or "same")
     entry = threshold(method, scenario, args.ell, args.seats)
     doc_data = {"method": method.label(), "scenario": scenario.value,
                 "ell": args.ell, "seats": args.seats}
@@ -304,24 +307,25 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    which, _, scheme_arg = args.which.partition(":")
+    which, colon, scheme_arg = args.which.partition(":")
     n = args.n
     if n < 1:
         raise _CliError("--n must be >= 1")
-    if which == "a":
-        value = seq_a(n)
-    elif which == "b":
-        value = seq_b(n)
-    elif which == "c":
-        value = Fraction(seq_c(n))
-    elif which == "alpha":
+    if which == "alpha":
         scheme = WeightScheme.parse(scheme_arg)
         if args.dump_lp:
             print(format_lp(build_alpha_lp(n, scheme)))
         value = alpha(n, scheme)
     else:
-        raise _CliError("unknown sequence %r (choose a, b, c or alpha)"
-                        % which)
+        sequence = {"a": seq_a, "b": seq_b, "c": seq_c}.get(which)
+        if sequence is None:
+            raise _CliError("unknown sequence %r (choose a, b, c or alpha)"
+                            % which)
+        if colon:
+            raise _CliError("sequence %s takes no weight scheme" % which)
+        if args.dump_lp:
+            raise _CliError("--dump-lp applies to alpha only")
+        value = Fraction(sequence(n))
     doc_data = {"which": args.which, "n": n,
                 "value": format_rational(value)}
     Document(doc_data,
@@ -459,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", parents=[common],
                        help="look up a guarantee threshold")
     p.add_argument("--method", required=True)
-    p.add_argument("--scenario", default="same",
+    p.add_argument("--scenario", default=None, help="default same",
                    choices=[s.value for s in ScenarioId])
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--seats", type=int, required=True)

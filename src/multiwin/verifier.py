@@ -182,87 +182,70 @@ def _symmetric_parties(method, scenario, ell, seats, eps):
     return _profile(kind, groups, seats), target, Fraction(ell, seats + 1)
 
 
+def _rival_block(method, ell, seats, w, t):
+    """W at weight w against S+1-ell single rivals of weight t each.  On
+    party ballots W and each rival are parties; elsewhere W votes one list
+    of ell targets and each rival one name.  The fraction is W's share."""
+    rest = seats + 1 - ell
+    kind = method.spec.ballot
+    if kind == "party":
+        w_names, target, rivals = "W", ["W"], _names("P", rest)
+    else:
+        w_names = target = _names("A", ell)
+        rivals = [[name] for name in _names("B", rest)]
+    groups = [(w, w_names, True)] + [(t, name, False) for name in rivals]
+    return _profile(kind, groups, seats), target, w / (w + rest * t)
+
+
+def _require_harmonic(method):
+    _require(method.scheme is None or method.scheme.kind == "harmonic",
+             "the ties need harmonic weights")
+
+
 def _common_list_tie(method, scenario, ell, seats, eps):
     """W (weight ell) on one ell-name list versus S+1-ell unit singletons."""
-    if method.kind == "thiele-opt":
-        _require(method.scheme.kind == "harmonic",
-                 "exchange tie needs harmonic weights")
-    targets = _names("A", ell)
-    rest = seats + 1 - ell
-    _require(rest >= 1, "needs at least one outside candidate")
-    groups = [(Fraction(ell), targets, True)]
-    groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
-    profile = _profile(method.spec.ballot, groups, seats)
-    return profile, targets, Fraction(ell, seats + 1)
+    _require_harmonic(method)
+    return _rival_block(method, ell, seats, Fraction(ell), Fraction(1))
 
 
 def _divisor_extremes(method, scenario, ell, seats, eps):
     """W at ell-1+gamma against S+1-ell parties of gamma votes each."""
     gamma = method.param
     _require(gamma > 0, "zero first divisor gives every party a free seat")
-    rest = seats + 1 - ell
-    groups = [(ell - 1 + gamma, "W", True)]
-    groups += [(gamma, "P%d" % (j + 1), False) for j in range(rest)]
-    profile = _profile("party", groups, seats)
-    value = (ell - 1 + gamma) / (ell - 1 + gamma * (seats + 2 - ell))
-    return profile, {"W"}, value
+    return _rival_block(method, ell, seats, ell - 1 + gamma, gamma)
 
 
 def _quota_boundary(method, scenario, ell, seats, eps):
-    """W at ell-1+t against S+1-ell parties of t votes, t on the rounding
+    """W at ell-1+t against S+1-ell rivals of t votes, t on the rounding
     boundary of the quota."""
-    delta = method.param
-    t = Fraction(seats + 1 - ell + delta, seats + 2 - ell)
-    value = Fraction(ell * (seats + 2 - ell) - 1 + delta) \
-        / ((seats + delta) * (seats + 2 - ell))
-    rest = seats + 1 - ell
-    if method.kind == "quota":
-        groups = [(ell - 1 + t, "W", True)]
-        groups += [(t, "P%d" % (j + 1), False) for j in range(rest)]
-        profile = _profile("party", groups, seats)
-        return profile, {"W"}, value
-    targets = _names("A", ell)
-    groups = [(ell - 1 + t, targets, True)]
-    groups += [(t, ["B%d" % (j + 1)], False) for j in range(rest)]
-    profile = _profile("list", groups, seats)
-    return profile, targets, value
+    t = Fraction(seats + 1 - ell + method.param, seats + 2 - ell)
+    return _rival_block(method, ell, seats, ell - 1 + t, t)
 
 
 def _equal_split(method, scenario, ell, seats, eps):
-    """W splits evenly over its targets; everyone ties at the boundary."""
+    """W splits evenly over its targets; everyone ties at the boundary.
+    Each ballot names up to the cap's worth of names, one without a cap."""
+    _require_harmonic(method)
+    limit = method.spec.cap(method, seats) or 1
     rest = seats + 1 - ell
-    if method.kind == "lv":
-        limit = method.spec.cap(method, seats)
-        u = min(limit, rest)
-        v = min(limit, ell)
-        targets = _names("A", ell)
-        decoys = _names("B", rest)
-        if scenario is ScenarioId.TACTIC:
-            groups = [(Fraction(u), [targets[(i + j) % ell] for j in range(v)],
-                       True) for i in range(ell)]
-            groups += [(Fraction(v), [decoys[(i + j) % rest]
-                                      for j in range(u)], False)
-                       for i in range(rest)]
-            value = Fraction(ell * u, ell * u + rest * v)
-            profile = normalize(_profile("set", groups, seats))
-            return profile, targets, value
+    u = min(limit, rest)
+    v = min(limit, ell)
+    targets = _names("A", ell)
+    decoys = _names("B", rest)
+    if scenario is ScenarioId.TACTIC:
+        groups = [(Fraction(u), [targets[(i + j) % ell] for j in range(v)],
+                   True) for i in range(ell)]
+        groups += [(Fraction(v), [decoys[(i + j) % rest] for j in range(u)],
+                    False) for i in range(rest)]
+        value = Fraction(ell * u, ell * u + rest * v)
+    else:
         _require(ell <= limit, "common list exceeds the ballot cap")
         groups = [(Fraction(u), targets, True)]
         groups += [(Fraction(1), [decoys[(i + j) % rest] for j in range(u)],
                     False) for i in range(rest)]
         value = Fraction(u, u + rest)
-        profile = normalize(_profile("set", groups, seats))
-        return profile, targets, value
-    if method.kind == "thiele-opt":
-        _require(method.scheme.kind == "harmonic",
-                 "even-split ties need harmonic weights")
-    _require(scenario is ScenarioId.TACTIC or ell == 1,
-             "single-name ballots support several seats only tactically")
-    targets = _names("A", ell)
-    groups = [(Fraction(1), [t], True) for t in targets]
-    groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
-    profile = _profile(method.spec.ballot, groups, seats)
-    return profile, targets, Fraction(ell, seats + 1)
+    profile = normalize(_profile(method.spec.ballot, groups, seats))
+    return profile, targets, value
 
 
 def _majority_tie(method, scenario, ell, seats, eps):
@@ -359,22 +342,17 @@ def _weight_floor(method, scenario, ell, seats, eps):
     the last list seat for an extra singleton is satisfaction-neutral."""
     scheme = method.scheme
     wl = scheme.w(ell)
-    targets = _names("A", ell)
     if wl == 0:
         # Beyond the last positive weight extra list seats are worthless,
         # so every committee keeping the worthwhile prefix ties; the
         # saturated threshold 1 is attained with silent spare candidates.
         _require(ell >= 2, "the first weight is always positive")
+        targets = _names("A", ell)
         spares = _names("B", seats - 1)
         profile = _profile("set", [(Fraction(1), targets, True)], seats,
                            extra=spares)
         return profile, targets, Fraction(1)
-    rest = seats + 1 - ell
-    groups = [(1 / wl, targets, True)]
-    groups += [(Fraction(1), ["B%d" % (j + 1)], False) for j in range(rest)]
-    profile = _profile("set", groups, seats)
-    value = 1 / (wl * rest + 1)
-    return profile, targets, value
+    return _rival_block(method, ell, seats, 1 / wl, Fraction(1))
 
 
 def _elimination_trap(method, scenario, ell, seats, eps):
@@ -548,8 +526,11 @@ CATALOG: dict = {
         **_covers(("sntv", "cvq", "stv", "phragmen-u", "phragmen-o",
                    "thiele-opt", "thiele-elim")),
         "lv": ("same", "pjr", "ejr", "tactic")}),
-    "common-list-tie": (_common_list_tie, _covers(
-        ("phragmen-u", "thiele-opt", "thiele-elim", "phragmen-o"))),
+    "common-list-tie": (_common_list_tie, {
+        **_covers((kind for kind, spec in REGISTRY.items() if spec.dhondt),
+                  ("party",)),
+        **_covers(("phragmen-u", "thiele-opt", "thiele-elim",
+                   "phragmen-o"))}),
     "symmetric-parties": (_symmetric_parties, None),
     "addition-lp-vertex": (_addition_lp_vertex, _covers(
         ("thiele-add",), ("same", "pjr", "tactic", "ejr"))),

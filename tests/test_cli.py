@@ -259,6 +259,13 @@ def test_flags_only_where_they_act(capsys, set_profile):
                    "--seats", "2", "--dump-lp")[0] == 2
     assert run_cli(capsys, "seq", "--which", "b", "--n", "2",
                    "--branch-cap", "3")[0] == 2
+    assert run_cli(capsys, "seq", "--which", "b", "--n", "2",
+                   "--dump-lp")[0] == 2
+    for which in ("a:junk", "c:weak"):
+        assert run_cli(capsys, "seq", "--which", which, "--n", "3")[0] == 2
+    for flag in (("--ell", "3"), ("--scenario", "same")):
+        assert run_cli(capsys, "threshold", "--method", "bv", "--criterion",
+                       "JR", *flag, "--seats", "4")[0] == 2
     assert run_cli(capsys, "count", "--method", "av", "--dump-lp",
                    set_profile)[0] == 2
     assert run_cli(capsys, "audit", "--grid", "4")[0] == 2
@@ -398,7 +405,16 @@ def test_usage_errors_exit_two(capsys, tmp_path):
              "smax must be >= 1"),
             (("table", "optimal", "--max-seats", "0"),
              "max_seats must be >= 1"),
-            (("seq", "--which", "d", "--n", "2"), "unknown sequence 'd'")]:
+            (("seq", "--which", "d", "--n", "2"), "unknown sequence 'd'"),
+            (("seq", "--which", "a:junk", "--n", "3"),
+             "sequence a takes no weight scheme"),
+            (("seq", "--which", "c:weak", "--n", "3"),
+             "sequence c takes no weight scheme"),
+            (("seq", "--which", "b", "--n", "2", "--dump-lp"),
+             "--dump-lp applies to alpha only"),
+            (("threshold", "--method", "bv", "--criterion", "JR", "--ell",
+              "3", "--seats", "4"),
+             "--ell and --scenario do not apply with --criterion")]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err

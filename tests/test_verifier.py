@@ -15,7 +15,7 @@ from multiwin.ballots import (DEFAULT_BRANCH_CAP, format_profile,
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import (ScenarioId, ScenarioInstance,
                                 ScenarioTypeError)
-from multiwin.thresholds import CoverageError, MethodId, threshold
+from multiwin.thresholds import REGISTRY, CoverageError, MethodId, threshold
 from multiwin.verifier import (CATALOG, SearchSpec, Witness, audit_table,
                                construct_witness, covering_token,
                                default_scope, party_seat_vectors, run_method,
@@ -121,6 +121,9 @@ CATALOG_CASES = [
     ("positional-split", "borda", "tactic", 2, 4, F(22, 49)),
     ("positional-list", "borda", "same", 2, 4, F(11, 20)),
     ("positional-list", "borda", "wpsc", 2, 4, F(11, 20)),
+    ("common-list-tie", "thiele-add", "party", 3, 4, F(3, 5)),
+    ("common-list-tie", "thiele-o", "party", 3, 4, F(3, 5)),
+    ("common-list-tie", "borda", "party", 3, 4, F(3, 5)),
 ]
 
 
@@ -217,9 +220,15 @@ def test_hypothesis_guards_fire():
     with pytest.raises(Exception):
         construct_witness("symmetric-parties", MethodId("quota", 1), "party",
                           2, 4)
+    with pytest.raises(CoverageError, match="harmonic weights"):
+        construct_witness("common-list-tie", MethodId.parse("thiele-add:weak"),
+                          "party", 2, 3)
 
 
 @pytest.mark.parametrize("token, label, scenario, covers", [
+    ("common-list-tie", "thiele-add", "same",
+     "phragmen-u, thiele-opt, thiele-elim, phragmen-o under every scenario; "
+     "thiele-add, thiele-o, borda under party"),
     ("quota-boundary", "quota:1", "same",
      "quota under party; stv under party, same, psc, wpsc"),
     ("equal-split", "lv:2", "psc",
@@ -242,6 +251,20 @@ def test_catalog_row_states_coverage_per_kind(token, label, scenario, covers):
 def test_covering_token_finds_catalog_entries():
     assert covering_token(MethodId("bv"), ScenarioId.EJR, 2, 3) is not None
     assert covering_token(MethodId("div", 1), ScenarioId.PARTY, 1, 2) is not None
+    # Every kind that elects as D'Hondt on party lists has a witness for
+    # each of its party cells, ell/(S+1).
+    for kind, spec in REGISTRY.items():
+        if not spec.dhondt:
+            continue
+        method = MethodId(kind)
+        for seats in range(1, 9):
+            for ell in range(1, seats + 1):
+                token = covering_token(method, ScenarioId.PARTY, ell, seats)
+                assert token is not None, (kind, ell, seats)
+                witness = construct_witness(token, method, "party", ell,
+                                            seats)
+                assert witness.claimed_fraction == F(ell, seats + 1)
+                assert verify_witness(witness, method)
 
 
 def test_witness_in_grid_refusals():
@@ -880,7 +903,9 @@ def test_search_audit_clean(monkeypatch):
     # the transposition classes, 30,943 before the decoy cells and the
     # orderly fill).  Searching each pair
     # of twin cells once saves 4,902 of those calls and gives the same
-    # report.
+    # report.  Six of the checks are search=threshold on the thiele-add,
+    # thiele-o and borda party cells at ell = S in {2, 3}, which the
+    # common-list-tie witness reaches on the grid.
     calls = _counting(monkeypatch, "run_method")
     keys = _counting(monkeypatch, "_canonical_form")
     _clear_caches()
@@ -893,7 +918,7 @@ def test_search_audit_clean(monkeypatch):
     report = audit_table(smax=3, with_search=True)
     assert len(calls) == 19675 - 4902
     assert report == every_cell
-    assert len(report.checks) == 1542
+    assert len(report.checks) == 1548
     assert report.passed and not report.failures()
 
 
