@@ -33,7 +33,7 @@ from .ballots import (DEFAULT_BRANCH_CAP, ProfileError, WeightScheme,
 from .numerics import format_rational, to_decimal_str
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
                         ScenarioTypeError, is_instance)
-from .sequences import alpha, build_alpha_lp, seq_a, seq_b, seq_c
+from .sequences import build_alpha_lp, seq_a, seq_b, seq_c, solve_alpha
 from .lp import format_lp
 from .thresholds import (CoverageError, MethodId, TABLE_NAMES, ThresholdValue,
                          criterion_check, table_grid, threshold, CRITERIA)
@@ -311,11 +311,21 @@ def _cmd_seq(args) -> int:
     n = args.n
     if n < 1:
         raise _CliError("--n must be >= 1")
+    solver = {}
     if which == "alpha":
+        if colon and not scheme_arg:
+            raise _CliError("no weight scheme after 'alpha:' (plain alpha "
+                            "means harmonic)")
         scheme = WeightScheme.parse(scheme_arg)
         if args.dump_lp:
             print(format_lp(build_alpha_lp(n, scheme)))
-        value = alpha(n, scheme)
+        outcome = solve_alpha(n, scheme)
+        value = outcome.value
+        # Simplex effort and the vertex's largest numerator or denominator.
+        solver = {"pivots": list(outcome.pivots),
+                  "point_bits": max(max(x.numerator.bit_length(),
+                                        x.denominator.bit_length())
+                                    for x in outcome.point)}
     else:
         sequence = {"a": seq_a, "b": seq_b, "c": seq_c}.get(which)
         if sequence is None:
@@ -327,7 +337,7 @@ def _cmd_seq(args) -> int:
             raise _CliError("--dump-lp applies to alpha only")
         value = Fraction(sequence(n))
     doc_data = {"which": args.which, "n": n,
-                "value": format_rational(value)}
+                "value": format_rational(value), **solver}
     Document(doc_data,
              ["%s(%d) = %s" % (args.which, n, _frac(value, args.decimals))]
              ).emit(args.format)

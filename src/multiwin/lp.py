@@ -1,26 +1,31 @@
-"""Exact rational linear programming by two-phase simplex.
+"""Exact rational linear programming by two-phase revised simplex.
 
 Minimizes c.x subject to linear constraints (>=, <=, =) and x >= 0.  The
-tableau is fraction-free: every row is a list of Python ints that stands
-for the exact rational row divided by one positive row denominator, and
-that denominator is the row's own entry in its basic column (the basic
-variable's coefficient is 1).  A pivot updates each row by integer
-cross-multiplication and then divides the row by the gcd of its entries
-(Bareiss, Math. Comp. 1968; Applegate, Cook, Dash and Espinoza, Oper.
-Res. Lett. 2007), so no Fraction arithmetic runs inside the loop.  The
-reduced-cost row is the tableau's last row.  It is built once per phase
-and eliminated with the other rows; only its signs are read, so it is
-kept up to a positive factor.
+starting rows, with their slack and artificial columns, are scaled to
+integers once and stored by column as A; A never changes.  Tableau row i
+is R_i A, and the solver stores only R_i: one integer multiplier per
+starting row (its starting artificial block), followed by the row's rhs
+R_i b.  The reduced-cost row is kept as a positive scale f and a
+multiplier row y, so that reduced cost j is f c_j + y A_j.  A pivot
+updates every row with a nonzero entry in the entering column to
+p R_i - a R_pivot and divides it by the gcd of its entries (Bareiss,
+Math. Comp. 1968; Applegate, Cook, Dash and Espinoza, Oper. Res. Lett.
+2007); that is m x m integer work per pivot, for m rows, and no
+Fraction arithmetic runs inside the loop (revised simplex: Dantzig and
+Orchard-Hays 1954).  Reduced costs, the entering column and the basic
+entries are integer dot products with A's columns, computed when read.
 
 Bland's anti-cycling rule picks every pivot, because the programs this
 package builds are highly degenerate (many optima); it guarantees
 termination without perturbation.  The entering column is the lowest
-index with a negative reduced cost.  The ratio test compares rhs_i * a_k
-with rhs_k * a_i, where the row denominators cancel, and a tie goes to
-the row with the lowest basic variable.  These are exactly the choices a
-Fraction tableau makes, so the pivot path and the returned vertex are
-the same.  The vertex is a certificate that can be re-substituted into
-every constraint exactly.
+index with a negative reduced cost, and pricing stops there.  The ratio
+test compares rhs_i * a_k with rhs_k * a_i, where the row scales cancel,
+and a tie goes to the row with the lowest basic variable.  Every stored
+row is the exact rational tableau row times a positive factor, and each
+of these choices reads only signs and cross-multiplied ratios, so they
+are exactly the choices a Fraction tableau makes: the pivot path and the
+returned vertex are the same.  The vertex is a certificate that can be
+re-substituted into every constraint exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .numerics import format_rational
@@ -84,8 +90,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     m = len(rows)
     slack_count = sum(1 for _, rel, _ in rows if rel != "=")
     total = n + slack_count + m      # structural + slack/surplus + artificial
-    tableau = []
-    basis = []
+    start = []
     slack_at = n
     art_at = n + slack_count
     for i, (coeffs, rel, rhs) in enumerate(rows):
@@ -94,43 +99,42 @@ def solve(lp: LinearProgram) -> LpOutcome:
             row[slack_at] = 1 if rel == "<=" else -1
             slack_at += 1
         row[art_at + i] = 1
-        tableau.append(_integer_row(row))
-        basis.append(art_at + i)
+        start.append(_integer_row(row))
+    tableau = _Tableau(start, total)
 
     # Phase 1: minimize the sum of artificials.
-    tableau.append(_objective_row(tableau, basis, [0] * art_at + [1] * m))
-    status, phase1 = _simplex(tableau, basis, total)
+    status, phase1 = tableau.simplex([0] * art_at + [1] * m, total)
     if status != "optimal":          # phase 1 is always bounded below by 0
         raise RuntimeError("phase 1 reported %s" % status)
-    if tableau.pop()[-1] != 0:
+    if tableau.objective[-1] != 0:
         return LpOutcome("infeasible", pivots=(phase1, 0))
 
     # Drive any remaining artificial variables out of the basis.
+    basis = tableau.basis
     for i in range(len(basis) - 1, -1, -1):
         if basis[i] < art_at:
             continue
+        row = tableau.rows[i]
         pivot_col = next((j for j in range(art_at)
-                          if tableau[i][j] != 0), None)
+                          if tableau.entry(row, j) != 0), None)
         if pivot_col is None:
-            del tableau[i]
+            del tableau.rows[i]
             del basis[i]
         else:
-            _pivot(tableau, basis, i, pivot_col)
+            tableau.pivot(i, pivot_col, tableau.column(pivot_col))
             phase1 += 1
 
     # Phase 2 on the structural objective.  Artificial columns never
-    # enter again, so they are dropped.
-    tableau = [row[:art_at] + row[-1:] for row in tableau]
-    cost = lp.objective + (0,) * (art_at - n)
-    tableau.append(_objective_row(tableau, basis, cost))
-    status, phase2 = _simplex(tableau, basis, art_at)
+    # enter again.
+    cost = _integer_row(list(lp.objective) + [0] * slack_count)
+    status, phase2 = tableau.simplex(cost, art_at)
     pivots = (phase1, phase2)
     if status == "unbounded":
         return LpOutcome("unbounded", pivots=pivots)
     point = [Fraction(0)] * n
-    for row, var in zip(tableau, basis):
+    for row, var in zip(tableau.rows, basis):
         if var < n:
-            point[var] = Fraction(row[-1], row[var])
+            point[var] = Fraction(row[-1], tableau.entry(row, var))
     value = sum((c * x for c, x in zip(lp.objective, point)), Fraction(0))
     return LpOutcome("optimal", value, tuple(point), pivots)
 
@@ -147,65 +151,108 @@ def _integer_row(values):
     return _reduced([v.numerator * (lcm // v.denominator) for v in values])
 
 
-def _objective_row(tableau, basis, cost):
-    """Reduced costs c_j - c_B B^-1 A_j, then -c_B B^-1 b, as integers."""
-    reduced = list(cost) + [0]
-    for row, var in zip(tableau, basis):
-        if cost[var] != 0:
-            factor = Fraction(cost[var]) / row[var]
-            reduced = [r - factor * x if x else r
-                       for r, x in zip(reduced, row)]
-    return _integer_row(reduced)
+class _Tableau:
+    """Revised simplex state over the integer starting rows A.
 
-
-def _simplex(tableau, basis, width):
-    """Bland's rule on the constraint rows; the last row is the objective.
-
-    Columns >= width never enter.  Returns the status and the pivot count.
+    `columns` holds A by column and never changes.  Tableau row i is
+    R_i A; `rows[i]` is its integer multiplier row R_i, one entry per
+    starting row, followed by its rhs R_i b.  The reduced-cost row is
+    scale * c + y A with scale > 0; `objective` is y followed by y b.
+    The basis starts at the artificials, the last m of `width` columns.
     """
-    pivots = 0
-    while True:
-        reduced = tableau[-1]
-        entering = next((j for j in range(width) if reduced[j] < 0), None)
-        if entering is None:
-            return "optimal", pivots
-        pivot_row = None
-        for i in range(len(basis)):
-            row = tableau[i]
-            a = row[entering]
-            if a <= 0:
-                continue
-            if pivot_row is not None:
-                lhs, rhs = row[-1] * best_a, best_rhs * a
-                if lhs > rhs or (lhs == rhs and basis[i] > basis[pivot_row]):
+
+    def __init__(self, start, width):
+        m = len(start)
+        self.columns = [tuple(row[j] for row in start) for j in range(width)]
+        self.rows = [[0] * i + [1] + [0] * (m - i - 1) + [row[-1]]
+                     for i, row in enumerate(start)]
+        self.basis = list(range(width - m, width))
+        self.scale, self.objective = 1, [0] * (m + 1)
+
+    def entry(self, row, col):
+        """A multiplier row's tableau entry in a column: R_i . A_col."""
+        return sum(map(mul, row, self.columns[col]))
+
+    def column(self, col):
+        """The tableau's entries in a column, one per row."""
+        column = self.columns[col]
+        return [sum(map(mul, row, column)) for row in self.rows]
+
+    def price(self, cost):
+        """Set the reduced-cost row c_j - sum_i c_B(i) T_ij / T_iB(i) of
+        the current basis, scaled by the lcm of the T_iB(i)."""
+        costed = [(cost[var], row, self.entry(row, var))
+                  for row, var in zip(self.rows, self.basis) if cost[var]]
+        self.scale = math.lcm(*(d for _, _, d in costed))
+        objective = [0] * len(self.objective)
+        for c, row, d in costed:
+            factor = c * (self.scale // d)
+            objective = [y - factor * x for y, x in zip(objective, row)]
+        self.objective = objective
+
+    def simplex(self, cost, width):
+        """Bland's rule on the reduced costs of cost; columns >= width
+        never enter.  Returns the status and the pivot count."""
+        self.price(cost)
+        columns, rows, basis = self.columns, self.rows, self.basis
+        pivots = 0
+        while True:
+            objective, scale, basic = self.objective, self.scale, set(basis)
+            for entering in range(width):
+                if entering in basic:
                     continue
-            pivot_row, best_rhs, best_a = i, row[-1], a
-        if pivot_row is None:
-            return "unbounded", pivots
-        _pivot(tableau, basis, pivot_row, entering)
-        pivots += 1
+                reduced = sum(map(mul, objective, columns[entering]))
+                if cost[entering]:
+                    reduced += scale * cost[entering]
+                if reduced < 0:
+                    break
+            else:
+                return "optimal", pivots
+            entries = self.column(entering)
+            pivot_row = None
+            for i, a in enumerate(entries):
+                if a <= 0:
+                    continue
+                if pivot_row is not None:
+                    lhs, rhs = rows[i][-1] * best_a, best_rhs * a
+                    if lhs > rhs or (lhs == rhs and
+                                     basis[i] > basis[pivot_row]):
+                        continue
+                pivot_row, best_rhs, best_a = i, rows[i][-1], a
+            if pivot_row is None:
+                return "unbounded", pivots
+            self.pivot(pivot_row, entering, entries, reduced)
+            pivots += 1
 
+    def pivot(self, pivot_row, pivot_col, entries, reduced=0):
+        """Make pivot_col basic in pivot_row, given the column's entries,
+        and clear it from every other row; from the reduced-cost row too
+        when `reduced` is its entry there.
 
-def _pivot(tableau, basis, pivot_row, pivot_col):
-    """Make pivot_col basic in pivot_row and clear it from every other row.
-
-    The pivot row keeps its integers, negated if its pivot entry p is
-    negative, and p becomes its denominator.  Every other row, the
-    objective row included, becomes p * row - a * pivot_row, with a its
-    entry in pivot_col: the rational update scaled by p times the row's
-    old denominator, both positive.
-    """
-    row = tableau[pivot_row]
-    p = row[pivot_col]
-    if p < 0:
-        row = [-x for x in row]
-        p = -p
-        tableau[pivot_row] = row
-    for i, other in enumerate(tableau):
-        a = other[pivot_col]
-        if a != 0 and i != pivot_row:
-            tableau[i] = _reduced([p * x - a * y for x, y in zip(other, row)])
-    basis[pivot_row] = pivot_col
+        The pivot row keeps its multipliers, negated if its pivot entry p
+        is negative.  Every other row becomes p * R_i - a * R_pivot, with
+        a its entry in pivot_col, divided by the gcd of its entries: the
+        rational update scaled by a positive factor.
+        """
+        rows = self.rows
+        row = rows[pivot_row]
+        p = entries[pivot_row]
+        if p < 0:
+            row = [-x for x in row]
+            p = -p
+            rows[pivot_row] = row
+        for i, a in enumerate(entries):
+            if a != 0 and i != pivot_row:
+                rows[i] = _reduced([p * x - a * y
+                                    for x, y in zip(rows[i], row)])
+        if reduced:
+            objective = [p * x - reduced * y
+                         for x, y in zip(self.objective, row)]
+            scale = p * self.scale
+            g = math.gcd(scale, *objective)
+            self.objective = [x // g for x in objective]
+            self.scale = scale // g
+        self.basis[pivot_row] = pivot_col
 
 
 def check_solution(lp: LinearProgram, point: Optional[Sequence]) -> bool:

@@ -244,6 +244,17 @@ def test_seq_values(capsys):
         assert expected in out
 
 
+def test_seq_alpha_reports_simplex_effort(capsys):
+    code, out, _ = run_cli(capsys, "seq", "--which", "alpha", "--n", "7",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["value"], doc["pivots"], doc["point_bits"]) == (
+        "16500/2923", [35, 59], 12)
+    code, out, _ = run_cli(capsys, "seq", "--which", "alpha", "--n", "7")
+    assert (code, out) == (0, "alpha(7) = 16500/2923\n")
+
+
 def test_seq_dump_lp(capsys):
     code, out, _ = run_cli(capsys, "seq", "--which", "alpha", "--n", "2",
                            "--dump-lp")
@@ -412,6 +423,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
              "sequence c takes no weight scheme"),
             (("seq", "--which", "b", "--n", "2", "--dump-lp"),
              "--dump-lp applies to alpha only"),
+            (("seq", "--which", "alpha:", "--n", "3"),
+             "no weight scheme after 'alpha:'"),
             (("threshold", "--method", "bv", "--criterion", "JR", "--ell",
               "3", "--seats", "4"),
              "--ell and --scenario do not apply with --criterion")]:

@@ -179,9 +179,11 @@ def _mixed_program(rng):
 def test_random_mixed_programs():
     rng = random.Random(20261018)
     seen = Counter()
+    records = []
     for _ in range(300):
         lp, x0 = _mixed_program(rng)
         out = solve(lp)
+        records.append(_outcome_record(out))
         seen[out.status] += 1
         seen["negative rhs"] += any(rhs < 0 for _, _, rhs in lp.constraints)
         if x0 is None:
@@ -201,6 +203,7 @@ def test_random_mixed_programs():
             seen[">= form " + out.status] += 1
             dual_lp = dual_program(lp)
             dual = solve(dual_lp)
+            records.append("dual " + _outcome_record(dual))
             if out.status == "optimal":
                 assert check_solution(dual_lp, dual.point)
                 assert out.value == -dual.value
@@ -212,16 +215,51 @@ def test_random_mixed_programs():
                  ">= form optimal", ">= form infeasible",
                  ">= form unbounded"):
         assert seen[case] >= 10, (case, seen)
+    # Bland's path beyond the alpha programs: status, value, vertex and
+    # pivots of every program and dual above, recorded with the full
+    # tableau the multiplier rows replaced.  These reach infeasible and
+    # unbounded ends, negative rhs, = rows and the artificial drive-out.
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert (len(records), digest) == (
+        477, "095f8ddeeab694e70dd2a9a470d6178d0dd3128f070eddfc26430537fe774cb8")
+
+
+def _outcome_record(out):
+    point = "-" if out.point is None else ",".join(map(str, out.point))
+    return "%s %s %s %d,%d" % (out.status, out.value, point, *out.pivots)
+
+
+def test_programs_without_rows():
+    # No rows, a 0 = 0 row deleted by the drive-out, and a 0 >= 0 row
+    # whose surplus column is driven into the basis.
+    for lp, expected in (
+            (LinearProgram(1, [1], []), ("optimal", 0, (0, 0))),
+            (LinearProgram(2, [1, -1], []), ("unbounded", None, (0, 0))),
+            (LinearProgram(1, [1], [([0], "=", 0)]), ("optimal", 0, (0, 0))),
+            (LinearProgram(2, [1, -1], [([0, 0], ">=", 0)]),
+             ("unbounded", None, (1, 0)))):
+        out = solve(lp)
+        assert (out.status, out.value, out.pivots) == expected
 
 
 def test_redundant_equality_row_is_deleted():
-    lp = LinearProgram(2, [1, 2], [([1, 1], "=", 2),
-                                   ([Fraction(3, 2), Fraction(3, 2)], "=", 3),
-                                   ([1, Fraction(-1, 3)], "<=", 1)])
-    out = solve(lp)
-    assert check_solution(lp, out.point)
-    assert out.value == Fraction(11, 4)
-    assert out.point == (Fraction(5, 4), Fraction(3, 4))
+    # In each program one = row restates another at another scale, so its
+    # artificial stays basic at 0 after phase 1 and the drive-out deletes
+    # its row; in the second, phase 2 then pivots on the three rows left.
+    for lp, value, point, pivots in (
+            (LinearProgram(2, [1, 2],
+                           [([1, 1], "=", 2),
+                            ([Fraction(3, 2), Fraction(3, 2)], "=", 3),
+                            ([1, Fraction(-1, 3)], "<=", 1)]),
+             Fraction(11, 4), (Fraction(5, 4), Fraction(3, 4)), (2, 0)),
+            (LinearProgram(3, [-1, 0, 1],
+                           [([1, -1, 0], "=", 0), ([0, 1, -1], ">=", 0),
+                            ([Fraction(1, 2), Fraction(-1, 2), 0], "=", 0),
+                            ([1, 1, 1], "<=", 3)]),
+             Fraction(-3, 2), (Fraction(3, 2), Fraction(3, 2), 0), (3, 1))):
+        out = solve(lp)
+        assert check_solution(lp, out.point)
+        assert (out.value, out.point, out.pivots) == (value, point, pivots)
 
 
 # Bland's path on the alpha_n programs, recorded with the Fraction tableau
