@@ -64,39 +64,40 @@ def build_alpha_lp(n: int, scheme: WeightScheme) -> LinearProgram:
     """The program whose optimum is alpha_n(scheme).
 
     Variables x_sigma >= 0 for every non-empty subset sigma of the n
-    candidates.  With candidates elected in the order C_1, ..., C_n, a
-    ballot sigma gives each of its not-yet-elected members the weight
-    w_{1+|sigma intersect elected|}.  Constraints: at step k, C_k's score
-    is >= the score of every later C_j (ties allowed), and >= 1.
+    candidates, in the order of `subsets`.  With candidates elected in
+    the order C_1, ..., C_n, a ballot sigma gives each of its
+    not-yet-elected members the weight w_{1+|sigma intersect elected|}.
+    Constraints: at step k, C_k's score is >= the score of every later
+    C_j (ties allowed), and >= 1.
+
+    The rows are built directly, each subset keyed by its bitmask.  At
+    step k every member of sigma gets the same weight, so the row
+    "C_k >= C_j" is +w where sigma holds k and not j, -w where it holds
+    j and not k, and 0 where it holds both or neither; the row
+    "C_k >= 1" is w where sigma holds k and 0 elsewhere.
     """
     if n < 1:
         raise ValueError("alpha requires n >= 1")
     if n > ALPHA_CAP:
         raise ValueError("alpha LP capped at n <= %d (got %d)" % (ALPHA_CAP, n))
-    sigmas = subsets(n)
-    index = {sigma: j for j, sigma in enumerate(sigmas)}
-    nvars = len(sigmas)
-
-    def score_row(candidate: int, step: int) -> list:
-        # Coefficients of candidate's score at step `step` (0-based: the
-        # first `step` candidates are already elected).
-        row = [Fraction(0)] * nvars
-        for sigma, j in index.items():
-            if candidate in sigma:
-                elected = sum(1 for i in sigma if i < step)
-                row[j] = scheme.w(elected + 1)
-        return row
-
+    masks = [sum(1 << i for i in sigma) for sigma in subsets(n)]
+    weights = [scheme.w(i) for i in range(1, n + 1)]
+    zero = Fraction(0)
     constraints = []
     for k in range(n):                       # electing C_{k+1}
-        own = score_row(k, k)
+        bit, elected = 1 << k, (1 << k) - 1
+        step = [weights[(mask & elected).bit_count()] for mask in masks]
         for j in range(k + 1, n):
-            other = score_row(j, k)
-            diff = [a - b for a, b in zip(own, other)]
-            constraints.append((diff, ">=", Fraction(0)))
+            other = 1 << j
+            pair = bit | other
+            diff = [w if (mask & pair) == bit else
+                    -w if (mask & pair) == other else zero
+                    for mask, w in zip(masks, step)]
+            constraints.append((diff, ">=", zero))
+        own = [w if mask & bit else zero for mask, w in zip(masks, step)]
         constraints.append((own, ">=", Fraction(1)))
-    objective = [Fraction(1)] * nvars
-    return LinearProgram(nvars, objective, constraints)
+    objective = [Fraction(1)] * len(masks)
+    return LinearProgram(len(masks), objective, constraints)
 
 
 def alpha(n: int, scheme: WeightScheme = None) -> Fraction:

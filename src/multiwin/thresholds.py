@@ -114,11 +114,14 @@ class MethodId:
 
     @staticmethod
     def parse(text: str) -> "MethodId":
-        """The method a label names; "stv" alone means stv:1."""
-        kind, _, arg = text.partition(":")
+        """The method a label names; "stv" alone means stv:1.  A colon
+        with nothing after it is refused for every kind."""
+        kind, colon, arg = text.partition(":")
         kind = kind.strip().lower()
         if kind not in REGISTRY:
             raise ValueError("unknown method %r" % text)
+        if colon and not arg:
+            raise ValueError("nothing after '%s:'" % kind)
         if REGISTRY[kind].param is not None:
             if not arg:
                 if kind == "stv":

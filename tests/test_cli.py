@@ -425,6 +425,12 @@ def test_usage_errors_exit_two(capsys, tmp_path):
              "--dump-lp applies to alpha only"),
             (("seq", "--which", "alpha:", "--n", "3"),
              "no weight scheme after 'alpha:'"),
+            (("threshold", "--method", "thiele-add:", "--scenario", "same",
+              "--ell", "1", "--seats", "2"), "nothing after 'thiele-add:'"),
+            (("threshold", "--method", "borda:", "--scenario", "same",
+              "--ell", "1", "--seats", "2"), "nothing after 'borda:'"),
+            (("threshold", "--method", "stv:", "--scenario", "same",
+              "--ell", "1", "--seats", "2"), "nothing after 'stv:'"),
             (("threshold", "--method", "bv", "--criterion", "JR", "--ell",
               "3", "--seats", "4"),
              "--ell and --scenario do not apply with --criterion")]:

@@ -224,6 +224,68 @@ def test_random_mixed_programs():
         477, "095f8ddeeab694e70dd2a9a470d6178d0dd3128f070eddfc26430537fe774cb8")
 
 
+def _full_check(lp, point):
+    """check_solution written out in full: every coefficient of every row
+    times every entry of the point."""
+    if point is None:
+        return False
+    point = [Fraction(x) for x in point]
+    if len(point) != lp.num_vars or any(x < 0 for x in point):
+        return False
+    for coeffs, rel, rhs in lp.constraints:
+        lhs = sum((c * x for c, x in zip(coeffs, point)), Fraction(0))
+        if not {">=": lhs >= rhs, "<=": lhs <= rhs, "=": lhs == rhs}[rel]:
+            return False
+    return True
+
+
+def test_check_solution_agrees_with_full_resubstitution():
+    # The programs and duals of test_random_mixed_programs, each checked
+    # at its own vertex, at the known point, at 0, at random sparse
+    # points, with a negative entry, at the wrong length and at None.
+    rng, pick = random.Random(20261018), random.Random(20261020)
+    seen = Counter()
+    for _ in range(300):
+        lp, x0 = _mixed_program(rng)
+        programs = [(lp, x0)]
+        if all(rel == ">=" for _, rel, _ in lp.constraints):
+            programs.append((dual_program(lp), None))
+        for program, known in programs:
+            n = program.num_vars
+            sparse = [[Fraction(pick.randint(0, 3), pick.choice((1, 2, 3)))
+                       for _ in range(n)] for _ in range(3)]
+            negative = list(sparse[0])
+            negative[pick.randrange(n)] = Fraction(-1, 2)
+            for point in (solve(program).point, known, [0] * n, *sparse,
+                          negative, sparse[1] + [1], sparse[2][:-1], None):
+                verdict = check_solution(program, point)
+                assert verdict == _full_check(program, point), (program, point)
+                seen[verdict] += 1
+    assert (seen[True], seen[False]) == (1004, 3766)
+
+
+class _Exact(Fraction):
+    """A Fraction subclass, which LinearProgram converts."""
+
+
+def test_linear_program_stores_plain_fractions():
+    values = (Fraction(1), Fraction(1, 2), Fraction(-3), Fraction(0))
+    spellings = (values, [str(v) for v in values],
+                 [_Exact(v) for v in values],
+                 [int(v) if v.denominator == 1 else v for v in values])
+    programs = [LinearProgram(2, (a, b), [((c, d), ">=", b), ((a, c), "=", d),
+                                         ((b, b), "<=", a)])
+                for a, b, c, d in spellings]
+    assert all(program == programs[0] for program in programs)
+    for program in programs:
+        stored = list(program.objective)
+        for coeffs, _, rhs in program.constraints:
+            stored += [*coeffs, rhs]
+        assert all(type(c) is Fraction for c in stored)
+    # A Fraction given is kept, not copied.
+    assert programs[0].objective[1] is values[1]
+
+
 def _outcome_record(out):
     point = "-" if out.point is None else ",".join(map(str, out.point))
     return "%s %s %s %d,%d" % (out.status, out.value, point, *out.pivots)
@@ -351,6 +413,16 @@ SCHEMES = {scheme.label(): scheme for scheme in (
     WeightScheme.harmonic(), WeightScheme.weak(), WeightScheme.constant(),
     WeightScheme.explicit([1, Fraction(1, 2), Fraction(1, 2)], Fraction(1, 3)),
     WeightScheme.explicit([1, Fraction(1, 3)], Fraction(1, 5)))}
+
+
+def test_alpha_programs_are_pinned():
+    # format_lp of every program test_alpha_bland_path solves (the five
+    # schemes by label, n = 1..7): the programs themselves, not only
+    # their optima and pivot paths.
+    text = "".join(format_lp(build_alpha_lp(n, SCHEMES[label]))
+                   for label in sorted(SCHEMES) for n in range(1, 8))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "216684e65732a80e2018b7be5204661e166d6308180572c2f4796af16b114312")
 
 
 @pytest.mark.parametrize("label", sorted(ALPHA_PATHS))

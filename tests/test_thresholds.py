@@ -44,6 +44,15 @@ def test_method_parse_errors():
             MethodId.parse(bad)
 
 
+@pytest.mark.parametrize("kind", sorted(thresholds.REGISTRY))
+def test_method_parse_refuses_a_colon_with_nothing_after_it(kind):
+    # Without the colon the label still parses ("stv" means stv:1).
+    with pytest.raises(ValueError, match="^nothing after '%s:'" % kind):
+        MethodId.parse(kind + ":")
+    if thresholds.REGISTRY[kind].param is None or kind == "stv":
+        assert MethodId.parse(kind).kind == kind
+
+
 @pytest.mark.parametrize("kind, param, scheme, message", [
     ("bogus", None, None, "unknown method kind 'bogus'"),
     ("div", None, None, "div requires a parameter"),
