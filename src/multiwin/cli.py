@@ -387,8 +387,9 @@ def _cmd_search(args) -> int:
                       branch_cap=args.branch_cap)
     best, witness = search_lower_bound(method, args.scenario, args.ell,
                                        args.seats, spec)
+    tactic = ScenarioId(args.scenario) is ScenarioId.TACTIC
     doc_data = {"method": method.label(), "scenario": args.scenario,
-                "ell": args.ell, "seats": args.seats,
+                "ell": args.ell, "seats": args.seats, "certified": not tactic,
                 "best_fraction": format_rational(best),
                 "witness": _witness_data(witness) if witness else None}
     lines = ["search %s, scenario %s, ell=%d, S=%d, grid %d: best %s"
@@ -400,7 +401,7 @@ def _cmd_search(args) -> int:
                   format_profile(witness.instance.profile).splitlines()]
     else:
         lines.append("no bad-outcome profile found within the grid")
-    if ScenarioId(args.scenario) is ScenarioId.TACTIC:
+    if tactic:
         lines.append("note: a tactic value means no W strategy in the "
                      "grid guarantees ell; it is not a certified lower bound")
     Document(doc_data, lines).emit(args.format)
@@ -527,7 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", parents=[common],
                        help="cross-check the threshold corpus")
-    p.add_argument("--smax", type=int, default=5)
+    p.add_argument("--smax", type=int, default=5, help="largest S checked "
+                   "(the --with-search probe covers S <= 3 only)")
     p.add_argument("--with-search", action="store_true")
     p.set_defaults(func=_cmd_audit)
 

@@ -8,7 +8,8 @@ a status (exact, proved bound, conjectured, or unknown with partial
 bounds), and an optional attainment side: "plus" means a bad outcome
 exists at exactly the threshold fraction, "minus" means it does not.
 
-generic_bounds() lists the method-independent constraints, and
+generic_bounds() lists the method-independent constraints, the one place
+they are stated: the verifier's audit checks every pi entry against them.
 criterion_check() evaluates classical representation criteria (JR, PJR,
 EJR, DPC, strong and weak PSC floors) as threshold inequalities.
 table_grid() regenerates the named reference grids.
@@ -156,7 +157,8 @@ class ThresholdValue:
 
     def __post_init__(self):
         if self.value is not None:
-            object.__setattr__(self, "value", Fraction(self.value))
+            if type(self.value) is not Fraction:
+                object.__setattr__(self, "value", Fraction(self.value))
             if not 0 <= self.value <= 1:
                 raise ValueError("threshold must lie in [0, 1]")
         if self.status == EXACT:
@@ -173,7 +175,7 @@ class ThresholdValue:
 
 
 def _exact(value, kind=PI, side=UNSPECIFIED, source="", note="") -> ThresholdValue:
-    return ThresholdValue(Fraction(value), kind, side, EXACT, source, note=note)
+    return ThresholdValue(value, kind, side, EXACT, source, note=note)
 
 
 def _unknown(kind=PI, source="", lo=None, hi=None, note="") -> ThresholdValue:
@@ -658,29 +660,31 @@ REGISTRY = {
 
 @dataclass(frozen=True)
 class GenericBound:
-    """A universal constraint on pi(ell, S) for every reasonable method."""
+    """pi(ell, S) >= value, or pi(ell, S) + pi(partner, S) >= 1, for every
+    reasonable method; name is the audit's check name for it."""
 
     description: str
-    source: str
+    name: str
     value: Optional[Fraction] = None
+    partner: Optional[int] = None
 
 
-def generic_bounds(ell: int, seats: int) -> list:
+@lru_cache(maxsize=None)
+def generic_bounds(ell: int, seats: int) -> tuple:
     """Method-independent constraints applying at (ell, seats)."""
     _check_args(ell, seats)
-    bounds = []
+    bounds = [GenericBound(
+        "pi(ell,S) + pi(S+1-ell,S) >= 1: both sides cannot be guaranteed "
+        "more than S seats in total", "closure", partner=seats + 1 - ell)]
     if (seats + 1) % ell == 0:
         bounds.append(GenericBound(
             "pi(ell,S) >= ell/(S+1) when (S+1)/ell is an integer",
-            "symmetric-blocks", Fraction(ell, seats + 1)))
-    bounds.append(GenericBound(
-        "pi(ell,S) + pi(S+1-ell,S) >= 1: both sides cannot be guaranteed "
-        "more than S seats in total", "seat-count-closure"))
+            "floor", Fraction(ell, seats + 1)))
     if 2 * ell > seats + 1:
         bounds.append(GenericBound(
             "best achievable pi(ell,S) over all methods is 1/2 for "
-            "ell > (S+1)/2", "majority-floor", Fraction(1, 2)))
-    return bounds
+            "ell > (S+1)/2", "majority", Fraction(1, 2)))
+    return tuple(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -703,21 +707,15 @@ def _compare(entry: ThresholdValue, target: Fraction, allow_equal: bool):
     """Does the entry satisfy `pi < target` (or <= when allow_equal)?
 
     Returns True/False when decidable from the entry's bounds, else None.
+    An exact entry equal to the target passes a strict test only on the
+    minus side.
     """
-    if entry.is_exact:
-        if allow_equal:
-            return entry.value <= target
-        if entry.value < target:
-            return True
-        if entry.value > target:
-            return False
-        return entry.side == MINUS  # at equality only the minus side passes
     if entry.hi is not None and (entry.hi < target
                                  or (allow_equal and entry.hi <= target)):
         return True
     if entry.lo is not None and entry.lo > target:
         return False
-    return None
+    return entry.side == MINUS if entry.is_exact else None
 
 
 def criterion_check(method: MethodId, criterion: str, seats: int):
@@ -737,19 +735,14 @@ def criterion_check(method: MethodId, criterion: str, seats: int):
         if seats == 1:
             return True
         ells = range(1, seats)
+    dpc = criterion == "DPC"        # pi <= ell/(S+1); the others pi < ell/S
     unknown = False
     for ell in ells:
-        entry = threshold(method, scenario, ell, seats)
-        if criterion == "DPC":
-            verdict = _compare(entry, Fraction(ell, seats + 1),
-                               allow_equal=True)
-        else:
-            verdict = _compare(entry, Fraction(ell, seats),
-                               allow_equal=False)
+        verdict = _compare(threshold(method, scenario, ell, seats),
+                           Fraction(ell, seats + 1 if dpc else seats), dpc)
         if verdict is False:
             return False
-        if verdict is None:
-            unknown = True
+        unknown = unknown or verdict is None
     return None if unknown else True
 
 

@@ -37,7 +37,8 @@ from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
                         is_bad_outcome_possible, is_instance, require_kind)
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
-from .thresholds import REGISTRY, CoverageError, MethodId, PI, threshold
+from .thresholds import (REGISTRY, CoverageError, MethodId, PI,
+                         generic_bounds, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +594,8 @@ def construct_witness(token: str, method: MethodId, scenario, ell: int,
 def covering_token(method: MethodId, scenario, ell: int,
                    seats: int) -> Optional[str]:
     """A catalog token whose witness attains the exact threshold, if any."""
-    try:
-        entry = threshold(method, scenario, ell, seats)
-    except (CoverageError, ValueError):
-        return None
-    if not (entry.is_exact and entry.kind == PI):
+    entry = _entry_or_none(method, scenario, ell, seats)
+    if entry is None or not (entry.is_exact and entry.kind == PI):
         return None
     for token in CATALOG:
         try:
@@ -1023,7 +1021,7 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
 # Inequality audit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditCheck:
     name: str
     subject: str
@@ -1060,14 +1058,14 @@ def _entry_or_none(method, scenario, ell, seats):
     return None if entry.lo is None and entry.hi is None else entry
 
 
-_CHAINS = (
-    (ScenarioId.PARTY, ScenarioId.SAME),
-    (ScenarioId.SAME, ScenarioId.PJR),
-    (ScenarioId.PJR, ScenarioId.EJR),
-    (ScenarioId.SAME, ScenarioId.WPSC),
-    (ScenarioId.WPSC, ScenarioId.PSC),
-    (ScenarioId.TACTIC, ScenarioId.SAME),
-)
+_CHAINS = {     # lower: (higher, ell shift) rows, lo(lower) <= hi(higher)
+    ScenarioId.PARTY: ((ScenarioId.SAME, 0), (ScenarioId.PARTY, 1)),
+    ScenarioId.SAME: ((ScenarioId.PJR, 0), (ScenarioId.WPSC, 0),
+                      (ScenarioId.SAME, 1)),
+    ScenarioId.PJR: ((ScenarioId.EJR, 0),),
+    ScenarioId.WPSC: ((ScenarioId.PSC, 0),),
+    ScenarioId.TACTIC: ((ScenarioId.SAME, 0), (ScenarioId.TACTIC, 1)),
+}
 
 
 def audit_table(scope: Optional[list] = None, smax: int = 5,
@@ -1075,19 +1073,27 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
                 with_search: bool = False) -> AuditReport:
     """Machine-check the inequality families over the scope.
 
-    Every in-scope entry at S <= smax that bounds its cell (has a lo or a
-    hi) is looked up once, into one table keyed (method, scenario, ell,
-    S); no check reads an entry without a bound.  Each family is one loop
-    over the table, and the checks are listed family by family: chains
-    where the lower entry has a lo and the higher a hi; seat-count closure
-    and the floor ell/(S+1) when (S+1)/ell is whole, on exact pi entries
-    with an exact pi partner at S+1-ell; tactic subadditivity over exact
-    tactic entries; and, with with_search=True, a search_lower_bound
-    probe of exact pi entries at S <= 3, which must never exceed the
-    threshold and must attain it when the witness catalog covers the cell
-    inside the search grid.  A pair the scope lists twice is checked once,
-    and a cell whose search is its twin's (`_search_twin`) is searched once.
-    An smax below 1 would check nothing, so it is refused.
+    Every in-scope entry at S <= smax with a lo or a hi is looked up once,
+    into one table keyed (method, scenario, ell, S).  Each family is one
+    loop over the table, in turn, and all but the search compare a lo with
+    a hi (an exact entry has lo = hi): the `_CHAINS` rows, each bound of
+    `generic_bounds(ell, S)` on the pi entries, and tactic subadditivity,
+    lo(ell_a + ell_b) <= hi(ell_a) + hi(ell_b).  With with_search=True,
+    search_lower_bound probes the exact pi entries at S <= 3: it must not
+    exceed the threshold, and must attain it when a catalog witness covers
+    the cell inside the search grid.  A pair listed twice is checked once,
+    a cell whose search is its twin's (`_search_twin`) is searched once,
+    and an smax below 1, which would check nothing, is refused.
+
+    A shifted row checks pi(ell-1, S) <= pi(ell, S) between entries of one
+    kind: a W that can be denied ell-1 seats can be denied ell.  Under
+    tactic, add a name to the targets: whatever W's strategy, the answer
+    that seats at most ell-2 old targets seats at most ell-1 new ones.
+    Under party and same, seating at most ell-2 of W's list seats fewer
+    than ell; a list of ell-1 names gains a name only W lists (last, if
+    ordered), with no more support than W's unseated name, so the bad
+    outcome stays reachable.  bv ejr has pi(2, 3) = 3/5 > pi(3, 3) = 1/2,
+    so pjr, ejr, psc and wpsc have no shifted row.
     """
     if smax < 1:
         raise ValueError("smax must be >= 1")
@@ -1096,6 +1102,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
     if spec is None:
         spec = AUDIT_SPEC
     pairs = dict.fromkeys((m, ScenarioId(sc)) for m, sc in scope)
+    label = {m: m.label() for m, _ in pairs}
     cells = ((m, sc, ell, seats) for m, sc in pairs
              for seats in range(1, smax + 1) for ell in range(1, seats + 1))
     table = {cell: entry for cell in cells
@@ -1107,43 +1114,47 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
         checks.append(AuditCheck(intern(name), intern(subject), ok,
                                  "" if ok else fmt % args))
 
-    def exact(entry, kind=None):
-        """The entry's value if it is exact (and of that kind), else None."""
-        ok = entry is not None and entry.is_exact and kind in (None, entry.kind)
-        return entry.value if ok else None
+    def side(cell, name, kind=None):
+        """The cell's lo or hi, if it has an entry (of that kind)."""
+        entry = table.get(cell)
+        ok = entry is not None and kind in (None, entry.kind)
+        return getattr(entry, name) if ok else None
 
     for (method, sc, ell, seats), low in table.items():
-        for high_sc in [upper for lower, upper in _CHAINS if lower is sc]:
-            high = table.get((method, high_sc, ell, seats))
-            if high is not None and low.lo is not None and high.hi is not None:
-                check("chain %s<=%s" % (sc.value, high_sc.value),
-                      "%s ell=%d S=%d" % (method.label(), ell, seats),
-                      low.lo <= high.hi, "%s > %s", low.lo, high.hi)
+        for high_sc, shift in _CHAINS.get(sc, ()):
+            hi = side((method, high_sc, ell + shift, seats), "hi",
+                      low.kind if shift else None)
+            if low.lo is not None and hi is not None:
+                check("monotone %s" % sc.value if shift
+                      else "chain %s<=%s" % (sc.value, high_sc.value),
+                      "%s ell=%d S=%d" % (label[method], ell + shift, seats),
+                      low.lo <= hi, "%s > %s", low.lo, hi)
     for (method, sc, ell, seats), entry in table.items():
-        value = exact(entry, PI)
-        partner = exact(table.get((method, sc, seats + 1 - ell, seats)), PI)
-        if value is None or partner is None:
+        if entry.kind != PI or entry.hi is None:
             continue
-        subject = "%s ell=%d S=%d" % (method.label(), ell, seats)
-        check("closure %s" % sc.value, subject, value + partner >= 1,
-              "%s + %s < 1", value, partner)
-        if (seats + 1) % ell == 0:
-            check("floor %s" % sc.value, subject,
-                  value >= Fraction(ell, seats + 1),
-                  "%s < %d/%d", value, ell, seats + 1)
-    for (method, sc, ell_a, seats), entry in table.items():
-        a = exact(entry) if sc is ScenarioId.TACTIC else None
-        for ell_b in range(1, seats + 1 - ell_a) if a is not None else ():
-            b, both = (exact(table.get((method, sc, ell, seats)))
-                       for ell in (ell_b, ell_a + ell_b))
+        hi, subject = entry.hi, "%s ell=%d S=%d" % (label[method], ell, seats)
+        for bound in generic_bounds(ell, seats):
+            name = "%s %s" % (bound.name, sc.value)
+            if bound.partner is None:
+                check(name, subject, hi >= bound.value, "%s < %s",
+                      hi, bound.value)
+                continue
+            other = side((method, sc, bound.partner, seats), "hi", PI)
+            if other is not None:
+                check(name, subject, hi + other >= 1, "%s + %s < 1", hi, other)
+    for (method, sc, ell_a, seats), a in table.items():
+        tactic = sc is ScenarioId.TACTIC and a.hi is not None
+        for ell_b in range(1, seats + 1 - ell_a) if tactic else ():
+            b = side((method, sc, ell_b, seats), "hi")
+            both = side((method, sc, ell_a + ell_b, seats), "lo")
             if b is not None and both is not None:
                 check("tactic subadditive",
-                      "%s S=%d %d+%d" % (method.label(), seats, ell_a, ell_b),
-                      both <= a + b, "%s > %s + %s", both, a, b)
+                      "%s S=%d %d+%d" % (label[method], seats, ell_a, ell_b),
+                      both <= a.hi + b, "%s > %s + %s", both, a.hi, b)
     searched: dict = {}     # search cell -> its best fraction, None if refused
     for (method, sc, ell, seats), entry in table.items():
-        value = exact(entry, PI) if with_search and seats <= 3 else None
-        if value is None:
+        value = entry.value if entry.is_exact and entry.kind == PI else None
+        if not with_search or seats > 3 or value is None:
             continue
         key = (method, _search_twin(sc, ell), ell, seats)
         if key not in searched:
@@ -1155,7 +1166,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
         found = searched[key]
         if found is None:
             continue
-        subject = "%s %s ell=%d S=%d" % (method.label(), sc.value, ell, seats)
+        subject = "%s %s ell=%d S=%d" % (label[method], sc.value, ell, seats)
         check("search<=threshold", subject, found <= value,
               "%s > %s", found, value)
         token = covering_token(method, sc, ell, seats)
@@ -1191,16 +1202,10 @@ def _search_twin(scenario: ScenarioId, ell: int) -> ScenarioId:
 def _witness_in_grid(witness: Witness, spec: SearchSpec) -> bool:
     """Is the witness profile representable as unit ballots in the grid?"""
     profile = witness.instance.profile
-    total = profile.total_weight
-    if any(b.weight.denominator != 1 for b in profile.ballots):
-        return False
-    if total > spec.weight_grid:
-        return False
-    if len(profile.candidates) > max(spec.max_candidates, profile.seats):
-        return False
-    if len(profile.ballots) > spec.max_ballot_groups:
-        return False
-    for b in profile.ballots:
-        if len(b.content.names()) > spec.max_ballot_length:
-            return False
-    return True
+    return (profile.total_weight <= spec.weight_grid
+            and len(profile.candidates) <= max(spec.max_candidates,
+                                               profile.seats)
+            and len(profile.ballots) <= spec.max_ballot_groups
+            and all(b.weight.denominator == 1
+                    and len(b.content.names()) <= spec.max_ballot_length
+                    for b in profile.ballots))

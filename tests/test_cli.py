@@ -372,6 +372,21 @@ def test_tactic_search_says_what_its_value_means(capsys):
     assert "note" not in out
 
 
+def test_tactic_search_json_is_not_certified(capsys):
+    # At the SearchSpec defaults no W strategy in the grid names all four
+    # targets, so the tactic search reports 2/3 where pi = 1/2 is exact.
+    code, out, _ = run_cli(capsys, "search", "--method", "bv", "--scenario",
+                           "tactic", "--ell", "4", "--seats", "4",
+                           "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["best_fraction"], doc["certified"]) == ("2/3", False)
+    code, out, _ = run_cli(capsys, "search", "--method", "bv", "--scenario",
+                           "same", "--ell", "1", "--seats", "1", "--grid", "3",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["certified"] is True
+
+
 def test_audit_clean(capsys):
     code, out, _ = run_cli(capsys, "audit", "--smax", "4")
     assert code == 0
@@ -503,7 +518,8 @@ def test_kind_refusal_is_the_same_for_search_and_check(
     # A tie of W's two names with one rival name seats the rival at 1/2.
     (("search", "--method", "bv", "--scenario", "same", "--ell", "2",
       "--seats", "2", "--grid", "2", "--max-candidates", "3"),
-     [["best_fraction", "1/2"], ["ell", "2"], ["method", "bv"],
+     [["best_fraction", "1/2"], ["certified", "True"], ["ell", "2"],
+      ["method", "bv"],
       ["scenario", "same"], ["seats", "2"], ["witness.ell", "2"],
       ["witness.fraction", "1/2"],
       ["witness.profile", "!seats 2\n!W 1 : {A1 A2}\n1 : {B1}\n"],

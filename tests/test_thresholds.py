@@ -436,9 +436,9 @@ def test_generic_bounds_state_each_fact_once():
     for seats in range(1, 11):
         for ell in range(1, seats + 1):
             bounds = generic_bounds(ell, seats)
-            sources = [b.source for b in bounds]
+            names = [b.name for b in bounds]
             values = [b.value for b in bounds if b.value is not None]
-            assert len(set(sources)) == len(sources), (ell, seats)
+            assert len(set(names)) == len(names), (ell, seats)
             assert len(set(values)) == len(values), (ell, seats)
 
 

@@ -1,5 +1,7 @@
 """Witness catalog, bounded adversarial search, and the corpus audit."""
 
+import hashlib
+import json
 from collections import Counter
 from copy import copy
 from fractions import Fraction
@@ -15,7 +17,8 @@ from multiwin.ballots import (DEFAULT_BRANCH_CAP, format_profile,
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import (ScenarioId, ScenarioInstance,
                                 ScenarioTypeError)
-from multiwin.thresholds import REGISTRY, CoverageError, MethodId, threshold
+from multiwin.thresholds import (REGISTRY, CoverageError, MethodId,
+                                 ThresholdValue, threshold)
 from multiwin.verifier import (CATALOG, SearchSpec, Witness, audit_table,
                                construct_witness, covering_token,
                                default_scope, party_seat_vectors, run_method,
@@ -895,6 +898,60 @@ def test_audit_with_search_on_restricted_scope():
     assert "search=threshold" in names
 
 
+# sha256 of the JSON list of [name, subject, ok] over audit_table(smax=8):
+# 8,158 checks, every one passing.
+AUDIT_CHECKS_GOLDEN = (
+    "970e1f0a35411be0fc793427965ff08af86188f18fe502b7853560551af4b5cf")
+
+
+def test_audit_checks_are_pinned():
+    report = audit_table(smax=8)
+    text = json.dumps([[c.name, c.subject, c.ok] for c in report.checks],
+                      separators=(",", ":"))
+    assert len(report.checks) == 8158 and report.passed
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_CHECKS_GOLDEN
+    assert Counter(c.name.split()[0] for c in report.checks) == {
+        "chain": 1738, "closure": 2180, "floor": 944, "majority": 964,
+        "monotone": 1156, "tactic": 1176}
+
+
+def _bounds(lo, hi, kind="pi"):
+    return ThresholdValue(None, kind, status="interval", lo=lo, hi=hi)
+
+
+# stv:1 same and tactic are ell/(S+1) on every cell; each case swaps some
+# S <= 4 cells for bounds that break one family alone, the cells' other
+# checks being made vacuous (lo None) or loose (hi 1).
+@pytest.mark.parametrize("scenario, cells, failures", [
+    ("same", {(3, 4): _bounds(None, F(2, 5)), (2, 4): _bounds(None, F(1))},
+     [("majority same", "stv:1 ell=3 S=4", "2/5 < 1/2")]),
+    ("same", {(1, 3): _bounds(None, F(1, 5)), (3, 3): _bounds(None, F(1))},
+     [("floor same", "stv:1 ell=1 S=3", "1/5 < 1/4")]),
+    ("same", {(2, 4): _bounds(None, F(1, 5)), (3, 4): _bounds(None, F(1, 2)),
+              (1, 4): _bounds(None, F(1))},
+     [("closure same", "stv:1 ell=2 S=4", "1/5 + 1/2 < 1"),
+      ("closure same", "stv:1 ell=3 S=4", "1/2 + 1/5 < 1")]),
+    ("same", {(2, 4): _bounds(F(7, 10), F(1))},
+     [("monotone same", "stv:1 ell=3 S=4", "7/10 > 3/5")]),
+    # pi-hat against pi is no monotone pair, and pi-hat has no generic bound
+    ("same", {(2, 4): _bounds(F(7, 10), F(1), "pihat")}, []),
+    ("tactic", {(3, 4): _bounds(F(9, 10), F(1)), (4, 4): _bounds(None, F(1))},
+     [("tactic subadditive", "stv:1 S=4 1+2", "9/10 > 1/5 + 2/5"),
+      ("tactic subadditive", "stv:1 S=4 2+1", "9/10 > 2/5 + 1/5")]),
+])
+def test_each_audit_family_fails_alone(monkeypatch, scenario, cells,
+                                       failures):
+    real = verifier.threshold
+
+    def patched(method, sc, ell, seats):
+        return cells.get((ell, seats)) or real(method, sc, ell, seats)
+
+    monkeypatch.setattr(verifier, "threshold", patched)
+    report = audit_table(scope=[(MethodId("stv", 1), scenario)], smax=4)
+    assert [(c.name, c.subject, c.detail)
+            for c in report.failures()] == failures
+
+
 def test_search_audit_clean(monkeypatch):
     # Every search probe of an exact pi cell at S <= 3 stays at or below
     # pi, and attains it wherever a catalog witness fits the grid.  From
@@ -918,7 +975,7 @@ def test_search_audit_clean(monkeypatch):
     report = audit_table(smax=3, with_search=True)
     assert len(calls) == 19675 - 4902
     assert report == every_cell
-    assert len(report.checks) == 1548
+    assert len(report.checks) == 1877
     assert report.passed and not report.failures()
 
 
