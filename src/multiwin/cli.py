@@ -28,19 +28,20 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+from .audit import audit_table
 from .ballots import (DEFAULT_BRANCH_CAP, ProfileError, WeightScheme,
                       format_profile, parse_profile_file)
 from .numerics import format_rational, to_decimal_str
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
                         ScenarioTypeError, is_instance)
+from .search import SearchSpec, search_lower_bound
 from .sequences import build_alpha_lp, seq_a, seq_b, seq_c, solve_alpha
 from .lp import format_lp
 from .thresholds import (CoverageError, MethodId, TABLE_NAMES, ThresholdValue,
                          criterion_check, table_grid, threshold, CRITERIA)
 from .unordered import BudgetExceededError
-from .verifier import (CATALOG, SearchSpec, Witness, audit_table,
-                       construct_witness, party_seat_vectors, run_method,
-                       search_lower_bound, verify_witness)
+from .witnesses import (CATALOG, Witness, construct_witness,
+                        party_seat_vectors, run_method, verify_witness)
 
 
 class _CliError(Exception):

@@ -12,6 +12,7 @@ from math import comb, prod
 
 import pytest
 
+from multiwin.audit import audit_table, default_scope
 from multiwin.ballots import (ListBallot, Profile, ProfileError, SetBallot,
                               WeightScheme, WeightedBallot, parse_profile,
                               scale)
@@ -19,14 +20,13 @@ from multiwin.ordered import StvSpec, stv_count, thiele_ordered
 from multiwin.party import (DivisorSpec, QuotaSpec, divisor_apportion,
                             quota_apportion)
 from multiwin.scenarios import ScenarioId
+from multiwin.search import SearchSpec, search_lower_bound
 from multiwin.sequences import alpha, seq_a, seq_b, seq_c
 from multiwin.thresholds import (REGISTRY, CoverageError, MethodId,
                                  table_grid, threshold)
 from multiwin.unordered import (phragmen_unordered, thiele_addition,
                                 thiele_addition_paths)
-from multiwin.verifier import (SearchSpec, _load_fixture, audit_table,
-                               default_scope, run_method, search_lower_bound,
-                               verify_witness)
+from multiwin.witnesses import _load_fixture, run_method, verify_witness
 
 from test_thresholds import GRIDS
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiwin import ordered
+from multiwin.audit import AUDIT_SPEC, default_scope
 from multiwin.ballots import (DEFAULT_BRANCH_CAP, CoverageError, ListBallot,
                               OutcomeSet, Profile, SetBallot, WeightScheme,
                               WeightedBallot)
@@ -14,13 +15,13 @@ from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
 from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
                                 ScenarioInstance, is_bad_outcome_possible)
+from multiwin.search import search_lower_bound
 from multiwin.thresholds import MethodId
 from multiwin.unordered import (BudgetExceededError, branch,
                                 phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
-from multiwin.verifier import (AUDIT_SPEC, default_scope, run_method,
-                               search_lower_bound)
+from multiwin.witnesses import run_method
 
 HARMONIC = WeightScheme.harmonic()
 NAMES = ["C%d" % i for i in range(6)]

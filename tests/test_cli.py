@@ -8,8 +8,8 @@ from importlib import resources
 import pytest
 
 from multiwin import cli
+from multiwin.audit import AuditCheck, AuditReport
 from multiwin.cli import run
-from multiwin.verifier import AuditCheck, AuditReport
 
 
 @pytest.fixture

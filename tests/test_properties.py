@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from multiwin.audit import default_scope
 from multiwin.ballots import (DEFAULT_BRANCH_CAP, ListBallot, Profile,
                               SetBallot, WeightScheme, WeightedBallot, scale)
 from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
@@ -15,7 +16,7 @@ from multiwin.thresholds import MethodId
 from multiwin.unordered import (LoadState, phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
-from multiwin.verifier import default_scope, run_method
+from multiwin.witnesses import run_method
 
 NAMES = ("A", "B", "C", "D", "E")
 

@@ -35,7 +35,7 @@ from multiwin.numerics import format_rational
 from multiwin.scenarios import ScenarioId
 from multiwin.thresholds import REGISTRY, MethodId, UNKNOWN, threshold
 from multiwin.unordered import thiele_addition_paths
-from multiwin.verifier import party_seat_vectors, run_method
+from multiwin.witnesses import party_seat_vectors, run_method
 
 LABELS = {
     "set": ("bv", "av", "sntv", "lv:1", "lv:2", "cvq", "phragmen-u",

@@ -18,7 +18,7 @@ from multiwin.scenarios import ScenarioId
 from multiwin.thresholds import (INTERVAL, CoverageError, MethodId,
                                  TABLE_NAMES, ThresholdValue, criterion_check,
                                  generic_bounds, table_grid, threshold)
-from multiwin.verifier import construct_witness, verify_witness
+from multiwin.witnesses import construct_witness, verify_witness
 
 F = Fraction
 
@@ -88,7 +88,7 @@ def test_method_parse_refuses_an_argument_the_kind_does_not_take(label):
 
 
 def test_method_parse_round_trips_the_default_scope():
-    from multiwin.verifier import default_scope
+    from multiwin.audit import default_scope
     for method, _ in default_scope():
         assert MethodId.parse(method.label()) == method
         # Equal ids hash equal, a pickled copy included; the pickle holds

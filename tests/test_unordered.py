@@ -12,7 +12,7 @@ from multiwin.unordered import (BudgetExceededError, LoadState,
                                 boundary_committees, phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
-from multiwin.verifier import run_method
+from multiwin.witnesses import run_method
 
 
 def prof(text):

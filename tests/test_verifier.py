@@ -2,27 +2,31 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from collections import Counter
 from copy import copy
 from fractions import Fraction
 from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from multiwin import verifier
+from multiwin import audit, search, verifier, witnesses
+from multiwin.audit import audit_table, covering_token, default_scope
 from multiwin.ballots import (DEFAULT_BRANCH_CAP, format_profile,
                               parse_profile)
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import (ScenarioId, ScenarioInstance,
                                 ScenarioTypeError)
+from multiwin.search import SearchSpec, search_lower_bound
 from multiwin.thresholds import (REGISTRY, CoverageError, MethodId,
                                  ThresholdValue, threshold)
-from multiwin.verifier import (CATALOG, SearchSpec, Witness, audit_table,
-                               construct_witness, covering_token,
-                               default_scope, party_seat_vectors, run_method,
-                               search_lower_bound, verify_witness)
+from multiwin.witnesses import (CATALOG, Witness, construct_witness,
+                                party_seat_vectors, run_method,
+                                verify_witness)
 
 F = Fraction
 
@@ -277,14 +281,14 @@ def test_witness_in_grid_refusals():
 
     three_groups = witness("!seats 1\n!W 1 : {A}\n1 : {B}\n1 : {C}\n",
                            "A", F(1, 3))
-    assert verifier._witness_in_grid(three_groups, SearchSpec())
-    assert not verifier._witness_in_grid(three_groups,
+    assert audit._witness_in_grid(three_groups, SearchSpec())
+    assert not audit._witness_in_grid(three_groups,
                                          SearchSpec(max_ballot_groups=2))
     long_ballot = witness("!seats 1\n!W 1 : {A B C D}\n1 : {E}\n", "A",
                           F(1, 2))
-    assert verifier._witness_in_grid(long_ballot,
+    assert audit._witness_in_grid(long_ballot,
                                      SearchSpec(max_ballot_length=4))
-    assert not verifier._witness_in_grid(long_ballot, SearchSpec())
+    assert not audit._witness_in_grid(long_ballot, SearchSpec())
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,7 @@ def test_search_refuses_a_scenario_the_ballots_cannot_express(
     def enumerating(*args):
         raise AssertionError("enumerated a refused cell")
 
-    monkeypatch.setattr(verifier, "_orbit_firsts", enumerating)
+    monkeypatch.setattr(search, "_orbit_firsts", enumerating)
     with pytest.raises(ScenarioTypeError):
         search_lower_bound(MethodId.parse(label), scenario, 1, 2)
 
@@ -351,7 +355,7 @@ def test_search_refuses_a_cap_below_ell(monkeypatch, label, cap, scenario,
     def enumerating(*args):
         raise AssertionError("enumerated a refused cell")
 
-    monkeypatch.setattr(verifier, "_orbit_firsts", enumerating)
+    monkeypatch.setattr(search, "_orbit_firsts", enumerating)
     with pytest.raises(CoverageError,
                        match="cap %d is below ell = %d" % (cap, ell)):
         search_lower_bound(MethodId.parse(label), scenario, ell, seats)
@@ -432,8 +436,8 @@ def test_canonical_form_is_the_renaming_orbit(pair):
     first, second, ordered = pair
     same_orbit = any(_renamed(first, renaming) == Counter(second)
                      for renaming in _renamings())
-    assert (verifier._canonical_form(first, CELLS, ordered)
-            == verifier._canonical_form(second, CELLS, ordered)) \
+    assert (search._canonical_form(first, CELLS, ordered)
+            == search._canonical_form(second, CELLS, ordered)) \
         == same_orbit
 
 
@@ -452,7 +456,7 @@ def test_canonical_form_is_the_renaming_orbit(pair):
 ])
 def test_canonical_form_text(counts, ordered, key):
     # Keys as the search writes them: a met orbit is found by its text.
-    assert verifier._canonical_form(counts, CELLS, ordered) == key
+    assert search._canonical_form(counts, CELLS, ordered) == key
 
 
 @st.composite
@@ -465,7 +469,7 @@ def _cell_cases(draw):
 
 @given(_cell_cases())
 def test_cells_are_the_classes_of_the_swaps_that_keep_the_multiset(counts):
-    cells = verifier._cells(counts, POOL)
+    cells = search._cells(counts, POOL)
     assert sorted(chain.from_iterable(cells)) == list(POOL)
     cell_of = {name: cell for cell in cells for name in cell}
     for x, y in combinations(POOL, 2):
@@ -483,15 +487,15 @@ def test_cells_of_two_strategies_on_decoys():
     # answers at size 2 are kept, where the orbits of every renaming that
     # fixes W are only 4: {B1}{B1} ~ {B2}{B2}, {B1}{B1B2} ~ {B1B2}{B2}.
     w = ((frozenset({"A1", "B1"}), 1), (frozenset({"A2", "B2"}), 1))
-    cells = verifier._cells(w, DECOYS[:2])
+    cells = search._cells(w, DECOYS[:2])
     assert cells == (frozenset({"B1"}), frozenset({"B2"}))
     options = (frozenset({"B1"}), frozenset({"B1", "B2"}), frozenset({"B2"}))
-    kept = list(copy(verifier._orbit_firsts(options, 2, cells, False)))
+    kept = list(copy(search._orbit_firsts(options, 2, cells, False)))
     assert kept == list(_multisets(options, 2))
     assert len(kept) == 6
     assert len(_keyed_answers(w, options, 2)) == 4
     w = ((frozenset({"A1", "B1", "B2"}), 1), (frozenset({"A1", "B3", "B4"}), 1))
-    assert verifier._cells(w, ("B1", "B2", "B3", "B4")) == (
+    assert search._cells(w, ("B1", "B2", "B3", "B4")) == (
         frozenset({"B1", "B2"}), frozenset({"B3", "B4"}))
 
 
@@ -505,9 +509,9 @@ def test_target_cells(label, scenario, one_cell):
     # W's one list under party and same fixes the order of the targets,
     # so no swap of two targets keeps it; every other option set is kept
     # by every swap.
-    options = verifier._w_options(MethodId.parse(label), ScenarioId(scenario),
-                                  TARGETS, DECOYS, verifier.AUDIT_SPEC, 3)
-    cells = verifier._cells([(option, 1) for option in options], TARGETS)
+    options = search._w_options(MethodId.parse(label), ScenarioId(scenario),
+                                  TARGETS, DECOYS, audit.AUDIT_SPEC, 3)
+    cells = search._cells([(option, 1) for option in options], TARGETS)
     assert cells == (CELLS if one_cell
                      else (frozenset({"A1"}), frozenset({"A2"})))
 
@@ -542,7 +546,7 @@ def test_pjr_and_ejr_w_options(label, seats, ell, longest, options):
                       max_ballot_length=longest)
     targets = tuple("A%d" % (i + 1) for i in range(ell))
     for scenario in (ScenarioId.PJR, ScenarioId.EJR):
-        found = verifier._w_options(MethodId.parse(label), scenario, targets,
+        found = search._w_options(MethodId.parse(label), scenario, targets,
                                     DECOYS, spec, seats)
         assert " ".join("".join(sorted(ballot)) for ballot in found) == options
 
@@ -560,7 +564,7 @@ def test_party_answers_are_the_partitions_of_the_rival_votes():
     # The i-th part goes to P<i>, so the answers are named and ordered as
     # when the search enumerated partitions itself.
     for parties in range(7):
-        strategies = verifier._party_strategies(
+        strategies = search._party_strategies(
             1, 1, SearchSpec(max_candidates=parties + 1))
         for votes in range(1, 13):
             (answers,) = strategies(votes + 1, 1)
@@ -603,8 +607,8 @@ def _keyed_answers(w, options, votes):
 
 def _answers(w, options, votes, ordered):
     """The answers the search reads for W's strategy."""
-    cells = verifier._cells(w, DECOYS)
-    return list(copy(verifier._orbit_firsts(options, votes, cells, ordered)))
+    cells = search._cells(w, DECOYS)
+    return list(copy(search._orbit_firsts(options, votes, cells, ordered)))
 
 
 @st.composite
@@ -627,7 +631,7 @@ def test_adversary_orbits_answer_a_strategy_on_targets(case):
     # Every renaming of the decoys fixes W, so the answers are the first
     # of each orbit under renaming the decoys alone: the cached sequence.
     w, options, votes, ordered = case
-    assert list(copy(verifier._orbit_firsts(options, votes, (), ordered))) \
+    assert list(copy(search._orbit_firsts(options, votes, (), ordered))) \
         == _keyed_answers(w, options, votes)
 
 
@@ -670,7 +674,7 @@ def test_kept_answers_are_the_orbits_when_swaps_fix_w(case):
     # the swaps that keep W generate those renamings' action on the
     # answers, so the kept answers are the first of each orbit.
     w, options, votes, ordered = case
-    cells = verifier._cells(w, DECOYS)
+    cells = search._cells(w, DECOYS)
     assume(all(renaming[name] in cell for renaming in _fixing(w)
                for cell in cells for name in cell))
     assert _answers(w, options, votes, ordered) \
@@ -685,7 +689,7 @@ def test_orbit_firsts_refuses_options_not_closed(options, cells):
     # The orderly fill is sound only when each renaming within the cells
     # permutes the options.
     with pytest.raises(ValueError, match="not closed under renaming"):
-        verifier._orbit_firsts(options, 2, cells, isinstance(options[0],
+        search._orbit_firsts(options, 2, cells, isinstance(options[0],
                                                              tuple))
 
 
@@ -710,7 +714,7 @@ def test_strategy_orbits_are_the_renaming_orbits(case):
         if orbit not in met:
             met.add(orbit)
             kept.append(counts)
-    assert list(copy(verifier._orbit_firsts(options, size, CELLS,
+    assert list(copy(search._orbit_firsts(options, size, CELLS,
                                             ordered))) == kept
 
 
@@ -723,26 +727,27 @@ CACHE_CELLS = [("phragmen-u", "tactic", 2, 3), ("stv:1", "tactic", 2, 2),
 def _clear_caches():
     """Empty every cache the search reads, so that the next search starts
     cold."""
-    for value in vars(verifier).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    for module in (witnesses, search, audit):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
-def _counting(monkeypatch, name):
-    """Count the calls to verifier.<name> from now on."""
+def _counting(monkeypatch, module, name):
+    """Count the calls to module.<name> from now on."""
     calls = []
-    original = getattr(verifier, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verifier, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_search_is_the_same_with_a_cold_or_warm_cache(monkeypatch):
-    calls = _counting(monkeypatch, "run_method")
+    calls = _counting(monkeypatch, witnesses, "run_method")
 
     def results(cells):
         found = {}
@@ -750,7 +755,7 @@ def test_search_is_the_same_with_a_cold_or_warm_cache(monkeypatch):
             before = len(calls)
             best, witness = search_lower_bound(
                 MethodId.parse(label), scenario, ell, seats,
-                verifier.AUDIT_SPEC)
+                audit.AUDIT_SPEC)
             found[label, scenario] = (best, witness.instance.profile,
                                       len(calls) - before)
         return found
@@ -765,8 +770,8 @@ def test_search_is_the_same_with_a_cold_or_warm_cache(monkeypatch):
 def test_search_strategies_keep_targets_apart():
     # A single av ballot over A1 and three decoys: its orbit is fixed by
     # whether it names A1 and by how many decoys it names, 6 in all.
-    strategies = verifier._ballot_strategies(MethodId("av"), ScenarioId.TACTIC,
-                                             1, 1, verifier.AUDIT_SPEC)
+    strategies = search._ballot_strategies(MethodId("av"), ScenarioId.TACTIC,
+                                             1, 1, audit.AUDIT_SPEC)
     assert len(list(strategies(2, 1))) == 6
 
 
@@ -775,7 +780,7 @@ def test_search_answers_keep_to_the_ballot_group_cap():
     # decoys, and {A1, B1}, whose answers are orbits under renaming within
     # its decoy cells {B1} and {B2, B3}; both obey the cap.
     spec = SearchSpec(max_candidates=4, weight_grid=4, max_ballot_groups=2)
-    strategies = verifier._ballot_strategies(MethodId("av"), ScenarioId.PJR,
+    strategies = search._ballot_strategies(MethodId("av"), ScenarioId.PJR,
                                              1, 2, spec)
     sizes = {}
     for answers in strategies(4, 1):
@@ -793,11 +798,11 @@ def test_search_decides_each_orbit_once(monkeypatch):
     # among themselves and the decoys among themselves.  From a cold
     # cache the orderly fill keys 2,879 multisets (13,326 when every
     # multiset was keyed).
-    calls = _counting(monkeypatch, "run_method")
-    keys = _counting(monkeypatch, "_canonical_form")
+    calls = _counting(monkeypatch, witnesses, "run_method")
+    keys = _counting(monkeypatch, search, "_canonical_form")
     _clear_caches()
     best, _ = search_lower_bound(MethodId("stv", 1), "tactic", 3, 3,
-                                 verifier.AUDIT_SPEC)
+                                 audit.AUDIT_SPEC)
     assert best == F(3, 4)
     assert 0 < len(calls) <= 1964
     assert 0 < len(keys) <= 2880
@@ -812,7 +817,7 @@ def test_search_counts_only_engine_refusals_as_not_bad(monkeypatch, error,
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(verifier, "run_method", failing)
+    monkeypatch.setattr(witnesses, "run_method", failing)
     spec = SearchSpec(max_candidates=2, weight_grid=2)
     if refused:
         assert search_lower_bound(MethodId("bv"), "same", 1, 1,
@@ -941,12 +946,12 @@ def _bounds(lo, hi, kind="pi"):
 ])
 def test_each_audit_family_fails_alone(monkeypatch, scenario, cells,
                                        failures):
-    real = verifier.threshold
+    real = audit.threshold
 
     def patched(method, sc, ell, seats):
         return cells.get((ell, seats)) or real(method, sc, ell, seats)
 
-    monkeypatch.setattr(verifier, "threshold", patched)
+    monkeypatch.setattr(audit, "threshold", patched)
     report = audit_table(scope=[(MethodId("stv", 1), scenario)], smax=4)
     assert [(c.name, c.subject, c.detail)
             for c in report.failures()] == failures
@@ -963,11 +968,11 @@ def test_search_audit_clean(monkeypatch):
     # report.  Six of the checks are search=threshold on the thiele-add,
     # thiele-o and borda party cells at ell = S in {2, 3}, which the
     # common-list-tie witness reaches on the grid.
-    calls = _counting(monkeypatch, "run_method")
-    keys = _counting(monkeypatch, "_canonical_form")
+    calls = _counting(monkeypatch, witnesses, "run_method")
+    keys = _counting(monkeypatch, search, "_canonical_form")
     _clear_caches()
     with monkeypatch.context() as patch:
-        patch.setattr(verifier, "_search_twin", lambda scenario, ell: scenario)
+        patch.setattr(audit, "_search_twin", lambda scenario, ell: scenario)
         every_cell = audit_table(smax=3, with_search=True)
     assert len(calls) == 19675
     assert 0 < len(keys) <= 4536
@@ -990,7 +995,7 @@ def _twin_pairs():
         for seats in (1, 2, 3):
             for ell in range(1, seats + 1):
                 for scenario in (ScenarioId.EJR, ScenarioId.WPSC):
-                    twin = verifier._search_twin(scenario, ell)
+                    twin = audit._search_twin(scenario, ell)
                     if twin is scenario or scenario.value not in (
                             ("pjr", "ejr") if method.spec.ballot == "set"
                             else ("psc", "wpsc")):
@@ -1007,7 +1012,7 @@ def test_twin_cells_search_alike(method, twin, scenario, ell, seats):
     def searched(sc):
         try:
             best, witness = search_lower_bound(method, sc, ell, seats,
-                                               verifier.AUDIT_SPEC)
+                                               audit.AUDIT_SPEC)
         except (CoverageError, ScenarioTypeError) as exc:
             return type(exc)
         return best, witness and (format_profile(witness.instance.profile),
@@ -1020,3 +1025,35 @@ def test_default_scope_covers_all_scenarios():
     scope = default_scope()
     scenarios = {scenario for _, scenario in scope}
     assert scenarios == set(ScenarioId)
+
+
+# ---------------------------------------------------------------------------
+# Module layout
+
+
+# The names the benchmark reads from verifier, by their home module.
+VERIFIER_REEXPORTS = {"run_method": witnesses, "construct_witness": witnesses,
+                      "SearchSpec": search, "search_lower_bound": search,
+                      "default_scope": audit, "covering_token": audit,
+                      "audit_table": audit}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_REEXPORTS))
+def test_verifier_reexports_the_home_object(name):
+    assert getattr(verifier, name) is getattr(VERIFIER_REEXPORTS[name], name)
+
+
+CHECK_MODULES = ("witnesses", "search", "audit")
+
+
+@pytest.mark.parametrize("index", range(len(CHECK_MODULES)))
+def test_each_check_module_imports_first(index):
+    # Imported first in a fresh interpreter, a module meets any import
+    # cycle it is in; it loads none of the modules after it, nor verifier.
+    later = ["multiwin." + name for name in CHECK_MODULES[index + 1:]]
+    code = ("import sys; sys.path.insert(0, %r); import multiwin.%s; "
+            "assert not set(%r) & set(sys.modules)"
+            % (str(Path(audit.__file__).parents[1]), CHECK_MODULES[index],
+               later + ["multiwin.verifier"]))
+    subprocess.run([sys.executable, "-c", code], check=True)
+

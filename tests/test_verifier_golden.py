@@ -40,14 +40,14 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
-from multiwin import verifier
+from multiwin import search
+from multiwin.audit import AUDIT_SPEC, covering_token, default_scope
 from multiwin.ballots import format_profile
 from multiwin.numerics import format_rational
 from multiwin.scenarios import ScenarioId
+from multiwin.search import SearchSpec, search_lower_bound
 from multiwin.thresholds import PI, MethodId, threshold
-from multiwin.verifier import (AUDIT_SPEC, CATALOG, SearchSpec,
-                               construct_witness, covering_token,
-                               default_scope, search_lower_bound)
+from multiwin.witnesses import CATALOG, construct_witness
 
 SEARCH_SPEC = SearchSpec(max_candidates=4, weight_grid=3)
 
@@ -189,8 +189,8 @@ def test_golden_party_search():
 def test_golden_audit_search_with_a_small_orbit_cache(monkeypatch):
     # Evicted orbit sequences are built again; the level recursion reads
     # the cache through the module name, so it meets the small one too.
-    small = lru_cache(maxsize=2)(verifier._orbit_firsts.__wrapped__)
-    monkeypatch.setattr(verifier, "_orbit_firsts", small)
+    small = lru_cache(maxsize=2)(search._orbit_firsts.__wrapped__)
+    monkeypatch.setattr(search, "_orbit_firsts", small)
     assert _digest(audit_search_records()) == AUDIT_GOLDEN
     assert small.cache_info().currsize == 2
 
