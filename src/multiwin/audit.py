@@ -18,6 +18,7 @@ from .thresholds import (REGISTRY, CoverageError, MethodId, PI,
                          generic_bounds, threshold)
 from .witnesses import CATALOG, Witness, construct_witness
 
+
 # ---------------------------------------------------------------------------
 # Inequality audit
 
@@ -50,9 +51,10 @@ def default_scope() -> list:
     return [(m, sc) for m in methods for sc in ScenarioId]
 
 
-# The audit's search spec: smaller than the defaults, so that the search
-# over every pi-exact cell at S <= 3 stays affordable.
+# The audit's search spec, smaller than the defaults, and the largest S
+# it searches, so that the search over every pi-exact cell stays affordable.
 AUDIT_SPEC = SearchSpec(max_candidates=4, weight_grid=4)
+SEARCH_SMAX = 3
 
 
 def _entry_or_none(method, scenario, ell, seats):
@@ -100,8 +102,9 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
     loop over the table, in turn, and all but the search compare a lo with
     a hi (an exact entry has lo = hi): the `_CHAINS` rows, each bound of
     `generic_bounds(ell, S)` on the pi entries, and tactic subadditivity,
-    lo(ell_a + ell_b) <= hi(ell_a) + hi(ell_b).  With with_search=True,
-    search_lower_bound probes the exact pi entries at S <= 3: it must not
+    lo(ell_a + ell_b) <= hi(ell_a) + hi(ell_b) for ell_a <= ell_b, so each
+    inequality is checked once.  With with_search=True, search_lower_bound
+    probes the exact pi entries at S <= SEARCH_SMAX: it must not
     exceed the threshold, and must attain it when a catalog witness covers
     the cell inside the search grid.  A pair listed twice is checked once,
     a cell whose search is its twin's (`_search_twin`) is searched once,
@@ -166,7 +169,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
                 check(name, subject, hi + other >= 1, "%s + %s < 1", hi, other)
     for (method, sc, ell_a, seats), a in table.items():
         tactic = sc is ScenarioId.TACTIC and a.hi is not None
-        for ell_b in range(1, seats + 1 - ell_a) if tactic else ():
+        for ell_b in range(ell_a, seats + 1 - ell_a) if tactic else ():
             b = side((method, sc, ell_b, seats), "hi")
             both = side((method, sc, ell_a + ell_b, seats), "lo")
             if b is not None and both is not None:
@@ -176,7 +179,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
     searched: dict = {}     # search cell -> its best fraction, None if refused
     for (method, sc, ell, seats), entry in table.items():
         value = entry.value if entry.is_exact and entry.kind == PI else None
-        if not with_search or seats > 3 or value is None:
+        if not with_search or seats > SEARCH_SMAX or value is None:
             continue
         key = (method, _search_twin(sc, ell), ell, seats)
         if key not in searched:

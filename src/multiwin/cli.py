@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .audit import audit_table
+from .audit import SEARCH_SMAX, audit_table
 from .ballots import (DEFAULT_BRANCH_CAP, ProfileError, WeightScheme,
                       format_profile, parse_profile_file)
 from .numerics import format_rational, to_decimal_str
@@ -530,7 +530,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", parents=[common],
                        help="cross-check the threshold corpus")
     p.add_argument("--smax", type=int, default=5, help="largest S checked "
-                   "(the --with-search probe covers S <= 3 only)")
+                   "(the --with-search probe covers S <= %d only)"
+                   % SEARCH_SMAX)
     p.add_argument("--with-search", action="store_true")
     p.set_defaults(func=_cmd_audit)
 

@@ -26,6 +26,7 @@ from .thresholds import CoverageError, MethodId
 from .witnesses import (_CONTENT, Witness, _is_bad, _names, _profile,
                         _require_engine)
 
+
 # ---------------------------------------------------------------------------
 # Bounded brute-force search
 

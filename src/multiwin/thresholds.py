@@ -9,7 +9,7 @@ bounds), and an optional attainment side: "plus" means a bad outcome
 exists at exactly the threshold fraction, "minus" means it does not.
 
 generic_bounds() lists the method-independent constraints, the one place
-they are stated: the verifier's audit checks every pi entry against them.
+they are stated: the audit checks every pi entry against them.
 criterion_check() evaluates classical representation criteria (JR, PJR,
 EJR, DPC, strong and weak PSC floors) as threshold inequalities.
 table_grid() regenerates the named reference grids.
@@ -20,10 +20,10 @@ cap and whether it elects as D'Hondt on party lists.  The five score
 rules share one engine, and each entry supplies the rule's ballot cap
 and, for cvq, its split credit.  Adding a method means adding one
 registry entry; MethodId (built as MethodId(kind, param, scheme=...) or
-parsed from its label), threshold(), the verifier's run_method, search
-and witness builders, and the CLI all read the record.  A witness
+parsed from its label), threshold(), witnesses.run_method, the search,
+the witness builders and the CLI all read the record.  A witness
 construction that covers the new kind also lists it in its
-verifier.CATALOG row.
+witnesses.CATALOG row.
 """
 
 from __future__ import annotations
@@ -178,6 +178,10 @@ def _exact(value, kind=PI, side=UNSPECIFIED, source="", note="") -> ThresholdVal
     return ThresholdValue(value, kind, side, EXACT, source, note=note)
 
 
+def _optimal(ell, seats, kind=PI, source="dhondt-reduction"):
+    return _exact(Fraction(ell, seats + 1), kind=kind, source=source)
+
+
 def _unknown(kind=PI, source="", lo=None, hi=None, note="") -> ThresholdValue:
     return ThresholdValue(None, kind, UNSPECIFIED, UNKNOWN, source,
                           lo=lo, hi=hi, note=note)
@@ -298,27 +302,23 @@ def _lv_threshold(method, scenario, ell, seats):
                              2 * seats + limit + 2 - 3 * ell)
         return _exact(value, source="ejr-overlap-window")
     if scenario is ScenarioId.PARTY and limit == 1:
-        return _exact(Fraction(1, seats + 1), source="equal-split-strategy")
+        return _optimal(ell, seats, source="equal-split-strategy")
     return None
 
 
 def _sntv_threshold(method, scenario, ell, seats):
     if scenario is ScenarioId.TACTIC:
-        if ell == 1:
-            return _exact(Fraction(1, seats + 1), kind=PI,
-                          source="equal-split-strategy")
-        return _exact(Fraction(ell, seats + 1), kind=PIHAT,
-                      source="equal-split-strategy")
+        return _optimal(ell, seats, PI if ell == 1 else PIHAT,
+                        "equal-split-strategy")
     if ell == 1 and scenario in (ScenarioId.PARTY, ScenarioId.SAME,
                                  ScenarioId.PJR, ScenarioId.EJR):
-        return _exact(Fraction(1, seats + 1), source="single-name-plurality")
+        return _optimal(ell, seats, source="single-name-plurality")
     return None
 
 
 def _cv_threshold(method, scenario, ell, seats):
     if scenario is ScenarioId.TACTIC:
-        return _exact(Fraction(ell, seats + 1), kind=PIHAT,
-                      source="equal-split-strategy")
+        return _optimal(ell, seats, PIHAT, "equal-split-strategy")
     return None
 
 
@@ -326,8 +326,7 @@ def _cvq_threshold(method, scenario, ell, seats):
     if scenario is ScenarioId.TACTIC:
         # The ideal equal-and-even split lets W divide exactly, so the
         # limit value is attained for every electorate size.
-        return _exact(Fraction(ell, seats + 1), kind=PI,
-                      source="equal-split-strategy")
+        return _optimal(ell, seats, source="equal-split-strategy")
     if scenario in (ScenarioId.PARTY, ScenarioId.SAME,
                     ScenarioId.PJR, ScenarioId.EJR):
         # Self-voting blocks reach any fraction below 1, but at exactly 1
@@ -338,10 +337,6 @@ def _cvq_threshold(method, scenario, ell, seats):
 
 # ---------------------------------------------------------------------------
 # Phragmen (unordered) and the Thiele family
-
-
-def _optimal(ell, seats, kind=PI, source="dhondt-reduction"):
-    return _exact(Fraction(ell, seats + 1), kind=kind, source=source)
 
 
 def _phragmen_u_threshold(method, scenario, ell, seats):
@@ -390,8 +385,7 @@ def _thiele_opt_threshold(method, scenario, ell, seats):
                               note="proved lower bound only")
     if scenario is ScenarioId.TACTIC:
         if _weights_subharmonic(scheme, seats):
-            return _exact(Fraction(ell, seats + 1), kind=PIHAT,
-                          source="equal-split-strategy")
+            return _optimal(ell, seats, PIHAT, "equal-split-strategy")
         return None
     return None
 
@@ -406,12 +400,10 @@ def _thiele_add_threshold(method, scenario, ell, seats):
     scheme = method.scheme
     if scheme.kind == "weak":
         if scenario is ScenarioId.TACTIC:
-            return _exact(Fraction(ell, seats + 1), kind=PIHAT,
-                          source="equal-split-strategy")
+            return _optimal(ell, seats, PIHAT, "equal-split-strategy")
         if scenario in (ScenarioId.SAME, ScenarioId.PJR, ScenarioId.EJR):
             if ell == 1:
-                return _exact(Fraction(1, seats + 1),
-                              source="sequential-mass-lp")
+                return _optimal(ell, seats, source="sequential-mass-lp")
             return _exact(Fraction(1), source="single-bonus-saturation")
         return None
     if scenario in (ScenarioId.SAME, ScenarioId.TACTIC,
@@ -462,7 +454,7 @@ def _thiele_add_threshold(method, scenario, ell, seats):
 
 def _thiele_elim_threshold(method, scenario, ell, seats):
     if scenario in (ScenarioId.SAME, ScenarioId.TACTIC):
-        return _exact(Fraction(ell, seats + 1), source="credit-conservation")
+        return _optimal(ell, seats, source="credit-conservation")
     if scenario in (ScenarioId.PJR, ScenarioId.EJR):
         best = max(Fraction(m, m * m + seats)
                    for m in range(1, seats + 2))
@@ -484,11 +476,11 @@ def _stv_threshold(method, scenario, ell, seats):
         return _exact(_quota_extremes(delta, ell, seats),
                       source="quota-transfer-extremes")
     if scenario is ScenarioId.TACTIC:
-        opt = Fraction(ell, seats + 1)
         if delta == 1 or ell == 1:
-            return _exact(opt, source="equal-split-strategy")
+            return _optimal(ell, seats, source="equal-split-strategy")
         return ThresholdValue(None, PI, UNSPECIFIED, INTERVAL,
-                              "equal-split-strategy", lo=opt,
+                              "equal-split-strategy",
+                              lo=Fraction(ell, seats + 1),
                               hi=_quota_extremes(delta, ell, seats),
                               note="limit form is exactly ell/(S+1)")
     return None
@@ -671,11 +663,16 @@ class GenericBound:
 
 @lru_cache(maxsize=None)
 def generic_bounds(ell: int, seats: int) -> tuple:
-    """Method-independent constraints applying at (ell, seats)."""
+    """Method-independent constraints applying at (ell, seats), each fact
+    once: closure relates ell and S+1-ell, so only the smaller of the two
+    lists it, and at ell = (S+1)/2 it reads pi >= 1/2, the floor there."""
     _check_args(ell, seats)
-    bounds = [GenericBound(
-        "pi(ell,S) + pi(S+1-ell,S) >= 1: both sides cannot be guaranteed "
-        "more than S seats in total", "closure", partner=seats + 1 - ell)]
+    bounds = []
+    if 2 * ell < seats + 1:
+        bounds.append(GenericBound(
+            "pi(ell,S) + pi(S+1-ell,S) >= 1: both sides cannot be "
+            "guaranteed more than S seats in total", "closure",
+            partner=seats + 1 - ell))
     if (seats + 1) % ell == 0:
         bounds.append(GenericBound(
             "pi(ell,S) >= ell/(S+1) when (S+1)/ell is an integer",
@@ -691,8 +688,6 @@ def generic_bounds(ell: int, seats: int) -> tuple:
 # Representation criteria
 
 
-CRITERIA = ("JR", "PJR", "EJR", "DPC", "PSC-strong", "wPSC-floor")
-
 _CRITERION_SCENARIO = {
     "JR": ScenarioId.PJR,
     "PJR": ScenarioId.PJR,
@@ -701,6 +696,7 @@ _CRITERION_SCENARIO = {
     "PSC-strong": ScenarioId.PSC,
     "wPSC-floor": ScenarioId.WPSC,
 }
+CRITERIA = tuple(_CRITERION_SCENARIO)
 
 
 def _compare(entry: ThresholdValue, target: Fraction, allow_equal: bool):

@@ -25,6 +25,7 @@ from .scenarios import (ScenarioId, ScenarioInstance, is_bad_outcome_possible,
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
 from .thresholds import REGISTRY, CoverageError, MethodId
 
+
 # ---------------------------------------------------------------------------
 # Witness
 

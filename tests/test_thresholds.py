@@ -440,6 +440,9 @@ def test_generic_bounds_state_each_fact_once():
             values = [b.value for b in bounds if b.value is not None]
             assert len(set(names)) == len(names), (ell, seats)
             assert len(set(values)) == len(values), (ell, seats)
+            # closure is listed once per pair, on the smaller side
+            assert all(b.partner is None or b.partner > ell
+                       for b in bounds), (ell, seats)
 
 
 CRITERION_GOLDEN = [
