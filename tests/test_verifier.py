@@ -283,11 +283,11 @@ def test_witness_in_grid_refusals():
                            "A", F(1, 3))
     assert audit._witness_in_grid(three_groups, SearchSpec())
     assert not audit._witness_in_grid(three_groups,
-                                         SearchSpec(max_ballot_groups=2))
+                                      SearchSpec(max_ballot_groups=2))
     long_ballot = witness("!seats 1\n!W 1 : {A B C D}\n1 : {E}\n", "A",
                           F(1, 2))
     assert audit._witness_in_grid(long_ballot,
-                                     SearchSpec(max_ballot_length=4))
+                                  SearchSpec(max_ballot_length=4))
     assert not audit._witness_in_grid(long_ballot, SearchSpec())
 
 
@@ -510,7 +510,7 @@ def test_target_cells(label, scenario, one_cell):
     # so no swap of two targets keeps it; every other option set is kept
     # by every swap.
     options = search._w_options(MethodId.parse(label), ScenarioId(scenario),
-                                  TARGETS, DECOYS, audit.AUDIT_SPEC, 3)
+                                TARGETS, DECOYS, audit.AUDIT_SPEC, 3)
     cells = search._cells([(option, 1) for option in options], TARGETS)
     assert cells == (CELLS if one_cell
                      else (frozenset({"A1"}), frozenset({"A2"})))
@@ -547,7 +547,7 @@ def test_pjr_and_ejr_w_options(label, seats, ell, longest, options):
     targets = tuple("A%d" % (i + 1) for i in range(ell))
     for scenario in (ScenarioId.PJR, ScenarioId.EJR):
         found = search._w_options(MethodId.parse(label), scenario, targets,
-                                    DECOYS, spec, seats)
+                                  DECOYS, spec, seats)
         assert " ".join("".join(sorted(ballot)) for ballot in found) == options
 
 
@@ -690,7 +690,7 @@ def test_orbit_firsts_refuses_options_not_closed(options, cells):
     # permutes the options.
     with pytest.raises(ValueError, match="not closed under renaming"):
         search._orbit_firsts(options, 2, cells, isinstance(options[0],
-                                                             tuple))
+                                                           tuple))
 
 
 @st.composite
@@ -715,7 +715,7 @@ def test_strategy_orbits_are_the_renaming_orbits(case):
             met.add(orbit)
             kept.append(counts)
     assert list(copy(search._orbit_firsts(options, size, CELLS,
-                                            ordered))) == kept
+                                          ordered))) == kept
 
 
 CACHE_CELLS = [("phragmen-u", "tactic", 2, 3), ("stv:1", "tactic", 2, 2),
@@ -771,7 +771,7 @@ def test_search_strategies_keep_targets_apart():
     # A single av ballot over A1 and three decoys: its orbit is fixed by
     # whether it names A1 and by how many decoys it names, 6 in all.
     strategies = search._ballot_strategies(MethodId("av"), ScenarioId.TACTIC,
-                                             1, 1, audit.AUDIT_SPEC)
+                                           1, 1, audit.AUDIT_SPEC)
     assert len(list(strategies(2, 1))) == 6
 
 
@@ -781,7 +781,7 @@ def test_search_answers_keep_to_the_ballot_group_cap():
     # its decoy cells {B1} and {B2, B3}; both obey the cap.
     spec = SearchSpec(max_candidates=4, weight_grid=4, max_ballot_groups=2)
     strategies = search._ballot_strategies(MethodId("av"), ScenarioId.PJR,
-                                             1, 2, spec)
+                                           1, 2, spec)
     sizes = {}
     for answers in strategies(4, 1):
         for inst in answers:
