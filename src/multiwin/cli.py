@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction

@@ -2,18 +2,24 @@
 
 Minimizes c.x subject to linear constraints (>=, <=, =) and x >= 0.  The
 starting rows, with their slack and artificial columns, are scaled to
-integers once and stored by column as A; A never changes.  Tableau row i
-is R_i A, and the solver stores only R_i: one integer multiplier per
-starting row (its starting artificial block), followed by the row's rhs
-R_i b.  The reduced-cost row is kept as a positive scale f and a
-multiplier row y, so that reduced cost j is f c_j + y A_j.  A pivot
-updates every row with a nonzero entry in the entering column to
-p R_i - a R_pivot and divides it by the gcd of its entries (Bareiss,
-Math. Comp. 1968; Applegate, Cook, Dash and Espinoza, Oper. Res. Lett.
-2007); that is m x m integer work per pivot, for m rows, and no
-Fraction arithmetic runs inside the loop (revised simplex: Dantzig and
-Orchard-Hays 1954).  Reduced costs, the entering column and the basic
-entries are integer dot products with A's columns, computed when read.
+integers once and stored by column as A, each column by its nonzeros
+only (a slack or artificial column has one); A never changes.  Tableau
+row i is R_i A, and the solver stores only R_i: one integer multiplier
+per starting row (its starting artificial block), followed by the row's
+rhs R_i b.  The reduced-cost row is kept as a positive scale f and a
+multiplier row y, so that reduced cost j is f c_j + y A_j.  A pivot with
+pivot entry p updates every row with a nonzero entry a in the entering
+column to (p/h) R_i - (a/h) R_pivot, h = gcd(p, a), and divides it by the
+gcd of its entries (Bareiss, Math. Comp. 1968; Applegate, Cook, Dash and
+Espinoza, Oper. Res. Lett. 2007).  Dividing by h first gives the same
+row, from smaller products, and often leaves no gcd to divide out.  A
+pivot so costs 2(m + 1) integer products per row it updates, the
+reduced-cost row included (at most m + 1 rows), plus a division pass for
+each row whose gcd exceeds 1; no Fraction arithmetic runs inside the
+loop (revised simplex: Dantzig and Orchard-Hays 1954).  Reduced costs,
+the entering column and the basic entries are integer dot products with
+A's columns, computed when read and only over the column's nonzeros:
+nnz(A_j) products per reduced cost, m nnz(A_j) for the entering column.
 
 Bland's anti-cycling rule picks every pivot, because the programs this
 package builds are highly degenerate (many optima); it guarantees
@@ -33,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import compress
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .numerics import format_rational
@@ -84,32 +91,30 @@ class LpOutcome:
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of the program, with a vertex certificate."""
     n = lp.num_vars
-    # Build equality-form rows with rhs >= 0.
-    rows = []                        # (coeffs over structural vars, rel, rhs)
-    for coeffs, rel, rhs in lp.constraints:
-        if rhs < 0:
+    # Scale each row, with rhs >= 0, to integers: its structural
+    # coefficients, its rhs and its artificial's coefficient k > 0; its
+    # slack or surplus, if any, has coefficient k or -k.
+    structural, rhs, slacks, artificials = [], [], [], []
+    for i, (coeffs, rel, b) in enumerate(lp.constraints):
+        if b < 0:
             coeffs = [-c for c in coeffs]
-            rhs = -rhs
+            b = -b
             rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs))
-
-    m = len(rows)
-    slack_count = sum(1 for _, rel, _ in rows if rel != "=")
-    total = n + slack_count + m      # structural + slack/surplus + artificial
-    start = []
-    slack_at = n
-    art_at = n + slack_count
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        row = list(coeffs) + [0] * (slack_count + m) + [rhs]
+        *coeffs, b, k = _integer_row([*coeffs, b, 1])
+        structural.append(coeffs)
+        rhs.append(b)
         if rel != "=":
-            row[slack_at] = 1 if rel == "<=" else -1
-            slack_at += 1
-        row[art_at + i] = 1
-        start.append(_integer_row(row))
-    tableau = _Tableau(start, total)
+            slacks.append(_single(i, k if rel == "<=" else -k))
+        artificials.append(_single(i, k))
+    m = len(rhs)
+    art_at = n + len(slacks)         # the first artificial column
+    # zip of no rows gives no columns, so n empty ones stand in.
+    columns = [_support(column)
+               for column in (zip(*structural) if m else [()] * n)]
+    tableau = _Tableau(columns + slacks + artificials, rhs)
 
     # Phase 1: minimize the sum of artificials.
-    status, phase1 = tableau.simplex([0] * art_at + [1] * m, total)
+    status, phase1 = tableau.simplex([0] * art_at + [1] * m, art_at + m)
     if status != "optimal":          # phase 1 is always bounded below by 0
         raise RuntimeError("phase 1 reported %s" % status)
     if tableau.objective[-1] != 0:
@@ -132,7 +137,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     # Phase 2 on the structural objective.  Artificial columns never
     # enter again.
-    cost = _integer_row(list(lp.objective) + [0] * slack_count)
+    cost = _integer_row(list(lp.objective) + [0] * len(slacks))
     status, phase2 = tableau.simplex(cost, art_at)
     pivots = (phase1, phase2)
     if status == "unbounded":
@@ -157,32 +162,51 @@ def _integer_row(values):
     return _reduced([v.numerator * (lcm // v.denominator) for v in values])
 
 
+def _support(column):
+    """A column of A by its nonzeros: a getter that picks their rows'
+    entries out of a multiplier row, and their values."""
+    at = tuple(compress(range(len(column)), column))
+    if len(at) == 1:
+        return _single(at[0], column[at[0]])
+    # itemgetter() raises, so an all-zero column picks an empty slice.
+    return (itemgetter(*at) if at else itemgetter(slice(0)),
+            tuple(filter(None, column)))
+
+
+def _single(i, value):
+    """A column with one nonzero, value in row i.  itemgetter(i) would
+    give a scalar, so it picks the one-entry slice."""
+    return itemgetter(slice(i, i + 1)), (value,)
+
+
 class _Tableau:
     """Revised simplex state over the integer starting rows A.
 
-    `columns` holds A by column and never changes.  Tableau row i is
-    R_i A; `rows[i]` is its integer multiplier row R_i, one entry per
-    starting row, followed by its rhs R_i b.  The reduced-cost row is
-    scale * c + y A with scale > 0; `objective` is y followed by y b.
-    The basis starts at the artificials, the last m of `width` columns.
+    `columns[j]` is A_j by its nonzeros (see `_support`), and never
+    changes.  Tableau row i is R_i A; `rows[i]` is its integer multiplier
+    row R_i, one entry per starting row, followed by its rhs R_i b.  The
+    reduced-cost row is scale * c + y A with scale > 0; `objective` is y
+    followed by y b.  The basis starts at the artificials, the last m
+    columns, with rhs b.
     """
 
-    def __init__(self, start, width):
-        m = len(start)
-        self.columns = [tuple(row[j] for row in start) for j in range(width)]
-        self.rows = [[0] * i + [1] + [0] * (m - i - 1) + [row[-1]]
-                     for i, row in enumerate(start)]
-        self.basis = list(range(width - m, width))
+    def __init__(self, columns, rhs):
+        m = len(rhs)
+        self.columns = columns
+        self.rows = [[0] * i + [1] + [0] * (m - i - 1) + [b]
+                     for i, b in enumerate(rhs)]
+        self.basis = list(range(len(columns) - m, len(columns)))
         self.scale, self.objective = 1, [0] * (m + 1)
 
     def entry(self, row, col):
         """A multiplier row's tableau entry in a column: R_i . A_col."""
-        return sum(map(mul, row, self.columns[col]))
+        at, values = self.columns[col]
+        return sum(map(mul, at(row), values))
 
     def column(self, col):
         """The tableau's entries in a column, one per row."""
-        column = self.columns[col]
-        return [sum(map(mul, row, column)) for row in self.rows]
+        at, values = self.columns[col]
+        return [sum(map(mul, at(row), values)) for row in self.rows]
 
     def price(self, cost):
         """Set the reduced-cost row c_j - sum_i c_B(i) T_ij / T_iB(i) of
@@ -207,7 +231,8 @@ class _Tableau:
             for entering in range(width):
                 if entering in basic:
                     continue
-                reduced = sum(map(mul, objective, columns[entering]))
+                at, values = columns[entering]
+                reduced = sum(map(mul, at(objective), values))
                 if cost[entering]:
                     reduced += scale * cost[entering]
                 if reduced < 0:
@@ -236,9 +261,10 @@ class _Tableau:
         when `reduced` is its entry there.
 
         The pivot row keeps its multipliers, negated if its pivot entry p
-        is negative.  Every other row becomes p * R_i - a * R_pivot, with
-        a its entry in pivot_col, divided by the gcd of its entries: the
-        rational update scaled by a positive factor.
+        is negative.  Every other row becomes (p/h) R_i - (a/h) R_pivot,
+        with a its entry in pivot_col and h = gcd(p, a), divided by the
+        gcd of its entries: the rational update scaled by a positive
+        factor, and the same row as p R_i - a R_pivot over its gcd.
         """
         rows = self.rows
         row = rows[pivot_row]
@@ -249,15 +275,21 @@ class _Tableau:
             rows[pivot_row] = row
         for i, a in enumerate(entries):
             if a != 0 and i != pivot_row:
-                rows[i] = _reduced([p * x - a * y
+                h = math.gcd(p, a)
+                q, a = p // h, a // h
+                rows[i] = _reduced([q * x - a * y
                                     for x, y in zip(rows[i], row)])
         if reduced:
-            objective = [p * x - reduced * y
+            h = math.gcd(p, reduced)
+            q, reduced = p // h, reduced // h
+            objective = [q * x - reduced * y
                          for x, y in zip(self.objective, row)]
-            scale = p * self.scale
+            scale = q * self.scale
             g = math.gcd(scale, *objective)
-            self.objective = [x // g for x in objective]
-            self.scale = scale // g
+            if g > 1:
+                objective = [x // g for x in objective]
+                scale //= g
+            self.objective, self.scale = objective, scale
         self.basis[pivot_row] = pivot_col
 
 

@@ -324,6 +324,42 @@ def test_redundant_equality_row_is_deleted():
         assert (out.value, out.point, out.pivots) == (value, point, pivots)
 
 
+def test_sparse_column_edge_cases():
+    # The solver keeps each column by its nonzeros.  Recorded with the
+    # dense columns: (status, value, point, pivots) of
+    # - x1 and x4 with one nonzero each (x4's negative), x3 with one
+    #   beside a fraction;
+    # - an all-zero x2 with negative cost (unbounded), zero cost and
+    #   positive cost (x2 stays 0);
+    # - a single-nonzero x3 in a row after, and then before, the
+    #   redundant = row the drive-out deletes.  The supports index the
+    #   starting rows, which the deletion does not renumber; in both,
+    #   phase 2 pivots x3 in.
+    half = Fraction(1, 2)
+    for lp, expected in (
+            (LinearProgram(4, [1, 3, 1, 1],
+                           [([1, 1, 0, 0], ">=", 2), ([0, 1, 1, -1], ">=", 3),
+                            ([0, 0, half, 0], "<=", 4)]),
+             ("optimal", 5, (2, 0, 3, 0), (5, 2))),
+            (LinearProgram(2, [1, -1], [([1, 0], ">=", 1)]),
+             ("unbounded", None, None, (1, 0))),
+            (LinearProgram(2, [1, 0], [([1, 0], ">=", 1)]),
+             ("optimal", 1, (1, 0), (1, 0))),
+            (LinearProgram(2, [1, 2], [([1, 0], ">=", 1)]),
+             ("optimal", 1, (1, 0), (1, 0))),
+            (LinearProgram(3, [2, 1, -1],
+                           [([1, 1, 0], "=", 2), ([3, 3, 0], "=", 6),
+                            ([0, 1, half], "<=", 3)]),
+             ("optimal", -2, (2, 0, 6), (3, 1))),
+            (LinearProgram(3, [2, 1, -1],
+                           [([1, 1, 0], "=", 2), ([0, 1, half], "<=", 3),
+                            ([3, 3, 0], "=", 6)]),
+             ("optimal", -2, (2, 0, 6), (3, 1)))):
+        out = solve(lp)
+        assert (out.status, out.value, out.point, out.pivots) == expected
+        assert check_solution(lp, out.point) == (out.status == "optimal")
+
+
 # Bland's path on the alpha_n programs, recorded with the Fraction tableau
 # the integer rows replaced: for n = 1..7 the optimum, the pivots of phase
 # 1 and phase 2, and the sha256 of the vertex written as "x1,x2,...".
