@@ -78,7 +78,10 @@ class ScenarioInstance:
                            else ScenarioId(scenario))
         if not 1 <= self.ell <= profile.seats:
             raise ValueError("need 1 <= ell <= seats")
-        object.__setattr__(self, "goal", _goal(self))
+        # The generator reads W's ballots only where the goal does.
+        object.__setattr__(self, "goal", _goal(
+            self.scenario, self.target, self.ell,
+            (b.content.members for b in profile.ballots if b.in_w)))
 
     @property
     def fraction(self) -> Fraction:
@@ -86,19 +89,19 @@ class ScenarioInstance:
         return self.profile.w_weight / self.profile.total_weight
 
 
-def _goal(inst: ScenarioInstance) -> tuple:
-    scenario = inst.scenario
-    ell = inst.ell
+def _goal(scenario: ScenarioId, target: frozenset, ell: int,
+          w_names) -> tuple:
+    """The goal pairs of an instance whose W ballots name the sets
+    `w_names` (see `ScenarioInstance`); only party, same, pjr and ejr
+    read them."""
     if scenario in (ScenarioId.PARTY, ScenarioId.SAME, ScenarioId.PJR):
-        return ((frozenset().union(
-            *(b.content.members for b in inst.profile.w_ballots())), ell),)
+        return ((frozenset().union(*w_names), ell),)
     if scenario in (ScenarioId.TACTIC, ScenarioId.PSC):
-        return ((inst.target, ell),)
+        return ((target, ell),)
     if scenario is ScenarioId.WPSC:
-        return ((inst.target, len(inst.target)),)
+        return ((target, len(target)),)
     if scenario is ScenarioId.EJR:
-        return tuple((b.content.members, ell)
-                     for b in inst.profile.w_ballots())
+        return tuple((names, ell) for names in w_names)
     raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
 
 

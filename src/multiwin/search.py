@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 from .ballots import DEFAULT_BRANCH_CAP, Profile, WeightedBallot
 from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
-                        is_instance, require_kind)
+                        _goal, is_instance, require_kind)
 from .thresholds import CoverageError, MethodId
+from .unordered import _settler
 from .witnesses import (_CONTENT, Witness, _is_bad, _names, _profile,
                         _require_engine)
 
@@ -267,6 +268,18 @@ def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
     return tee(firsts(), 1)[0]
 
 
+def _every_committee_good(goal, seats: int, pool: frozenset) -> bool:
+    """Does every `seats`-subset of `pool` meet some (names, ell) pair of
+    `goal`?  It is `unordered._settler`'s test at a goal count's start
+    state, with no seat filled and every name of the pool possible: true
+    when some pair has |names & pool| - (|pool| - seats) >= ell, since a
+    committee leaves out only |pool| - seats names.  For a single pair
+    it is also necessary: a committee that leaves out as many of its
+    names as it can holds no more than that."""
+    settle = _settler(goal, seats, lambda possible: (frozenset(), possible))
+    return settle(pool) is True
+
+
 def _ballot_strategies(method, scenario, ell, seats, spec):
     """W's strategies, each a multiset of the ballots the scenario lets W
     cast, and per strategy the adversary's answers: every multiset of
@@ -288,6 +301,17 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     the decoys, and W every ballot the scenario allows.  Per call, each
     strategy's decoy cells are found once, and each (count, ballot, in_w)
     group becomes a WeightedBallot once.
+
+    A strategy whose goal every S-member committee of the pool meets
+    (`_every_committee_good`, on the goal `ScenarioInstance` builds from
+    W's ballots) is settled before any answer is built: every engine
+    returns S-subsets of the profile's candidates, the pool, so each of
+    its answers is good, truncated or not.  It is yielded with an empty
+    answer stream, not dropped, so that under tactic it still ends the
+    rung as a strategy no answer beats.  The goal reads the ballots W
+    chooses only under pjr and ejr; under tactic, psc and wpsc it reads
+    none, and under party and same W has one option, so there one test
+    settles every strategy of the call.
     """
     pool_size = max(spec.max_candidates, seats)
     targets = tuple(_names("A", ell))
@@ -334,10 +358,23 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
             if is_instance(inst):
                 yield inst
 
+    pool = frozenset(universe)
+
+    def every_good(w_names) -> bool:
+        return _every_committee_good(_goal(scenario, target, ell, w_names),
+                                     seats, pool)
+
+    per_strategy = scenario in (ScenarioId.PJR, ScenarioId.EJR)
+    all_good = not per_strategy and every_good(w_options)
+
     def strategies(total, w_votes):
         for counts_w in copy(_orbit_firsts(w_options, w_votes, w_cells,
                                            ordered)):
-            yield answers(counts_w, total - w_votes)
+            if all_good or per_strategy and every_good(
+                    ballot for ballot, _ in counts_w):
+                yield ()
+            else:
+                yield answers(counts_w, total - w_votes)
 
     return strategies
 
@@ -384,6 +421,15 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     must end good; its verdict is the full count's wherever that one is
     decided.  A count the branch cap truncates is bad when it lists a
     bad committee and not bad when it does not (see _search_bad).
+
+    A W strategy whose goal every S-subset of the pool meets, some goal
+    pair having |names| - (|pool| - S) >= ell, has no bad answer, so its
+    answers are never built (see _ballot_strategies).  An instance so
+    skipped is never run, so an error its engine would have raised
+    cannot surface (thiele-opt's BudgetExceededError at a huge pool,
+    say).  `unordered.branch` keeps its own start-state check, which
+    `witness` and `check` still reach.  The party-kind search has no
+    such skip: there bad is a seat vector, not a committee.
 
     Instances are decided up to renaming the targets among themselves
     and the decoys among themselves: such a renaming keeps the target

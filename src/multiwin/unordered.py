@@ -312,6 +312,10 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
     successors from the bad state, or else from the last state dropped,
     which the latest round produced and so is nearest its final state;
     truncated is whether a round was cut, and False after a bad state.
+    A settled start state ends the count before any round.  The search
+    settles such starts per W strategy before it builds an instance
+    (`search._every_committee_good`); the check here stays for the
+    counts `witness` and `check` run.
 
     The verdict is whether the final's committees are bad.  It is sound:
     a bad answer is a reachable committee of a state whose committees are

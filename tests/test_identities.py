@@ -2,13 +2,14 @@
 the same OutcomeSet on every profile, checked as differential
 properties.  A mismatch is an engine defect."""
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from multiwin.ballots import DEFAULT_BRANCH_CAP
+from multiwin.ballots import (DEFAULT_BRANCH_CAP, Profile, SetBallot,
+                              WeightedBallot)
 from multiwin.thresholds import MethodId
 from multiwin.witnesses import run_method
 
-from test_properties import rationals, set_profiles
+from test_properties import NAMES, rationals, set_profiles
 
 CONSTANT_SATISFACTION = tuple(map(MethodId.parse, (
     "av", "thiele-add:constant", "thiele-opt:constant")))
@@ -42,3 +43,58 @@ def test_av_equals_constant_thiele(profile):
     for outcome, method in zip(thiele, CONSTANT_SATISFACTION[1:]):
         assert outcome == av, method
     assert not av.truncated
+
+
+SINGLETON_EQUAL = tuple(map(MethodId.parse, (
+    "sntv", "av", "bv", "lv:1", "cvq", "phragmen-u", "thiele-add",
+    "thiele-opt", "thiele-elim")))
+
+
+@st.composite
+def singleton_profiles(draw):
+    """Set profiles whose every ballot names one candidate."""
+    pool = NAMES[:draw(st.integers(min_value=2, max_value=5))]
+    groups = draw(st.lists(st.tuples(st.sampled_from(pool), rationals),
+                           min_size=1, max_size=4))
+    seats = draw(st.integers(min_value=1, max_value=len(pool)))
+    return Profile([WeightedBallot(SetBallot([name]), weight)
+                    for name, weight in groups], seats, pool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(singleton_profiles())
+def test_singleton_ballots_equal_sntv(profile):
+    """On singleton ballots sntv = av = bv = lv:1 = cvq = phragmen-u =
+    thiele-add = thiele-opt = thiele-elim, whole OutcomeSets and
+    truncated flags at the default branch cap.
+
+    Let s(c) be the total weight of the ballots naming c.  A one-name
+    ballot fits every cap (sntv and lv:1 take one name, bv S >= 1) and
+    gives its whole weight to its name, split credit too (cvq), so the
+    five score rules each score c as s(c) and elect the S-sets whose
+    members all score at least every non-member, every tie followed:
+    call them the top sets.  A ballot has at most one elected name, and
+    only once its name is elected, so:
+    - thiele-opt scores a committee w_1 sum_{c in W} s(c), which an
+      S-set maximizes iff it is a top set (no swap of a member for a
+      non-member raises the sum);
+    - thiele-add's marginal gain for an unelected c is w_1 s(c), and
+      thiele-elim's loss for removing an elected c is w_1 s(c), whatever
+      else is elected; adding a highest remaining score, or removing a
+      lowest kept one, along every tie reaches exactly the top sets;
+    - in seq-Phragmén the voters of an unelected c have carried no load,
+      so electing c costs each of them 1/s(c), and the round elects a
+      remaining candidate of highest s, every tie followed: the top sets
+      again.
+    w_1 = 1 > 0 in the default harmonic weights.  Candidates no ballot
+    names all score 0, so every engine fills the seats it cannot give
+    by support with every choice of them, as the score rules break the
+    tie at 0.  With at most 5 candidates no engine holds more than
+    C(5, 2) = 10 states or committees, far below the default cap, so
+    none truncates and the flags agree as False.
+    """
+    sntv, *rest = (run_method(method, profile, DEFAULT_BRANCH_CAP)
+                   for method in SINGLETON_EQUAL)
+    for outcome, method in zip(rest, SINGLETON_EQUAL[1:]):
+        assert outcome == sntv, method
+    assert not sntv.truncated

@@ -16,11 +16,11 @@ from hypothesis import assume, given, strategies as st
 
 from multiwin import audit, search, verifier, witnesses
 from multiwin.audit import audit_table, covering_token, default_scope
-from multiwin.ballots import (DEFAULT_BRANCH_CAP, format_profile,
-                              parse_profile)
+from multiwin.ballots import (DEFAULT_BRANCH_CAP, Profile, SetBallot,
+                              WeightedBallot, format_profile, parse_profile)
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import (ScenarioId, ScenarioInstance,
-                                ScenarioTypeError)
+                                ScenarioTypeError, is_instance)
 from multiwin.search import SearchSpec, search_lower_bound
 from multiwin.thresholds import (REGISTRY, CoverageError, MethodId,
                                  ThresholdValue, threshold)
@@ -872,6 +872,93 @@ def test_search_soundness_small_grid():
                 assert best <= entry.value
 
 
+@given(st.data())
+def test_every_committee_good_is_sound(data):
+    # Brute force over every S-subset of a pool of at most 6 names: the
+    # test implies that every committee meets some goal pair, and for a
+    # single pair it is an iff.
+    pool = frozenset("ABCDEF"[:data.draw(st.integers(1, 6))])
+    seats = data.draw(st.integers(1, len(pool)))
+    pair = st.tuples(st.frozensets(st.sampled_from(sorted(pool))),
+                     st.integers(1, seats))
+    goal = tuple(data.draw(st.lists(pair, min_size=1, max_size=3)))
+    meets = all(any(len(names & frozenset(committee)) >= ell
+                    for names, ell in goal)
+                for committee in combinations(sorted(pool), seats))
+    settled = search._every_committee_good(goal, seats, pool)
+    assert meets or not settled
+    if len(goal) == 1:
+        assert settled == meets
+
+
+def _exhaustive_fraction(method, scenario, ell, seats, spec):
+    """search_lower_bound's non-tactic result from every profile of the
+    grid, with no orbits and no strategy skipped.  The grids used hold
+    fewer ballot groups than spec.max_ballot_groups, so the cap is not
+    applied."""
+    targets = ["A%d" % (i + 1) for i in range(ell)]
+    decoys = ["B%d" % (i + 1)
+              for i in range(max(spec.max_candidates, seats) - ell)]
+    w_options = search._w_options(method, scenario, targets, decoys, spec,
+                                  seats)
+    adv_options = search._ballot_options(method, decoys, spec, seats)
+    for fraction, total, w_votes in search._fraction_ladder(
+            spec.weight_grid):
+        for w_side, adv_side in product(
+                combinations_with_replacement(w_options, w_votes),
+                combinations_with_replacement(adv_options, total - w_votes)):
+            ballots = [WeightedBallot(SetBallot(names), count, in_w)
+                       for in_w, side in ((True, w_side), (False, adv_side))
+                       for names, count in Counter(side).items()]
+            inst = ScenarioInstance(Profile(ballots, seats,
+                                            targets + decoys),
+                                    targets, ell, scenario)
+            if is_instance(inst) and search._search_bad(method, inst, spec):
+                return fraction
+    return 0
+
+
+def test_search_matches_the_exhaustive_loop(monkeypatch):
+    # Three candidates leave S = 2 one spare name, so W strategies whose
+    # ballots name two or three names are skipped on many of these
+    # cells; the fraction is the exhaustive loop's on every one.
+    settled = []
+    real = search._every_committee_good
+
+    def recording(*args):
+        settled.append(real(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(search, "_every_committee_good", recording)
+    spec = SearchSpec(max_candidates=3, weight_grid=3)
+    for label in ("av", "phragmen-u", "thiele-opt", "thiele-add"):
+        method = MethodId.parse(label)
+        for scenario in (ScenarioId.PJR, ScenarioId.EJR):
+            for seats in (1, 2):
+                for ell in range(1, seats + 1):
+                    best, _ = search_lower_bound(method, scenario, ell,
+                                                 seats, spec)
+                    assert best == _exhaustive_fraction(
+                        method, scenario, ell, seats, spec), (
+                            label, scenario, ell, seats)
+    assert any(settled) and not all(settled)
+
+
+def test_search_skips_a_pool_of_s_names(monkeypatch):
+    # With pool = S every committee is the whole pool, which holds W's
+    # target, so every tactic strategy is settled good at once and kept
+    # with no answers ({A1}^2, {A1}{B1} and {B1}^2 at two W votes): no
+    # rung has a bad answer, and no engine runs.
+    calls = _counting(monkeypatch, witnesses, "run_method")
+    spec = SearchSpec(max_candidates=2, weight_grid=3)
+    strategies = search._ballot_strategies(MethodId("sntv"),
+                                           ScenarioId.TACTIC, 1, 2, spec)
+    assert [list(answers) for answers in strategies(3, 2)] == [[], [], []]
+    assert search_lower_bound(MethodId("sntv"), "tactic", 1, 2,
+                              spec) == (0, None)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Corpus audit
 
@@ -958,25 +1045,26 @@ def test_each_audit_family_fails_alone(monkeypatch, scenario, cells,
 def test_search_audit_clean(monkeypatch):
     # Every search probe of an exact pi cell at S <= 3 stays at or below
     # pi, and attains it wherever a catalog witness fits the grid.  From
-    # a cold cache, the 373 searches make 19,675 engine calls and key
-    # 4,462 multisets, 11 of them the party answers' own (4,536 before
+    # a cold cache, the 373 searches make 13,480 engine calls (19,675
+    # before W strategies whose every committee is good were skipped) and
+    # key 4,408 multisets, 11 of them the party answers' own (4,536 before
     # the transposition classes, 30,943 before the decoy cells and the
-    # orderly fill).  Searching each pair
-    # of twin cells once saves 4,902 of those calls and gives the same
-    # report.  Six of the checks are search=threshold on the thiele-add,
-    # thiele-o and borda party cells at ell = S in {2, 3}, which the
-    # common-list-tie witness reaches on the grid.
+    # orderly fill).  Searching each pair of twin cells once saves 2,151
+    # of those calls and gives the same report.  Six of the checks are
+    # search=threshold on the thiele-add, thiele-o and borda party cells
+    # at ell = S in {2, 3}, which the common-list-tie witness reaches on
+    # the grid.
     calls = _counting(monkeypatch, witnesses, "run_method")
     keys = _counting(monkeypatch, search, "_canonical_form")
     _clear_caches()
     with monkeypatch.context() as patch:
         patch.setattr(audit, "_search_twin", lambda scenario, ell: scenario)
         every_cell = audit_table(smax=3, with_search=True)
-    assert len(calls) == 19675
+    assert len(calls) == 13480
     assert 0 < len(keys) <= 4536
     del calls[:]
     report = audit_table(smax=3, with_search=True)
-    assert len(calls) == 19675 - 4902
+    assert len(calls) == 13480 - 2151
     assert report == every_cell
     assert len(report.checks) == 1607
     assert report.passed and not report.failures()
