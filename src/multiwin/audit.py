@@ -93,7 +93,6 @@ _CHAINS = {     # lower: (higher, ell shift) rows, lo(lower) <= hi(higher)
 
 
 def audit_table(scope: Optional[list] = None, smax: int = 5,
-                spec: Optional[SearchSpec] = None,
                 with_search: bool = False) -> AuditReport:
     """Machine-check the inequality families over the scope.
 
@@ -124,8 +123,6 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
         raise ValueError("smax must be >= 1")
     if scope is None:
         scope = default_scope()
-    if spec is None:
-        spec = AUDIT_SPEC
     pairs = dict.fromkeys((m, ScenarioId(sc)) for m, sc in scope)
     label = {m: m.label() for m, _ in pairs}
     cells = ((m, sc, ell, seats) for m, sc in pairs
@@ -185,7 +182,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
         if key not in searched:
             try:
                 searched[key] = search_lower_bound(method, sc, ell, seats,
-                                                   spec)[0]
+                                                   AUDIT_SPEC)[0]
             except CoverageError:
                 searched[key] = None
         found = searched[key]
@@ -196,7 +193,7 @@ def audit_table(scope: Optional[list] = None, smax: int = 5,
               "%s > %s", found, value)
         token = covering_token(method, sc, ell, seats)
         if token is not None and _witness_in_grid(
-                construct_witness(token, method, sc, ell, seats), spec):
+                construct_witness(token, method, sc, ell, seats), AUDIT_SPEC):
             check("search=threshold", subject, found == value,
                   "found %s, expected %s (via %s)", found, value, token)
     return AuditReport(tuple(checks))

@@ -36,8 +36,9 @@ from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
 from .search import SearchSpec, search_lower_bound
 from .sequences import build_alpha_lp, seq_a, seq_b, seq_c, solve_alpha
 from .lp import format_lp
-from .thresholds import (CoverageError, MethodId, TABLE_NAMES, ThresholdValue,
-                         criterion_check, table_grid, threshold, CRITERIA)
+from .thresholds import (CONJECTURED, CRITERIA, LOWER_BOUND, MINUS, PLUS,
+                         TABLE_NAMES, CoverageError, MethodId, ThresholdValue,
+                         criterion_check, table_grid, threshold)
 from .unordered import BudgetExceededError
 from .witnesses import (CATALOG, Witness, construct_witness,
                         party_seat_vectors, run_method, verify_witness)
@@ -110,14 +111,14 @@ def _entry_cell(entry: ThresholdValue) -> str:
     """Compact single-cell rendering for grids."""
     if entry.is_exact:
         text = format_rational(entry.value)
-        if entry.side == "minus":
+        if entry.side == MINUS:
             text += "-"
-        elif entry.side == "plus":
+        elif entry.side == PLUS:
             text += "+"
         return text
-    if entry.status == "conjectured":
+    if entry.status == CONJECTURED:
         return format_rational(entry.value) + "?"
-    if entry.status == "lower_bound":
+    if entry.status == LOWER_BOUND:
         return ">=" + format_rational(entry.lo)
     lo = format_rational(entry.lo) if entry.lo is not None else "0"
     hi = format_rational(entry.hi) if entry.hi is not None else "1"

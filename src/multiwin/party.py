@@ -1,34 +1,38 @@
 """Seat apportionment among parties: linear divisor methods and quota methods.
 
-Divisor methods use the divisor sequence d(n) = n - 1 + gamma, awarding
-seats sequentially to the party with the largest quotient v_i / d(s_i + 1);
-gamma = 1 is D'Hondt, gamma = 1/2 is Sainte-Lague, gamma = 0 is Adams.
+Both families give the S seats to the S best claims.  Seat k of party i
+claims a value, each party's claims strictly fall as k grows, and a seat
+vector is returned iff its seats are S best claims, any choice being
+made among the claims tied with the last one given.  One body,
+`_best_seats`, lists those vectors through the score family's "top S,
+every tie at the boundary", `unordered.boundary_committees`.  Each method
+lists only the claims that can reach the boundary, as exact ints, so the
+cost follows the seats and parties, not the tie orders.
 
-Quota methods use the unrounded quota Q = V / (S + delta); a seat vector
-(s_i) is valid when some t in [0, 1] satisfies
-    s_i - 1 + t <= v_i / Q <= s_i + t   for every party i,
+Divisor methods use the divisor sequence d(k) = k - 1 + gamma, and seat k
+claims the quotient v_i / d(k); gamma = 1 is D'Hondt, gamma = 1/2 is
+Sainte-Lague, gamma = 0 is Adams.
+
+Quota methods use the unrounded quota Q = V / (S + delta) and shares
+x_i = v_i / Q, and seat k claims what is left of the share, x_i - k + 1.
+A seat vector (s_i) is valid when some t in [0, 1] satisfies
+    s_i - 1 + t <= x_i <= s_i + t   for every party i,
 which is the largest-remainder rule with ties yielding several vectors.
-delta = 0 is the Hare quota, delta = 1 the Droop quota.  quota_apportion
-builds the valid vectors directly from the few t that can decide them,
-so its cost follows the number of vectors, not 3^n in the parties.
+delta = 0 is the Hare quota, delta = 1 the Droop quota.
 
 Both apportionments are tie-aware: they return every seat vector reachable
-under some tie resolution.  divisor_apportion runs on the engines' round
-loop, `unordered.branch`, under a cap that no round can reach.
+under some tie resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .numerics import common_denominator
-from .unordered import branch
-
-SeatVector = tuple
+from .unordered import boundary_committees
 
 
 class AdamsIllDefined(ValueError):
@@ -56,94 +60,105 @@ class QuotaSpec:
             raise ValueError("delta must lie in [0, 1]")
 
 
-def divisor_apportion(spec: DivisorSpec, votes: Sequence, seats: int) -> set:
-    """All seat vectors reachable by the sequential highest-quotient rule."""
+def _int_votes(votes: Sequence, seats: int, no_votes: str) -> list:
+    """The votes as ints over their least common denominator, once they
+    and the seats are checked; `no_votes` is the error when all are 0."""
     votes = [Fraction(v) for v in votes]
     if any(v < 0 for v in votes):
         raise ValueError("votes must be non-negative")
-    if not any(v > 0 for v in votes):
-        raise ValueError("at least one party needs positive votes")
+    if not any(votes):
+        raise ValueError(no_votes)
     if seats < 1:
         raise ValueError("seats must be positive")
-    gamma = spec.gamma
-    supported = sum(1 for v in votes if v > 0)
-    if gamma == 0 and supported > seats:
+    return common_denominator(votes)[0]
+
+
+def _best_seats(claims: dict, parties: int, seats: int) -> set:
+    """Every seat vector whose seats are `seats` best of `claims`, any
+    choice being made among the claims tied with the last one given.
+
+    `claims` maps (party, k) to the value of the party's seat k + 1, and
+    must hold every claim at or above the boundary.  Each party's claims
+    strictly fall in k, so the claims given to a party are its first ones
+    and at most one of them ties at the boundary: each choice among the
+    tied claims is a distinct vector.  So the cap C(S + p - 1, S), the
+    number of all vectors, cuts none of them.
+    """
+    best = boundary_committees(claims, seats,
+                               comb(seats + parties - 1, seats))
+    vectors = set()
+    for committee in best.committees:
+        vector = [0] * parties
+        for party, _ in committee:
+            vector[party] += 1
+        vectors.add(tuple(vector))
+    return vectors
+
+
+def divisor_apportion(spec: DivisorSpec, votes: Sequence, seats: int) -> set:
+    """All seat vectors reachable by the sequential highest-quotient rule.
+
+    Each party's quotients v_i / d(k) strictly fall as k grows.  So the
+    sequential rule awards the S largest quotients, and at most one
+    quotient per party ties at the boundary.  Every choice of the needed
+    number among the tied parties is some tie order.  Seat k claims
+    -d(k) / v_i, which ranks the quotients exactly and ranks Adams' zero
+    divisor first.
+
+    Only quotients at or above mu = V / (S + p), over the p supported
+    parties, are listed: party i has floor(v_i / mu - gamma) + 1 of them.
+    Summed over the parties, that is more than V / mu - p gamma >= S, so
+    no lower quotient is given a seat or ties.
+
+    Exactly, with votes scaled to ints n_i (sum N, least common multiple
+    L over the supported parties) and gamma = gn / gd, seat k + 1 claims
+    the int -(k gd + gn) L / n_i, which is -d(k + 1) / v_i times a
+    positive constant, and party i lists
+    floor((n_i (S + p) gd - N gn) / (N gd)) + 1 claims.
+    """
+    ints = _int_votes(votes, seats, "at least one party needs positive votes")
+    supported = len(ints) - ints.count(0)
+    if spec.gamma == 0 and supported > seats:
         raise AdamsIllDefined(
             "gamma=0 with %d supported parties but only %d seats"
             % (supported, seats))
-
-    # Votes and divisors scaled to ints (divisors by gamma's denominator):
-    # quotients v / d with d >= 0 compare by cross-multiplying, so a zero
-    # divisor (Adams' first seat) ties only with another zero divisor and
-    # beats every positive one.
-    ints, _ = common_denominator(votes)
-    gn, gd = gamma.as_integer_ratio()
-
-    def step(state, given):
-        if given == seats:
-            return None
-        best = None   # (votes, divisor) of the largest quotient so far
-        winners = []
-        for i, v in enumerate(ints):
-            if v == 0:
-                continue
-            divisor = state[i] * gd + gn    # gd * (s_i + gamma)
-            if best is None or v * best[1] > best[0] * divisor:
-                best = (v, divisor)
-                winners = [i]
-            elif v * best[1] == best[0] * divisor:
-                winners.append(i)
-        successors = []
-        for i in winners:
-            bumped = list(state)
-            bumped[i] += 1
-            successors.append((tuple(bumped), given + 1))
-        return successors
-
-    # A state is a seat vector, its payload the seats given so far.  No
-    # round holds more than the C(S + p - 1, S) vectors of S seats.
-    finals, _ = branch(((0,) * len(votes), 0), step,
-                       comb(seats + len(votes) - 1, seats))
-    return set(finals)
+    gn, gd = spec.gamma.as_integer_ratio()
+    total = sum(ints)
+    scale = lcm(*filter(None, ints))
+    claims = {}
+    for i, n in enumerate(ints):
+        if n:
+            reach = (n * (seats + supported) * gd - total * gn) \
+                // (total * gd)
+            for k in range(reach + 1):
+                claims[i, k] = -(k * gd + gn) * (scale // n)
+    return _best_seats(claims, len(ints), seats)
 
 
 def quota_apportion(spec: QuotaSpec, votes: Sequence, seats: int) -> set:
     """All seat vectors admitted by the quota feasibility condition.
 
-    With shares x_i = v_i / Q, a vector s is admitted iff some t in [0, 1]
-    has x_i - s_i <= t <= x_i - s_i + 1 for every i.  Those t form an
-    interval whose left end L = max(0, max_i (x_i - s_i)) is itself
-    feasible, so s is admitted at t = L.  L is 0, or some x_j - s_j in
-    (0, 1]: that is x_j mod 1, or 1 when x_j - s_j is a whole number.  So
-    trying t in {0, 1} and every x_i mod 1 finds every admitted vector.
-    At one t, s_i ranges over the whole numbers >= 0 in [x_i - t,
-    x_i - t + 1]: ceil(x_i - t), clamped at 0, and one more when x_i - t
-    is a whole number >= 0.  The vectors at t give every way to hand the
-    seats left over to the parties with that second choice, one each.
+    A vector s gives party i its claims down to x_i - s_i + 1 and holds
+    back those from x_i - s_i down (with s_i = 0 it gives none, and
+    t <= x_i + 1 holds for every t in [0, 1]).  So s is admitted,
+    x_i - s_i <= t <= x_i - s_i + 1 for every i, iff its seats are S best
+    claims, taking t as the largest claim held back.  That t lies in
+    [0, 1]:
+    - at most S claims exceed 1, because sum(ceil(x_i) - 1) < S + delta
+      <= S + 1, so every claim above 1 is given and t <= 1;
+    - more than S claims are >= 0, because sum(floor(x_i) + 1) > S +
+      delta >= S, so one of them is held back and t >= 0.  So no claim
+      below 0 is given or tied, and only the claims >= 0 are listed.
 
-    Exactly, with votes scaled to ints n_i and delta = dn / dd, the share
-    x_i is n_i (S dd + dn) over den = (sum n) dd.
+    Exactly, with votes scaled to ints n_i and delta = dn / dd, seat k + 1
+    claims n_i (S dd + dn) - k den over den = (sum n) dd.
     """
-    votes = [Fraction(v) for v in votes]
-    if any(v < 0 for v in votes):
-        raise ValueError("votes must be non-negative")
-    if sum(votes) <= 0:
-        raise ValueError("total votes must be positive")
-    if seats < 1:
-        raise ValueError("seats must be positive")
-    ints, _ = common_denominator(votes)
+    ints = _int_votes(votes, seats, "total votes must be positive")
     dn, dd = spec.delta.as_integer_ratio()
     den = sum(ints) * dd
-    shares = [n * (seats * dd + dn) for n in ints]
-    result = set()
-    for t in {0, den}.union(x % den for x in shares):
-        base = [max(0, -((t - x) // den)) for x in shares]
-        loose = [i for i, x in enumerate(shares)
-                 if x >= t and (x - t) % den == 0]
-        spare = seats - sum(base)
-        for extra in combinations(loose, spare) if spare >= 0 else ():
-            vector = list(base)
-            for i in extra:
-                vector[i] += 1
-            result.add(tuple(vector))
-    return result
+    claims = {}
+    for i, n in enumerate(ints):
+        share = n * (seats * dd + dn)
+        for k in range(share // den + 1):
+            claims[i, k] = share - k * den
+    return _best_seats(claims, len(ints), seats)

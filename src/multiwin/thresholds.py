@@ -38,7 +38,7 @@ from .ordered import (BordaWeights, StvSpec, borda_count, phragmen_ordered,
                       stv_count, thiele_ordered)
 from .party import DivisorSpec, QuotaSpec, divisor_apportion, quota_apportion
 from .scenarios import ScenarioId
-from .sequences import ALPHA_CAP, alpha, seq_a, seq_c
+from .sequences import ALPHA_CAP, alpha, seq_a, seq_b, seq_c
 from .unordered import (phragmen_unordered, score_family_count,
                         thiele_addition, thiele_elimination, thiele_optimize)
 
@@ -790,7 +790,6 @@ def table_grid(name: str, max_seats: int = 5) -> TableGrid:
     if max_seats < 1:
         raise ValueError("max_seats must be >= 1")
     if name == "sequences":
-        from .sequences import seq_b
         ns = tuple(range(1, 7))
         cells = {}
         for n in ns:

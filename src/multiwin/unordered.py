@@ -14,18 +14,17 @@ rule's entry in `thresholds.REGISTRY` supplies.
 
 `branch` is the package's one breadth-first round loop, for full and
 goal counts (below) alike: the round-based engines here and in `ordered`
-run on it, and so does `party.divisor_apportion`.  An engine supplies
-only its scoring: a step that maps a state to its tied successors, in
-sorted candidate order, or marks the state final.  A step grows the
-elected or eliminated set (or shrinks the remaining set, or gives a
-seat), so every count ends.  Every step but STV's elimination of
-zero-vote ties (`ordered._stv_step`) grows it by exactly one, so a state
-never recurs in a later round and deduplicating within a round is global
-deduplication; an STV state reached again in a later round is counted
-again, to the same finals.  A state reached along several paths keeps
-the payload of the first path, in production order: the winning-score
-trail for sequential addition, the load history for load balancing: each
-round's elected level (`_sequential_loads`).
+run on it.  An engine supplies only its scoring: a step that maps a
+state to its tied successors, in sorted candidate order, or marks the
+state final.  A step grows the elected or eliminated set (or shrinks
+the remaining set), so every count ends.  Every step but STV's
+elimination of zero-vote ties (`ordered._stv_step`) grows it by exactly
+one, so a state never recurs in a later round and deduplicating within
+a round is global deduplication; an STV state reached again in a later
+round is counted again, to the same finals.  A state reached along
+several paths keeps the payload of the first path, in production order:
+the winning-score trail for sequential addition, the load history for
+load balancing: each round's elected level (`_sequential_loads`).
 When seats are open but no unelected candidate has a score (sequential
 addition) or a supporter (load balancing), every unelected candidate
 ties for them (`_fill`), as in the score family and `thiele_optimize`,
@@ -79,7 +78,8 @@ Load balancing may reach one committee with different loads; its
 LoadState keeps the least load vector (compared ballot group by ballot
 group) and the history of the first path to those loads.  The score
 family resolves its single boundary tie in `boundary_committees`, where
-`branch_cap` bounds the committees listed.
+`branch_cap` bounds the committees listed; both apportionments in
+`party` give their seats through it too.
 
 Counting is exact integer arithmetic over a common denominator.  Each
 engine scales the ballot weights to ints by the lcm of their
@@ -237,15 +237,15 @@ def boundary_committees(scores: dict, seats: int,
     _check_cap(branch_cap)
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     pivot = scores[ranked[seats - 1]]
-    fixed = [c for c in ranked if scores[c] > pivot]
+    fixed = frozenset(c for c in ranked if scores[c] > pivot)
     tied = [c for c in ranked if scores[c] == pivot]
     need = seats - len(fixed)
     if goal is not None and need < len(tied):
-        return _decide_tie(frozenset(fixed), tied, need, branch_cap, goal)
+        return _decide_tie(fixed, tied, need, branch_cap, goal)
     truncated = comb(len(tied), need) > branch_cap
     committees = []
     for extra in combinations(tied, need):
-        committees.append(frozenset(fixed) | frozenset(extra))
+        committees.append(fixed.union(extra))
         if len(committees) >= branch_cap:
             break
     return OutcomeSet(committees, truncated)

@@ -4,8 +4,8 @@ properties.  A mismatch is an engine defect."""
 
 from hypothesis import given, settings, strategies as st
 
-from multiwin.ballots import (DEFAULT_BRANCH_CAP, Profile, SetBallot,
-                              WeightedBallot)
+from multiwin.ballots import (DEFAULT_BRANCH_CAP, ListBallot, Profile,
+                              SetBallot, WeightedBallot)
 from multiwin.thresholds import MethodId
 from multiwin.witnesses import run_method
 
@@ -97,4 +97,52 @@ def test_singleton_ballots_equal_sntv(profile):
                    for method in SINGLETON_EQUAL)
     for outcome, method in zip(rest, SINGLETON_EQUAL[1:]):
         assert outcome == sntv, method
+    assert not sntv.truncated
+
+
+SINGLE_NAME_LISTS = tuple(map(MethodId.parse, (
+    "stv:1", "stv:0", "phragmen-o", "thiele-o", "borda")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(singleton_profiles())
+def test_single_name_lists_equal_sntv(profile):
+    """On single-name list ballots stv:1, stv:0, phragmen-o, thiele-o and
+    borda each equal sntv on the same singleton set ballots, whole
+    OutcomeSets and truncated flags at the default branch cap.
+
+    Let s(c) be the total weight of the ballots naming c, and call the
+    S-sets whose members all score at least every non-member the top
+    sets: sntv's committees (`test_singleton_ballots_equal_sntv`).  A
+    one-name list counts for its name while that name is unelected and
+    for no one after, so:
+    - borda scores c as w_1 s(c) = s(c) and elects the top sets, every
+      tie followed, silent candidates at 0;
+    - thiele-o credits c with weight 1/1 from each of its ballots, so
+      each round elects a remaining candidate of highest s(c);
+    - in phragmen-o the voters of an unelected c have carried no load,
+      so electing c costs each of them 1/s(c), and the round elects a
+      remaining candidate of highest s.  Once no unelected candidate
+      has a score or a supporter, both fill the open seats in every way,
+      as the top sets do at 0.
+    - stv: a count never moves, as an elected or eliminated name's
+      ballots have no next name, so every count stays s(c).  A reacher
+      (s(c) >= Q) scores at least every non-reacher, and an elimination
+      takes a lowest live count below Q, so every committee is a top set.
+      Conversely, for a top set T: no reacher lies outside T unless
+      S + 1 candidates reach Q, and then delta = 1 and they all hold
+      exactly Q and tie, and electing them in turn seats any S of them.
+      While T is not yet seated, a lowest live count belongs to a
+      candidate outside T, and the zero-count choices (`_stv_step`) can
+      eliminate exactly the zero-count names outside T.
+    With at most 5 candidates no engine holds more than 3^5 states or
+    committees, far below the default cap, so none truncates and the
+    flags agree as False.
+    """
+    lists = Profile([WeightedBallot(ListBallot(b.content.names()), b.weight)
+                     for b in profile.ballots],
+                    profile.seats, profile.candidates)
+    sntv = run_method(MethodId("sntv"), profile, DEFAULT_BRANCH_CAP)
+    for method in SINGLE_NAME_LISTS:
+        assert run_method(method, lists, DEFAULT_BRANCH_CAP) == sntv, method
     assert not sntv.truncated

@@ -26,10 +26,10 @@ def _vectors_summing_to(parts, total):
             yield (head,) + rest
 
 
-def _divisor_oracle(gamma, votes, seats):
-    """A vector is valid iff no single-seat transfer has a strictly
-    better quotient: min_i v_i/d(s_i) >= max_j v_j/d(s_j + 1) with
-    d(n) = n - 1 + gamma and x/0 read as +infinity."""
+def _divisor_valid(gamma, votes, vector):
+    """No single-seat transfer has a strictly better quotient:
+    min_i v_i/d(s_i) >= max_j v_j/d(s_j + 1) with d(n) = n - 1 + gamma
+    and x/0 read as +infinity."""
     votes = [Fraction(v) for v in votes]
 
     def quotient(v, divisor):
@@ -42,21 +42,23 @@ def _divisor_oracle(gamma, votes, seats):
             return False
         return a >= b
 
-    valid = set()
-    for vector in _vectors_summing_to(len(votes), seats):
-        if any(s > 0 and v == 0 for s, v in zip(vector, votes)):
-            continue
-        held = [quotient(v, s - 1 + gamma)
-                for v, s in zip(votes, vector) if s > 0]
-        nxt = [quotient(v, s + gamma)
-               for v, s in zip(votes, vector) if v > 0]
-        lowest_held = held[0] if held else ("inf",)
-        for q in held:
-            if geq(lowest_held, q):
-                lowest_held = q
-        if all(geq(lowest_held, q) for q in nxt):
-            valid.add(vector)
-    return valid
+    if any(s > 0 and v == 0 for s, v in zip(vector, votes)):
+        return False
+    held = [quotient(v, s - 1 + gamma)
+            for v, s in zip(votes, vector) if s > 0]
+    nxt = [quotient(v, s + gamma)
+           for v, s in zip(votes, vector) if v > 0]
+    lowest_held = held[0] if held else ("inf",)
+    for q in held:
+        if geq(lowest_held, q):
+            lowest_held = q
+    return all(geq(lowest_held, q) for q in nxt)
+
+
+def _divisor_oracle(gamma, votes, seats):
+    """Every vector of `seats` seats that passes `_divisor_valid`."""
+    return {vector for vector in _vectors_summing_to(len(votes), seats)
+            if _divisor_valid(gamma, votes, vector)}
 
 
 def _quota_oracle(delta, votes, seats):
@@ -175,31 +177,53 @@ def test_input_validation():
         QuotaSpec(-1)
 
 
+def _random_votes(rng, parties):
+    """Whole and rational votes, some zero, at least one positive."""
+    votes = [Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3)))
+             for _ in range(parties)]
+    if not any(votes):
+        votes[0] = Fraction(1)
+    return votes
+
+
 @pytest.mark.parametrize("gamma", [Fraction(0), Fraction(1, 2), Fraction(1),
-                                   Fraction(1, 3)])
+                                   Fraction(1, 3), Fraction(2, 3)])
 def test_divisor_matches_oracle_randomized(gamma):
     rng = random.Random(int(gamma * 12) + 7)
     for _ in range(150):
-        parties = rng.randint(1, 4)
+        votes = _random_votes(rng, rng.randint(1, 4))
         seats = rng.randint(1, 5)
-        votes = [rng.randint(0, 9) for _ in range(parties)]
-        if not any(votes):
-            votes[0] = 1
         if gamma == 0 and sum(1 for v in votes if v) > seats:
             continue
         engine = divisor_apportion(DivisorSpec(gamma), votes, seats)
         assert engine == _divisor_oracle(gamma, votes, seats)
+    # Many parties, too many vectors for the oracle to list: every
+    # returned vector must pass its condition.  The valid vectors differ
+    # only in seats moved between parties tied at the boundary, so every
+    # valid single-seat transfer of a returned vector is returned too.
+    votes = rng.sample(range(1, 200), 16)
+    seats = rng.randint(16, 40)
+    engine = divisor_apportion(DivisorSpec(gamma), votes, seats)
+    for vector in engine:
+        assert sum(vector) == seats
+        assert _divisor_valid(gamma, votes, vector)
+        for i, j in product(range(16), repeat=2):
+            if i != j and vector[i] > 0:
+                moved = list(vector)
+                moved[i] -= 1
+                moved[j] += 1
+                moved = tuple(moved)
+                assert (moved in engine) == _divisor_valid(gamma, votes,
+                                                           moved)
 
 
-@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 2), Fraction(1)])
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 2), Fraction(1),
+                                   Fraction(1, 3)])
 def test_quota_matches_oracle_randomized(delta):
     rng = random.Random(int(delta * 10) + 3)
     for _ in range(150):
-        parties = rng.randint(1, 4)
+        votes = _random_votes(rng, rng.randint(1, 4))
         seats = rng.randint(1, 5)
-        votes = [rng.randint(0, 9) for _ in range(parties)]
-        if not any(votes):
-            votes[0] = 1
         engine = quota_apportion(QuotaSpec(delta), votes, seats)
         assert engine == _quota_oracle(delta, votes, seats)
     # Many parties with distinct votes, where a product over every

@@ -981,9 +981,7 @@ def test_audit_with_search_on_restricted_scope():
     scope = [(MethodId("bv"), ScenarioId.EJR),
              (MethodId("div", 1), ScenarioId.PARTY),
              (MethodId("sntv"), ScenarioId.SAME)]
-    report = audit_table(scope=scope, smax=3,
-                         spec=SearchSpec(max_candidates=4, weight_grid=4),
-                         with_search=True)
+    report = audit_table(scope=scope, smax=3, with_search=True)
     assert report.passed
     names = {c.name for c in report.checks}
     assert "search<=threshold" in names
