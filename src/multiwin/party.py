@@ -4,10 +4,10 @@ Both families give the S seats to the S best claims.  Seat k of party i
 claims a value, each party's claims strictly fall as k grows, and a seat
 vector is returned iff its seats are S best claims, any choice being
 made among the claims tied with the last one given.  One body,
-`_best_seats`, lists those vectors through the score family's "top S,
-every tie at the boundary", `unordered.boundary_committees`.  Each method
-lists only the claims that can reach the boundary, as exact ints, so the
-cost follows the seats and parties, not the tie orders.
+`_best_seats`, lists those vectors from the score family's top-S
+boundary, `unordered.boundary`.  Each method lists only the claims that
+can reach the boundary, as exact ints, so the cost follows the seats
+and parties, not the tie orders.
 
 Divisor methods use the divisor sequence d(k) = k - 1 + gamma, and seat k
 claims the quotient v_i / d(k); gamma = 1 is D'Hondt, gamma = 1/2 is
@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .numerics import common_denominator
-from .unordered import boundary_committees
+from .unordered import boundary
 
 
 class AdamsIllDefined(ValueError):
@@ -80,16 +81,18 @@ def _best_seats(claims: dict, parties: int, seats: int) -> set:
     `claims` maps (party, k) to the value of the party's seat k + 1, and
     must hold every claim at or above the boundary.  Each party's claims
     strictly fall in k, so the claims given to a party are its first ones
-    and at most one of them ties at the boundary: each choice among the
-    tied claims is a distinct vector.  So the cap C(S + p - 1, S), the
-    number of all vectors, cuts none of them.
+    and at most one of them ties at the boundary.  So every vector is the
+    one of the claims above the boundary plus one seat for the party of
+    each chosen tied claim, and each choice gives a distinct vector.
     """
-    best = boundary_committees(claims, seats,
-                               comb(seats + parties - 1, seats))
+    fixed, tied, need = boundary(claims, seats)
+    base = [0] * parties
+    for party, _ in fixed:
+        base[party] += 1
     vectors = set()
-    for committee in best.committees:
-        vector = [0] * parties
-        for party, _ in committee:
+    for chosen in combinations([party for party, _ in tied], need):
+        vector = base.copy()
+        for party in chosen:
             vector[party] += 1
         vectors.add(tuple(vector))
     return vectors

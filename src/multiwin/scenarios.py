@@ -16,6 +16,9 @@ cares about.  The supported scenarios are:
 - psc:     (ordered) every W ballot lists exactly the set A as its top
            |A| names; good when at least ell of A are elected.
 - wpsc:    psc with |A| = ell; good when all of A is elected.
+
+`settle` is the one bound on goal pairs over an interval of committees:
+goal counts, the score family's tie and the search's skip all read it.
 """
 
 from __future__ import annotations
@@ -103,6 +106,34 @@ def _goal(scenario: ScenarioId, target: frozenset, ell: int,
     if scenario is ScenarioId.EJR:
         return tuple((names, ell) for names in w_names)
     raise AssertionError("unhandled scenario %s" % scenario)  # pragma: no cover
+
+
+def settle(goal: tuple, seats: int, sure: frozenset, possible: frozenset):
+    """Are the `seats`-sets between `sure` and `possible` good for the goal
+    pairs?  True when every one is, False when none is, None when this
+    bound cannot tell (sure <= possible, |sure| <= seats <= |possible|).
+
+    Such a set takes open = seats - |sure| of the free names, possible -
+    sure, and leaves out spare = |free| - open of them.  A pair (names,
+    ell) with k names in `sure` and m free ones has at least
+    k + max(0, m - spare) and at most k + min(m, open) of its names in
+    such a set, each attained by leaving out as many, or as few, of its
+    free names as the set can.  So True (some pair's least reaches ell)
+    and False (no pair's greatest does) are sound, and False is exact.
+    For a single pair True is exact too; with several, every set may
+    meet some pair while no pair is met by all, and the answer is None.
+    """
+    open_seats = seats - len(sure)
+    spare = len(possible) - seats
+    bad = True
+    for names, ell in goal:
+        k = len(names & sure)
+        m = len(names & possible) - k
+        if k + max(0, m - spare) >= ell:
+            return True
+        if k + min(m, open_seats) >= ell:
+            bad = False
+    return False if bad else None
 
 
 def require_kind(scenario: ScenarioId, kind: str) -> None:

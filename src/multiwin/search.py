@@ -21,9 +21,8 @@ from typing import Optional, Sequence
 from .ballots import DEFAULT_BRANCH_CAP, Profile, WeightedBallot
 from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
-                        _goal, is_instance, require_kind)
+                        _goal, is_instance, require_kind, settle)
 from .thresholds import CoverageError, MethodId
-from .unordered import _settler
 from .witnesses import (_CONTENT, Witness, _is_bad, _names, _profile,
                         _require_engine)
 
@@ -268,18 +267,6 @@ def _orbit_firsts(options: tuple, size: int, cells: tuple, ordered: bool):
     return tee(firsts(), 1)[0]
 
 
-def _every_committee_good(goal, seats: int, pool: frozenset) -> bool:
-    """Does every `seats`-subset of `pool` meet some (names, ell) pair of
-    `goal`?  It is `unordered._settler`'s test at a goal count's start
-    state, with no seat filled and every name of the pool possible: true
-    when some pair has |names & pool| - (|pool| - seats) >= ell, since a
-    committee leaves out only |pool| - seats names.  For a single pair
-    it is also necessary: a committee that leaves out as many of its
-    names as it can holds no more than that."""
-    settle = _settler(goal, seats, lambda possible: (frozenset(), possible))
-    return settle(pool) is True
-
-
 def _ballot_strategies(method, scenario, ell, seats, spec):
     """W's strategies, each a multiset of the ballots the scenario lets W
     cast, and per strategy the adversary's answers: every multiset of
@@ -303,8 +290,8 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     group becomes a WeightedBallot once.
 
     A strategy whose goal every S-member committee of the pool meets
-    (`_every_committee_good`, on the goal `ScenarioInstance` builds from
-    W's ballots) is settled before any answer is built: every engine
+    (`scenarios.settle`, on the goal `ScenarioInstance` builds from W's
+    ballots) is settled before any answer is built: every engine
     returns S-subsets of the profile's candidates, the pool, so each of
     its answers is good, truncated or not.  It is yielded with an empty
     answer stream, not dropped, so that under tactic it still ends the
@@ -361,8 +348,8 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
     pool = frozenset(universe)
 
     def every_good(w_names) -> bool:
-        return _every_committee_good(_goal(scenario, target, ell, w_names),
-                                     seats, pool)
+        return settle(_goal(scenario, target, ell, w_names), seats,
+                      frozenset(), pool) is True
 
     per_strategy = scenario in (ScenarioId.PJR, ScenarioId.EJR)
     all_good = not per_strategy and every_good(w_options)
@@ -423,13 +410,13 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     bad committee and not bad when it does not (see _search_bad).
 
     A W strategy whose goal every S-subset of the pool meets, some goal
-    pair having |names| - (|pool| - S) >= ell, has no bad answer, so its
-    answers are never built (see _ballot_strategies).  An instance so
-    skipped is never run, so an error its engine would have raised
-    cannot surface (thiele-opt's BudgetExceededError at a huge pool,
-    say).  `unordered.branch` keeps its own start-state check, which
-    `witness` and `check` still reach.  The party-kind search has no
-    such skip: there bad is a seat vector, not a committee.
+    pair having |names| - (|pool| - S) >= ell (`scenarios.settle`), has
+    no bad answer, so its answers are never built (_ballot_strategies).
+    An instance so skipped is never run, so an error its engine would
+    have raised cannot surface (thiele-opt's BudgetExceededError at a
+    huge pool, say).  `unordered.branch` keeps its own start-state
+    check, which `witness` and `check` still reach.  The party-kind
+    search has no such skip: there bad is a seat vector, not a committee.
 
     Instances are decided up to renaming the targets among themselves
     and the decoys among themselves: such a renaming keeps the target

@@ -590,23 +590,16 @@ def _lv_cap(method, seats):
     return int(method.param)
 
 
-@lru_cache(maxsize=None)
-def _spec(spec_class, param):
-    """One engine spec per class and parameter.  Building a spec turns
-    its parameter into a Fraction, and the engines below run per count."""
-    return spec_class(param)
-
-
 REGISTRY = {
     "div": MethodKind(
         "party", _div_threshold, param="gamma",
         audited=(Fraction(1), Fraction(1, 2)),
         engine=lambda m, votes, seats: divisor_apportion(
-            _spec(DivisorSpec, m.param), votes, seats)),
+            DivisorSpec(m.param), votes, seats)),
     "quota": MethodKind(
         "party", _quota_threshold, param="delta", audited=(0, 1),
         engine=lambda m, votes, seats: quota_apportion(
-            _spec(QuotaSpec, m.param), votes, seats)),
+            QuotaSpec(m.param), votes, seats)),
     "bv": _score_kind(_bv_av_threshold, cap=lambda m, seats: seats),
     "av": _score_kind(_bv_av_threshold),
     "sntv": _score_kind(_sntv_threshold, cap=lambda m, seats: 1),
@@ -632,7 +625,7 @@ REGISTRY = {
     "stv": MethodKind(
         "list", _stv_threshold, param="delta", audited=(1, 0),
         engine=lambda m, p, cap, goal=None: stv_count(
-            _spec(StvSpec, m.param), p, cap, goal)),
+            StvSpec(m.param), p, cap, goal)),
     "phragmen-o": MethodKind(
         "list", _phragmen_o_threshold, loads=True, dhondt=True,
         engine=lambda m, p, cap, goal=None: phragmen_ordered(p, cap, goal)),

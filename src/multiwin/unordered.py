@@ -56,19 +56,18 @@ below 1 with the same ValueError.
 A count may instead be given a goal: a scenario's good test as (names,
 ell) pairs (`scenarios.ScenarioInstance.goal`), as when the verifier
 asks whether the method can produce a committee that is bad for W.  Each
-branching engine then passes `_settler` the bounds of a state: the names
-it has elected and the names it can still elect (STV: its elected set
-and the candidates not eliminated; the sequential engines: the elected
-set and every candidate).  `branch` drops a state whose every committee
-is good and ends the count at the first state whose every committee is
-bad; its docstring proves the truncation argument.  The engine returns
-the committees of one final state, reached from that bad state or from
-the last dropped one by first successors: reachable S-member committees,
-bad ones when the full count finds a bad one, and truncated only where
-the full count is.  The score family decides its boundary tie for a goal
-with one committee (`_decide_tie`), found among seat splits over the
-tied names grouped by the goal sets that hold them.  A profile where a
-clone class straddles a goal set is counted in full (`_settler`).
+branching engine then settles a state (`_settler`) by `scenarios.settle`
+on the names it has elected and the names it can still elect (STV: its
+elected set and the candidates not eliminated; the sequential engines:
+the elected set and every candidate).  `branch` drops a state whose
+every committee is good and ends the count at the first state whose
+every committee is bad; its docstring proves the truncation argument.
+The engine returns the committees of one final state, reached from that
+bad state or from the last dropped one by first successors: reachable
+S-member committees, bad ones when the full count finds a bad one, and
+truncated only where the full count is.  The score family decides its
+boundary tie for a goal with one committee (`_decide_tie`).  A profile
+where a clone class straddles a goal set is counted in full.
 Without a goal, every engine returns its full OutcomeSet, as
 `thiele_elimination` and `thiele_optimize` always do: elimination counts
 seldom branch, so bounding their states costs more than it saves, and
@@ -79,7 +78,7 @@ LoadState keeps the least load vector (compared ballot group by ballot
 group) and the history of the first path to those loads.  The score
 family resolves its single boundary tie in `boundary_committees`, where
 `branch_cap` bounds the committees listed; both apportionments in
-`party` give their seats through it too.
+`party` list their seat vectors from its top-S `boundary`.
 
 Counting is exact integer arithmetic over a common denominator.  Each
 engine scales the ballot weights to ints by the lcm of their
@@ -106,6 +105,7 @@ from typing import Callable, Optional
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
 from .numerics import common_denominator
+from .scenarios import settle
 
 # The most seat splits thiele_optimize scores before it refuses a profile.
 OPTIMIZE_BUDGET = 500000
@@ -229,17 +229,25 @@ def score_family_count(profile: Profile, cap: Optional[int], split: bool,
     return boundary_committees(scores, profile.seats, branch_cap, goal)
 
 
+def boundary(scores: dict, seats: int) -> tuple:
+    """The top-`seats` boundary of `scores`: (fixed, tied, need), the keys
+    above the `seats`-th highest score, those at it in (-score, key)
+    order, and how many of them the seats still take.  The top sets are
+    `fixed` plus any `need` of `tied`."""
+    ranked = sorted(scores, key=lambda c: (-scores[c], c))
+    pivot = scores[ranked[seats - 1]]
+    fixed = frozenset(c for c in ranked if scores[c] > pivot)
+    tied = [c for c in ranked if scores[c] == pivot]
+    return fixed, tied, seats - len(fixed)
+
+
 def boundary_committees(scores: dict, seats: int,
                         branch_cap: int = DEFAULT_BRANCH_CAP,
                         goal=None) -> OutcomeSet:
     """All top-`seats` sets obtainable by resolving ties at the boundary;
     with a goal, one that decides the goal (`_decide_tie`)."""
     _check_cap(branch_cap)
-    ranked = sorted(scores, key=lambda c: (-scores[c], c))
-    pivot = scores[ranked[seats - 1]]
-    fixed = frozenset(c for c in ranked if scores[c] > pivot)
-    tied = [c for c in ranked if scores[c] == pivot]
-    need = seats - len(fixed)
+    fixed, tied, need = boundary(scores, seats)
     if goal is not None and need < len(tied):
         return _decide_tie(fixed, tied, need, branch_cap, goal)
     truncated = comb(len(tied), need) > branch_cap
@@ -254,14 +262,15 @@ def boundary_committees(scores: dict, seats: int,
 def _decide_tie(fixed: frozenset, tied: list, need: int, branch_cap: int,
                 goal) -> OutcomeSet:
     """The committee of `fixed` and `need` of the `tied` names that decides
-    whether one is bad for the goal (see `_settler`).
+    whether one is bad for the goal (`scenarios.settle`).
     - One goal pair: the committee with the fewest of its names decides.
     - Several: the tied names are grouped by the goal sets that hold
       them, so the committees with the same number of seats per group
       are all good or all bad, and the seat splits over the groups
       (`_splits`) are tried in turn, at most branch_cap of them.  There
       are never more splits than committees, so the splits are cut only
-      where listing the committees would be cut too.
+      where listing the committees would be cut too.  A tie that
+      `settle` decides needs no split tried beyond the first.
     The result is the first bad committee, else the first one tried,
     truncated when some splits were left untried.
     """
@@ -276,10 +285,12 @@ def _decide_tie(fixed: frozenset, tied: list, need: int, branch_cap: int,
                           []).append(cand)
     members = list(groups.values())
     sizes = [len(group) for group in members]
+    # A settled tie is all good or all bad, so its first split decides.
+    settled = settle(goal, len(fixed) + need, fixed, fixed.union(tied))
     first = None
     for tried, split in enumerate(_splits(sizes, need)):
-        if tried == branch_cap:
-            return OutcomeSet((first,), True)
+        if tried == branch_cap or settled and tried:
+            return OutcomeSet((first,), not settled)
         committee = fixed.union(chain.from_iterable(
             group[:n] for group, n in zip(members, split)))
         if not any(len(names & committee) >= ell for names, ell in goal):
@@ -312,10 +323,7 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
     successors from the bad state, or else from the last state dropped,
     which the latest round produced and so is nearest its final state;
     truncated is whether a round was cut, and False after a bad state.
-    A settled start state ends the count before any round.  The search
-    settles such starts per W strategy before it builds an instance
-    (`search._every_committee_good`); the check here stays for the
-    counts `witness` and `check` run.
+    A settled start state ends the count before any round.
 
     The verdict is whether the final's committees are bad.  It is sound:
     a bad answer is a reachable committee of a state whose committees are
@@ -378,19 +386,14 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
 def _settler(goal, seats: int, bounds: Callable, clones: Clones = NO_CLONES):
     """settle(state) for a goal count, or None without a goal.
 
-    `goal` holds (names, ell) pairs, a committee being good iff some pair
-    has ell of its names elected (`scenarios.ScenarioInstance.goal`).
     bounds(state) gives (sure, possible): every S-member committee the
-    state can reach holds `sure` and lies in `possible`.  A pair then has
-    at least its names in `sure` plus those of the open seats that
-    `possible` must give to its names, and at most its names in `sure`
-    plus as many of the open seats as `possible` can give them.  Both
-    bounds only tighten as `sure` grows and `possible` shrinks, and they
-    meet when the state is final.  A clone count bounds its
-    representative states, which hold other members of a class than some
-    committees they expand into; that is harmless unless a class
-    straddles a goal set, so then there is no settle (None) and the count
-    runs in full.
+    state can reach holds `sure` and lies in `possible`.  The bound of
+    `scenarios.settle` on them tightens as `sure` grows and `possible`
+    shrinks, and is exact on a final state.  A clone count bounds its
+    representative states, which hold other members of a class than
+    some committees they expand into; that is harmless unless a class
+    straddles a goal set, so then there is no settle (None) and the
+    count runs in full.
     """
     if goal is None:
         return None
@@ -398,26 +401,7 @@ def _settler(goal, seats: int, bounds: Callable, clones: Clones = NO_CLONES):
         for names, _ in goal:
             if 0 < len(names.intersection(members)) < len(members):
                 return None
-
-    def settle(state):
-        sure, possible = bounds(state)
-        open_seats = seats - len(sure)
-        # The names of `possible` that every committee leaves out.
-        spare = len(possible) - len(sure) - open_seats
-        bad = True
-        for names, ell in goal:
-            short = ell - len(names & sure)
-            if short <= 0:
-                return True
-            # The pair's names a committee may still take.
-            maybe = len(names & possible) - ell + short
-            if maybe - spare >= short:
-                return True
-            if maybe >= short and open_seats >= short:
-                bad = False
-        return False if bad else None
-
-    return settle
+    return lambda state: settle(goal, seats, *bounds(state))
 
 
 def _fill(candidates: frozenset, elected: frozenset, clones: Clones) -> list:

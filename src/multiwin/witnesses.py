@@ -63,8 +63,8 @@ def run_method(method: MethodId, profile: Profile,
     spec = method.spec
     if spec.ballot == "party":
         raise CoverageError(
-            "%s apportions seats to parties; use party_seat_vectors"
-            % method.kind)
+            "%s apportions seats to parties; use the apportion command "
+            "(party_seat_vectors)" % method.kind)
     _require_engine(method)
     result = spec.engine(method, profile, branch_cap, goal)
     return result[0] if spec.loads else result

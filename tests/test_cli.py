@@ -151,6 +151,30 @@ def test_check_non_instance_exit_two(capsys, tmp_path):
     assert "instance" in err
 
 
+def test_check_decides_a_settled_tie_at_cap_one(capsys, tmp_path):
+    # All four names tie for the one seat, and each of them is on W's
+    # first ballot, so every committee is good; at cap 1 the tie's first
+    # seat split is all the count may try, and settling the tie's
+    # interval decides it instead of flagging it truncated.
+    path = tmp_path / "tie.profile"
+    path.write_text("!seats 1\n!W 1 : {A B C D}\n!W 1 : {A B}\n1 : {C}\n"
+                    "1 : {D}\n")
+    code, out, err = run_cli(capsys, "check", "--method", "av",
+                             "--scenario", "ejr", "--ell", "1",
+                             "--target", "A,B", "--branch-cap", "1",
+                             str(path))
+    assert (code, err) == (0, "")
+    assert "good (every outcome)" in out
+
+
+def test_count_of_a_party_method_names_the_apportion_command(
+        capsys, party_profile):
+    code, out, err = run_cli(capsys, "count", "--method", "quota:1",
+                             party_profile)
+    assert code == 2 and out == ""
+    assert "apportion command" in err
+
+
 def test_threshold_human(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--method", "bv",
                            "--scenario", "ejr", "--ell", "2", "--seats", "3")

@@ -1,15 +1,16 @@
 """Cross-engine identities: different counting engines that must return
 the same OutcomeSet on every profile, checked as differential
-properties.  A mismatch is an engine defect."""
+properties, and the lemma on the engines' committees that the search
+leans on.  A mismatch is an engine defect."""
 
 from hypothesis import given, settings, strategies as st
 
 from multiwin.ballots import (DEFAULT_BRANCH_CAP, ListBallot, Profile,
-                              SetBallot, WeightedBallot)
-from multiwin.thresholds import MethodId
+                              ProfileError, SetBallot, WeightedBallot)
+from multiwin.thresholds import REGISTRY, CoverageError, MethodId
 from multiwin.witnesses import run_method
 
-from test_properties import NAMES, rationals, set_profiles
+from test_properties import NAMES, list_profiles, rationals, set_profiles
 
 CONSTANT_SATISFACTION = tuple(map(MethodId.parse, (
     "av", "thiele-add:constant", "thiele-opt:constant")))
@@ -146,3 +147,116 @@ def test_single_name_lists_equal_sntv(profile):
     for method in SINGLE_NAME_LISTS:
         assert run_method(method, lists, DEFAULT_BRANCH_CAP) == sntv, method
     assert not sntv.truncated
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_profiles(rationals).filter(
+    lambda p: all(len(b.content.members) <= p.seats for b in p.ballots)))
+def test_short_ballots_make_bv_av(profile):
+    """bv = av, whole OutcomeSets and truncated flags at the default
+    branch cap, when every ballot names at most S names.
+
+    Both are the score family with no split credit; they differ only in
+    the ballot cap, S for bv and none for av (`thresholds.REGISTRY`).  A
+    ballot of at most S names passes bv's cap, so bv takes every ballot
+    as av does, scores every candidate as av does, and returns the same
+    top sets through the same `boundary_committees` call.
+    """
+    assert run_method(MethodId("bv"), profile, DEFAULT_BRANCH_CAP) == \
+        run_method(MethodId("av"), profile, DEFAULT_BRANCH_CAP)
+
+
+ONE_SEAT_EQUAL = tuple(map(MethodId.parse, (
+    "av", "thiele-add", "thiele-opt", "phragmen-u")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_profiles(rationals).map(
+    lambda p: Profile(p.ballots, 1, p.candidates)))
+def test_one_seat_equals_av(profile):
+    """At S = 1, av = thiele-add = thiele-opt = phragmen-u with the
+    default harmonic weights, whole OutcomeSets and truncated flags at
+    the default branch cap.
+
+    Let s(c) be the total weight of the ballots approving c; av elects
+    the candidates of highest s, every tie followed.  With one seat no
+    ballot has an elected name before the seat is given, so:
+    - thiele-opt scores the committee {c} as w_1 s(c), and thiele-add's
+      one round gains w_1 s(c) for c, with w_1 = 1 > 0;
+    - in seq-Phragmen no voter has carried a load, so electing c costs
+      each of its voters 1 / s(c), and the one round elects a candidate
+      of highest s.
+    When no candidate is approved, each engine gives the seat to every
+    candidate in turn, as av ties them all at 0.  With at most 5
+    candidates no engine holds more than 5 states or committees, so
+    none truncates and the flags agree as False.
+
+    thiele-elim is not in the identity: its harmonic elimination may
+    remove the approval winner first.  On 4 : {A B}, 4 : {A C}, 3 : {B},
+    3 : {C} av elects A (8 against 7 and 7), but A's harmonic score is
+    2 + 2 = 4 against B's and C's 2 + 3 = 5, so A goes first and
+    thiele-elim elects B or C.
+    """
+    av, *rest = (run_method(method, profile, DEFAULT_BRANCH_CAP)
+                 for method in ONE_SEAT_EQUAL)
+    for outcome, method in zip(rest, ONE_SEAT_EQUAL[1:]):
+        assert outcome == av, method
+    assert not av.truncated
+
+
+COMMITTEE_METHODS = tuple(
+    MethodId(kind, param) for kind, spec in REGISTRY.items()
+    if spec.ballot != "party" and spec.engine is not None
+    for param in spec.audited)
+
+
+@st.composite
+def goal_counts(draw):
+    """A set or list profile, a goal over its candidates or none, and a
+    branch cap of 1 to 3 or the default."""
+    profile = draw(st.one_of(set_profiles(rationals),
+                             list_profiles(rationals)))
+    names = st.sampled_from(sorted(profile.candidates))
+    pair = st.tuples(st.frozensets(names), st.integers(1, profile.seats))
+    goal = draw(st.none() | st.lists(pair, min_size=1, max_size=3).map(
+        tuple))
+    cap = draw(st.sampled_from((1, 2, 3, DEFAULT_BRANCH_CAP)))
+    return profile, goal, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(goal_counts())
+def test_every_engine_returns_seats_subsets_of_the_candidates(count):
+    """Every registry engine, in full and goal counts and at every branch
+    cap, returns only S-subsets of the profile's candidates; the
+    search's strategy skip (`search._ballot_strategies`) is sound
+    because of it.
+
+    - The score family gives the seats to the names above the boundary
+      and `need` of those tied at it (`unordered.boundary`), all keys of
+      a score table over the candidates; a goal count takes group[:n]
+      per group of tied names with the n summing to `need`.
+    - The round-based engines run `unordered.branch`, whose steps add
+      one candidate to the elected set (a tied clone head, or a name
+      `_fill` gives an unsupported seat), or eliminate one, and end a
+      state once S names are elected or only S remain.  A goal count
+      returns such a final state too, reached by first successors, and
+      a clone count expands it with the same number of names per class.
+      STV reads a short final as the candidates not eliminated, which
+      number exactly S then (`ordered._stv_step`).
+    - thiele-opt expands seat splits that sum to S over clone classes.
+    A branch cap only drops committees; it never adds one.  A method
+    whose ballot cap the profile exceeds refuses it and is skipped.
+    """
+    profile, goal, cap = count
+    for method in COMMITTEE_METHODS:
+        if method.spec.ballot != profile.kind:
+            continue
+        try:
+            outcome = run_method(method, profile, cap, goal)
+        except (ProfileError, CoverageError) as exc:
+            assert "cap" in str(exc), method     # a ballot-cap refusal
+            continue
+        for committee in outcome.committees:
+            assert len(committee) == profile.seats, method
+            assert committee <= profile.candidates, method

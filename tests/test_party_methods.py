@@ -8,13 +8,14 @@ loop), so agreement is a genuine cross-check.
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from multiwin.ballots import DEFAULT_BRANCH_CAP
 from multiwin.party import (AdamsIllDefined, DivisorSpec, QuotaSpec,
                             divisor_apportion, quota_apportion)
+from multiwin.thresholds import MethodId
 
 
 def _vectors_summing_to(parts, total):
@@ -134,6 +135,23 @@ def test_divisor_ties_beyond_the_default_branch_cap():
     vectors = divisor_apportion(DivisorSpec(1), [1] * 16, 8)
     assert len(vectors) == math.comb(16, 8) > DEFAULT_BRANCH_CAP
     assert all(set(v) == {0, 1} and sum(v) == 8 for v in vectors)
+
+
+@pytest.mark.parametrize("label", ["div:1", "div:1/2", "quota:0", "quota:1"])
+def test_all_tied_parties_take_every_choice_of_seats(label):
+    # 10 equal parties and 5 seats: every party's first claim ties at the
+    # boundary and no second claim reaches it, so the vectors are exactly
+    # the C(10, 5) = 252 choices of five parties for one seat each.
+    method = MethodId.parse(label)
+    vectors = method.spec.engine(method, [1] * 10, 5)
+    assert vectors == {tuple(int(i in chosen) for i in range(10))
+                       for chosen in combinations(range(10), 5)}
+    assert len(vectors) == 252
+
+
+def test_all_tied_parties_leave_adams_ill_defined():
+    with pytest.raises(AdamsIllDefined):
+        divisor_apportion(DivisorSpec(0), [1] * 10, 5)
 
 
 def test_quota_tie_yields_both_vectors():

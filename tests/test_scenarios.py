@@ -1,13 +1,16 @@
 """Scenario membership tests and good/bad outcome classification."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiwin.ballots import OutcomeSet, parse_profile
 from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
                                 ScenarioInstance, ScenarioTypeError,
-                                is_bad_outcome_possible, is_good, is_instance)
+                                is_bad_outcome_possible, is_good, is_instance,
+                                settle)
 
 
 def inst(text, target, ell, scenario):
@@ -172,3 +175,32 @@ def test_truncated_outcomes_listing_a_bad_committee_are_bad():
     truncated = OutcomeSet([frozenset("AB"), frozenset("CD")],
                            truncated=True)
     assert is_bad_outcome_possible(i, truncated)
+
+
+# ---------------------------------------------------------------------------
+# The goal bound over an interval of committees
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_settle_matches_brute_force(data):
+    # Every seats-set between sure and possible, over at most 6 names,
+    # goal names drawn from 7 so that some lie outside possible: True
+    # means every set meets some pair, False that none does, and both
+    # are exact for one pair; False is exact for several too.
+    possible = frozenset(data.draw(st.sets(st.sampled_from("ABCDEF"),
+                                           min_size=1)))
+    sure = frozenset(data.draw(st.sets(st.sampled_from(sorted(possible)))))
+    seats = data.draw(st.integers(max(1, len(sure)), len(possible)))
+    pair = st.tuples(st.frozensets(st.sampled_from("ABCDEFG")),
+                     st.integers(1, seats + 1))
+    goal = tuple(data.draw(st.lists(pair, min_size=1, max_size=3)))
+    good = [any(len(names & committee) >= ell for names, ell in goal)
+            for committee in (sure.union(extra) for extra in combinations(
+                sorted(possible - sure), seats - len(sure)))]
+    settled = settle(goal, seats, sure, possible)
+    assert settled is not True or all(good)
+    assert (settled is False) == (not any(good))
+    if len(goal) == 1:
+        assert settled is (True if all(good) else False if not any(good)
+                           else None)

@@ -872,25 +872,6 @@ def test_search_soundness_small_grid():
                 assert best <= entry.value
 
 
-@given(st.data())
-def test_every_committee_good_is_sound(data):
-    # Brute force over every S-subset of a pool of at most 6 names: the
-    # test implies that every committee meets some goal pair, and for a
-    # single pair it is an iff.
-    pool = frozenset("ABCDEF"[:data.draw(st.integers(1, 6))])
-    seats = data.draw(st.integers(1, len(pool)))
-    pair = st.tuples(st.frozensets(st.sampled_from(sorted(pool))),
-                     st.integers(1, seats))
-    goal = tuple(data.draw(st.lists(pair, min_size=1, max_size=3)))
-    meets = all(any(len(names & frozenset(committee)) >= ell
-                    for names, ell in goal)
-                for committee in combinations(sorted(pool), seats))
-    settled = search._every_committee_good(goal, seats, pool)
-    assert meets or not settled
-    if len(goal) == 1:
-        assert settled == meets
-
-
 def _exhaustive_fraction(method, scenario, ell, seats, spec):
     """search_lower_bound's non-tactic result from every profile of the
     grid, with no orbits and no strategy skipped.  The grids used hold
@@ -923,13 +904,13 @@ def test_search_matches_the_exhaustive_loop(monkeypatch):
     # ballots name two or three names are skipped on many of these
     # cells; the fraction is the exhaustive loop's on every one.
     settled = []
-    real = search._every_committee_good
+    real = search.settle
 
     def recording(*args):
         settled.append(real(*args))
         return settled[-1]
 
-    monkeypatch.setattr(search, "_every_committee_good", recording)
+    monkeypatch.setattr(search, "settle", recording)
     spec = SearchSpec(max_candidates=3, weight_grid=3)
     for label in ("av", "phragmen-u", "thiele-opt", "thiele-add"):
         method = MethodId.parse(label)
