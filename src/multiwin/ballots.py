@@ -177,7 +177,7 @@ class OutcomeSet:
     truncated: bool = False
 
     def __init__(self, committees: Iterable[frozenset[str]], truncated: bool = False):
-        committees = frozenset(frozenset(c) for c in committees)
+        committees = frozenset(map(frozenset, committees))
         if not committees:
             raise ProfileError("outcome set must be non-empty")
         object.__setattr__(self, "committees", committees)

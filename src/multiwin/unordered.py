@@ -37,21 +37,21 @@ not on names: at a tie, each tied class contributes one successor, which
 takes its representative, the first member in sorted order not yet
 elected (or eliminated).  Each final state then expands into every
 committee with the same number of seats per class, all under the final
-state's payload; `thiele_optimize` likewise scores one split of the seats
-over the classes instead of every committee.  The expanded OutcomeSet is
-the one branching on every name would give.
+state's payload (`Clones.expand_all`); `thiele_optimize` likewise scores
+one split of the seats over the classes instead of every committee.  The
+expanded OutcomeSet is the one branching on every name would give.
 
 `branch_cap` bounds the states kept per round, so with clones it counts
 representative states: when a round produces more, the first
 `branch_cap` in production order go on, the rest are dropped, and the
 result is flagged `truncated`.  The kept states are counted to the end.
-`branch_cap` also bounds the committees the final states (for
-`thiele_optimize`, the best seat splits) expand into: the expansion
-stops at `branch_cap` committees and flags `truncated` if there are
-more.  So a truncated OutcomeSet is a non-empty subset of the full
-answer, lists at most `branch_cap` committees, and each of its
-committees has exactly S members.  Every engine refuses a `branch_cap`
-below 1 with the same ValueError.
+`branch_cap` also cuts the expansion of the final states (for
+`thiele_optimize`, the best seat splits) to their first `branch_cap`
+committees, state by state in lexicographic order of the per-class
+picks, and flags `truncated` if there are more.  So a truncated
+OutcomeSet is a non-empty subset of the full answer with at most
+`branch_cap` committees, each of exactly S members.  Every engine
+refuses a `branch_cap` below 1 with the same ValueError.
 
 A count may instead be given a goal: a scenario's good test as (names,
 ell) pairs (`scenarios.ScenarioInstance.goal`), as when the verifier
@@ -98,7 +98,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice
 from math import comb, gcd, lcm
 from typing import Callable, Optional
 
@@ -157,31 +157,37 @@ class Clones:
         before = self._before
         return [c for c in names if c not in before or before[c] in taken]
 
-    def expand(self, committee: frozenset, limit: Optional[int] = None):
-        """Every committee with the same number of members per class, in
-        lexicographic order of the per-class choices, or its first
-        `limit`."""
-        if not self._shared:
-            return iter((committee,))
-        fixed = committee.difference(*self._shared)
-        # The first `limit` products use only the first `limit` choices of
-        # each class, so no class lists more than that.
-        picks = product(*(
-            islice(combinations(m, len(committee.intersection(m))), limit)
-            for m in self._shared))
-        return islice((fixed.union(*pick) for pick in picks), limit)
-
     def expand_all(self, finals: dict, cap: int):
-        """Expand {final state: payload} into {committee: payload}, each
-        committee under the payload of the first state expanding to it.
-        Returns the first `cap` committees and whether more were left."""
+        """Expand {final state: payload} into {committee: payload}: state
+        by state, under its payload, every committee with as many members
+        per class, in lexicographic order of the per-class picks; no two
+        states hold as many of every class (`heads`), so none share one.
+        Returns the first `cap` committees and whether more were left.
+        A state's committees are the state less the classes it splits
+        times each such class's picks (`a | b`): keeping the first `limit`
+        (the cap left, plus one) products after each class keeps its first
+        `limit`, since the committees sharing their picks in the first
+        classes form one run, and needs only a class's first `limit`
+        picks.  `limit` only falls, so a class's picks are listed once.
+        """
+        if not self._shared:
+            return dict(islice(finals.items(), cap)), len(finals) > cap
         outcomes: dict = {}
+        picks: dict = {}
         for state, payload in finals.items():
-            for committee in self.expand(state, cap + 1 - len(outcomes)):
-                if committee not in outcomes:
-                    if len(outcomes) == cap:
-                        return outcomes, True
-                    outcomes[committee] = payload
+            limit = cap + 1 - len(outcomes)
+            split = {m: n for m in self._shared
+                     if 0 < (n := len(state.intersection(m))) < len(m)}
+            committees = [state.difference(*split)]
+            for key in split.items():
+                if key not in picks:
+                    picks[key] = [frozenset(pick) for pick in
+                                  islice(combinations(*key), limit)]
+                committees = list(islice(
+                    (a | b for a in committees for b in picks[key]), limit))
+            outcomes.update(dict.fromkeys(committees[:limit - 1], payload))
+            if len(committees) == limit:
+                return outcomes, True
         return outcomes, False
 
 
@@ -250,13 +256,8 @@ def boundary_committees(scores: dict, seats: int,
     fixed, tied, need = boundary(scores, seats)
     if goal is not None and need < len(tied):
         return _decide_tie(fixed, tied, need, branch_cap, goal)
-    truncated = comb(len(tied), need) > branch_cap
-    committees = []
-    for extra in combinations(tied, need):
-        committees.append(fixed.union(extra))
-        if len(committees) >= branch_cap:
-            break
-    return OutcomeSet(committees, truncated)
+    return OutcomeSet(islice(map(fixed.union, combinations(tied, need)),
+                             branch_cap), comb(len(tied), need) > branch_cap)
 
 
 def _decide_tie(fixed: frozenset, tied: list, need: int, branch_cap: int,
@@ -617,11 +618,10 @@ def thiele_optimize(scheme: WeightScheme, profile: Profile,
             winners = [split]
         elif value == best:
             winners.append(split)
-    outcomes, cut = clones.expand_all(
+    return OutcomeSet(*clones.expand_all(
         {frozenset(chain.from_iterable(
             members[:n] for members, n in zip(classes, split))): None
-         for split in winners}, branch_cap)
-    return OutcomeSet(outcomes, cut)
+         for split in winners}, branch_cap))
 
 
 def _split_count(sizes: list, seats: int) -> int:

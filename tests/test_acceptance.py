@@ -10,8 +10,6 @@ from fractions import Fraction
 from importlib import resources
 from math import comb, prod
 
-import pytest
-
 from multiwin.audit import audit_table, default_scope
 from multiwin.ballots import (ListBallot, Profile, ProfileError, SetBallot,
                               WeightScheme, WeightedBallot, parse_profile,

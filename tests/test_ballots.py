@@ -149,9 +149,17 @@ def test_ballots_and_profiles_refuse_invalid_input(build, fragment):
         build()
 
 
+@pytest.mark.parametrize("kind", [list, tuple, set, frozenset])
+def test_outcome_set_takes_committees_of_any_collection(kind):
+    outcomes = OutcomeSet(kind(c) for c in (("A", "B"), ("C", "A"), "BA"))
+    assert outcomes.committees == {frozenset("AB"), frozenset("AC")}
+    assert all(type(c) is frozenset for c in outcomes.committees)
+
+
 def test_outcome_set_requires_committees():
-    with pytest.raises(ProfileError):
-        OutcomeSet([])
+    for empty in ([], (), iter(())):
+        with pytest.raises(ProfileError):
+            OutcomeSet(empty)
 
 
 def test_harmonic_scheme_weights():

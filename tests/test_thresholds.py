@@ -15,8 +15,8 @@ from multiwin import thresholds
 from multiwin.ballots import WeightScheme
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import ScenarioId
-from multiwin.thresholds import (INTERVAL, CoverageError, MethodId,
-                                 TABLE_NAMES, ThresholdValue, criterion_check,
+from multiwin.thresholds import (INTERVAL, MethodId, TABLE_NAMES,
+                                 ThresholdValue, criterion_check,
                                  generic_bounds, table_grid, threshold)
 from multiwin.witnesses import construct_witness, verify_witness
 

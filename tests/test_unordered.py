@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from multiwin.ballots import (OutcomeSet, WeightScheme, parse_profile)
+from multiwin.ballots import DEFAULT_BRANCH_CAP, WeightScheme, parse_profile
 from multiwin.thresholds import MethodId
-from multiwin.unordered import (BudgetExceededError, LoadState,
+from multiwin.unordered import (BudgetExceededError, Clones, LoadState,
                                 boundary_committees, phragmen_unordered,
                                 thiele_addition, thiele_addition_paths,
                                 thiele_elimination, thiele_optimize)
@@ -256,3 +257,68 @@ def test_truncation_flags_propagate():
     profile = prof("!seats 6\n%s\n" % many)
     out = thiele_addition(WeightScheme.harmonic(), profile, branch_cap=3)
     assert out.truncated
+
+
+# ---------------------------------------------------------------------------
+# Clone expansion
+
+
+def _expansion_case(sizes, ballots, splits, trailing):
+    """Classes of the given sizes, the first `ballots` each approved by a
+    ballot of its own (the rest by none, so they form one class), and one
+    final state per split of the seats over the classes, with payload its
+    index: a leading run of each class, as the sequential engines elect,
+    or a trailing one, as thiele_elimination leaves."""
+    classes = [tuple("%s%d" % (chr(65 + k), i) for i in range(size))
+               for k, size in enumerate(sizes)]
+    clones = Clones([(frozenset(m), 1) for m in classes[:ballots]],
+                    [c for m in classes for c in m])
+    finals = {frozenset(c for m, n in zip(classes, split)
+                        for c in (m[len(m) - n:] if trailing else m[:n])): i
+              for i, split in enumerate(splits)}
+    return clones, classes, finals
+
+
+@st.composite
+def expansion_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                 .filter(lambda sizes: sum(sizes) <= 12))
+    # Several unapproved classes would be one class; keep at most one.
+    ballots = draw(st.sampled_from([len(sizes), len(sizes) - 1]))
+    seats = draw(st.integers(1, sum(sizes)))
+    splits = [split for split in product(*(range(n + 1) for n in sizes))
+              if sum(split) == seats]
+    chosen = draw(st.lists(st.sampled_from(splits), min_size=1, max_size=4,
+                           unique=True))
+    return _expansion_case(sizes, ballots, chosen, draw(st.booleans()))
+
+
+def _expansion_reference(classes, finals):
+    """Every (committee, payload) pair by brute force: state by state, the
+    sets of the state's size with as many members of every class, in
+    lexicographic order of their per-class picks."""
+    names = [c for m in classes for c in m]
+    listed = []
+    for state, payload in finals.items():
+        counts = [len(state.intersection(m)) for m in classes]
+        same = [frozenset(c) for c in combinations(names, len(state))
+                if [len(set(c).intersection(m)) for m in classes] == counts]
+        same.sort(key=lambda c: [[i for i, x in enumerate(m) if x in c]
+                                 for m in classes])
+        listed += [(committee, payload) for committee in same]
+    return listed
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases())
+@example(_expansion_case([1, 1, 1], 3, [(1, 1, 0), (0, 1, 1)], False))
+@example(_expansion_case([3, 2, 1], 2, [(2, 1, 0), (1, 1, 1)], False))
+@example(_expansion_case([3, 2, 1], 2, [(2, 1, 0), (1, 1, 1)], True))
+def test_clone_expansion_matches_brute_force(case):
+    clones, classes, finals = case
+    assert [set(m) for m in clones.classes] == [set(m) for m in classes]
+    reference = _expansion_reference(classes, finals)
+    for cap in (1, 2, 3, 7, DEFAULT_BRANCH_CAP):
+        outcomes, truncated = clones.expand_all(finals, cap)
+        assert list(outcomes.items()) == reference[:cap]
+        assert truncated == (len(reference) > cap)

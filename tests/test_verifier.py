@@ -24,7 +24,7 @@ from multiwin.scenarios import (ScenarioId, ScenarioInstance,
 from multiwin.search import SearchSpec, search_lower_bound
 from multiwin.thresholds import (REGISTRY, CoverageError, MethodId,
                                  ThresholdValue, threshold)
-from multiwin.witnesses import (CATALOG, Witness, construct_witness,
+from multiwin.witnesses import (Witness, construct_witness,
                                 party_seat_vectors, run_method,
                                 verify_witness)
 
