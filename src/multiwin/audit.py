@@ -12,7 +12,7 @@ from sys import intern
 from typing import Optional
 
 from .ballots import ProfileError
-from .scenarios import ScenarioId
+from .scenarios import ScenarioId, ScenarioTypeError, require_kind
 from .search import SearchSpec, search_lower_bound
 from .thresholds import (REGISTRY, CoverageError, MethodId, PI,
                          generic_bounds, threshold)
@@ -43,12 +43,21 @@ class AuditReport:
         return [check for check in self.checks if not check.ok]
 
 
+def _expresses(method: MethodId, scenario: ScenarioId) -> bool:
+    try:
+        return require_kind(scenario, method.spec.ballot) is None
+    except ScenarioTypeError:
+        return False
+
+
 def default_scope() -> list:
     """The method/scenario pairs the audit covers by default: every
-    registry kind, at each parameter its record is audited at."""
+    registry kind, at each parameter its record is audited at, under
+    each scenario its ballots can express (`scenarios.require_kind`)."""
     methods = [MethodId(kind, param) for kind, spec in REGISTRY.items()
                for param in spec.audited]
-    return [(m, sc) for m in methods for sc in ScenarioId]
+    return [(m, sc) for m in methods for sc in ScenarioId
+            if _expresses(m, sc)]
 
 
 # The audit's search spec, smaller than the defaults, and the largest S

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import ClassVar, Iterable, Optional, Sequence
 
 from .numerics import format_rational, parse_rational
@@ -193,19 +194,46 @@ class OutcomeSet:
         return len(self.committees)
 
 
+# The named schemes' weights as (prefix, tail).  Harmonic weights, 1/k,
+# have no finite form; its entry has w_1 = 0, so no valid scheme reads it.
+_NAMED = {"harmonic": ((), 0), "weak": ((1,), 0), "constant": ((), 1)}
+
+
 @dataclass(frozen=True)
 class WeightScheme:
-    """Non-increasing ballot weights w_1 >= w_2 >= ... >= 0 with w_1 = 1.
-
-    kind is one of "harmonic" (w_k = 1/k), "weak" (1, 0, 0, ...),
-    "constant" (all 1), or "explicit" (finite prefix plus constant tail).
+    """Non-increasing ballot weights 1 = w_1 >= w_2 >= ... >= 0: harmonic
+    (w_k = 1/k), or a finite prefix then a constant tail, kept in one
+    canonical form so that equal weights give one scheme, label and hash.
+    Prefix entries equal to the tail are dropped from its end; (1; 0) is
+    named "weak", (1; 1) "constant", any other "explicit".  A named
+    scheme takes its weights from its name.
     """
 
     kind: str
     prefix: tuple[Fraction, ...] = ()
     tail: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        if self.kind not in ("explicit", *_NAMED):
+            raise ValueError("unknown weight scheme %r" % self.kind)
+        prefix, tail = _NAMED.get(self.kind, (self.prefix, self.tail))
+        prefix, tail = tuple(map(Fraction, prefix)), Fraction(tail)
+        if self.kind != "harmonic":
+            seq = prefix + (tail,)
+            if seq[0] != 1:
+                raise ProfileError("weight scheme requires w_1 = 1")
+            if any(a < b for a, b in zip(seq, seq[1:])) or tail < 0:
+                raise ProfileError("weights must be non-increasing and >= 0")
+            while prefix[-1:] == (tail,):
+                prefix = prefix[:-1]
+            object.__setattr__(self, "kind", next(
+                (name for name, weights in _NAMED.items()
+                 if weights == (prefix, tail)), "explicit"))
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
+
     @staticmethod
+    @cache      # one object: engines key their rate tables on it
     def harmonic() -> "WeightScheme":
         return WeightScheme("harmonic")
 
@@ -219,15 +247,7 @@ class WeightScheme:
 
     @staticmethod
     def explicit(prefix: Sequence, tail=Fraction(0)) -> "WeightScheme":
-        prefix = tuple(Fraction(x) for x in prefix)
-        tail = Fraction(tail)
-        scheme = WeightScheme("explicit", prefix, tail)
-        seq = list(prefix) + [tail]
-        if not prefix or prefix[0] != 1:
-            raise ProfileError("weight scheme requires w_1 = 1")
-        if any(a < b for a, b in zip(seq, seq[1:])) or seq[-1] < 0:
-            raise ProfileError("weights must be non-increasing and >= 0")
-        return scheme
+        return WeightScheme("explicit", tuple(prefix), tail)
 
     def w(self, k: int) -> Fraction:
         """The weight w_k for the k-th approved/elected name, k >= 1."""
@@ -235,13 +255,7 @@ class WeightScheme:
             raise ValueError("weight index must be >= 1")
         if self.kind == "harmonic":
             return Fraction(1, k)
-        if self.kind == "weak":
-            return Fraction(1) if k == 1 else Fraction(0)
-        if self.kind == "constant":
-            return Fraction(1)
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        return self.tail
+        return self.prefix[k - 1] if k <= len(self.prefix) else self.tail
 
     def psi(self, n: int) -> Fraction:
         """Satisfaction psi(n) = sum_{k<=n} w_k."""
@@ -255,16 +269,12 @@ class WeightScheme:
 
     @staticmethod
     def parse(text: str) -> "WeightScheme":
-        """The scheme a label() text names; empty text means harmonic."""
-        if not text or text == "harmonic":
-            return WeightScheme.harmonic()
-        if text in ("weak", "constant"):
-            return WeightScheme(text)
+        """The scheme a text names ("p/q" weights); empty means harmonic."""
         if text.startswith("explicit(") and text.endswith(")"):
             head, _, tail = text[len("explicit("):-1].partition(";tail=")
-            prefix = [Fraction(x) for x in head.split(",") if x]
-            return WeightScheme.explicit(prefix, Fraction(tail or 0))
-        raise ValueError("unknown weight scheme %r" % text)
+            prefix = [parse_rational(x) for x in head.split(",") if x]
+            return WeightScheme.explicit(prefix, parse_rational(tail or "0"))
+        return WeightScheme(text or "harmonic")
 
 
 def normalize(profile: Profile) -> Profile:

@@ -30,7 +30,8 @@ from functools import lru_cache
 from .audit import SEARCH_SMAX, audit_table
 from .ballots import (DEFAULT_BRANCH_CAP, ProfileError, WeightScheme,
                       format_profile, parse_profile_file)
-from .numerics import format_rational, to_decimal_str
+from .numerics import (format_rational, parse_rational, split_arg,
+                       to_decimal_str)
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
                         ScenarioTypeError, is_instance)
 from .search import SearchSpec, search_lower_bound
@@ -249,9 +250,8 @@ def _cmd_threshold(args) -> int:
                 "ell": args.ell, "seats": args.seats}
     doc_data.update(_entry_data(entry))
     cell = _entry_cell(entry)
-    extra = ""
-    if entry.value is not None and args.decimals is not None:
-        extra = " (%s)" % to_decimal_str(entry.value, args.decimals)
+    extra = ("" if entry.value is None or args.decimals is None
+             else " (%s)" % to_decimal_str(entry.value, args.decimals))
     lines = ["%s(%d, %d) under %s, scenario %s: %s%s  [%s]" % (
         entry.kind, args.ell, args.seats, method.label(), scenario.value,
         cell, extra, entry.status)]
@@ -308,15 +308,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    which, colon, scheme_arg = args.which.partition(":")
+    which, scheme_arg = split_arg(args.which, "no weight scheme")
     n = args.n
     if n < 1:
         raise _CliError("--n must be >= 1")
     solver = {}
     if which == "alpha":
-        if colon and not scheme_arg:
-            raise _CliError("no weight scheme after 'alpha:' (plain alpha "
-                            "means harmonic)")
         scheme = WeightScheme.parse(scheme_arg)
         if args.dump_lp:
             print(format_lp(build_alpha_lp(n, scheme)))
@@ -332,7 +329,7 @@ def _cmd_seq(args) -> int:
         if sequence is None:
             raise _CliError("unknown sequence %r (choose a, b, c or alpha)"
                             % which)
-        if colon:
+        if scheme_arg:
             raise _CliError("sequence %s takes no weight scheme" % which)
         if args.dump_lp:
             raise _CliError("--dump-lp applies to alpha only")
@@ -360,7 +357,7 @@ def _witness_data(witness: Witness) -> dict:
 
 def _cmd_witness(args) -> int:
     method = MethodId.parse(args.method)
-    eps = Fraction(args.eps) if args.eps else None
+    eps = parse_rational(args.eps) if args.eps else None
     witness = construct_witness(args.construction, method, args.scenario,
                                 args.ell, args.seats, eps)
     verified = verify_witness(witness, method, args.branch_cap)
@@ -542,6 +539,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.decimals or 0) < 0:
+            parser.error("--decimals must be >= 0")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -4,9 +4,9 @@ Every value the package reports is a fractions.Fraction
 (arbitrary-precision, always in canonical form).  The counting engines
 run their inner loops on Python ints over one positive common
 denominator (`common_denominator`), which is exact as well, and turn
-their results back into Fractions.  This module adds parsing/formatting
-in the "p/q" text convention used by the file formats and the CLI, and
-decimal rendering for display only.
+their results back into Fractions.  This module adds the "p/q" text
+convention of the file formats, method labels and CLI, the "name:arg"
+split of method text, and decimal rendering for display only.
 """
 
 from __future__ import annotations
@@ -34,14 +34,21 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("empty rational literal")
     if "/" in text:
         num, _, den = text.partition("/")
-        num = num.strip()
-        den = den.strip()
-        if den.startswith(("+", "-")):
+        if den.lstrip().startswith(("+", "-")):
             raise ValueError("sign must be on the numerator: %r" % text)
         if int(den) == 0:
             raise ValueError("zero denominator: %r" % text)
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def split_arg(text: str, missing: str = "nothing") -> tuple[str, str]:
+    """"name:arg" text as (name, arg), arg "" when there is no colon; a
+    colon with nothing after it is refused ("<missing> after 'name:'")."""
+    name, colon, arg = text.partition(":")
+    if colon and not arg:
+        raise ValueError("%s after '%s:'" % (missing, name))
+    return name, arg
 
 
 def format_rational(value: Fraction) -> str:

@@ -40,6 +40,12 @@ class ScenarioId(Enum):
     WPSC = "wpsc"
 
 
+def check_ell(ell: int, seats: int) -> None:
+    if not 1 <= ell <= seats:
+        raise ValueError("need 1 <= ell <= seats (got ell=%s, S=%s)"
+                         % (ell, seats))
+
+
 class ScenarioTypeError(TypeError):
     """Scenario applied to an incompatible ballot kind."""
 
@@ -79,8 +85,7 @@ class ScenarioInstance:
         object.__setattr__(self, "scenario", scenario
                            if type(scenario) is ScenarioId
                            else ScenarioId(scenario))
-        if not 1 <= self.ell <= profile.seats:
-            raise ValueError("need 1 <= ell <= seats")
+        check_ell(self.ell, profile.seats)
         # The generator reads W's ballots only where the goal does.
         object.__setattr__(self, "goal", _goal(
             self.scenario, self.target, self.ell,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .ballots import DEFAULT_BRANCH_CAP, Profile, WeightedBallot
 from .party import AdamsIllDefined
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
-                        _goal, is_instance, require_kind, settle)
+                        _goal, check_ell, is_instance, require_kind, settle)
 from .thresholds import CoverageError, MethodId
 from .witnesses import (_CONTENT, Witness, _is_bad, _names, _profile,
                         _require_engine)
@@ -433,8 +433,7 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     same order either way, so no result depends on earlier searches.
     """
     scenario = ScenarioId(scenario)
-    if not 1 <= ell <= seats:
-        raise ValueError("need 1 <= ell <= seats")
+    check_ell(ell, seats)
     if spec is None:
         spec = SearchSpec()
     if method.spec.ballot == "party":

@@ -34,10 +34,11 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .ballots import CoverageError, WeightScheme
+from .numerics import parse_rational, split_arg
 from .ordered import (BordaWeights, StvSpec, borda_count, phragmen_ordered,
                       stv_count, thiele_ordered)
 from .party import DivisorSpec, QuotaSpec, divisor_apportion, quota_apportion
-from .scenarios import ScenarioId
+from .scenarios import ScenarioId, check_ell
 from .sequences import ALPHA_CAP, alpha, seq_a, seq_b, seq_c
 from .unordered import (phragmen_unordered, score_family_count,
                         thiele_addition, thiele_elimination, thiele_optimize)
@@ -70,14 +71,12 @@ class MethodId:
         if spec.param is not None:
             if self.param is None:
                 raise ValueError("%s requires a parameter" % self.kind)
+            object.__setattr__(self, "param", Fraction(self.param))
             if spec.param == "limit":
-                if int(self.param) != self.param or self.param < 1:
+                if self.param.denominator != 1 or self.param < 1:
                     raise ValueError("limited vote needs an integer limit >= 1")
-                object.__setattr__(self, "param", Fraction(int(self.param)))
-            else:
-                object.__setattr__(self, "param", Fraction(self.param))
-                if not 0 <= self.param <= 1:
-                    raise ValueError("parameter must lie in [0, 1]")
+            elif not 0 <= self.param <= 1:
+                raise ValueError("parameter must lie in [0, 1]")
         elif self.param is not None:
             raise ValueError("%s takes no numeric parameter" % self.kind)
         if spec.scheme:
@@ -105,8 +104,6 @@ class MethodId:
 
     # -- text form --------------------------------------------------------
     def label(self) -> str:
-        if self.spec.param == "limit":
-            return "%s:%d" % (self.kind, int(self.param))
         if self.spec.param is not None:
             return "%s:%s" % (self.kind, self.param)
         if self.spec.scheme and self.scheme.kind != "harmonic":
@@ -115,20 +112,16 @@ class MethodId:
 
     @staticmethod
     def parse(text: str) -> "MethodId":
-        """The method a label names; "stv" alone means stv:1.  A colon
-        with nothing after it is refused for every kind."""
-        kind, colon, arg = text.partition(":")
+        """The method a label names; "stv" alone means stv:1.  A colon with
+        nothing after it is refused, and a parameter is a "p/q" rational."""
+        kind, arg = split_arg(text)
         kind = kind.strip().lower()
         if kind not in REGISTRY:
             raise ValueError("unknown method %r" % text)
-        if colon and not arg:
-            raise ValueError("nothing after '%s:'" % kind)
         if REGISTRY[kind].param is not None:
-            if not arg:
-                if kind == "stv":
-                    return MethodId(kind, 1)
+            if not arg and kind != "stv":
                 raise ValueError("%s requires a parameter, e.g. %s:1" % (kind, kind))
-            return MethodId(kind, Fraction(arg))
+            return MethodId(kind, parse_rational(arg or "1"))
         if REGISTRY[kind].scheme:
             return MethodId(kind, scheme=WeightScheme.parse(arg))
         if arg:
@@ -187,15 +180,9 @@ def _unknown(kind=PI, source="", lo=None, hi=None, note="") -> ThresholdValue:
                           lo=lo, hi=hi, note=note)
 
 
-def _check_args(ell: int, seats: int) -> None:
-    if not 1 <= ell <= seats:
-        raise ValueError("need 1 <= ell <= seats (got ell=%s, S=%s)"
-                         % (ell, seats))
-
-
 def threshold(method: MethodId, scenario, ell: int, seats: int) -> ThresholdValue:
     """The proportionality threshold for (method, scenario, ell, seats)."""
-    _check_args(ell, seats)
+    check_ell(ell, seats)
     scenario = ScenarioId(scenario)
     if (scenario is ScenarioId.PARTY and method.spec.dhondt
             and (method.scheme is None or method.scheme.kind == "harmonic")):
@@ -282,11 +269,10 @@ def _lv_threshold(method, scenario, ell, seats):
     limit = method.spec.cap(method, seats)   # refuses a limit above S
     if scenario is ScenarioId.TACTIC:
         value = _lv_tactic_value(limit, ell, seats)
-        if ell <= limit:
-            # The equal-split strategy needs no rounding when ballots may
-            # simply repeat the same list, so the limit form is attained.
-            return _exact(value, kind=PI, source="equal-split-strategy")
-        return _exact(value, kind=PIHAT, source="equal-split-strategy")
+        # The equal-split strategy needs no rounding when ballots may
+        # simply repeat the same list, so the limit form is attained.
+        return _exact(value, kind=PI if ell <= limit else PIHAT,
+                      source="equal-split-strategy")
     if ell > limit:
         return None
     if scenario in (ScenarioId.SAME, ScenarioId.PJR):
@@ -359,10 +345,6 @@ def _max_kw(scheme: WeightScheme, seats: int) -> Fraction:
     return max(k * scheme.w(k) for k in range(1, seats + 1))
 
 
-def _weights_subharmonic(scheme: WeightScheme, seats: int) -> bool:
-    return all(scheme.w(k) <= Fraction(1, k) for k in range(1, seats + 1))
-
-
 def _thiele_opt_threshold(method, scenario, ell, seats):
     scheme = method.scheme
     if scheme.kind == "harmonic":
@@ -374,8 +356,6 @@ def _thiele_opt_threshold(method, scenario, ell, seats):
         if ell == 1:
             value = 1 / (1 + Fraction(seats) / _max_kw(scheme, seats))
             return _exact(value, source="satisfaction-exchange")
-        if scheme.kind == "weak":
-            return _exact(Fraction(1), source="single-bonus-saturation")
         wl = scheme.w(ell)
         if wl == 0:
             return _exact(Fraction(1), source="single-bonus-saturation")
@@ -384,23 +364,22 @@ def _thiele_opt_threshold(method, scenario, ell, seats):
                               "weight-floor-extremes", hi=Fraction(1),
                               note="proved lower bound only")
     if scenario is ScenarioId.TACTIC:
-        if _weights_subharmonic(scheme, seats):
+        if all(scheme.w(k) <= Fraction(1, k) for k in range(1, seats + 1)):
             return _optimal(ell, seats, PIHAT, "equal-split-strategy")
         return None
     return None
 
 
 def _gamma_or_none(scheme: WeightScheme, n: int) -> Optional[Fraction]:
-    if n > ALPHA_CAP:
-        return None
-    return alpha(n, scheme)
+    return None if n > ALPHA_CAP else alpha(n, scheme)
 
 
 def _thiele_add_threshold(method, scenario, ell, seats):
     scheme = method.scheme
     if scheme.kind == "weak":
         if scenario is ScenarioId.TACTIC:
-            return _optimal(ell, seats, PIHAT, "equal-split-strategy")
+            return _optimal(ell, seats, PI if ell == 1 else PIHAT,
+                            "equal-split-strategy")
         if scenario in (ScenarioId.SAME, ScenarioId.PJR, ScenarioId.EJR):
             if ell == 1:
                 return _optimal(ell, seats, source="sequential-mass-lp")
@@ -498,10 +477,9 @@ def _thiele_o_threshold(method, scenario, ell, seats):
     a_rest = seq_a(seats + 1 - ell)
     if scenario is ScenarioId.TACTIC:
         value = seq_a(ell) / (seq_a(ell) + a_rest)
-        if ell == 1:
-            # For a single seat target the limit value is also attained.
-            return _exact(value, kind=PI, source="suffix-chain-extremes")
-        return _exact(value, kind=PIHAT, source="suffix-chain-extremes")
+        # For a single seat target the limit value is also attained.
+        return _exact(value, kind=PI if ell == 1 else PIHAT,
+                      source="suffix-chain-extremes")
     if scenario is ScenarioId.SAME:
         return _exact(Fraction(ell) / (ell + a_rest),
                       source="suffix-chain-extremes")
@@ -659,7 +637,7 @@ def generic_bounds(ell: int, seats: int) -> tuple:
     """Method-independent constraints applying at (ell, seats), each fact
     once: closure relates ell and S+1-ell, so only the smaller of the two
     lists it, and at ell = (S+1)/2 it reads pi >= 1/2, the floor there."""
-    _check_args(ell, seats)
+    check_ell(ell, seats)
     bounds = []
     if 2 * ell < seats + 1:
         bounds.append(GenericBound(
@@ -714,16 +692,10 @@ def criterion_check(method: MethodId, criterion: str, seats: int):
     if seats < 1:
         raise ValueError("seats must be >= 1")
     scenario = _CRITERION_SCENARIO[criterion]
-    if criterion == "JR":
-        if seats == 1:
-            return True
-        ells = [1]
-    elif criterion == "DPC":
-        ells = range(1, seats + 1)
-    else:
-        if seats == 1:
-            return True
-        ells = range(1, seats)
+    # JR tests ell = 1 and DPC every ell; the others test ell < S, and
+    # JR too tests nothing at S = 1.
+    ells = {"JR": range(1, min(2, seats)),
+            "DPC": range(1, seats + 1)}.get(criterion, range(1, seats))
     dpc = criterion == "DPC"        # pi <= ell/(S+1); the others pi < ell/S
     unknown = False
     for ell in ells:

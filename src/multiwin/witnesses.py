@@ -20,8 +20,8 @@ from math import isqrt
 from .ballots import (DEFAULT_BRANCH_CAP, ListBallot, OutcomeSet, PartyBallot,
                       Profile, ProfileError, SetBallot, WeightedBallot,
                       normalize)
-from .scenarios import (ScenarioId, ScenarioInstance, is_bad_outcome_possible,
-                        is_instance)
+from .scenarios import (ScenarioId, ScenarioInstance, check_ell,
+                        is_bad_outcome_possible, is_instance)
 from .sequences import ALPHA_CAP, seq_a, seq_b, seq_c, solve_alpha, subsets
 from .thresholds import REGISTRY, CoverageError, MethodId
 
@@ -141,7 +141,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _default_eps(eps) -> Fraction:
-    return Fraction(1, 20) if eps is None else Fraction(eps)
+    eps = Fraction(1, 20) if eps is None else Fraction(eps)
+    _require(0 < eps < 1, "eps must lie in (0, 1)")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,6 @@ def _self_voting(method, scenario, ell, seats, eps):
     """A huge block spreads one split vote per member over its own list
     while each opponent keeps a whole vote; approaches fraction 1."""
     eps = _default_eps(eps)
-    _require(0 < eps < 1, "eps must lie in (0, 1)")
     w = max(ell, -(-seats * (1 - eps) // eps))   # ceil(S(1-eps)/eps)
     w = int(w)
     # One name more than the block's weight: each listed name scores
@@ -410,7 +411,6 @@ def _self_first_psc(method, scenario, ell, seats, eps):
     """Each W voter ranks a different own-side name first, splitting the
     top-position support; unit opponents with doubled weight sweep."""
     eps = _default_eps(eps)
-    _require(0 < eps < 1, "eps must lie in (0, 1)")
     q = max(ell, int(-(-2 * seats * (1 - eps) // eps)))
     targets = _names("A", q)
     groups = [(Fraction(1), targets[i:] + targets[:i], True)
@@ -560,8 +560,7 @@ def construct_witness(token: str, method: MethodId, scenario, ell: int,
     if token not in CATALOG:
         raise ValueError("unknown construction token %r (choose from %s)"
                          % (token, ", ".join(sorted(CATALOG))))
-    if not 1 <= ell <= seats:
-        raise ValueError("need 1 <= ell <= seats")
+    check_ell(ell, seats)
     scenario = ScenarioId(scenario)
     build, coverage = CATALOG[token]
     if coverage is not None and (

@@ -486,6 +486,50 @@ def test_stray_method_argument_exits_two(capsys, label):
     assert err == "error: %s takes no parameter\n" % label.partition(":")[0]
 
 
+_CELL = ("--scenario", "same", "--ell", "1", "--seats", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("threshold", "--method", "div:1/0", "--scenario", "party", "--ell", "1",
+     "--seats", "2"),
+    ("threshold", "--method", "stv:1/0") + _CELL,
+    ("threshold", "--method", "lv:1/0") + _CELL,
+    ("threshold", "--method", "thiele-add:explicit(1,1/0)") + _CELL,
+    ("seq", "--which", "alpha:explicit(1,1/0)", "--n", "3"),
+    ("witness", "--construction", "self-voting", "--method", "cvq")
+    + _CELL + ("--eps", "1/0"),
+])
+def test_zero_denominator_exits_two_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: zero denominator: '1/0'\n")
+
+
+_DECIMALS_ARGV = {
+    "count": ("--method", "av", "{set}"),
+    "apportion": ("--method", "div:1", "{party}"),
+    "check": ("--method", "av", "--scenario", "same", "--ell", "1", "{set}"),
+    "threshold": ("--method", "av", "--ell", "1", "--seats", "2"),
+    "table": ("optimal", "--max-seats", "2"),
+    "seq": ("--which", "a", "--n", "2"),
+    "witness": ("--construction", "majority-tie", "--method", "av")
+    + _CELL,
+    "search": ("--method", "sntv") + _CELL[:4] + ("--seats", "1", "--grid",
+                                                  "2"),
+    "audit": ("--smax", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DECIMALS_ARGV))
+def test_negative_decimals_refused_before_any_command_runs(
+        capsys, command, set_profile, party_profile):
+    argv = [arg.format(set=set_profile, party=party_profile)
+            for arg in _DECIMALS_ARGV[command]]
+    code, out, err = run_cli(capsys, command, *argv, "--decimals", "-1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "multiwin: error: --decimals must be >= 0"
+    assert run_cli(capsys, command, *argv, "--decimals", "0")[0] != 2
+
+
 def test_runs_in_one_process_share_one_parser(capsys, set_profile):
     # The parser is built once; a usage error, a help request and a
     # count in between leave the next run's parse as the first one's.

@@ -10,11 +10,14 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiwin import thresholds
-from multiwin.ballots import WeightScheme
+from multiwin.ballots import WeightScheme, parse_profile
+from multiwin.numerics import format_rational
 from multiwin.party import AdamsIllDefined
-from multiwin.scenarios import ScenarioId
+from multiwin.scenarios import ScenarioId, ScenarioInstance
+from multiwin.search import search_lower_bound
 from multiwin.thresholds import (INTERVAL, MethodId, TABLE_NAMES,
                                  ThresholdValue, criterion_check,
                                  generic_bounds, table_grid, threshold)
@@ -106,6 +109,108 @@ def test_method_constructors_match_parse():
     assert MethodId("stv", 1) == MethodId.parse("stv")
     assert MethodId("thiele-opt", scheme=WeightScheme.weak()) == \
         MethodId.parse("thiele-opt:weak")
+
+
+# Finite weight sequences 1 = w_1 >= ... >= w_k, the last entry the tail.
+finite_weights = st.lists(
+    st.builds(F, st.integers(0, 6), st.integers(1, 6)).filter(
+        lambda x: x <= 1), max_size=4).map(
+    lambda rest: sorted([F(1)] + rest, reverse=True))
+
+
+def _scheme_texts(weights, extra):
+    """Texts naming the sequence, `extra` copies of the tail written
+    into the prefix; a text without ";tail=" means tail 0."""
+    *prefix, tail = weights
+    prefix = ",".join(map(format_rational, prefix + [tail] * extra))
+    texts = ["explicit(%s;tail=%s)" % (prefix, format_rational(tail))]
+    if tail == 0:
+        texts.append("explicit(%s)" % prefix)
+    return texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_weights, st.integers(0, 2))
+def test_every_spelling_of_a_weight_sequence_is_one_scheme(weights, extra):
+    *prefix, tail = weights
+    padded = prefix + [tail] * extra
+    canonical = WeightScheme.explicit(prefix, tail)
+    spellings = [WeightScheme.explicit(padded, tail),
+                 WeightScheme("explicit", tuple(padded), tail)]
+    spellings += map(WeightScheme.parse, _scheme_texts(weights, extra))
+    for name in ("weak", "constant"):
+        named = WeightScheme(name)
+        if all(named.w(k) == canonical.w(k)
+               for k in range(1, len(padded) + 3)):
+            spellings += [named, WeightScheme.parse(name)]
+            assert canonical.label() == name
+    for scheme in spellings:
+        assert scheme == canonical and hash(scheme) == hash(canonical)
+        assert scheme.label() == canonical.label()
+        assert WeightScheme.parse(scheme.label()) == canonical
+    for k in range(1, len(padded) + 4):
+        assert canonical.w(k) == weights[min(k, len(weights)) - 1]
+    assert canonical.prefix[-1:] != (canonical.tail,)
+    for kind in ("thiele-opt", "thiele-add", "borda"):
+        method = MethodId(kind, scheme=canonical)
+        assert MethodId.parse(method.label()) == method
+        for text in _scheme_texts(weights, extra):
+            copy = MethodId.parse("%s:%s" % (kind, text))
+            assert copy == method and hash(copy) == hash(method)
+            assert copy.label() == method.label()
+
+
+SCHEME_SPELLINGS = [
+    ("weak", "explicit(1;tail=0)", "explicit(1,0)", "explicit(1,0,0;tail=0)"),
+    ("constant", "explicit(1;tail=1)", "explicit(1,1;tail=1)",
+     "explicit(;tail=1)"),
+    ("explicit(1,1/2;tail=0)", "explicit(1,1/2,0)"),
+    ("explicit(1,1/2;tail=1/4)", "explicit(1,1/2,1/4,1/4;tail=1/4)"),
+]
+
+
+@pytest.mark.parametrize("kind", ["thiele-add", "thiele-opt", "borda"])
+@pytest.mark.parametrize("texts", SCHEME_SPELLINGS,
+                         ids=[texts[0] for texts in SCHEME_SPELLINGS])
+def test_spellings_of_one_scheme_answer_alike(kind, texts):
+    first, *others = [MethodId.parse("%s:%s" % (kind, text))
+                      for text in texts]
+    assert [first.label()] * len(others) == [m.label() for m in others]
+    assert first.label() == "%s:%s" % (kind, texts[0])
+    for scenario in ScenarioId:
+        for seats in range(1, 9):
+            for ell in range(1, seats + 1):
+                entry = threshold(first, scenario, ell, seats)
+                for other in others:
+                    assert threshold(other, scenario, ell, seats) == entry
+
+
+def test_weak_addition_single_seat_tactic_is_attained():
+    # (1; 0) spelled out once took the finite path, which gives pi here.
+    for text in ("weak", "explicit(1;tail=0)"):
+        method = MethodId.parse("thiele-add:" + text)
+        for seats in range(1, 9):
+            entry = threshold(method, ScenarioId.TACTIC, 1, seats)
+            assert (entry.kind, entry.status, entry.value) == (
+                "pi", "exact", F(1, seats + 1))
+
+
+@pytest.mark.parametrize("ell, seats", [(0, 2), (3, 2), (-1, 0)])
+def test_every_entry_point_refuses_ell_outside_one_to_seats(ell, seats):
+    message = r"^need 1 <= ell <= seats \(got ell=%d, S=%d\)$" % (ell, seats)
+    method = MethodId("av")
+    profile = parse_profile("!seats 2\n!W 1 : {A B}\n1 : {C}\n")
+    calls = [lambda: threshold(method, ScenarioId.SAME, ell, seats),
+             lambda: generic_bounds(ell, seats),
+             lambda: construct_witness("majority-tie", method, "same", ell,
+                                       seats),
+             lambda: search_lower_bound(method, "same", ell, seats)]
+    if seats == 2:
+        calls.append(lambda: ScenarioInstance(profile, {"A"}, ell,
+                                              ScenarioId.SAME))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_threshold_argument_validation():
@@ -368,8 +473,13 @@ def test_weak_sequential_addition(seats):
     method = MethodId.parse(label)
     for ell in range(1, seats + 1):
         tactic = threshold(method, ScenarioId.TACTIC, ell, seats)
-        assert tactic.is_exact and tactic.kind == "pihat"
+        # At ell = 1, as for sntv, the equal split is attained.
+        assert tactic.is_exact and tactic.kind == ("pi" if ell == 1
+                                                   else "pihat")
         assert tactic.value == F(ell, seats + 1)
+        if ell == 1:
+            assert _replays("addition-lp-vertex", label, "tactic", ell,
+                            seats, tactic.value)
         for scenario in ("same", "pjr", "ejr"):
             entry = threshold(method, ScenarioId(scenario), ell, seats)
             value = F(1, seats + 1) if ell == 1 else F(1)
@@ -498,10 +608,10 @@ def test_criterion_at_the_exact_threshold_follows_its_side():
 
 def test_criterion_decided_by_an_upper_bound():
     # Beyond ALPHA_CAP the one-seat entry is an interval; here its hi,
-    # 1/9, is below JR's bar 1/8.
-    method = MethodId.parse("thiele-add:explicit(1;tail=0)")
+    # 9/73, is below JR's bar 1/8.
+    method = MethodId.parse("thiele-add:explicit(1,1/8;tail=0)")
     entry = threshold(method, ScenarioId.PJR, 1, 8)
-    assert (entry.status, entry.lo, entry.hi) == (INTERVAL, F(1, 9), F(1, 9))
+    assert (entry.status, entry.lo, entry.hi) == (INTERVAL, F(1, 9), F(9, 73))
     assert criterion_check(method, "JR", 8) is True
     # A lo above the bar decides the other way.
     entry = threshold(MethodId("thiele-elim"), ScenarioId.PJR, 1, 5)

@@ -20,7 +20,7 @@ from multiwin.ballots import (DEFAULT_BRANCH_CAP, Profile, SetBallot,
                               WeightedBallot, format_profile, parse_profile)
 from multiwin.party import AdamsIllDefined
 from multiwin.scenarios import (ScenarioId, ScenarioInstance,
-                                ScenarioTypeError, is_instance)
+                                ScenarioTypeError, is_instance, require_kind)
 from multiwin.search import SearchSpec, search_lower_bound
 from multiwin.thresholds import (REGISTRY, CoverageError, MethodId,
                                  ThresholdValue, threshold)
@@ -1090,6 +1090,31 @@ def test_default_scope_covers_all_scenarios():
     scope = default_scope()
     scenarios = {scenario for _, scenario in scope}
     assert scenarios == set(ScenarioId)
+
+
+def test_default_scope_holds_the_pairs_the_ballots_can_express():
+    # Of the 19 audited methods under 7 scenarios, the 50 pairs whose
+    # scenario the method's ballots cannot express are left out; none
+    # of their cells has a bound at S <= 10, so the audit loses nothing.
+    scope = default_scope()
+    assert len(scope) == 83
+    for kind, spec in REGISTRY.items():
+        for method in (MethodId(kind, param) for param in spec.audited):
+            for scenario in ScenarioId:
+                try:
+                    require_kind(scenario, spec.ballot)
+                except ScenarioTypeError:
+                    assert (method, scenario) not in scope
+                else:
+                    assert (method, scenario) in scope
+                    continue
+                for seats in range(1, 11):
+                    for ell in range(1, seats + 1):
+                        try:
+                            entry = threshold(method, scenario, ell, seats)
+                        except CoverageError:
+                            continue
+                        assert (entry.lo, entry.hi) == (None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Golden search results and witness constructions, recorded before the
 verifier's profile builders, badness tests and search loops were merged.
 
+The audited cells are every registry kind at its audited parameters,
+under every scenario (refusals included), at 1 <= ell <= S.
 SEARCH_GOLDEN is one sha256 over canonical JSON of search_lower_bound on
-every default-scope pair at ell <= S <= 2 under SEARCH_SPEC: the best
-fraction, the witness profile in file format and its sorted target, or
-the error class when the search refuses the cell.  CATALOG_GOLDEN pins
-construct_witness for every catalog token over the default-scope methods,
-every scenario and ell <= S <= 3 in the same way.  WIDE_CATALOG_GOLDEN
-does the same at ell <= S <= 5 with eps None and 1/7, and COVERING_GOLDEN
-pins covering_token on every default-scope cell at S <= 5; both were
-recorded before the catalog rows stated the kinds and scenarios each
-construction covers.  AUDIT_GOLDEN pins search_lower_bound under the
-audit's own spec on every pi-exact default-scope cell at S = 3.  It was
+every audited cell at S <= 2 under SEARCH_SPEC: the best fraction, the
+witness profile in file format and its sorted target, or the error class
+when the search refuses the cell.  CATALOG_GOLDEN pins construct_witness
+for every catalog token over the audited cells at S <= 3 in the same
+way.  WIDE_CATALOG_GOLDEN does the same at S <= 5 with eps None and 1/7,
+and COVERING_GOLDEN pins covering_token on every audited cell at S <= 5;
+both were recorded before the catalog rows stated the kinds and scenarios
+each construction covers.  AUDIT_GOLDEN pins search_lower_bound under the
+audit's own spec on every pi-exact audited cell at S = 3.  It was
 recorded before the search decided instances up to renaming, without the
 phragmen-u/-o tactic cells at ell = 2, 3, and re-recorded with them once the sequential engines filled
 the seats no candidate supports.  DEFAULT_SPEC_GOLDEN pins, at the
@@ -46,7 +47,7 @@ from multiwin.ballots import format_profile
 from multiwin.numerics import format_rational
 from multiwin.scenarios import ScenarioId
 from multiwin.search import SearchSpec, search_lower_bound
-from multiwin.thresholds import PI, MethodId, threshold
+from multiwin.thresholds import PI, REGISTRY, MethodId, threshold
 from multiwin.witnesses import CATALOG, construct_witness
 
 SEARCH_SPEC = SearchSpec(max_candidates=4, weight_grid=3)
@@ -101,10 +102,15 @@ def _witness_record(witness) -> list:
 
 
 def _cells(max_seats):
-    for method, scenario in default_scope():
-        for seats in range(1, max_seats + 1):
-            for ell in range(1, seats + 1):
-                yield method, ScenarioId(scenario), ell, seats
+    # Every registry kind at its audited parameters under every scenario,
+    # refusals included: the audit's default scope leaves out the
+    # scenarios a kind's ballots cannot express.
+    for kind, spec in REGISTRY.items():
+        for param in spec.audited:
+            for scenario in ScenarioId:
+                for seats in range(1, max_seats + 1):
+                    for ell in range(1, seats + 1):
+                        yield MethodId(kind, param), scenario, ell, seats
 
 
 def _digest(records) -> str:
