@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from .numerics import format_rational, parse_rational
 
@@ -174,8 +174,16 @@ class Profile:
 
 @dataclass(frozen=True)
 class OutcomeSet:
+    """The committees a count reached, and whether the branch cap cut some
+    off.  A goal count's set (`decided`) also holds the goal it was counted
+    for and its verdict `bad`: True when some reachable committee is bad
+    for the goal, False when none is, None when the count cannot tell.
+    Its committees and truncated flag are listed when first read."""
+
     committees: frozenset[frozenset[str]]
-    truncated: bool = False
+    truncated: bool
+    goal = None             # set, with bad, on a decided set only
+    bad = None
 
     def __init__(self, committees: Iterable[frozenset[str]], truncated: bool = False):
         committees = frozenset(map(frozenset, committees))
@@ -183,6 +191,24 @@ class OutcomeSet:
             raise ProfileError("outcome set must be non-empty")
         object.__setattr__(self, "committees", committees)
         object.__setattr__(self, "truncated", bool(truncated))
+
+    @classmethod
+    def decided(cls, goal, bad, listing: Callable[[], OutcomeSet]):
+        """A goal count's set; listing() gives its committees and flag."""
+        out = cls.__new__(cls)
+        out.__dict__.update(goal=goal, bad=bad, _listing=listing)
+        return out
+
+    def __getattr__(self, name):
+        # Reached only for an unset attribute: on a decided set, its
+        # committees and truncated flag until they are first read.
+        listing = self.__dict__.get("_listing")
+        if listing is None or name not in ("committees", "truncated"):
+            raise AttributeError(name)
+        listed = listing()
+        object.__setattr__(self, "committees", listed.committees)
+        object.__setattr__(self, "truncated", listed.truncated)
+        return getattr(listed, name)
 
     def sorted_committees(self) -> list[tuple[str, ...]]:
         return sorted(tuple(sorted(c)) for c in self.committees)
@@ -271,9 +297,11 @@ class WeightScheme:
     def parse(text: str) -> "WeightScheme":
         """The scheme a text names ("p/q" weights); empty means harmonic."""
         if text.startswith("explicit(") and text.endswith(")"):
-            head, _, tail = text[len("explicit("):-1].partition(";tail=")
-            prefix = [parse_rational(x) for x in head.split(",") if x]
-            return WeightScheme.explicit(prefix, parse_rational(tail or "0"))
+            head, given, tail = text[len("explicit("):-1].partition(";tail=")
+            prefix = [parse_rational(x) for x in head.split(",")] if head \
+                else []
+            return WeightScheme.explicit(
+                prefix, parse_rational(tail) if given else 0)
         return WeightScheme(text or "harmonic")
 
 

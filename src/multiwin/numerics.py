@@ -32,14 +32,17 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not text:
         raise ValueError("empty rational literal")
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if den.lstrip().startswith(("+", "-")):
-            raise ValueError("sign must be on the numerator: %r" % text)
-        if int(den) == 0:
-            raise ValueError("zero denominator: %r" % text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    if den.lstrip().startswith(("+", "-")):
+        raise ValueError("sign must be on the numerator: %r" % text)
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError("bad rational %r: expected an integer or p/q"
+                         % text) from None
+    if den == 0:
+        raise ValueError("zero denominator: %r" % text)
+    return Fraction(num, den)
 
 
 def split_arg(text: str, missing: str = "nothing") -> tuple[str, str]:

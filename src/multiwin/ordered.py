@@ -38,8 +38,8 @@ from math import gcd
 from .ballots import (DEFAULT_BRANCH_CAP, OutcomeSet, Profile, ProfileError,
                       WeightScheme)
 from .numerics import common_denominator
-from .unordered import (_rates, _sequential_loads, _settler,
-                        boundary_committees, branch, sequential_max)
+from .unordered import (_count, _rates, _sequential_loads,
+                        boundary_committees, sequential_max)
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,19 @@ def stv_count(spec: StvSpec, profile: Profile,
               branch_cap: int = DEFAULT_BRANCH_CAP,
               goal=None) -> OutcomeSet:
     """Fractional transfer counting; see _stv_step for the procedure.  A
-    goal makes it a goal count (`unordered._settler`): a state can still
+    goal makes it a goal count (`unordered._count`): a state can still
     elect every candidate it has not eliminated."""
     candidates = profile.candidates
-    finals, truncated = branch(
-        *_stv_step(spec, profile), branch_cap,
-        _settler(goal, profile.seats,
-                 lambda state: (state[0], candidates - state[1])))
-    return OutcomeSet((elected if len(elected) == profile.seats
-                       else profile.candidates - eliminated
-                       for elected, eliminated, _, _ in finals), truncated)
+
+    def finish(finals, truncated):
+        return OutcomeSet((elected if len(elected) == profile.seats
+                           else candidates - eliminated
+                           for elected, eliminated, _, _ in finals),
+                          truncated), None
+
+    return _count(*_stv_step(spec, profile), branch_cap, finish, goal,
+                  profile.seats,
+                  lambda state: (state[0], candidates - state[1]))[0]
 
 
 def _reduced(den: int, groups: tuple) -> tuple:

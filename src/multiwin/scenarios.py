@@ -51,8 +51,9 @@ class ScenarioTypeError(TypeError):
 
 
 class IndeterminateOutcome(RuntimeError):
-    """A truncated OutcomeSet whose listed committees are all good cannot
-    answer a possibility question."""
+    """A truncated OutcomeSet whose listed committees are all good, or a
+    goal count the branch cap left undecided, cannot answer a
+    possibility question."""
 
 
 @dataclass(frozen=True)
@@ -236,11 +237,17 @@ def is_bad_outcome_possible(inst: ScenarioInstance,
     A truncated outcome set lists only some of the reachable committees
     (never one that is not reachable), so a bad committee on it answers
     yes; only when every listed committee is good is the answer unknown.
-    An engine given the instance's goal returns such a subset too.
+    A set an engine counted for the instance's goal answers from its
+    verdict (`OutcomeSet.decided`), unknown when the verdict is, without
+    listing its committees.
     """
-    if _bad(inst.goal, outcomes.committees):
+    if outcomes.goal == inst.goal:
+        bad = outcomes.bad
+    elif _bad(inst.goal, outcomes.committees):
         return True
-    if outcomes.truncated:
+    else:
+        bad = None if outcomes.truncated else False
+    if bad is None:
         raise IndeterminateOutcome(
             "outcome set truncated by the branch cap; badness undecidable")
-    return False
+    return bad

@@ -368,13 +368,13 @@ def _ballot_strategies(method, scenario, ell, seats, spec):
 
 def _search_bad(method, inst, spec) -> bool:
     """The badness test as the search counts it: an engine refusal
-    (AdamsIllDefined) or a truncated count that lists no bad committee
+    (AdamsIllDefined) or a count the branch cap leaves undecided
     (IndeterminateOutcome) counts as not bad, here only; any other error
     propagates.  The count is a goal count, and a decided verdict is the
-    truth about the instance: a bad one lists a reachable bad committee,
-    and a good one comes from a count that cut no round (see
-    `unordered.branch`).  So it carries over to every renaming
-    of the instance that fixes the target set: the engines are
+    truth about the instance: a bad one comes from a state whose
+    reachable committees are all bad, and a good one from a count that
+    cut no round (see `unordered.branch`).  So it carries over to every
+    renaming of the instance that fixes the target set: the engines are
     tie-complete, so renaming candidates renames the outcome set.  A
     renaming may be decided where the instance was not, which can only
     weaken the bound."""
@@ -405,9 +405,10 @@ def search_lower_bound(method: MethodId, scenario, ell: int, seats: int,
     only the answer to the first strategy, not the "every strategy" part.
     Each instance is decided by a goal count (`_is_bad`), which stops at
     the first round state that must end bad and drops the states that
-    must end good; its verdict is the full count's wherever that one is
-    decided.  A count the branch cap truncates is bad when it lists a
-    bad committee and not bad when it does not (see _search_bad).
+    must end good, and is read from its verdict without listing a
+    committee; the verdict is the full count's wherever that one is
+    decided.  A count the branch cap leaves undecided counts as not bad
+    (see _search_bad).
 
     A W strategy whose goal every S-subset of the pool meets, some goal
     pair having |names| - (|pool| - S) >= ell (`scenarios.settle`), has

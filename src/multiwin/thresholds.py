@@ -524,8 +524,10 @@ class MethodKind:
     For candidate ballots, engine(method, profile, branch_cap, goal=None)
     returns the OutcomeSet, or (OutcomeSet, {committee: LoadState}) when
     loads is set; given a scenario's goal pairs, every engine but
-    thiele-opt's and thiele-elim's runs a goal count (`unordered.branch`),
-    which lists only committees that decide the goal.  None means no
+    thiele-opt's and thiele-elim's runs a goal count: a round-based one
+    returns a set holding its verdict (`unordered.branch`), whose
+    committees are listed only when read, and the score family lists
+    one committee that decides the goal.  None means no
     engine (only thresholds are tabulated).  For party ballots,
     engine(method, votes, seats) returns the reachable seat vectors.
     threshold(method, scenario, ell, seats) returns a

@@ -56,18 +56,21 @@ refuses a `branch_cap` below 1 with the same ValueError.
 A count may instead be given a goal: a scenario's good test as (names,
 ell) pairs (`scenarios.ScenarioInstance.goal`), as when the verifier
 asks whether the method can produce a committee that is bad for W.  Each
-branching engine then settles a state (`_settler`) by `scenarios.settle`
+branching engine then settles a state (`_count`) by `scenarios.settle`
 on the names it has elected and the names it can still elect (STV: its
 elected set and the candidates not eliminated; the sequential engines:
 the elected set and every candidate).  `branch` drops a state whose
-every committee is good and ends the count at the first state whose
-every committee is bad; its docstring proves the truncation argument.
-The engine returns the committees of one final state, reached from that
-bad state or from the last dropped one by first successors: reachable
-S-member committees, bad ones when the full count finds a bad one, and
-truncated only where the full count is.  The score family decides its
-boundary tie for a goal with one committee (`_decide_tie`).  A profile
-where a clone class straddles a goal set is counted in full.
+every committee is good, ends the count at the first state whose every
+committee is bad, and returns the verdict, bad, good or undecided, with
+no step past it; its docstring proves the truncation argument.  The
+engine returns an OutcomeSet holding that verdict and the goal
+(`OutcomeSet.decided`), which `scenarios.is_bad_outcome_possible`
+answers from.  Its committees are listed only when read: those of one
+final state, reached from the bad state or from the last dropped one by
+first successors, bad ones exactly when the verdict is bad, and
+truncated exactly when the verdict is undecided.  The score family
+decides its boundary tie for a goal with one committee (`_decide_tie`).
+A profile where a clone class straddles a goal set is counted in full.
 Without a goal, every engine returns its full OutcomeSet, as
 `thiele_elimination` and `thiele_optimize` always do: elimination counts
 seldom branch, so bounding their states costs more than it saves, and
@@ -320,17 +323,21 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
     or bad state has only good or bad successors) and exact on final
     states, so no final state stays on a frontier.  Each produced state
     that settle calls good is dropped, and the count ends at the first
-    it calls bad.  The result is one final state, reached by first
-    successors from the bad state, or else from the last state dropped,
-    which the latest round produced and so is nearest its final state;
-    truncated is whether a round was cut, and False after a bad state.
-    A settled start state ends the count before any round.
+    it calls bad; a settled start state ends it before any round.  It
+    returns (bad, origin) and takes no step past its verdict:
+    - bad is True after a bad state, False when every state was dropped
+      and no round was cut, and None when a round was cut;
+    - origin is the (state, payload) a listing starts from: the bad or
+      settled start state, or else the last state dropped, which the
+      latest round produced and so is nearest its final state.
+    A listing (`_count`) follows first successors from origin to one
+    final state, whose committees are then bad exactly when bad is True;
+    it is truncated exactly when bad is None.
 
-    The verdict is whether the final's committees are bad.  It is sound:
-    a bad answer is a reachable committee of a state whose committees are
-    all bad.  A good answer with no round cut kept every state that is
-    not good, since such a state has only parents that are not good; so
-    no final state is bad, and no committee.
+    The verdict is sound: a bad state's committees are all bad and
+    reachable.  A good verdict cut no round, so it kept every state that
+    is not good, since such a state has only parents that are not good;
+    so no final state is bad, and no committee.
 
     It is the full count's verdict wherever that one is decided.  Let F_r
     and G_r be the frontiers of round r of the full and the goal count.
@@ -348,14 +355,8 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
     untruncated, and never contradicts a decided one.
     """
     _check_cap(branch_cap)
-
-    def first_final(state, payload):
-        while (successors := step(state, payload)) is not None:
-            state, payload = successors[0]
-        return {state: payload}
-
-    if settle is not None and settle(start[0]) is not None:
-        return first_final(*start), False
+    if settle is not None and (good := settle(start[0])) is not None:
+        return not good, start
     dropped = None
     frontier = dict((start,))
     finals: dict = {}
@@ -370,39 +371,88 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
             for successor, data in successors:
                 if successor in produced:
                     continue
-                verdict = settle and settle(successor)
-                if verdict is None:
+                good = settle and settle(successor)
+                if good is None:
                     produced[successor] = data
-                elif verdict:
+                elif good:
                     dropped = (successor, data)
                 else:
-                    return first_final(successor, data), False
+                    return True, (successor, data)
         if len(produced) > branch_cap:
             truncated = True
             produced = dict(islice(produced.items(), branch_cap))
         frontier = produced
-    return (finals if dropped is None else first_final(*dropped)), truncated
+    if settle is None:
+        return finals, truncated
+    return (None if truncated else False), dropped
 
 
-def _settler(goal, seats: int, bounds: Callable, clones: Clones = NO_CLONES):
-    """settle(state) for a goal count, or None without a goal.
+def _first_final(step, state, payload) -> dict:
+    """{final state: payload} reached from (state, payload) by first
+    successors."""
+    while (successors := step(state, payload)) is not None:
+        state, payload = successors[0]
+    return {state: payload}
 
-    bounds(state) gives (sure, possible): every S-member committee the
-    state can reach holds `sure` and lies in `possible`.  The bound of
-    `scenarios.settle` on them tightens as `sure` grows and `possible`
-    shrinks, and is exact on a final state.  A clone count bounds its
-    representative states, which hold other members of a class than
-    some committees they expand into; that is harmless unless a class
-    straddles a goal set, so then there is no settle (None) and the
-    count runs in full.
+
+def _count(start, step, branch_cap: int, finish: Callable, goal, seats: int,
+           bounds: Callable, clones: Clones = NO_CLONES):
+    """A round-based engine's count on `branch`: finish(finals, truncated)
+    turns its finals into the engine's (OutcomeSet, {committee: payload}).
+
+    Without a goal it is a full count.  With one it is a goal count,
+    whose settle is `scenarios.settle` on bounds(state) = (sure,
+    possible): every S-member committee the state can reach holds `sure`
+    and lies in `possible`.  That bound tightens as `sure` grows and
+    `possible` shrinks, and is exact on a final state.  A clone count
+    bounds its representative states, which hold other members of a
+    class than some committees they expand into; that is harmless unless
+    a class straddles a goal set, so then the count runs in full.
+
+    A goal count returns a decided OutcomeSet with `branch`'s verdict,
+    and its payloads.  Both are listed when first read: first successors
+    from `branch`'s origin to one final state, finished as a full
+    count's finals are, with the flag truncated when the verdict is
+    undecided.
     """
-    if goal is None:
-        return None
-    for members in clones._shared:
-        for names, _ in goal:
-            if 0 < len(names.intersection(members)) < len(members):
-                return None
-    return lambda state: settle(goal, seats, *bounds(state))
+    if goal is None or any(
+            0 < len(names.intersection(members)) < len(members)
+            for members in clones._shared for names, _ in goal):
+        return finish(*branch(start, step, branch_cap))
+    bad, origin = branch(start, step, branch_cap,
+                         lambda state: settle(goal, seats, *bounds(state)))
+    listing = _Listing(finish, step, origin, bad is None)
+    return OutcomeSet.decided(goal, bad, listing.outcomes), listing
+
+
+class _Listing(Mapping):
+    """A goal count's listing, made when first read: first successors from
+    `origin` to one final state, finished as finish(finals, truncated)
+    into the engine's (OutcomeSet, {committee: payload}).  Read as a
+    Mapping, it is those payloads."""
+
+    def __init__(self, finish: Callable, step: Callable, origin: tuple,
+                 truncated: bool):
+        self._walk = (finish, step, origin, truncated)
+        self._listed = None
+
+    def listed(self) -> tuple:
+        if self._listed is None:
+            finish, step, origin, truncated = self._walk
+            self._listed = finish(_first_final(step, *origin), truncated)
+        return self._listed
+
+    def outcomes(self) -> OutcomeSet:
+        return self.listed()[0]
+
+    def __getitem__(self, committee):
+        return self.listed()[1][committee]
+
+    def __iter__(self):
+        return iter(self.listed()[1])
+
+    def __len__(self) -> int:
+        return len(self.listed()[1])
 
 
 def _fill(candidates: frozenset, elected: frozenset, clones: Clones) -> list:
@@ -425,7 +475,7 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
     candidates that score nothing.  When no candidate scores, the open
     seats are filled (`_fill`).  Returns (OutcomeSet, {committee:
     trail}), the trail being the winning score of each scored round as
-    Fractions.  A goal makes it a goal count (`_settler`)."""
+    Fractions.  A goal makes it a goal count (`_count`)."""
 
     def step(elected, trail):
         if len(elected) == seats:
@@ -440,14 +490,15 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
         return [(elected | {cand}, trail)
                 for cand in clones.heads(tied, elected)]
 
-    finals, truncated = branch(
-        (frozenset(), ()), step, branch_cap,
-        _settler(goal, seats, lambda elected: (elected, candidates), clones))
-    # Converted per final state, not per committee it expands into.
-    trails, cut = clones.expand_all(
-        {state: tuple(Fraction(x, scale) for x in trail)
-         for state, trail in finals.items()}, branch_cap)
-    return OutcomeSet(trails, truncated or cut), trails
+    def finish(finals, truncated):
+        # Converted per final state, not per committee it expands into.
+        trails, cut = clones.expand_all(
+            {state: tuple(Fraction(x, scale) for x in trail)
+             for state, trail in finals.items()}, branch_cap)
+        return OutcomeSet(trails, truncated or cut), trails
+
+    return _count((frozenset(), ()), step, branch_cap, finish, goal, seats,
+                  lambda elected: (elected, candidates), clones)
 
 
 def _sequential_loads(profile: Profile, supporters: Callable,
@@ -466,7 +517,7 @@ def _sequential_loads(profile: Profile, supporters: Callable,
     seats are filled (`_fill`); a filled seat changes no load and adds no
     history entry, so sum(weight * load) == len(history) in every
     LoadState.  Returns (OutcomeSet, {committee: LoadState}); a goal makes
-    it a goal count (`_settler`).
+    it a goal count (`_count`).
 
     The level is exact because no supporter is ever above it.  By
     induction on rounds, every load is at most the last elected level L
@@ -527,21 +578,22 @@ def _sequential_loads(profile: Profile, supporters: Callable,
                                history))
         return successors
 
+    def finish(finals, truncated):
+        common = lcm(*(den for _, den, _ in finals))
+
+        def rational_order(item):
+            (_, den, loads), _ = item
+            return [load * (common // den) for load in loads]
+
+        least: dict = {}
+        for state, history in sorted(finals.items(), key=rational_order):
+            least.setdefault(state[0], (state, history))
+        outcomes, cut = clones.expand_all(least, branch_cap)
+        return OutcomeSet(outcomes, truncated or cut), _LoadStates(outcomes)
+
     start = (frozenset(), 1, (0,) * len(weights))
-    finals, truncated = branch(
-        (start, ()), step, branch_cap,
-        _settler(goal, seats, lambda state: (state[0], candidates), clones))
-    common = lcm(*(den for _, den, _ in finals))
-
-    def rational_order(item):
-        (_, den, loads), _ = item
-        return [load * (common // den) for load in loads]
-
-    least: dict = {}
-    for state, history in sorted(finals.items(), key=rational_order):
-        least.setdefault(state[0], (state, history))
-    outcomes, cut = clones.expand_all(least, branch_cap)
-    return OutcomeSet(outcomes, truncated or cut), _LoadStates(outcomes)
+    return _count((start, ()), step, branch_cap, finish, goal, seats,
+                  lambda state: (state[0], candidates), clones)
 
 
 class _LoadStates(Mapping):

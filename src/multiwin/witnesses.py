@@ -7,7 +7,8 @@ named constructions; verify_witness() re-runs the election method and
 confirms a bad committee is reachable.  The replay and the search decide
 badness with one test, _is_bad(), which runs the engine as a goal count
 (`unordered.branch`): it stops at the first round state that must end
-bad and drops the states that must end good.
+bad and drops the states that must end good, and answers from that
+verdict without listing a committee.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class Witness:
 def run_method(method: MethodId, profile: Profile,
                branch_cap: int = DEFAULT_BRANCH_CAP, goal=None) -> OutcomeSet:
     """The tie-complete OutcomeSet of the method on the profile, or with
-    a scenario's goal pairs the engine's goal count: committees that
-    decide whether a bad one is reachable (`unordered.branch`)."""
+    a scenario's goal pairs the engine's goal count: a set that holds
+    whether a bad committee is reachable and lists committees that
+    decide it only when they are read (`unordered.branch`)."""
     spec = method.spec
     if spec.ballot == "party":
         raise CoverageError(
@@ -97,7 +99,8 @@ def _is_bad(method: MethodId, inst: ScenarioInstance,
 
     On party ballots, bad means W's party can get fewer than ell seats.
     Elsewhere the engine runs a goal count for the instance's goal, which
-    answers as the full count wherever that is decided.
+    answers as the full count wherever that is decided; the answer is
+    read from its verdict, so no committee is listed.
     """
     profile = inst.profile
     if profile.kind == "party":

@@ -2,19 +2,21 @@
 what a goal count decides."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiwin import ordered
-from multiwin.audit import AUDIT_SPEC, default_scope
+from multiwin import ordered, unordered
+from multiwin.audit import AUDIT_SPEC, audit_table, default_scope
 from multiwin.ballots import (DEFAULT_BRANCH_CAP, CoverageError, ListBallot,
                               OutcomeSet, Profile, SetBallot, WeightScheme,
                               WeightedBallot)
 from multiwin.ordered import (BordaWeights, StvSpec, borda_count,
                               phragmen_ordered, stv_count, thiele_ordered)
 from multiwin.scenarios import (IndeterminateOutcome, ScenarioId,
-                                ScenarioInstance, is_bad_outcome_possible)
+                                ScenarioInstance, is_bad_outcome_possible,
+                                is_good)
 from multiwin.search import search_lower_bound
 from multiwin.thresholds import MethodId
 from multiwin.unordered import (BudgetExceededError, branch,
@@ -84,38 +86,69 @@ def test_branch_truncates_exactly_when_a_round_exceeds_the_cap(cap):
     assert list(finals.items()) == every[:cap]
 
 
+def _counted(count):
+    """The (start, step) count with its steps tallied in a list."""
+    start, step = count
+    steps = []
+
+    def tallied(state, payload):
+        steps.append(state)
+        return step(state, payload)
+
+    return (start, tallied), steps
+
+
+def _listed(count, origin):
+    """The final state a goal count's listing reaches from its origin."""
+    return unordered._first_final(count[1], *origin)
+
+
 @pytest.mark.parametrize("verdict", [True, False])
 def test_goal_count_settled_at_its_start(verdict):
-    # Every committee good (or every one bad) from the start: one final,
-    # reached by first successors, with no round run and none cut.
+    # Every committee good (or every one bad) from the start: decided
+    # before any step, and the listing walks first successors from the
+    # start state to one final.
     for cap in (1, DEFAULT_BRANCH_CAP):
-        assert branch(*_choose("abcd", 2), cap,
-                      lambda chosen: verdict) == (_finals("ab"), False)
+        count, steps = _counted(_choose("abcd", 2))
+        assert branch(*count, cap, lambda chosen: verdict) == (
+            not verdict, count[0])
+        assert steps == []
+    assert _listed(count, count[0]) == _finals("ab")
 
 
 def test_goal_count_ends_at_a_bad_state_after_a_cut_round():
     # Good iff "a" is chosen.  Round 1 drops {a} and cuts {b}, {c}, {d}
     # to two; round 2 drops {a, b} and ends at {b, c}, which is bad, so
-    # the verdict is decided and not truncated.
+    # the verdict is bad although a round was cut.  No step is taken
+    # from {b, c}; the listing finds it final.
     def settle(chosen):
         if "a" in chosen:
             return True
         return False if len(chosen) == 2 else None
 
-    assert branch(*_choose("abcd", 2), 2, settle) == (_finals("bc"), False)
+    count, steps = _counted(_choose("abcd", 2))
+    bad, origin = branch(*count, 2, settle)
+    assert (bad, origin) == (True, (frozenset("bc"), ("b", "c")))
+    assert steps == [frozenset(), frozenset("b")]
+    assert _listed(count, origin) == _finals("bc")
 
 
 @pytest.mark.parametrize("cap, last, truncated",
                          [(2, "bc", True), (3, "cb", False)])
 def test_goal_count_all_good_returns_the_last_dropped(cap, last, truncated):
     # Every final good, every earlier state undecided: each final is
-    # dropped, and the last one dropped, by the last state of round 1
-    # kept, is returned; truncated when round 1 (3 states) was cut.
+    # dropped, and the listing starts from the last one dropped, by the
+    # last state of round 1 kept.  Good when no round was cut, undecided
+    # when round 1 (3 states) was.
     def settle(chosen):
         return True if len(chosen) == 2 else None
 
-    assert branch(*_choose("abc", 2), cap, settle) == (
-        {frozenset(last): tuple(last)}, truncated)
+    count, steps = _counted(_choose("abc", 2))
+    bad, origin = branch(*count, cap, settle)
+    assert (bad, origin) == (None if truncated else False,
+                             (frozenset(last), tuple(last)))
+    assert len(steps) == 1 + min(cap, 3)
+    assert _listed(count, origin) == {frozenset(last): tuple(last)}
 
 
 def _outcome(result):
@@ -319,6 +352,97 @@ def test_a_clone_class_straddling_a_goal_set_is_counted_in_full(
     assert _verdict(method, inst, DEFAULT_BRANCH_CAP, False) is True
 
 
+def _eager_branch(start, step, branch_cap=DEFAULT_BRANCH_CAP, settle=None):
+    """`branch` as goal counts ran before they decided first: a goal count
+    walked first successors to one final state, from the bad state, the
+    settled start or the last state dropped, and was truncated only when
+    a round was cut and nothing was bad.  That final goes back to the
+    engine as its listing's origin, with None for a truncated count and
+    False otherwise, so the listing finishes exactly that final under
+    that flag."""
+    if settle is None:
+        return branch(start, step, branch_cap)
+
+    def walk(state, payload):
+        while (successors := step(state, payload)) is not None:
+            state, payload = successors[0]
+        return state, payload
+
+    if settle(start[0]) is not None:
+        return False, walk(*start)
+    dropped, frontier, truncated = None, dict((start,)), False
+    while frontier:
+        produced: dict = {}
+        for state, payload in frontier.items():
+            for successor, data in step(state, payload) or ():
+                if successor in produced:
+                    continue
+                good = settle(successor)
+                if good is None:
+                    produced[successor] = data
+                elif good:
+                    dropped = (successor, data)
+                else:
+                    return False, walk(successor, data)
+        if len(produced) > branch_cap:
+            truncated = True
+            produced = dict(islice(produced.items(), branch_cap))
+        frontier = produced
+    return (None if truncated else False), walk(*dropped)
+
+
+# The engines whose goal counts run on `branch` and return decided sets.
+DECIDED = ("phragmen-u", "thiele-add", "stv", "phragmen-o", "thiele-o")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SCENARIOS)).flatmap(goal_instances),
+       st.sampled_from((1, 2, 3, DEFAULT_BRANCH_CAP)))
+def test_a_goal_set_lists_the_eager_walk_and_agrees_with_its_verdict(
+        inst, cap):
+    # Reading a goal count's committees and flag gives exactly what the
+    # count gave when it walked to its final before returning, and the
+    # listed committees are bad exactly when the verdict is.  A set whose
+    # count ran in full (a clone class straddles a goal set) holds no
+    # verdict.
+    for method in METHODS[inst.profile.kind]:
+        if method.kind not in DECIDED:
+            continue
+        try:
+            lazy = run_method(method, inst.profile, cap, inst.goal)
+        except (CoverageError, ValueError):
+            continue
+        if lazy.goal is not None:
+            assert "committees" not in vars(lazy), method
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(unordered, "branch", _eager_branch)
+            eager = run_method(method, inst.profile, cap, inst.goal)
+        assert (lazy.committees, lazy.truncated) == (
+            eager.committees, eager.truncated), (method, cap)
+        if lazy.goal is not None:
+            bad = any(not is_good(inst, c) for c in lazy.committees)
+            assert bad == (lazy.bad is True), (method, cap)
+
+
+@pytest.mark.parametrize("label", ["thiele-add", "phragmen-u"])
+def test_a_good_verdict_answers_although_its_listing_is_cut(label):
+    # The start state is settled good: every pair of seats holds one of
+    # the three clones A1-A3.  The listing's final, {A1, A2}, expands into
+    # three committees, which a cap of 2 cuts; read as a plain set, that
+    # cut listing of good committees cannot tell, but the verdict can.
+    profile = Profile([
+        WeightedBallot(SetBallot(["A1", "A2", "A3"]), Fraction(5)),
+        WeightedBallot(SetBallot(["B"]), Fraction(1), True)], 2)
+    inst = ScenarioInstance(profile, ["A1", "A2", "A3"], 1,
+                            ScenarioId.TACTIC)
+    out = run_method(MethodId.parse(label), profile, 2, inst.goal)
+    assert out.bad is False and not is_bad_outcome_possible(inst, out)
+    assert out.sorted_committees() == [("A1", "A2"), ("A1", "A3")]
+    assert out.truncated
+    with pytest.raises(IndeterminateOutcome):
+        is_bad_outcome_possible(inst, OutcomeSet(out.committees, True))
+
+
 def test_goal_count_lists_one_committee_of_the_verdict():
     # Six equal singletons, S = 3, target {C0, C1} at ell = 2: some
     # committee is bad, and the goal count ends at the first state that
@@ -340,8 +464,10 @@ def test_goal_count_lists_one_committee_of_the_verdict():
 
 def test_goal_count_steps_of_the_heaviest_search_cell(monkeypatch):
     # stv:1 tactic ell=3 S=3 is the slowest cell of the audit search.  Its
-    # full counts take 18,731 steps; ended at the first state that loses
-    # a target, or passes for good once all three are elected, 7,840.
+    # full counts take 18,731 steps.  Ended at the first state that loses
+    # a target, or passes for good once all three are elected, they took
+    # 7,840 while each count still walked on to a final state; deciding
+    # without that walk, 1,964.
     steps = [0]
     make = ordered._stv_step
 
@@ -357,4 +483,17 @@ def test_goal_count_steps_of_the_heaviest_search_cell(monkeypatch):
     monkeypatch.setattr(ordered, "_stv_step", counted)
     best, _ = search_lower_bound(MethodId.parse("stv:1"), "tactic", 3, 3,
                                  AUDIT_SPEC)
-    assert (best, steps[0]) == (Fraction(3, 4), 7840)
+    assert (best, steps[0]) == (Fraction(3, 4), 1964)
+
+
+def test_deciding_the_audit_search_cells_lists_no_goal_count(monkeypatch):
+    # The search, and the audit's covering witnesses, answer every goal
+    # count from its verdict, so no count walks on to a final state.
+    listed = []
+    first_final = unordered._first_final
+    monkeypatch.setattr(unordered, "_first_final",
+                        lambda *walk: listed.append(walk) or first_final(
+                            *walk))
+    report = audit_table(smax=3, with_search=True)
+    assert report.passed and len(report.checks) == 1607
+    assert listed == []

@@ -504,6 +504,28 @@ def test_zero_denominator_exits_two_with_one_error_line(capsys, argv):
     assert (code, out, err) == (2, "", "error: zero denominator: '1/0'\n")
 
 
+def test_non_rational_literal_names_the_text_and_the_grammar(capsys,
+                                                              tmp_path):
+    expected = "bad rational '0.5': expected an integer or p/q"
+    code, out, err = run_cli(capsys, "threshold", "--method", "div:0.5",
+                             "--scenario", "party", "--ell", "1",
+                             "--seats", "2")
+    assert (code, out, err) == (2, "", "error: %s\n" % expected)
+    path = tmp_path / "decimal.profile"
+    path.write_text("!seats 1\n0.5 : {A}\n")
+    code, out, err = run_cli(capsys, "count", "--method", "av", str(path))
+    assert (code, out, err) == (
+        2, "", "error: line 2: bad weight: %s\n" % expected)
+
+
+@pytest.mark.parametrize("scheme", ["explicit(1,,1/2)", "explicit(1,)",
+                                    "explicit(,1)", "explicit(1;tail=)"])
+def test_empty_weight_scheme_entry_exits_two(capsys, scheme):
+    code, out, err = run_cli(capsys, "threshold", "--method",
+                             "thiele-add:" + scheme, *_CELL)
+    assert (code, out, err) == (2, "", "error: empty rational literal\n")
+
+
 _DECIMALS_ARGV = {
     "count": ("--method", "av", "{set}"),
     "apportion": ("--method", "div:1", "{party}"),

@@ -1,5 +1,6 @@
 """Rational text format, small numeric helpers and harmonic numbers."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -33,6 +34,13 @@ def test_parse_whitespace():
 @pytest.mark.parametrize("bad", ["", "1/0", "3/-5", "1.5", "a/b", "1 / 2 / 3"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
+        parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", ["1.5", "a/b", "1 / 2 / 3", "1/", "/2", "1e3"])
+def test_parse_names_a_malformed_literal_and_the_grammar(bad):
+    with pytest.raises(ValueError, match=r"^bad rational %s: expected an "
+                       r"integer or p/q$" % re.escape(repr(bad))):
         parse_rational(bad)
 
 
