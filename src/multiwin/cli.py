@@ -437,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="append decimal approximations (human output)")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
     capped.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP,
-                        help="states kept per round of tie branching")
+                        help="states kept per round of tie branching, "
+                        "and the most committees a count lists")
 
     parser = argparse.ArgumentParser(
         prog="multiwin",

@@ -74,11 +74,10 @@ def stv_count(spec: StvSpec, profile: Profile,
     elect every candidate it has not eliminated."""
     candidates = profile.candidates
 
-    def finish(finals, truncated):
-        return OutcomeSet((elected if len(elected) == profile.seats
-                           else candidates - eliminated
-                           for elected, eliminated, _, _ in finals),
-                          truncated), None
+    def finish(finals):
+        return dict.fromkeys(elected if len(elected) == profile.seats
+                             else candidates - eliminated
+                             for elected, eliminated, _, _ in finals), False
 
     return _count(*_stv_step(spec, profile), branch_cap, finish, goal,
                   profile.seats,

@@ -113,12 +113,16 @@ def _party_strategies(ell, seats, spec):
     """W's one strategy, a party of its own, and the adversary's answers:
     the orbit firsts of one 1-name ballot per rival party, P1^v1 P2^v2 ...
     with v1 >= v2 >= ..., the partitions of the other votes into at most
-    max_candidates - 1 parts in reverse lexicographic order."""
+    max_candidates - 1 parts in reverse lexicographic order, less those
+    with more than max_ballot_groups - 1 parts, W's party being one more
+    ballot group."""
     parties = tuple((name,) for name in _names("P", spec.max_candidates - 1))
 
     def answers(total, w_votes):
         for counts in copy(_orbit_firsts(parties, total - w_votes, (),
                                          False)):
+            if len(counts) + 1 > spec.max_ballot_groups:
+                continue
             groups = [(w_votes, "W", True)]
             groups += [(votes, name, False) for (name,), votes in counts]
             yield ScenarioInstance(_profile("party", groups, seats), {"W"},

@@ -65,11 +65,13 @@ committee is bad, and returns the verdict, bad, good or undecided, with
 no step past it; its docstring proves the truncation argument.  The
 engine returns an OutcomeSet holding that verdict and the goal
 (`OutcomeSet.decided`), which `scenarios.is_bad_outcome_possible`
-answers from.  Its committees are listed only when read: those of one
-final state, reached from the bad state or from the last dropped one by
-first successors, bad ones exactly when the verdict is bad, and
-truncated exactly when the verdict is undecided.  The score family
-decides its boundary tie for a goal with one committee (`_decide_tie`).
+answers from, and no payloads.  Its committees are listed only when
+read, by `branch` at a cap of 1 from the bad state or the last dropped
+one: those of the one final state that first successors reach, bad ones
+exactly when the verdict is bad, and truncated when the verdict is
+undecided or `branch_cap` cuts the final state's expansion.  The score
+family decides its boundary tie for a goal with one committee
+(`_decide_tie`).
 A profile where a clone class straddles a goal set is counted in full.
 Without a goal, every engine returns its full OutcomeSet, as
 `thiele_elimination` and `thiele_optimize` always do: elimination counts
@@ -330,9 +332,9 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
     - origin is the (state, payload) a listing starts from: the bad or
       settled start state, or else the last state dropped, which the
       latest round produced and so is nearest its final state.
-    A listing (`_count`) follows first successors from origin to one
-    final state, whose committees are then bad exactly when bad is True;
-    it is truncated exactly when bad is None.
+    A listing (`_count`) is branch(origin, step, 1): each round keeps
+    only its first produced state, so it follows first successors to one
+    final state, whose committees are bad exactly when bad is True.
 
     The verdict is sound: a bad state's committees are all bad and
     reachable.  A good verdict cut no round, so it kept every state that
@@ -387,18 +389,12 @@ def branch(start, step, branch_cap: int = DEFAULT_BRANCH_CAP, settle=None):
     return (None if truncated else False), dropped
 
 
-def _first_final(step, state, payload) -> dict:
-    """{final state: payload} reached from (state, payload) by first
-    successors."""
-    while (successors := step(state, payload)) is not None:
-        state, payload = successors[0]
-    return {state: payload}
-
-
 def _count(start, step, branch_cap: int, finish: Callable, goal, seats: int,
            bounds: Callable, clones: Clones = NO_CLONES):
-    """A round-based engine's count on `branch`: finish(finals, truncated)
-    turns its finals into the engine's (OutcomeSet, {committee: payload}).
+    """Every round-based engine's count on `branch`, as (OutcomeSet,
+    {committee: payload}).  finish(finals) turns the final states into
+    ({committee: payload}, cut), cut when `branch_cap` left committees
+    out, and the OutcomeSet is truncated when a round or finish was cut.
 
     Without a goal it is a full count.  With one it is a goal count,
     whose settle is `scenarios.settle` on bounds(state) = (sure,
@@ -410,49 +406,23 @@ def _count(start, step, branch_cap: int, finish: Callable, goal, seats: int,
     a class straddles a goal set, so then the count runs in full.
 
     A goal count returns a decided OutcomeSet with `branch`'s verdict,
-    and its payloads.  Both are listed when first read: first successors
-    from `branch`'s origin to one final state, finished as a full
-    count's finals are, with the flag truncated when the verdict is
-    undecided.
+    and None for the payloads, which no caller reads.  The set's
+    committees are listed when first read: branch(origin, step, 1) from
+    `branch`'s origin, finished as a full count's finals are, and
+    truncated also when the verdict is undecided.
     """
+    def listed(finals, truncated):
+        payloads, cut = finish(finals)
+        return OutcomeSet(payloads, truncated or cut), payloads
+
     if goal is None or any(
             0 < len(names.intersection(members)) < len(members)
             for members in clones._shared for names, _ in goal):
-        return finish(*branch(start, step, branch_cap))
+        return listed(*branch(start, step, branch_cap))
     bad, origin = branch(start, step, branch_cap,
                          lambda state: settle(goal, seats, *bounds(state)))
-    listing = _Listing(finish, step, origin, bad is None)
-    return OutcomeSet.decided(goal, bad, listing.outcomes), listing
-
-
-class _Listing(Mapping):
-    """A goal count's listing, made when first read: first successors from
-    `origin` to one final state, finished as finish(finals, truncated)
-    into the engine's (OutcomeSet, {committee: payload}).  Read as a
-    Mapping, it is those payloads."""
-
-    def __init__(self, finish: Callable, step: Callable, origin: tuple,
-                 truncated: bool):
-        self._walk = (finish, step, origin, truncated)
-        self._listed = None
-
-    def listed(self) -> tuple:
-        if self._listed is None:
-            finish, step, origin, truncated = self._walk
-            self._listed = finish(_first_final(step, *origin), truncated)
-        return self._listed
-
-    def outcomes(self) -> OutcomeSet:
-        return self.listed()[0]
-
-    def __getitem__(self, committee):
-        return self.listed()[1][committee]
-
-    def __iter__(self):
-        return iter(self.listed()[1])
-
-    def __len__(self) -> int:
-        return len(self.listed()[1])
+    return OutcomeSet.decided(goal, bad, lambda: listed(
+        branch(origin, step, 1)[0], bad is None)[0]), None
 
 
 def _fill(candidates: frozenset, elected: frozenset, clones: Clones) -> list:
@@ -475,7 +445,8 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
     candidates that score nothing.  When no candidate scores, the open
     seats are filled (`_fill`).  Returns (OutcomeSet, {committee:
     trail}), the trail being the winning score of each scored round as
-    Fractions.  A goal makes it a goal count (`_count`)."""
+    Fractions.  A goal makes it a goal count (`_count`), which returns
+    no trails."""
 
     def step(elected, trail):
         if len(elected) == seats:
@@ -490,12 +461,11 @@ def sequential_max(scores_of: Callable, candidates: frozenset, seats: int,
         return [(elected | {cand}, trail)
                 for cand in clones.heads(tied, elected)]
 
-    def finish(finals, truncated):
+    def finish(finals):
         # Converted per final state, not per committee it expands into.
-        trails, cut = clones.expand_all(
+        return clones.expand_all(
             {state: tuple(Fraction(x, scale) for x in trail)
              for state, trail in finals.items()}, branch_cap)
-        return OutcomeSet(trails, truncated or cut), trails
 
     return _count((frozenset(), ()), step, branch_cap, finish, goal, seats,
                   lambda elected: (elected, candidates), clones)
@@ -517,7 +487,7 @@ def _sequential_loads(profile: Profile, supporters: Callable,
     seats are filled (`_fill`); a filled seat changes no load and adds no
     history entry, so sum(weight * load) == len(history) in every
     LoadState.  Returns (OutcomeSet, {committee: LoadState}); a goal makes
-    it a goal count (`_count`).
+    it a goal count (`_count`), which returns no LoadStates.
 
     The level is exact because no supporter is ever above it.  By
     induction on rounds, every load is at most the last elected level L
@@ -578,7 +548,7 @@ def _sequential_loads(profile: Profile, supporters: Callable,
                                history))
         return successors
 
-    def finish(finals, truncated):
+    def finish(finals):
         common = lcm(*(den for _, den, _ in finals))
 
         def rational_order(item):
@@ -589,7 +559,7 @@ def _sequential_loads(profile: Profile, supporters: Callable,
         for state, history in sorted(finals.items(), key=rational_order):
             least.setdefault(state[0], (state, history))
         outcomes, cut = clones.expand_all(least, branch_cap)
-        return OutcomeSet(outcomes, truncated or cut), _LoadStates(outcomes)
+        return _LoadStates(outcomes), cut
 
     start = (frozenset(), 1, (0,) * len(weights))
     return _count((start, ()), step, branch_cap, finish, goal, seats,
@@ -741,7 +711,8 @@ def thiele_addition(scheme: WeightScheme, profile: Profile,
 
 def thiele_addition_paths(scheme: WeightScheme, profile: Profile,
                           branch_cap: int = DEFAULT_BRANCH_CAP, goal=None):
-    """Sequential addition as (OutcomeSet, {committee: winning-score trail})."""
+    """Sequential addition as (OutcomeSet, {committee: winning-score
+    trail}); a goal count carries no trails, only None."""
     ballots = _set_ballots(profile)
     seats = profile.seats
     weights, unit = common_denominator(weight for _, weight in ballots)
@@ -788,6 +759,6 @@ def thiele_elimination(profile: Profile,
         return [(remaining - {cand}, None)
                 for cand in clones.heads(tied, universe - remaining)]
 
-    finals, truncated = branch((universe, None), step, branch_cap)
-    outcomes, cut = clones.expand_all(finals, branch_cap)
-    return OutcomeSet(outcomes, truncated or cut)
+    return _count((universe, None), step, branch_cap,
+                  lambda finals: clones.expand_all(finals, branch_cap), None,
+                  seats, None)[0]

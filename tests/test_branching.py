@@ -100,7 +100,7 @@ def _counted(count):
 
 def _listed(count, origin):
     """The final state a goal count's listing reaches from its origin."""
-    return unordered._first_final(count[1], *origin)
+    return branch(origin, count[1], 1)[0]
 
 
 @pytest.mark.parametrize("verdict", [True, False])
@@ -352,6 +352,13 @@ def test_a_clone_class_straddling_a_goal_set_is_counted_in_full(
     assert _verdict(method, inst, DEFAULT_BRANCH_CAP, False) is True
 
 
+def _walk(step, state, payload):
+    """The final (state, payload) that first successors reach."""
+    while (successors := step(state, payload)) is not None:
+        state, payload = successors[0]
+    return state, payload
+
+
 def _eager_branch(start, step, branch_cap=DEFAULT_BRANCH_CAP, settle=None):
     """`branch` as goal counts ran before they decided first: a goal count
     walked first successors to one final state, from the bad state, the
@@ -363,13 +370,8 @@ def _eager_branch(start, step, branch_cap=DEFAULT_BRANCH_CAP, settle=None):
     if settle is None:
         return branch(start, step, branch_cap)
 
-    def walk(state, payload):
-        while (successors := step(state, payload)) is not None:
-            state, payload = successors[0]
-        return state, payload
-
     if settle(start[0]) is not None:
-        return False, walk(*start)
+        return False, _walk(step, *start)
     dropped, frontier, truncated = None, dict((start,)), False
     while frontier:
         produced: dict = {}
@@ -383,12 +385,12 @@ def _eager_branch(start, step, branch_cap=DEFAULT_BRANCH_CAP, settle=None):
                 elif good:
                     dropped = (successor, data)
                 else:
-                    return False, walk(successor, data)
+                    return False, _walk(step, successor, data)
         if len(produced) > branch_cap:
             truncated = True
             produced = dict(islice(produced.items(), branch_cap))
         frontier = produced
-    return (None if truncated else False), walk(*dropped)
+    return (None if truncated else False), _walk(step, *dropped)
 
 
 # The engines whose goal counts run on `branch` and return decided sets.
@@ -422,6 +424,56 @@ def test_a_goal_set_lists_the_eager_walk_and_agrees_with_its_verdict(
         if lazy.goal is not None:
             bad = any(not is_good(inst, c) for c in lazy.committees)
             assert bad == (lazy.bad is True), (method, cap)
+
+
+def _stepped(method, profile):
+    """The (state, payload) pairs that the method's full count steps from,
+    each with the engine's step, over every count the engine runs on
+    `branch`."""
+    stepped = []
+
+    def recording(start, step, *args):
+        def tallied(state, payload):
+            stepped.append((step, state, payload))
+            return step(state, payload)
+
+        return branch(start, tallied, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unordered, "branch", recording)
+        try:
+            run_method(method, profile)
+        except (CoverageError, ValueError, BudgetExceededError):
+            pass
+    return stepped
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SCENARIOS)).flatmap(goal_instances),
+       st.integers(0, 5), st.integers(0, 5))
+def test_a_cap_of_one_lists_the_first_successor_final(inst, names, size):
+    # At a cap of 1 each round keeps only its first produced state, which
+    # is the first successor, so `branch` walks first successors to one
+    # final: a goal count's listing.  Checked from states that the STV,
+    # load, sequential and elimination steps reach, and on `_choose`.
+    start, step = _choose("abcde"[:names], min(size, names))
+    assert branch(start, step, 1)[0] == dict([_walk(step, *start)])
+    for method in METHODS[inst.profile.kind]:
+        for step, state, payload in _stepped(method, inst.profile)[:12]:
+            finals, _ = branch((state, payload), step, 1)
+            assert finals == dict([_walk(step, state, payload)]), method
+
+
+def test_a_goal_count_returns_no_payloads():
+    # No caller reads a goal count's payloads, so none are built.
+    goal = ScenarioInstance(SET_PROFILE, ["C0", "C1"], 2,
+                            ScenarioId.TACTIC).goal
+    for out, payloads in (phragmen_unordered(SET_PROFILE, goal=goal),
+                          thiele_addition_paths(HARMONIC, SET_PROFILE,
+                                                goal=goal),
+                          phragmen_ordered(LIST_PROFILE, goal=goal)):
+        assert out.bad is True and payloads is None
+        assert len(out) == 1 and not out.truncated
 
 
 @pytest.mark.parametrize("label", ["thiele-add", "phragmen-u"])
@@ -490,10 +542,13 @@ def test_deciding_the_audit_search_cells_lists_no_goal_count(monkeypatch):
     # The search, and the audit's covering witnesses, answer every goal
     # count from its verdict, so no count walks on to a final state.
     listed = []
-    first_final = unordered._first_final
-    monkeypatch.setattr(unordered, "_first_final",
-                        lambda *walk: listed.append(walk) or first_final(
-                            *walk))
+    decided = OutcomeSet.decided
+
+    def tallied(goal, bad, listing):
+        return decided(goal, bad,
+                       lambda: listed.append(goal) or listing())
+
+    monkeypatch.setattr(OutcomeSet, "decided", staticmethod(tallied))
     report = audit_table(smax=3, with_search=True)
     assert report.passed and len(report.checks) == 1607
     assert listed == []

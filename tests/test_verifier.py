@@ -576,6 +576,26 @@ def test_party_answers_are_the_partitions_of_the_rival_votes():
                              for parts in _partitions(votes, parties)]
 
 
+@pytest.mark.parametrize("groups, best, ballots", [
+    (1, F(0), None),
+    (2, F(1, 3), [("W", 1), ("P1", 2)]),
+    (3, F(2, 5), [("W", 2), ("P1", 2), ("P2", 1)]),
+    (8, F(2, 5), [("W", 2), ("P1", 2), ("P2", 1)]),
+])
+def test_party_search_keeps_to_the_ballot_group_cap(groups, best, ballots):
+    # W's party is one ballot group, so at most groups - 1 rival parties
+    # answer it; with one group W stands alone and nothing is bad.
+    found, witness = search_lower_bound(
+        MethodId.parse("quota:0"), "party", 2, 4,
+        SearchSpec(weight_grid=7, max_ballot_groups=groups))
+    assert found == best
+    if ballots is None:
+        assert witness is None
+    else:
+        assert [(b.content.party, b.weight) for b in
+                witness.instance.profile.ballots] == ballots
+
+
 def _closed(options, renamings, ordered):
     """The options with every renaming of each, sorted as the search
     sorts them: the cache accepts only option sets closed this way."""
