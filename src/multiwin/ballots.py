@@ -347,6 +347,8 @@ def parse_profile(text: str) -> Profile:
         if not line:
             continue
         if line.startswith("!seats"):
+            if seats is not None:
+                raise ProfileParseError(line_no, "duplicate '!seats' directive")
             rest = line[len("!seats"):].strip()
             try:
                 seats = int(rest)

@@ -14,8 +14,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 domain failure (a bad outcome exists where the
 command asserts none, or an audit inequality fails), 2 usage or parse
-errors.  All rationals are emitted as "p/q" text; --decimals adds decimal
-approximations to human-readable output only.
+errors.  All rationals are emitted as "p/q" text; --decimals, offered
+only where it acts (count, check, threshold, seq, witness and search),
+adds decimal approximations to human-readable output.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .audit import SEARCH_SMAX, audit_table
-from .ballots import (DEFAULT_BRANCH_CAP, ProfileError, WeightScheme,
-                      format_profile, parse_profile_file)
+from .ballots import (DEFAULT_BRANCH_CAP, WeightScheme, format_profile,
+                      parse_profile_file)
 from .numerics import (format_rational, parse_rational, split_arg,
                        to_decimal_str)
 from .scenarios import (IndeterminateOutcome, ScenarioId, ScenarioInstance,
@@ -38,14 +39,14 @@ from .search import SearchSpec, search_lower_bound
 from .sequences import build_alpha_lp, seq_a, seq_b, seq_c, solve_alpha
 from .lp import format_lp
 from .thresholds import (CONJECTURED, CRITERIA, LOWER_BOUND, MINUS, PLUS,
-                         TABLE_NAMES, CoverageError, MethodId, ThresholdValue,
+                         TABLE_NAMES, MethodId, ThresholdValue,
                          criterion_check, table_grid, threshold)
 from .unordered import BudgetExceededError
 from .witnesses import (CATALOG, Witness, construct_witness,
                         party_seat_vectors, run_method, verify_witness)
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Usage-level failure; maps to exit code 2."""
 
 
@@ -57,30 +58,23 @@ def _frac(value, decimals):
 
 
 # ---------------------------------------------------------------------------
-# Output documents
+# Output
 #
 # Each command builds a JSON-safe dict plus a list of human-readable lines
 # and optional CSV rows; the chosen --format picks one rendering.
 
 
-class Document:
-    def __init__(self, data, lines, rows=None):
-        self.data = data
-        self.lines = lines
-        self.rows = rows
-
-    def emit(self, fmt: str, out=None) -> None:
-        out = out or sys.stdout
-        if fmt == "json":
-            json.dump(self.data, out, indent=2, sort_keys=True)
-            out.write("\n")
-        elif fmt == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            for row in self.rows if self.rows is not None else _kv_rows(self.data):
-                writer.writerow(row)
-        else:
-            for line in self.lines:
-                out.write(line + "\n")
+def _emit(fmt: str, data, lines, rows=None) -> None:
+    out = sys.stdout
+    if fmt == "json":
+        json.dump(data, out, indent=2, sort_keys=True)
+        out.write("\n")
+    elif fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(
+            _kv_rows(data) if rows is None else rows)
+    else:
+        for line in lines:
+            out.write(line + "\n")
 
 
 def _kv_rows(data, prefix=""):
@@ -155,7 +149,7 @@ def _cmd_count(args) -> int:
         lines.append("warning: tie branching hit the cap; list incomplete")
     rows = [["committee"]] + [[" ".join(c)] for c in committees]
     rows.append(["truncated", "true" if outcomes.truncated else "false"])
-    Document(doc_data, lines, rows).emit(args.format)
+    _emit(args.format, doc_data, lines, rows)
     return 0
 
 
@@ -174,7 +168,7 @@ def _cmd_apportion(args) -> int:
         lines.append("  seats:   %s" % " ".join(str(s) for s in vec))
     rows = [["party"] + list(names)]
     rows += [["seats"] + list(v) for v in ordered]
-    Document(doc_data, lines, rows).emit(args.format)
+    _emit(args.format, doc_data, lines, rows)
     return 0
 
 
@@ -220,7 +214,7 @@ def _cmd_check(args) -> int:
     lines = ["scenario %s, ell=%d, W fraction %s: %s"
              % (scenario.value, args.ell, _frac(inst.fraction, args.decimals),
                 "BAD outcome possible" if bad else "good (every outcome)")]
-    Document(doc_data, lines).emit(args.format)
+    _emit(args.format, doc_data, lines)
     return 1 if bad else 0
 
 
@@ -238,9 +232,9 @@ def _cmd_threshold(args) -> int:
         word = {True: "satisfied", False: "violated", None: "unknown"}[verdict]
         doc_data = {"method": method.label(), "criterion": args.criterion,
                     "seats": args.seats, "verdict": word}
-        Document(doc_data, ["%s at S=%d under %s: %s"
-                            % (args.criterion, args.seats, method.label(),
-                               word)]).emit(args.format)
+        _emit(args.format, doc_data, ["%s at S=%d under %s: %s"
+                                      % (args.criterion, args.seats,
+                                         method.label(), word)])
         return 0
     if args.ell is None:
         raise _CliError("--ell is required unless --criterion is used")
@@ -259,7 +253,7 @@ def _cmd_threshold(args) -> int:
         lines.append("  source: %s" % entry.source)
     if entry.note:
         lines.append("  note: %s" % entry.note)
-    Document(doc_data, lines).emit(args.format)
+    _emit(args.format, doc_data, lines)
     return 0
 
 
@@ -299,7 +293,7 @@ def _cmd_table(args) -> int:
     doc_data = {"name": grid.name, "title": grid.title,
                 "rows": [str(r) for r in grid.rows],
                 "cols": [str(c) for c in grid.cols], "cells": cell_data}
-    Document(doc_data, lines, rows).emit(args.format)
+    _emit(args.format, doc_data, lines, rows)
     return 0
 
 
@@ -336,9 +330,8 @@ def _cmd_seq(args) -> int:
         value = Fraction(sequence(n))
     doc_data = {"which": args.which, "n": n,
                 "value": format_rational(value), **solver}
-    Document(doc_data,
-             ["%s(%d) = %s" % (args.which, n, _frac(value, args.decimals))]
-             ).emit(args.format)
+    _emit(args.format, doc_data,
+          ["%s(%d) = %s" % (args.which, n, _frac(value, args.decimals))])
     return 0
 
 
@@ -372,7 +365,7 @@ def _cmd_witness(args) -> int:
              "profile:"]
     lines += ["  " + line for line in
               format_profile(witness.instance.profile).splitlines()]
-    Document(doc_data, lines).emit(args.format)
+    _emit(args.format, doc_data, lines)
     return 0 if verified else 1
 
 
@@ -402,7 +395,7 @@ def _cmd_search(args) -> int:
     if tactic:
         lines.append("note: a tactic value means no W strategy in the "
                      "grid guarantees ell; it is not a certified lower bound")
-    Document(doc_data, lines).emit(args.format)
+    _emit(args.format, doc_data, lines)
     return 0
 
 
@@ -418,7 +411,7 @@ def _cmd_audit(args) -> int:
         lines.append("FAIL %s %s: %s" % (c.name, c.subject, c.detail))
     rows = [["name", "subject", "detail"]]
     rows += [[c.name, c.subject, c.detail] for c in failures]
-    Document(doc_data, lines, rows).emit(args.format)
+    _emit(args.format, doc_data, lines, rows)
     return 0 if report.passed else 1
 
 
@@ -429,16 +422,29 @@ def _cmd_audit(args) -> int:
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call only: parsing leaves it as it
-    was, so every later run() in the process reuses it."""
-    common = argparse.ArgumentParser(add_help=False)
+    was, so every later run() in the process reuses it.  Each flag is
+    declared once, on a parent parser that the commands using it share."""
+    def parent(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    common = parent()
     common.add_argument("--format", choices=("human", "json", "csv"),
                         default="human", help="output format")
-    common.add_argument("--decimals", type=int, default=None,
-                        help="append decimal approximations (human output)")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    decimals = parent(common)
+    decimals.add_argument("--decimals", type=int, default=None,
+                          help="append decimal approximations (human output)")
+    capped = parent(decimals)
     capped.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP,
                         help="states kept per round of tie branching, "
                         "and the most committees a count lists")
+    method = parent()
+    method.add_argument("--method", required=True, help="method label "
+                        "(apportion: div:<gamma> or quota:<delta>)")
+    scenarios = [s.value for s in ScenarioId]
+    cell = parent()
+    cell.add_argument("--scenario", required=True, choices=scenarios)
+    cell.add_argument("--ell", type=int, required=True)
+    cell.add_argument("--seats", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="multiwin",
@@ -446,75 +452,59 @@ def _build_parser() -> argparse.ArgumentParser:
                     "proportionality guarantees")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[capped],
-                       help="count a candidate-ballot profile")
-    p.add_argument("--method", required=True)
-    p.add_argument("profile")
-    p.set_defaults(func=_cmd_count)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("apportion", parents=[common],
-                       help="apportion seats on a party profile")
-    p.add_argument("--method", required=True,
-                   help="div:<gamma> or quota:<delta>")
+    p = command("count", _cmd_count, "count a candidate-ballot profile",
+                capped, method)
     p.add_argument("profile")
-    p.set_defaults(func=_cmd_apportion)
 
-    p = sub.add_parser("check", parents=[capped],
-                       help="test a scenario on a profile with !W markers")
-    p.add_argument("--method", required=True)
-    p.add_argument("--scenario", required=True,
-                   choices=[s.value for s in ScenarioId])
+    p = command("apportion", _cmd_apportion,
+                "apportion seats on a party profile", common, method)
+    p.add_argument("profile")
+
+    p = command("check", _cmd_check,
+                "test a scenario on a profile with !W markers", capped, method)
+    p.add_argument("--scenario", required=True, choices=scenarios)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--target", default=None,
                    help="comma-separated target candidates")
     p.add_argument("profile")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("threshold", parents=[common],
-                       help="look up a guarantee threshold")
-    p.add_argument("--method", required=True)
+    p = command("threshold", _cmd_threshold, "look up a guarantee threshold",
+                decimals, method)
     p.add_argument("--scenario", default=None, help="default same",
-                   choices=[s.value for s in ScenarioId])
+                   choices=scenarios)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--seats", type=int, required=True)
     p.add_argument("--criterion", choices=CRITERIA, default=None)
-    p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="regenerate a named reference grid")
+    p = command("table", _cmd_table, "regenerate a named reference grid",
+                common)
     p.add_argument("name", choices=TABLE_NAMES)
     p.add_argument("--max-seats", type=int, default=5)
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("seq", parents=[common],
-                       help="evaluate a_n, b_n, c_n or alpha_n")
+    p = command("seq", _cmd_seq, "evaluate a_n, b_n, c_n or alpha_n",
+                decimals)
     p.add_argument("--which", required=True,
                    help="a | b | c | alpha[:scheme]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dump-lp", action="store_true",
                    help="emit the LP constraint system (alpha only)")
-    p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("witness", parents=[capped],
-                       help="build and verify a cataloged extremal profile")
+    p = command("witness", _cmd_witness,
+                "build and verify a cataloged extremal profile",
+                capped, method, cell)
     p.add_argument("--construction", required=True,
                    choices=sorted(CATALOG))
-    p.add_argument("--method", required=True)
-    p.add_argument("--scenario", required=True,
-                   choices=[s.value for s in ScenarioId])
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--seats", type=int, required=True)
     p.add_argument("--eps", default=None,
                    help="closeness for limit constructions, e.g. 1/20")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("search", parents=[capped],
-                       help="brute-force the best bad-outcome fraction")
-    p.add_argument("--method", required=True)
-    p.add_argument("--scenario", required=True,
-                   choices=[s.value for s in ScenarioId])
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--seats", type=int, required=True)
+    p = command("search", _cmd_search,
+                "brute-force the best bad-outcome fraction",
+                capped, method, cell)
     p.add_argument("--grid", type=int, default=SearchSpec.weight_grid,
                    help="weight denominator bound")
     p.add_argument("--max-candidates", type=int,
@@ -523,15 +513,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=SearchSpec.max_ballot_groups)
     p.add_argument("--max-length", type=int,
                    default=SearchSpec.max_ballot_length)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("audit", parents=[common],
-                       help="cross-check the threshold corpus")
+    p = command("audit", _cmd_audit, "cross-check the threshold corpus",
+                common)
     p.add_argument("--smax", type=int, default=5, help="largest S checked "
                    "(the --with-search probe covers S <= %d only)"
                    % SEARCH_SMAX)
     p.add_argument("--with-search", action="store_true")
-    p.set_defaults(func=_cmd_audit)
 
     return parser
 
@@ -540,14 +528,13 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if (args.decimals or 0) < 0:
+        if (getattr(args, "decimals", None) or 0) < 0:
             parser.error("--decimals must be >= 0")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (_CliError, ProfileError, ScenarioTypeError, CoverageError,
-            ValueError, OSError, IndeterminateOutcome,
+    except (ValueError, OSError, ScenarioTypeError, IndeterminateOutcome,
             BudgetExceededError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

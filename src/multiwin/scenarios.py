@@ -163,7 +163,7 @@ def is_instance(inst: ScenarioInstance) -> bool:
     profile = inst.profile
     scenario = inst.scenario
     if scenario is ScenarioId.TACTIC:
-        return True
+        return inst.target <= profile.candidates
     w_ballots = profile.w_ballots()
     if not w_ballots:
         return False

@@ -58,7 +58,9 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class MethodId:
-    """Identifier of an election method, with its parameter if any."""
+    """Identifier of an election method, with its parameter if any.
+    Equal methods share one MethodId: a set-ballot Thiele kind at
+    constant weights is av."""
 
     kind: str
     param: Optional[Fraction] = None      # gamma, delta, or the LV limit
@@ -82,6 +84,10 @@ class MethodId:
         if spec.scheme:
             if self.scheme is None:
                 object.__setattr__(self, "scheme", WeightScheme.harmonic())
+            if spec.ballot == "set" and self.scheme.kind == "constant":
+                # At w_k = 1 both Thiele kinds elect as av (test_identities).
+                object.__setattr__(self, "kind", "av")
+                object.__setattr__(self, "scheme", None)
         elif self.scheme is not None:
             raise ValueError("%s takes no weight scheme" % self.kind)
         # The generated hash, computed once: audit tables key on MethodIds,

@@ -80,6 +80,7 @@ def test_extra_candidates_directive():
     ("!seats 1\n1 : [A A]\n", "duplicate"),
     ("!seats 1\n0 : {A}\n", "weight must be positive"),
     ("!seats 1\n-1/2 : {A}\n", "weight must be positive"),
+    ("!seats 1\n1 : {A}\n!seats 1\n", "line 3: duplicate '!seats' directive"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ProfileError) as err:

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -428,6 +429,20 @@ def test_audit_lists_its_failures(capsys, monkeypatch):
                    "FAIL floor same av ell=1 S=2: 1/4 < 1/3\n")
 
 
+def test_tactic_target_outside_the_candidates_is_no_instance(capsys,
+                                                             tmp_path):
+    path = tmp_path / "tactic.profile"
+    path.write_text("!seats 2\n!W 3 : {A B}\n2 : {C}\n1 : {D}\n")
+    argv = ("check", "--method", "av", "--scenario", "tactic", "--ell", "2",
+            str(path), "--target")
+    code, out, _ = run_cli(capsys, *argv, "A,B")
+    assert (code, out) == (0, "scenario tactic, ell=2, W fraction 1/2: "
+                           "good (every outcome)\n")
+    for target in ("A, B", "Z"):
+        assert run_cli(capsys, *argv, target) == (
+            2, "", "not an instance of scenario 'tactic'\n")
+
+
 def test_decimals_flag(capsys):
     code, out, _ = run_cli(capsys, "seq", "--which", "b", "--n", "2",
                            "--decimals", "3")
@@ -528,28 +543,75 @@ def test_empty_weight_scheme_entry_exits_two(capsys, scheme):
 
 _DECIMALS_ARGV = {
     "count": ("--method", "av", "{set}"),
-    "apportion": ("--method", "div:1", "{party}"),
     "check": ("--method", "av", "--scenario", "same", "--ell", "1", "{set}"),
     "threshold": ("--method", "av", "--ell", "1", "--seats", "2"),
-    "table": ("optimal", "--max-seats", "2"),
     "seq": ("--which", "a", "--n", "2"),
     "witness": ("--construction", "majority-tie", "--method", "av")
     + _CELL,
     "search": ("--method", "sntv") + _CELL[:4] + ("--seats", "1", "--grid",
                                                   "2"),
+}
+
+# Commands that never read --decimals, so do not offer it.
+_PLAIN_ARGV = {
+    "apportion": ("--method", "div:1", "{party}"),
+    "table": ("optimal", "--max-seats", "2"),
     "audit": ("--smax", "1"),
 }
+
+
+def _argv(command, table, set_profile, party_profile):
+    return [arg.format(set=set_profile, party=party_profile)
+            for arg in table[command]]
 
 
 @pytest.mark.parametrize("command", sorted(_DECIMALS_ARGV))
 def test_negative_decimals_refused_before_any_command_runs(
         capsys, command, set_profile, party_profile):
-    argv = [arg.format(set=set_profile, party=party_profile)
-            for arg in _DECIMALS_ARGV[command]]
+    argv = _argv(command, _DECIMALS_ARGV, set_profile, party_profile)
     code, out, err = run_cli(capsys, command, *argv, "--decimals", "-1")
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == "multiwin: error: --decimals must be >= 0"
     assert run_cli(capsys, command, *argv, "--decimals", "0")[0] != 2
+
+
+@pytest.mark.parametrize("command", sorted(_PLAIN_ARGV))
+def test_decimals_refused_where_it_never_acted(
+        capsys, command, set_profile, party_profile):
+    argv = _argv(command, _PLAIN_ARGV, set_profile, party_profile)
+    code, out, err = run_cli(capsys, command, *argv, "--decimals", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("multiwin: error: unrecognized "
+                                    "arguments: --decimals 2")
+    assert run_cli(capsys, command, *argv)[0] == 0
+
+
+_OPTIONS = {
+    "count": "--branch-cap --decimals --format --method",
+    "apportion": "--format --method",
+    "check": "--branch-cap --decimals --ell --format --method --scenario "
+             "--target",
+    "threshold": "--criterion --decimals --ell --format --method --scenario "
+                 "--seats",
+    "table": "--format --max-seats",
+    "seq": "--decimals --dump-lp --format --n --which",
+    "witness": "--branch-cap --construction --decimals --ell --eps --format "
+               "--method --scenario --seats",
+    "search": "--branch-cap --decimals --ell --format --grid "
+              "--max-candidates --max-groups --max-length --method "
+              "--scenario --seats",
+    "audit": "--format --smax --with-search",
+}
+
+
+def test_each_command_offers_its_own_options():
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    offered = {name: " ".join(sorted(option for action in parser._actions
+                                     for option in action.option_strings
+                                     if option not in ("-h", "--help")))
+               for name, parser in sub.choices.items()}
+    assert offered == _OPTIONS
 
 
 def test_runs_in_one_process_share_one_parser(capsys, set_profile):

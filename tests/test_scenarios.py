@@ -37,6 +37,13 @@ def test_tactic_accepts_anything():
                             "tactic"))
 
 
+def test_tactic_target_must_name_candidates():
+    text = "!seats 2\n!W 3 : {A B}\n2 : {C}\n1 : {D}\n"
+    assert is_instance(inst(text, "AB", 2, "tactic"))
+    for target in (["A", " B"], ["Z"]):
+        assert not is_instance(inst(text, target, 2, "tactic"))
+
+
 def test_no_w_ballots_fails_everywhere_but_tactic():
     text = "!seats 1\n1 : {A}\n1 : {B}\n"
     for scenario in ("party", "same", "pjr", "ejr"):

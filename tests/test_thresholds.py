@@ -176,7 +176,11 @@ def test_spellings_of_one_scheme_answer_alike(kind, texts):
     first, *others = [MethodId.parse("%s:%s" % (kind, text))
                       for text in texts]
     assert [first.label()] * len(others) == [m.label() for m in others]
-    assert first.label() == "%s:%s" % (kind, texts[0])
+    if texts[0] == "constant" and kind != "borda":
+        # Both set-ballot Thiele kinds elect as av at constant weights.
+        assert first == MethodId("av")
+    else:
+        assert first.label() == "%s:%s" % (kind, texts[0])
     for scenario in ScenarioId:
         for seats in range(1, 9):
             for ell in range(1, seats + 1):
@@ -622,9 +626,13 @@ def test_criterion_decided_by_an_upper_bound():
 @pytest.mark.parametrize("label", ["thiele-opt:constant",
                                    "thiele-opt:explicit(1,1;tail=0)"])
 def test_optimization_tactic_needs_subharmonic_weights(label):
+    method = MethodId.parse(label)
+    # Constant weights are av, whose tactic value is tabulated.
+    expected = (("exact", "majority-blocking") if method == MethodId("av")
+                else ("unknown", "no-result"))
     for ell in (1, 2):
-        entry = threshold(MethodId.parse(label), ScenarioId.TACTIC, ell, 3)
-        assert (entry.status, entry.source) == ("unknown", "no-result")
+        entry = threshold(method, ScenarioId.TACTIC, ell, 3)
+        assert (entry.status, entry.source) == expected
 
 
 @pytest.mark.parametrize("label", ["thiele-add:weak",
